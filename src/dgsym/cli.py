@@ -19,7 +19,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .fields import Grid, LogPolarField, read_snapshot, sample_trajectory, write_trajectory
+from .fields import (Grid, LogPolarField, read_snapshot, read_trajectory,
+                     sample_trajectory, write_trajectory)
 from .flows import verify_symmetry_flow
 from .linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
                         linearization_data, z_flow_se_from_zero)
@@ -315,6 +316,9 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
         s = k * xs[0]
         return LogPolarField(grid, 0.0, np.zeros(grid.shape), s), None
     if kind == "se-packet":
+        if grid.bc != "dirichlet":
+            raise InputError("se-packet initial data needs a dirichlet grid; "
+                             "its log-amplitude and phase are not periodic")
         pack = se_gaussian(float(p.nu1), n=grid.n, b0=opts.get("b0", -0.25),
                            k=(opts["k"],) * grid.n if "k" in opts else None)
         r, s = pack.rs(xs, 0.0)
@@ -431,6 +435,12 @@ def cmd_gauge(args) -> int:
     gam = _rationals(args.gamma or "0")
     if lam == 0:
         raise InputError("Lambda must be nonzero")
+    traj = None
+    if args.traj:
+        try:
+            traj = read_trajectory(args.traj)
+        except (ValueError, OSError) as exc:
+            raise InputError(f"--traj {args.traj}: {exc}") from exc
     g = GaugeElement(lam, gam)
     q = gauge_act_params(g, p)
     row = {"command": "gauge",
@@ -442,9 +452,7 @@ def cmd_gauge(args) -> int:
     if args.out:
         q.dump(args.out)
         _say(f"gauge: wrote {args.out}")
-    if args.traj:
-        from .fields import read_trajectory
-        traj = read_trajectory(args.traj)
+    if traj is not None:
         out = traj.__class__(traj.grid, [gauge_act_field(g, f) for f in traj.fields])
         write_trajectory(out, args.traj_out or (args.traj.rstrip("/") + "-gauged"),
                          params_json=q.to_json_dict())

@@ -192,8 +192,11 @@ def interp_field(f: LogPolarField, points: tuple, tol: float = 1e-9) -> tuple:
 # ---------------------------------------------------------------------------
 # Snapshot / trajectory files.
 
+_STACKS = ("r", "s")
+
+
 def write_snapshot(f: LogPolarField, path) -> None:
-    """CSV with header x[,y],t,r,s."""
+    """CSV with header x[,y],t,r,s: one snapshot, as ``--init file:PATH`` reads."""
     coords = f.grid.coords()
     cols = [c.ravel() for c in coords]
     header = ["x", "y"][: f.grid.n] + ["t", "r", "s"]
@@ -221,31 +224,60 @@ def _grid_from_json(d) -> Grid:
 
 
 def write_trajectory(traj: Trajectory, outdir, params_json=None, dt=None) -> str:
-    """Snapshot directory plus a manifest.json describing grid and timing."""
+    """Trajectory directory: ``r.npy`` and ``s.npy`` plus ``manifest.json``.
+
+    Each ``.npy`` file is one float64 stack of shape ``(T, *grid.shape)``; the
+    manifest holds the grid, the T time stamps, ``dt`` and the parameters.
+    The manifest is removed first and written last, so an interrupted write
+    never leaves a manifest that points at missing or stale stacks.
+    """
     os.makedirs(outdir, exist_ok=True)
-    names = []
-    for k, f in enumerate(traj.fields):
-        name = f"snap{k:05d}.csv"
-        write_snapshot(f, os.path.join(outdir, name))
-        names.append(name)
+    mpath = os.path.join(outdir, "manifest.json")
+    if os.path.exists(mpath):
+        os.remove(mpath)
+    shape = (len(traj),) + traj.grid.shape
+    for name in _STACKS:
+        stack = np.array([getattr(f, name) for f in traj.fields],
+                         dtype=np.float64).reshape(shape)
+        np.save(os.path.join(outdir, f"{name}.npy"), stack)
     manifest = {
         "grid": _grid_to_json(traj.grid),
         "times": [float(t) for t in traj.times],
         "dt": dt,
         "params": params_json,
-        "snapshots": names,
     }
-    mpath = os.path.join(outdir, "manifest.json")
     with open(mpath, "w") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
     return mpath
 
 
+def _load_stack(path, shape) -> np.ndarray:
+    try:
+        stack = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable .npy stack: {exc}") from exc
+    if stack.dtype != np.float64 or stack.shape != shape:
+        raise ValueError(f"{path}: expected a float64 stack of shape {shape}, "
+                         f"got {stack.dtype} {stack.shape}")
+    return stack
+
+
 def read_trajectory(outdir) -> Trajectory:
+    """Read a directory written by ``write_trajectory``.
+
+    A manifest with a ``snapshots`` list names one CSV snapshot per time
+    stamp, the layout written before the ``.npy`` stacks; it still loads.
+    """
     with open(os.path.join(outdir, "manifest.json")) as fh:
         manifest = json.load(fh)
     grid = _grid_from_json(manifest["grid"])
-    fields = [read_snapshot(os.path.join(outdir, name), grid)
-              for name in manifest["snapshots"]]
-    return Trajectory(grid, fields)
+    if "snapshots" in manifest:
+        return Trajectory(grid, [read_snapshot(os.path.join(outdir, name), grid)
+                                 for name in manifest["snapshots"]])
+    times = manifest["times"]
+    shape = (len(times),) + grid.shape
+    r, s = (_load_stack(os.path.join(outdir, f"{name}.npy"), shape)
+            for name in _STACKS)
+    return Trajectory(grid, [LogPolarField(grid, float(t), r[k], s[k])
+                             for k, t in enumerate(times)])

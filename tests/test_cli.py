@@ -146,6 +146,17 @@ def test_simulate_dirichlet_packet(capsys, tmp_path, se_file):
     assert rows[0]["residual"]["linf"] < 1e-4
 
 
+def test_simulate_refuses_periodic_se_packet(capsys, tmp_path, se_file):
+    out = str(tmp_path / "se")
+    code, _, err = run(capsys, "simulate", "--params", se_file,
+                       "--grid", "128,0.0625", "--bc", "periodic",
+                       "--init", "se-packet:k=1", "--t-final", "0.05",
+                       "--out", out)
+    assert code == 2
+    assert "dirichlet" in err
+    assert not os.path.exists(out)
+
+
 def test_linearize_heat_branch(capsys, tmp_path, sym1b_file):
     out = str(tmp_path / "lin")
     code, rows, _ = run(capsys, "linearize", "--params", sym1b_file,
@@ -209,6 +220,25 @@ def test_gauge_transforms_trajectory(capsys, tmp_path, sym1b_file):
     moved = read_trajectory(outdir)
     np.testing.assert_allclose(moved[0].s, 1.0 * orig[0].r + 2.0 * orig[0].s,
                                atol=1e-10)
+
+
+@pytest.mark.parametrize("damage", ["missing", "malformed"])
+def test_gauge_traj_bad_stack_is_input_error(capsys, tmp_path, sym1b_file, damage):
+    simdir = tmp_path / "sim"
+    run(capsys, "simulate", "--params", sym1b_file, "--grid", "32,0.2",
+        "--bc", "periodic", "--init", "bump", "--steps", "4", "--out", str(simdir))
+    assert not list(simdir.glob("*.csv"))
+    if damage == "missing":
+        (simdir / "s.npy").unlink()
+    else:
+        (simdir / "s.npy").write_bytes(b"not an array")
+    code, rows, err = run(capsys, "gauge", "--params", sym1b_file,
+                          "--lambda", "2", "--traj", str(simdir),
+                          "--traj-out", str(tmp_path / "out"))
+    assert code == 2
+    assert "s.npy" in err
+    assert rows == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_all_suites(capsys):

@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
@@ -63,6 +66,58 @@ def test_trajectory_round_trip(tmp_path):
     assert len(back) == 3
     np.testing.assert_allclose(back.times, traj.times, atol=1e-12)
     np.testing.assert_allclose(back[2].r, traj[2].r, atol=1e-12)
+
+
+def _wavy_trajectory(g, count=5):
+    xs = g.coords()
+    q = sum(x ** 2 for x in xs)
+    return Trajectory(g, [LogPolarField(g, 0.1 * k / 3, -q / 7 + 0.01 * k,
+                                        np.sin(xs[0]) / 3 + 0.2 * k)
+                          for k in range(count)])
+
+
+@pytest.mark.parametrize("grid", [
+    Grid.make(n=1, npts=32, extent=(-1, 1), bc="periodic"),
+    Grid.make(n=2, npts=20, extent=(-2, 2), bc="dirichlet"),
+])
+def test_trajectory_npy_round_trip_bit_exact(tmp_path, grid):
+    traj = _wavy_trajectory(grid)
+    write_trajectory(traj, tmp_path / "run", dt=1 / 3)
+    assert sorted(os.listdir(tmp_path / "run")) == ["manifest.json", "r.npy", "s.npy"]
+    assert np.load(tmp_path / "run" / "r.npy").shape == (5,) + grid.shape
+    back = read_trajectory(tmp_path / "run")
+    assert back.grid == grid and len(back) == len(traj)
+    for a, b in zip(traj.fields, back.fields):
+        assert a.t == b.t
+        assert np.array_equal(a.r, b.r) and np.array_equal(a.s, b.s)
+
+
+def test_trajectory_reads_csv_snapshot_layout(tmp_path):
+    g = Grid.make(n=2, npts=16, extent=(-1, 1))
+    traj = _wavy_trajectory(g, count=3)
+    names = [f"snap{k:05d}.csv" for k in range(3)]
+    for f, name in zip(traj.fields, names):
+        write_snapshot(f, tmp_path / name)
+    manifest = {"grid": {"n": 2, "npts": 16, "bounds": [[-1.0, 1.0]] * 2,
+                         "bc": "dirichlet"},
+                "times": [float(t) for t in traj.times], "dt": None,
+                "params": None, "snapshots": names}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    back = read_trajectory(tmp_path)
+    assert back.grid == g and len(back) == 3
+    for a, b in zip(traj.fields, back.fields):
+        assert a.t == b.t
+        assert np.array_equal(a.r, b.r) and np.array_equal(a.s, b.s)
+
+
+def test_trajectory_rejects_stack_times_mismatch(tmp_path):
+    g = Grid.make(npts=16, extent=(-1, 1))
+    write_trajectory(_wavy_trajectory(g, count=4), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["times"].append(1.0)
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="r.npy"):
+        read_trajectory(tmp_path)
 
 
 # ---------------------------------------------------------------------------
