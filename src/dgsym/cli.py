@@ -324,7 +324,10 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
         r, s = pack.rs(xs, 0.0)
         return LogPolarField(grid, 0.0, r, s), pack
     if kind == "file":
-        return read_snapshot(payload, grid), None
+        try:
+            return read_snapshot(payload, grid), None
+        except (OSError, ValueError, IndexError) as exc:
+            raise InputError(f"--init file:{payload}: {exc}") from exc
     raise InputError(f"unknown initial condition {spec!r}")
 
 

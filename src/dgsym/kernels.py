@@ -1,62 +1,31 @@
-"""Finite-difference kernels for the two-field evolution system.
+"""Finite-difference stencil, derivative bundle and dirichlet boundary ring.
 
-The right-hand side
+Every right-hand side of the family is a linear combination of five
+derivative fields of the log-polar state (r, s):
+
+    lap r,  lap s,  |grad r|^2,  |grad s|^2,  grad r . grad s
+
+``derivative_bundle`` computes them with one centered second-order stencil,
+and ``evolution_rhs`` combines them with nine coefficients:
 
     r_t = a1 lap(r) + a2 lap(s) + a3 |grad r|^2 + a4 grad r . grad s
     s_t = b1 lap(r) + b2 lap(s) + b3 |grad r|^2 + b4 grad r . grad s + b5 |grad s|^2
 
-is the hot inner loop of the time stepper.  Two implementations are kept in
-lockstep: fused numba kernels and a vectorized pure-numpy path.  Selection:
-
-    DGSYM_BACKEND=numba   force numba (error if unavailable)
-    DGSYM_BACKEND=numpy   force the numpy path
-    unset / auto          numba when importable, else numpy
-
 Phase derivatives on periodic grids use neighbor differences wrapped to the
 nearest multiple of 2 pi, so plane waves with nonzero winding differentiate
 correctly across the seam.
+
+On dirichlet grids the outermost layer of points along each axis is the
+boundary ring: its values are imposed, not evolved, so every right-hand side
+is zero there and residuals are taken over the points inside it.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-try:  # pragma: no cover - absence exercised via DGSYM_BACKEND=numpy
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    njit = None
-    HAVE_NUMBA = False
-
-_FORCED = None
-
-
-def set_backend(name: str | None) -> None:
-    """Override backend selection ('numba', 'numpy', or None for auto)."""
-    global _FORCED
-    if name not in (None, "auto", "numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    _FORCED = None if name in (None, "auto") else name
-
-
-def active_backend() -> str:
-    choice = _FORCED or os.environ.get("DGSYM_BACKEND", "auto").lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("DGSYM_BACKEND=numba but numba is not installed")
-        return "numba"
-    return "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy path
 
 def _wrap(d):
     return d - TWO_PI * np.rint(d / TWO_PI)
@@ -88,161 +57,59 @@ def _axis_diffs(f, axis, dx, periodic, wrap):
     return first, second
 
 
-def first_second_derivatives(f, grid, wrap=False):
-    """Per-axis (first, second) centered derivatives of a grid array."""
-    periodic = grid.bc == "periodic"
-    return [
-        _axis_diffs(f, axis, grid.dx(axis), periodic, wrap)
-        for axis in range(grid.n)
-    ]
+def boundary_ring(grid):
+    """``(faces, inner)`` for the dirichlet boundary ring of ``grid``.
 
-
-def _rhs_numpy(r, s, grid, coeffs):
-    a1, a2, a3, a4, b1, b2, b3, b4, b5 = coeffs
-    periodic = grid.bc == "periodic"
-    lap_r = np.zeros_like(r)
-    lap_s = np.zeros_like(r)
-    gr2 = np.zeros_like(r)
-    gs2 = np.zeros_like(r)
-    grgs = np.zeros_like(r)
+    ``faces`` holds one index tuple per face, two per axis; ``inner`` indexes
+    every point off the ring.  A periodic grid has no ring: no faces, and
+    ``inner`` covers the whole grid.
+    """
+    if grid.bc == "periodic":
+        return [], (slice(None),) * grid.n
+    faces = []
     for axis in range(grid.n):
-        r1, r2 = _axis_diffs(r, axis, grid.dx(axis), periodic, wrap=False)
-        s1, s2 = _axis_diffs(s, axis, grid.dx(axis), periodic, wrap=periodic)
-        lap_r += r2
-        lap_s += s2
-        gr2 += r1 * r1
-        gs2 += s1 * s1
-        grgs += r1 * s1
-    rt = a1 * lap_r + a2 * lap_s + a3 * gr2 + a4 * grgs
-    st = b1 * lap_r + b2 * lap_s + b3 * gr2 + b4 * grgs + b5 * gs2
-    if not periodic:
-        for axis in range(grid.n):
-            sl0 = [slice(None)] * grid.n
-            sl1 = [slice(None)] * grid.n
-            sl0[axis] = 0
-            sl1[axis] = -1
-            for arr in (rt, st):
-                arr[tuple(sl0)] = 0.0
-                arr[tuple(sl1)] = 0.0
-    return rt, st
+        for end in (0, -1):
+            face = [slice(None)] * grid.n
+            face[axis] = end
+            faces.append(tuple(face))
+    return faces, (slice(1, -1),) * grid.n
 
 
-# ---------------------------------------------------------------------------
-# numba path
+def zero_ring(grid, *arrays):
+    """Zero each array in place on the boundary ring; return them."""
+    for face in boundary_ring(grid)[0]:
+        for arr in arrays:
+            arr[face] = 0.0
+    return arrays
 
-if HAVE_NUMBA:
 
-    @njit(cache=True)
-    def _rhs_1d_periodic(r, s, dx, a1, a2, a3, a4, b1, b2, b3, b4, b5, rt, st):
-        n = r.shape[0]
-        inv2 = 1.0 / (2.0 * dx)
-        invsq = 1.0 / (dx * dx)
-        for i in range(n):
-            ip = i + 1 if i + 1 < n else 0
-            im = i - 1 if i > 0 else n - 1
-            drp = r[ip] - r[i]
-            drm = r[i] - r[im]
-            dsp = s[ip] - s[i]
-            dsp -= TWO_PI * np.rint(dsp / TWO_PI)
-            dsm = s[i] - s[im]
-            dsm -= TWO_PI * np.rint(dsm / TWO_PI)
-            rx = (drp + drm) * inv2
-            rxx = (drp - drm) * invsq
-            sx = (dsp + dsm) * inv2
-            sxx = (dsp - dsm) * invsq
-            rt[i] = a1 * rxx + a2 * sxx + a3 * rx * rx + a4 * rx * sx
-            st[i] = b1 * rxx + b2 * sxx + b3 * rx * rx + b4 * rx * sx + b5 * sx * sx
+def derivative_bundle(r, s, grid):
+    """``(lap r, lap s, |grad r|^2, |grad s|^2, grad r . grad s)``.
 
-    @njit(cache=True)
-    def _rhs_1d_interior(r, s, dx, a1, a2, a3, a4, b1, b2, b3, b4, b5, rt, st):
-        n = r.shape[0]
-        inv2 = 1.0 / (2.0 * dx)
-        invsq = 1.0 / (dx * dx)
-        rt[0] = rt[n - 1] = st[0] = st[n - 1] = 0.0
-        for i in range(1, n - 1):
-            rx = (r[i + 1] - r[i - 1]) * inv2
-            rxx = (r[i + 1] - 2.0 * r[i] + r[i - 1]) * invsq
-            sx = (s[i + 1] - s[i - 1]) * inv2
-            sxx = (s[i + 1] - 2.0 * s[i] + s[i - 1]) * invsq
-            rt[i] = a1 * rxx + a2 * sxx + a3 * rx * rx + a4 * rx * sx
-            st[i] = b1 * rxx + b2 * sxx + b3 * rx * rx + b4 * rx * sx + b5 * sx * sx
-
-    @njit(cache=True)
-    def _rhs_2d_periodic(r, s, dx, dy, a1, a2, a3, a4, b1, b2, b3, b4, b5, rt, st):
-        nx, ny = r.shape
-        ix2 = 1.0 / (2.0 * dx)
-        ixq = 1.0 / (dx * dx)
-        iy2 = 1.0 / (2.0 * dy)
-        iyq = 1.0 / (dy * dy)
-        for i in range(nx):
-            ip = i + 1 if i + 1 < nx else 0
-            im = i - 1 if i > 0 else nx - 1
-            for j in range(ny):
-                jp = j + 1 if j + 1 < ny else 0
-                jm = j - 1 if j > 0 else ny - 1
-                drxp = r[ip, j] - r[i, j]
-                drxm = r[i, j] - r[im, j]
-                dryp = r[i, jp] - r[i, j]
-                drym = r[i, j] - r[i, jm]
-                dsxp = s[ip, j] - s[i, j]
-                dsxp -= TWO_PI * np.rint(dsxp / TWO_PI)
-                dsxm = s[i, j] - s[im, j]
-                dsxm -= TWO_PI * np.rint(dsxm / TWO_PI)
-                dsyp = s[i, jp] - s[i, j]
-                dsyp -= TWO_PI * np.rint(dsyp / TWO_PI)
-                dsym = s[i, j] - s[i, jm]
-                dsym -= TWO_PI * np.rint(dsym / TWO_PI)
-                rx = (drxp + drxm) * ix2
-                ry = (dryp + drym) * iy2
-                sx = (dsxp + dsxm) * ix2
-                sy = (dsyp + dsym) * iy2
-                lr = (drxp - drxm) * ixq + (dryp - drym) * iyq
-                ls = (dsxp - dsxm) * ixq + (dsyp - dsym) * iyq
-                g_rr = rx * rx + ry * ry
-                g_rs = rx * sx + ry * sy
-                g_ss = sx * sx + sy * sy
-                rt[i, j] = a1 * lr + a2 * ls + a3 * g_rr + a4 * g_rs
-                st[i, j] = b1 * lr + b2 * ls + b3 * g_rr + b4 * g_rs + b5 * g_ss
-
-    @njit(cache=True)
-    def _rhs_2d_interior(r, s, dx, dy, a1, a2, a3, a4, b1, b2, b3, b4, b5, rt, st):
-        nx, ny = r.shape
-        ix2 = 1.0 / (2.0 * dx)
-        ixq = 1.0 / (dx * dx)
-        iy2 = 1.0 / (2.0 * dy)
-        iyq = 1.0 / (dy * dy)
-        for i in range(nx):
-            for j in range(ny):
-                rt[i, j] = 0.0
-                st[i, j] = 0.0
-        for i in range(1, nx - 1):
-            for j in range(1, ny - 1):
-                rx = (r[i + 1, j] - r[i - 1, j]) * ix2
-                ry = (r[i, j + 1] - r[i, j - 1]) * iy2
-                sx = (s[i + 1, j] - s[i - 1, j]) * ix2
-                sy = (s[i, j + 1] - s[i, j - 1]) * iy2
-                lr = (r[i + 1, j] - 2.0 * r[i, j] + r[i - 1, j]) * ixq \
-                    + (r[i, j + 1] - 2.0 * r[i, j] + r[i, j - 1]) * iyq
-                ls = (s[i + 1, j] - 2.0 * s[i, j] + s[i - 1, j]) * ixq \
-                    + (s[i, j + 1] - 2.0 * s[i, j] + s[i, j - 1]) * iyq
-                g_rr = rx * rx + ry * ry
-                g_rs = rx * sx + ry * sy
-                g_ss = sx * sx + sy * sy
-                rt[i, j] = a1 * lr + a2 * ls + a3 * g_rr + a4 * g_rs
-                st[i, j] = b1 * lr + b2 * ls + b3 * g_rr + b4 * g_rs + b5 * g_ss
+    The phase ``s`` is differenced modulo 2 pi on periodic grids.  On
+    dirichlet grids the boundary ring holds one-sided values; callers that
+    need it zero use ``zero_ring``.
+    """
+    periodic = grid.bc == "periodic"
+    bundle = None
+    for axis in range(grid.n):
+        dx = grid.dx(axis)
+        r1, r2 = _axis_diffs(r, axis, dx, periodic, wrap=False)
+        s1, s2 = _axis_diffs(s, axis, dx, periodic, wrap=periodic)
+        terms = (r2, s2, r1 * r1, s1 * s1, r1 * s1)
+        if bundle is None:
+            bundle = terms
+        else:
+            for acc, term in zip(bundle, terms):
+                acc += term
+    return bundle
 
 
 def evolution_rhs(r, s, grid, coeffs):
-    """Dispatch the fused RHS kernel according to the active backend."""
-    if active_backend() == "numpy":
-        return _rhs_numpy(r, s, grid, coeffs)
-    rt = np.empty_like(r)
-    st = np.empty_like(s)
-    args = tuple(float(c) for c in coeffs)
-    if grid.n == 1:
-        fn = _rhs_1d_periodic if grid.bc == "periodic" else _rhs_1d_interior
-        fn(r, s, grid.dx(0), *args, rt, st)
-    else:
-        fn = _rhs_2d_periodic if grid.bc == "periodic" else _rhs_2d_interior
-        fn(r, s, grid.dx(0), grid.dx(1), *args, rt, st)
-    return rt, st
+    """(r_t, s_t) as the nine-coefficient combination of the derivative
+    bundle, zero on the boundary ring."""
+    a1, a2, a3, a4, b1, b2, b3, b4, b5 = coeffs
+    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(r, s, grid)
+    rt = a1 * lap_r + a2 * lap_s + a3 * gr2 + a4 * grgs
+    st = b1 * lap_r + b2 * lap_s + b3 * gr2 + b4 * grgs + b5 * gs2
+    return zero_ring(grid, rt, st)

@@ -26,7 +26,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import Grid, LogPolarField, Trajectory
-from .kernels import evolution_rhs, first_second_derivatives
+from .kernels import boundary_ring, derivative_bundle, evolution_rhs, zero_ring
 from .params import DGParams, predicate_report
 
 __all__ = [
@@ -47,43 +47,17 @@ class Functionals(NamedTuple):
     R5: np.ndarray
 
 
-def _zero_boundary(arr, grid):
-    if grid.bc == "periodic":
-        return arr
-    for axis in range(grid.n):
-        sl = [slice(None)] * grid.n
-        sl[axis] = 0
-        arr[tuple(sl)] = 0.0
-        sl[axis] = -1
-        arr[tuple(sl)] = 0.0
-    return arr
-
-
-def _derivative_bundle(field: LogPolarField):
-    grid = field.grid
-    periodic = grid.bc == "periodic"
-    r_d = first_second_derivatives(field.r, grid)
-    s_d = first_second_derivatives(field.s, grid, wrap=periodic)
-    lap_r = sum(d2 for _, d2 in r_d)
-    lap_s = sum(d2 for _, d2 in s_d)
-    gr2 = sum(d1 * d1 for d1, _ in r_d)
-    gs2 = sum(d1 * d1 for d1, _ in s_d)
-    grgs = sum(rd[0] * sd[0] for rd, sd in zip(r_d, s_d))
-    return lap_r, lap_s, gr2, gs2, grgs
-
-
 def functionals(field: LogPolarField) -> Functionals:
     """R1..R5 via centered second-order stencils (boundary ring zeroed)."""
-    grid = field.grid
-    lap_r, lap_s, gr2, gs2, grgs = _derivative_bundle(field)
-    out = Functionals(
-        R1=lap_s + 2.0 * grgs,
-        R2=2.0 * lap_r + 4.0 * gr2,
-        R3=gs2,
-        R4=2.0 * grgs,
-        R5=4.0 * gr2,
-    )
-    return Functionals(*(_zero_boundary(a, grid) for a in out))
+    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(field.r, field.s, field.grid)
+    return Functionals(*zero_ring(
+        field.grid,
+        lap_s + 2.0 * grgs,
+        2.0 * lap_r + 4.0 * gr2,
+        gs2,
+        2.0 * grgs,
+        4.0 * gr2,
+    ))
 
 
 def rhs_coefficients(p: DGParams) -> tuple:
@@ -133,22 +107,17 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
         raise ValueError("dirichlet evolution needs bc_values pinned to a "
                          "reference solution")
     coords = grid.coords()
-    mask = np.zeros(grid.shape, dtype=bool)
-    if dirichlet:
-        for axis in range(grid.n):
-            sl = [slice(None)] * grid.n
-            sl[axis] = 0
-            mask[tuple(sl)] = True
-            sl[axis] = -1
-            mask[tuple(sl)] = True
-
+    faces, _ = boundary_ring(grid)
     coeffs = rhs_coefficients(p)
 
     def pin(r, s, t):
         if dirichlet:
             rb, sb = bc_values(coords, t)
-            r[mask] = np.broadcast_to(rb, grid.shape)[mask]
-            s[mask] = np.broadcast_to(sb, grid.shape)[mask]
+            rb = np.broadcast_to(rb, grid.shape)
+            sb = np.broadcast_to(sb, grid.shape)
+            for face in faces:
+                r[face] = rb[face]
+                s[face] = sb[face]
         return r, s
 
     traj = Trajectory(grid, [field0.copy()])
@@ -205,18 +174,12 @@ def _time_derivative(prev, cur, nxt, h1, h2):
         / (h1 * h2 * (h1 + h2))
 
 
-def _interior_slice(grid: Grid):
-    if grid.bc == "periodic":
-        return (slice(None),) * grid.n
-    return (slice(1, -1),) * grid.n
-
-
 def _residual_fields(rhs_fn, traj: Trajectory):
     """Generic (rhs - d/dt) residual over the inner time slices."""
     if len(traj) < 3:
         raise ValueError("residual needs at least 3 time slices")
     times = traj.times
-    inner = _interior_slice(traj.grid)
+    _, inner = boundary_ring(traj.grid)
     res_r, res_s = [], []
     for k in range(1, len(traj) - 1):
         h1 = times[k] - times[k - 1]
@@ -252,10 +215,9 @@ def se_residual(a: float, traj: Trajectory) -> ResidualReport:
     written in log-polar variables."""
 
     def rhs(fld):
-        lap_r, lap_s, gr2, gs2, grgs = _derivative_bundle(fld)
-        rt = a * (lap_s + 2.0 * grgs)
-        st = -a * (lap_r + gr2 - gs2)
-        return (_zero_boundary(rt, fld.grid), _zero_boundary(st, fld.grid))
+        lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(fld.r, fld.s, fld.grid)
+        return zero_ring(fld.grid, a * (lap_s + 2.0 * grgs),
+                         -a * (lap_r + gr2 - gs2))
 
     res_r, res_s = _residual_fields(rhs, traj)
     (r_linf, r_l2), (s_linf, s_l2) = _norms(res_r), _norms(res_s)
@@ -330,12 +292,13 @@ def heat_solution(D, direction, n=1, amplitude=1.0, center=None,
 def heat_residual(sol: HeatGaussian, grid: Grid, times) -> float:
     """L2 finite-difference residual of d_t phi + sign * D lap phi = 0."""
     vals = [sol.value(grid.coords(), t) for t in times]
-    inner = _interior_slice(grid)
+    _, inner = boundary_ring(grid)
     res = []
     for k in range(1, len(times) - 1):
         h1, h2 = times[k] - times[k - 1], times[k + 1] - times[k]
         phi_t = _time_derivative(vals[k - 1], vals[k], vals[k + 1], h1, h2)
-        lap = sum(d2 for _, d2 in first_second_derivatives(vals[k], grid))
+        # phi is an amplitude, never a phase: it takes the unwrapped r slot.
+        lap = derivative_bundle(vals[k], np.zeros_like(vals[k]), grid)[0]
         res.append((phi_t + sol.sign() * sol.D * lap)[inner])
     return float(np.sqrt(np.mean(np.square(res))))
 

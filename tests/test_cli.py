@@ -157,6 +157,21 @@ def test_simulate_refuses_periodic_se_packet(capsys, tmp_path, se_file):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("damage", ["missing", "one-row"])
+def test_simulate_bad_init_file_is_input_error(capsys, tmp_path, se_file, damage):
+    snap = tmp_path / "snap.csv"
+    if damage == "one-row":
+        snap.write_text("x,t,r,s\n0.0,0.0,0.1,0.2\n")
+    out = str(tmp_path / "run")
+    code, rows, err = run(capsys, "simulate", "--params", se_file,
+                          "--grid", "32,0.2", "--bc", "periodic",
+                          "--init", f"file:{snap}", "--steps", "4", "--out", out)
+    assert code == 2
+    assert "snap.csv" in err
+    assert rows == []
+    assert not os.path.exists(out)
+
+
 def test_linearize_heat_branch(capsys, tmp_path, sym1b_file):
     out = str(tmp_path / "lin")
     code, rows, _ = run(capsys, "linearize", "--params", sym1b_file,

@@ -4,7 +4,6 @@ import os
 import numpy as np
 import pytest
 
-from dgsym import kernels
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
                           read_trajectory, sample_evaluator, sample_trajectory,
                           write_snapshot, write_trajectory)
@@ -211,35 +210,25 @@ def test_rhs_plane_wave_infinite_subfamily(pts):
     np.testing.assert_allclose(st, 2.0 * float(p.nu1) * 9.0, atol=1e-10)
 
 
+@pytest.mark.parametrize("key", ["linear-se", "sym1b-nu2", "galsub", "generic"])
 @pytest.mark.parametrize("bc", ["periodic", "dirichlet"])
 @pytest.mark.parametrize("n", [1, 2])
-def test_rhs_backend_parity(pts, bc, n):
-    if not kernels.HAVE_NUMBA:
-        pytest.skip("numba unavailable")
-    p = pts["sym1b-nu2"]
-    g = Grid.make(n=n, npts=32, extent=(-2, 2), bc=bc)
-    rng = np.random.default_rng(3)
-    r = 0.2 * rng.standard_normal(g.shape)
-    s = 0.2 * rng.standard_normal(g.shape)
-    # smooth them slightly to stay in a sane range
-    f = LogPolarField(g, 0.0, r, s)
-    try:
-        kernels.set_backend("numba")
-        rt1, st1 = dg_rhs(p, f)
-        kernels.set_backend("numpy")
-        rt2, st2 = dg_rhs(p, f)
-    finally:
-        kernels.set_backend(None)
-    np.testing.assert_allclose(rt1, rt2, atol=1e-12)
-    np.testing.assert_allclose(st1, st2, atol=1e-12)
-
-
-def test_backend_selection():
-    with pytest.raises(ValueError):
-        kernels.set_backend("cuda")
-    kernels.set_backend("numpy")
-    assert kernels.active_backend() == "numpy"
-    kernels.set_backend(None)
+def test_rhs_is_functional_combination(pts, key, bc, n):
+    """r_t = nu1 R1 + nu2 R2 and s_t = -(mu1 R1 + ... + mu5 R5) everywhere,
+    boundary ring included."""
+    p = pts[key]
+    g = Grid.make(n=n, npts=64 if n == 1 else 24, extent=(-2, 2), bc=bc)
+    rng = np.random.default_rng(11)
+    f = LogPolarField(g, 0.0, 0.3 * rng.standard_normal(g.shape),
+                      0.3 * rng.standard_normal(g.shape))
+    c = p.as_float_dict()
+    F = functionals(f)
+    want_r = c["nu1"] * F.R1 + c["nu2"] * F.R2
+    want_s = -(c["mu1"] * F.R1 + c["mu2"] * F.R2 + c["mu3"] * F.R3
+               + c["mu4"] * F.R4 + c["mu5"] * F.R5)
+    for got, want in zip(dg_rhs(p, f), (want_r, want_s)):
+        np.testing.assert_allclose(got, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
 
 
 # ---------------------------------------------------------------------------
