@@ -25,8 +25,8 @@ from .flows import verify_symmetry_flow
 from .linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
                         linearization_data, z_flow_se_from_zero)
 from .params import (DGParams, GaugeElement, canonical_gauge, classify,
-                     compute_invariants, gauge_act_params, predicate_report,
-                     rational_str, reference_points)
+                     gauge_act_params, predicate_report, rational_str,
+                     reference_points)
 from .pde import (HJSimilaritySolution, ScaleSimilaritySolution, evolve,
                   heat_solution, residual, se_gaussian, se_residual)
 from .symmetry import (GeneratorNotAdmissible, basis_generator,
@@ -83,14 +83,13 @@ def _rationals(text: str) -> Fraction:
 
 def _classify_report(path, p: DGParams) -> dict:
     cls = classify(p)
-    inv = compute_invariants(p)
-    g, _ = canonical_gauge(p)
+    g = canonical_gauge(p)
     out = {
         "file": str(path) if path else None,
         "n": p.n,
         "class": cls.tag,
         "algebra": cls.algebra,
-        "invariants": inv.to_json_dict(),
+        "invariants": cls.invariants.to_json_dict(),
         "predicates": cls.predicates,
         "canonical_gauge": {"Lambda": rational_str(g.Lambda),
                             "gamma": rational_str(g.gamma)},
@@ -193,15 +192,28 @@ def _suite_determining(args, rows):
                          "pass": bool(nonzero), "nonzero": nonzero})
 
 
+def _heat_pair(p: DGParams, data, after: float, before: float):
+    """Heat-pair solution at a Sym1b point, valid for before < t < after.
+
+    phi+ solves the forward heat equation when nu1 > 0 and the backward one
+    when nu1 < 0, phi- the other.  A forward kernel sharpens toward its focus
+    time and a backward one spreads from it, so each kernel's focus is chosen
+    by its direction: ``after`` for a forward kernel, ``before`` for a
+    backward one.
+    """
+    def kernel(direction, amplitude, offset):
+        focus = after if direction == "forward" else before
+        return heat_solution(data.diffusion, direction, amplitude=amplitude,
+                             focus_time=focus, offset=offset)
+
+    plus, minus = ("forward", "backward") if p.nu1 > 0 else ("backward", "forward")
+    return heat_pair_to_dg(kernel(plus, 0.8, 0.5), kernel(minus, 0.6, 0.4), p)
+
+
 def _bundled_solution(p: DGParams):
     tag = classify(p).tag
-    if tag in ("Sym1b",):
-        data = linearization_data(p)
-        fp = heat_solution(data.diffusion, "forward" if p.nu1 > 0 else "backward",
-                           amplitude=0.8, focus_time=1.5, offset=0.5)
-        fm = heat_solution(data.diffusion, "backward" if p.nu1 > 0 else "forward",
-                           amplitude=0.6, focus_time=-0.75, offset=0.4)
-        return heat_pair_to_dg(fp, fm, p)
+    if tag == "Sym1b":
+        return _heat_pair(p, linearization_data(p), after=1.5, before=-0.75)
     if tag == "Sym1c":
         data = linearization_data(p)
         return z_flow_se_from_zero(se_gaussian(data.se_coefficient, b0=-0.3),
@@ -256,9 +268,8 @@ def _suite_gauge(args, rows):
         while lam == 0:
             lam = rq()
         g = GaugeElement(lam, rq())
-        q = gauge_act_params(g, p)
-        if compute_invariants(q) != compute_invariants(p) \
-                or classify(q).tag != classify(p).tag:
+        cp, cq = classify(p), classify(gauge_act_params(g, p))
+        if cq.invariants != cp.invariants or cq.tag != cp.tag:
             bad += 1
     rows.append({"suite": "gauge", "check": "invariance-sample",
                  "samples": count, "violations": bad, "pass": bad == 0})
@@ -379,13 +390,7 @@ def cmd_linearize(args) -> int:
     outdir = args.out or "dgsym-linearize"
 
     if data.branch == "real":
-        fwd = "forward" if p.nu1 > 0 else "backward"
-        bwd = "backward" if p.nu1 > 0 else "forward"
-        fp = heat_solution(data.diffusion, fwd, amplitude=0.8,
-                           focus_time=t_final + 1.0, offset=0.5)
-        fm = heat_solution(data.diffusion, bwd, amplitude=0.6,
-                           focus_time=-0.3, offset=0.4)
-        sol = heat_pair_to_dg(fp, fm, p)
+        sol = _heat_pair(p, data, after=t_final + 1.0, before=-0.3)
         traj = sample_trajectory(sol, grid, times)
         rep = residual(p, traj)
         rep_fine = residual(p, sample_trajectory(sol, fine, times_fine))
@@ -446,11 +451,12 @@ def cmd_gauge(args) -> int:
             raise InputError(f"--traj {args.traj}: {exc}") from exc
     g = GaugeElement(lam, gam)
     q = gauge_act_params(g, p)
+    after = classify(q)
     row = {"command": "gauge",
            "Lambda": rational_str(lam), "gamma": rational_str(gam),
            "params": q.to_json_dict(),
-           "class_before": classify(p).tag, "class_after": classify(q).tag,
-           "invariants": compute_invariants(q).to_json_dict()}
+           "class_before": classify(p).tag, "class_after": after.tag,
+           "invariants": after.invariants.to_json_dict()}
     _emit(row)
     if args.out:
         q.dump(args.out)

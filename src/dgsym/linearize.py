@@ -29,7 +29,7 @@ from fractions import Fraction
 import numpy as np
 
 from .fields import LogPolarField
-from .params import DGParams, GaugeElement, classify, compute_invariants
+from .params import DGParams, GaugeElement, classify
 from .pde import GaugedSolution, HeatGaussian
 
 __all__ = [
@@ -87,15 +87,15 @@ class LinearizationData:
 
 
 def linearization_data(p: DGParams) -> LinearizationData:
-    tag = classify(p).tag
-    if tag not in ("Sym1b", "Sym1c"):
+    cls = classify(p)
+    if cls.tag not in ("Sym1b", "Sym1c"):
         raise NotLinearizable(
-            f"point classifies as {tag}; linearization needs the subfamily "
+            f"point classifies as {cls.tag}; linearization needs the subfamily "
             "iota2=iota3=iota4=iota5=0 with iota1 != 0")
     denom = 4 * p.nu2 ** 2 - 2 * p.nu1 * p.mu2
     lambda_sq = p.nu1 ** 2 / denom
     gamma_exact = -2 * p.nu2 / p.nu1
-    iota1 = compute_invariants(p).iota1
+    iota1 = cls.invariants.iota1
     if iota1 < 0:
         diffusion = math.sqrt(float(-2 * iota1))
         return LinearizationData(

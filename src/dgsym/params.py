@@ -4,9 +4,10 @@ The free family is coordinatized by eight real model parameters
 (nu1, nu2, mu0..mu5) with nu1 != 0, plus the spatial dimension n.  A
 two-parameter group of nonlinear gauge transformations (Lambda, gamma),
 isomorphic to Aff(1), acts on wavefunctions and on the parameter space; six
-rational invariants iota0..iota5 coordinatize the orbit space.  The maximal
-Lie-symmetry class of a parameter point is decided by exact comparisons of
-raw-parameter subfamily predicates, all of which are gauge invariant.
+rational invariants iota0..iota5 coordinatize the orbit space.  Each
+subfamily is one condition on iota0..iota5, so it is gauge invariant by
+construction, and the maximal Lie-symmetry class of a parameter point is
+decided from the invariants alone.
 
 Everything here is exact: parameters are ``fractions.Fraction`` and no
 floating point enters any predicate.
@@ -147,11 +148,13 @@ class GaugeInvariants:
 
 @dataclass(frozen=True)
 class SymmetryClass:
-    """Classification result: class tag, algebra structure, predicate report."""
+    """Classification result: class tag, algebra structure, predicate report
+    and the invariants they were decided from."""
 
     tag: str
     algebra: str
     predicates: dict
+    invariants: GaugeInvariants
 
     def __str__(self):
         return self.tag
@@ -201,82 +204,44 @@ def compute_invariants(p: DGParams) -> GaugeInvariants:
     )
 
 
-def canonical_gauge(p: DGParams) -> tuple[GaugeElement, DGParams]:
-    """Gauge element (nu1, mu1) normalizing a point to nu1' = 1, mu1' = 0."""
-    g = GaugeElement(p.nu1, p.mu1)
-    return g, gauge_act_params(g, p)
+def canonical_gauge(p: DGParams) -> GaugeElement:
+    """Gauge element (nu1, mu1); gauge_act_params with it gives nu1' = 1, mu1' = 0."""
+    return GaugeElement(p.nu1, p.mu1)
 
 
 # ---------------------------------------------------------------------------
-# Subfamily predicates (raw parameters, exact comparisons).
+# Subfamilies: each one condition on the invariants, exact comparisons.
 
-def is_gal_sub(p: DGParams) -> bool:
-    """Galilei-invariant subfamily: mu1 + mu4 = 0 and mu3 + nu1 = 0."""
-    return p.mu1 + p.mu4 == 0 and p.mu3 + p.nu1 == 0
-
-
-def is_fin_sub(p: DGParams) -> bool:
-    """Subfamily admitting the extra finite generator acting on (r, s)."""
-    return (
-        p.mu1 == 2 * p.nu2
-        and p.mu2 == 2 * p.nu2 ** 2 / p.nu1
-        and p.mu4 == 2 * p.mu3 * p.nu2 / p.nu1
-        and p.mu5 == p.mu3 * p.nu2 ** 2 / p.nu1 ** 2
-    )
+def _exp_relations(iota2: Fraction, iota3: Fraction) -> tuple:
+    """(iota1, iota4, iota5) of the exponential subfamily, iota2, iota3 != 0."""
+    iota1 = (iota3 ** 2 - 1) * iota2 ** 2 / (8 * iota3 ** 2)
+    return iota1, (1 - iota3) * iota2 / 2, iota1 * iota3
 
 
-def is_inf_sub(p: DGParams) -> bool:
-    """Subfamily with the infinite vector-field symmetry Y_f."""
-    return (
-        p.mu2 == p.nu2 * p.mu1 / p.nu1
-        and p.mu3 == -2 * p.nu1
-        and p.mu4 == -2 * p.nu2 - p.mu1
-        and p.mu5 == -p.nu2 * p.mu1 / p.nu1
-    )
+def _subfamilies(i: GaugeInvariants) -> dict:
+    """Every subfamily condition evaluated on the invariants iota0..iota5.
 
-
-def is_infa_sub(p: DGParams) -> bool:
-    """Commutative case of the infinite subfamily (mu1 = 2 nu2)."""
-    return is_inf_sub(p) and p.mu1 == 2 * p.nu2
-
-
-def is_ehr_sub(p: DGParams) -> bool:
-    """Linearizable subfamily (heat pair for iota1 < 0, free SE for iota1 > 0)."""
-    return (
-        p.mu1 == 2 * p.nu2
-        and p.mu3 == -p.nu1
-        and p.mu4 == -2 * p.nu2
-        and p.mu5 == -p.mu2 / 2
-        and p.mu2 != 2 * p.nu2 ** 2 / p.nu1
-    )
-
-
-def is_exp_sub(p: DGParams) -> bool:
-    """Subfamily admitting the exponential vertical generator F."""
-    if p.mu1 - 2 * p.nu2 == 0 or p.mu3 + p.nu1 == 0:
-        return False
-    mu2 = (
-        p.mu3 * (p.mu1 + 2 * p.nu2) ** 2 * (p.mu3 + 2 * p.nu1)
-        + 8 * p.mu1 * p.nu1 ** 2 * p.nu2
-    ) / (8 * p.nu1 * (p.mu3 + p.nu1) ** 2)
-    mu4 = p.mu3 * (p.mu1 + 2 * p.nu2) / (2 * p.nu1)
-    mu5 = p.mu3 / (2 * p.nu1) * p.mu2
-    return p.mu2 == mu2 and p.mu4 == mu4 and p.mu5 == mu5
-
-
-PREDICATES = {
-    "GalSub": is_gal_sub,
-    "FinSub": is_fin_sub,
-    "InfSub": is_inf_sub,
-    "InfaSub": is_infa_sub,
-    "EhrSub": is_ehr_sub,
-    "ExpSub": is_exp_sub,
-}
+    GalSub: Galilei-invariant.  FinSub: the extra finite generator A.
+    InfSub: the infinite vector-field symmetry Y_f; InfaSub its commutative
+    case.  EhrSub: linearizable (heat pair for iota1 < 0, free SE for
+    iota1 > 0).  ExpSub: the exponential vertical generator F.
+    """
+    inf = i.iota1 == 0 and i.iota5 == 0 and i.iota3 == -1 and i.iota4 == i.iota2
+    return {
+        "GalSub": i.iota3 == 0 and i.iota4 == 0,
+        "FinSub": i.iota1 == 0 and i.iota2 == 0 and i.iota4 == 0 and i.iota5 == 0,
+        "InfSub": inf,
+        "InfaSub": inf and i.iota2 == 0,
+        "EhrSub": i.iota2 == 0 and i.iota3 == 0 and i.iota4 == 0
+        and i.iota5 == 0 and i.iota1 != 0,
+        "ExpSub": i.iota2 != 0 and i.iota3 != 0
+        and (i.iota1, i.iota4, i.iota5) == _exp_relations(i.iota2, i.iota3),
+    }
 
 
 def predicate_report(p: DGParams) -> dict:
     """Every subfamily predicate evaluated at p (for inspecting ambiguous points)."""
-    return {name: fn(p) for name, fn in PREDICATES.items()}
+    return _subfamilies(compute_invariants(p))
 
 
 def classify(p: DGParams) -> SymmetryClass:
@@ -287,10 +252,10 @@ def classify(p: DGParams) -> SymmetryClass:
     and the generic class last.  Degenerate overlaps resolve toward the more
     symmetric class.
     """
-    report = predicate_report(p)
+    inv = compute_invariants(p)
+    report = _subfamilies(inv)
     if report["EhrSub"]:
-        iota1 = compute_invariants(p).iota1
-        tag = "Sym1b" if iota1 < 0 else "Sym1c"
+        tag = "Sym1b" if inv.iota1 < 0 else "Sym1c"
     elif report["InfSub"]:
         tag = "Sym2a" if report["InfaSub"] else "Sym0a"
     elif report["GalSub"] and report["FinSub"]:
@@ -303,7 +268,8 @@ def classify(p: DGParams) -> SymmetryClass:
         tag = "Sym4"
     else:
         tag = "Sym0"
-    return SymmetryClass(tag=tag, algebra=ALGEBRA_STRUCTURE[tag], predicates=report)
+    return SymmetryClass(tag=tag, algebra=ALGEBRA_STRUCTURE[tag],
+                         predicates=report, invariants=inv)
 
 
 # ---------------------------------------------------------------------------
@@ -344,20 +310,22 @@ def make_ehr_sub(n, nu1, nu2, mu2, mu0=0) -> DGParams:
 
 
 def make_sym3(n, nu1, nu2, mu0=0) -> DGParams:
-    nu1, nu2 = as_rational(nu1), as_rational(nu2)
-    return DGParams(n=n, nu1=nu1, nu2=nu2, mu0=mu0, mu1=2 * nu2,
-                    mu2=2 * nu2 ** 2 / nu1, mu3=-nu1, mu4=-2 * nu2,
-                    mu5=-nu2 ** 2 / nu1)
+    """GalSub and FinSub at once: the FinSub point with mu3 = -nu1."""
+    nu1 = as_rational(nu1)
+    return make_fin_sub(n, nu1, nu2, -nu1, mu0=mu0)
 
 
 def make_exp_sub(n, nu1, nu2, mu1, mu3, mu0=0) -> DGParams:
     nu1, nu2, mu1, mu3 = map(as_rational, (nu1, nu2, mu1, mu3))
     if mu1 == 2 * nu2 or mu3 == -nu1:
         raise ValueError("exponential subfamily needs mu1 != 2 nu2 and mu3 != -nu1")
-    mu2 = (mu3 * (mu1 + 2 * nu2) ** 2 * (mu3 + 2 * nu1) + 8 * mu1 * nu1 ** 2 * nu2) \
-        / (8 * nu1 * (mu3 + nu1) ** 2)
+    # solve the definitions of iota1, iota4, iota5 for mu2, mu4, mu5
+    iota1, iota4, iota5 = _exp_relations(mu1 - 2 * nu2, 1 + mu3 / nu1)
+    mu2 = (iota1 + nu2 * mu1) / nu1
+    mu4 = iota4 + mu1 * mu3 / nu1
+    mu5 = ((iota5 + nu2 * (mu1 + 2 * mu4) - 2 * nu2 ** 2 * mu3 / nu1) / nu1 - mu2) / 2
     return DGParams(n=n, nu1=nu1, nu2=nu2, mu0=mu0, mu1=mu1, mu2=mu2, mu3=mu3,
-                    mu4=mu3 * (mu1 + 2 * nu2) / (2 * nu1), mu5=mu3 * mu2 / (2 * nu1))
+                    mu4=mu4, mu5=mu5)
 
 
 def reference_points(n: int = 1) -> dict:

@@ -3,10 +3,11 @@
 Generators are built per parameter point (their coefficients carry nu and mu
 values) as exact :class:`~dgsym.symexpr.VectorFieldSpec` objects.  Whether a
 named generator actually generates a symmetry at a point is decided by the
-subfamily predicates of :mod:`dgsym.params`, and can be re-derived from
-scratch here: :func:`determining_residuals` substitutes a candidate field into
-the full set of determining equations and returns each residual in normal
-form, so a field is a symmetry generator iff every residual is zero.
+subfamilies of :func:`dgsym.params.classify`, each a condition on the gauge
+invariants iota0..iota5, and can be re-derived from scratch here:
+:func:`determining_residuals` substitutes a candidate field into the full set
+of determining equations and returns each residual in normal form, so a field
+is a symmetry generator iff every residual is zero.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .params import DGParams, classify, predicate_report
+from .params import DGParams, SymmetryClass, classify, predicate_report
 from .symexpr import SymExpr, VectorFieldSpec, lie_bracket, parse_poly
 
 __all__ = [
@@ -90,28 +91,27 @@ def exp_rate_coefficients(p: DGParams) -> tuple:
     return lam, eta, kappa
 
 
-def _admissibility(name: GeneratorName, p: DGParams) -> bool:
-    report = predicate_report(p)
+def _admissibility(name: GeneratorName, cls: SymmetryClass) -> bool:
     kind = name.kind
     if kind in ("H", "P", "L", "D", "E", "R"):
         return True
     if kind in ("C", "B"):
-        return report["GalSub"]
+        return cls.predicates["GalSub"]
     if kind == "A":
-        return report["FinSub"]
+        return cls.predicates["FinSub"]
     if kind == "F":
-        return report["ExpSub"]
+        return cls.predicates["ExpSub"]
     if kind == "Yf":
-        return report["InfSub"]
+        return cls.predicates["InfSub"]
     if kind == "Zheat":
-        return classify(p).tag == "Sym1b"
+        return cls.tag == "Sym1b"
     if kind == "Zse":
-        return classify(p).tag == "Sym1c"
+        return cls.tag == "Sym1c"
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
 def is_admissible(name, p: DGParams) -> bool:
-    return _admissibility(parse_generator(name), p)
+    return _admissibility(parse_generator(name), classify(p))
 
 
 def admissible_generators(p: DGParams) -> list:
@@ -120,20 +120,11 @@ def admissible_generators(p: DGParams) -> list:
     names = ["H", "D", "E", "R"]
     names += [f"P:{j}" for j in range(1, n + 1)]
     names += [f"L:{j},{k}" for j in range(1, n + 1) for k in range(j + 1, n + 1)]
-    report = predicate_report(p)
-    if report["GalSub"]:
-        names.append("C")
-        names += [f"B:{j}" for j in range(1, n + 1)]
-    if report["FinSub"]:
-        names.append("A")
-    if report["ExpSub"]:
-        names.append("F")
-    tag = classify(p).tag
-    if tag == "Sym1b":
-        names.append("Zheat")
-    if tag == "Sym1c":
-        names.append("Zse")
-    return names
+    names.append("C")
+    names += [f"B:{j}" for j in range(1, n + 1)]
+    names += ["A", "F", "Zheat", "Zse"]
+    cls = classify(p)
+    return [name for name in names if _admissibility(parse_generator(name), cls)]
 
 
 def infsub_poly_generator(p: DGParams, coeffs) -> VectorFieldSpec:
@@ -157,9 +148,11 @@ def basis_generator(name, p: DGParams, require_admissible: bool = True) -> Vecto
     determining residuals outside its subfamily.
     """
     name = parse_generator(name)
-    if require_admissible and not _admissibility(name, p):
-        raise GeneratorNotAdmissible(
-            f"{name} is not a symmetry generator at a {classify(p).tag} point")
+    if require_admissible:
+        cls = classify(p)
+        if not _admissibility(name, cls):
+            raise GeneratorNotAdmissible(
+                f"{name} is not a symmetry generator at a {cls.tag} point")
 
     n = p.n
     zero = SymExpr.zero(n)

@@ -183,6 +183,32 @@ def test_linearize_heat_branch(capsys, tmp_path, sym1b_file):
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
+@pytest.fixture()
+def sym1b_neg_file(tmp_path):
+    # a Sym1b point with nu1 < 0: phi+ solves the backward heat equation
+    p = DGParams.from_json_dict({"n": 1, "nu1": "-1", "nu2": "-1", "mu0": "0",
+                                 "mu1": "-2", "mu2": "3/4", "mu3": "1",
+                                 "mu4": "2", "mu5": "-3/8"})
+    return write_params(tmp_path, "sym1b-neg.json", p)
+
+
+def test_linearize_heat_branch_negative_nu1(capsys, tmp_path, sym1b_neg_file):
+    code, rows, _ = run(capsys, "linearize", "--params", sym1b_neg_file,
+                        "--out", str(tmp_path / "lin"))
+    assert code == 0
+    row = rows[0]
+    assert row["branch"] == "heat" and row["pass"]
+    assert 3.0 <= row["convergence_ratio"] <= 5.0
+
+
+def test_verify_flow_negative_nu1(capsys, sym1b_neg_file):
+    code, rows, _ = run(capsys, "verify", "--suite", "flow",
+                        "--params", sym1b_neg_file)
+    assert code == 0
+    assert len(rows) == 5
+    assert all(r["pass"] and 3.0 <= r["ratio_l2"] <= 5.0 for r in rows)
+
+
 def test_linearize_se_branch(capsys, tmp_path):
     path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
     out = str(tmp_path / "lin")

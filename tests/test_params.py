@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -188,19 +189,20 @@ def test_gauge_invariance_exp_subfamily(g, p):
 
 def test_canonical_gauge_examples():
     p = DGParams(n=1, nu1=1, mu2=F(1, 3))
-    g, q = canonical_gauge(p)
-    assert g == gauge_identity() and q == p
+    g = canonical_gauge(p)
+    assert g == gauge_identity() and gauge_act_params(g, p) == p
 
     p = reference_points()["linear-se"]
-    g, q = canonical_gauge(p)
+    g = canonical_gauge(p)
     assert (g.Lambda, g.gamma) == (-1, 0)
+    q = gauge_act_params(g, p)
     assert q.nu1 == 1 and q.mu1 == 0
 
 
 @given(generic_params())
 @settings(max_examples=60, deadline=None)
 def test_canonical_gauge_normalizes(p):
-    _, q = canonical_gauge(p)
+    q = gauge_act_params(canonical_gauge(p), p)
     assert q.nu1 == 1 and q.mu1 == 0
     assert compute_invariants(q) == compute_invariants(p)
 
@@ -287,40 +289,88 @@ def test_exp_predicate_rejects_perturbation(pts):
     assert not predicate_report(q)["ExpSub"]
 
 
-def classify_by_invariants(p):
-    """Independent route: classify from the invariant coordinates alone."""
-    i = compute_invariants(p)
-    ehr = (i.iota2, i.iota3, i.iota4, i.iota5) == (0, 0, 0, 0) and i.iota1 != 0
-    inf = i.iota1 == 0 and i.iota5 == 0 and i.iota3 == -1 and i.iota4 == i.iota2
-    gal = i.iota3 == 0 and i.iota4 == 0
-    fin = (i.iota1, i.iota2, i.iota4, i.iota5) == (0, 0, 0, 0)
-    exp = (i.iota2 != 0 and i.iota3 != 0
-           and i.iota4 == (1 - i.iota3) * i.iota2 / 2
-           and i.iota1 == (i.iota3 ** 2 - 1) * i.iota2 ** 2 / (8 * i.iota3 ** 2)
-           and i.iota5 == i.iota1 * i.iota3)
-    if ehr:
-        return "Sym1b" if i.iota1 < 0 else "Sym1c"
-    if inf:
-        return "Sym2a" if i.iota2 == 0 else "Sym0a"
-    if gal and fin:
+# ---------------------------------------------------------------------------
+# reference oracle: the subfamily conditions written on the raw parameters
+
+def raw_report(p):
+    """Each subfamily condition in raw (nu, mu) form, independent of params."""
+    nu1, nu2, mu1, mu2, mu3, mu4, mu5 = (p.nu1, p.nu2, p.mu1, p.mu2, p.mu3,
+                                         p.mu4, p.mu5)
+    gal = mu1 + mu4 == 0 and mu3 + nu1 == 0
+    fin = (mu1 == 2 * nu2
+           and mu2 == 2 * nu2 ** 2 / nu1
+           and mu4 == 2 * mu3 * nu2 / nu1
+           and mu5 == mu3 * nu2 ** 2 / nu1 ** 2)
+    inf = (mu2 == nu2 * mu1 / nu1
+           and mu3 == -2 * nu1
+           and mu4 == -2 * nu2 - mu1
+           and mu5 == -nu2 * mu1 / nu1)
+    ehr = (mu1 == 2 * nu2
+           and mu3 == -nu1
+           and mu4 == -2 * nu2
+           and mu5 == -mu2 / 2
+           and mu2 != 2 * nu2 ** 2 / nu1)
+    exp = (mu1 - 2 * nu2 != 0 and mu3 + nu1 != 0
+           and mu2 == (mu3 * (mu1 + 2 * nu2) ** 2 * (mu3 + 2 * nu1)
+                       + 8 * mu1 * nu1 ** 2 * nu2) / (8 * nu1 * (mu3 + nu1) ** 2)
+           and mu4 == mu3 * (mu1 + 2 * nu2) / (2 * nu1)
+           and mu5 == mu3 / (2 * nu1) * mu2)
+    return {"GalSub": gal, "FinSub": fin, "InfSub": inf,
+            "InfaSub": inf and mu1 == 2 * nu2, "EhrSub": ehr, "ExpSub": exp}
+
+
+def raw_classify(p):
+    """Class tag from the raw report, by the priority classify documents."""
+    rep = raw_report(p)
+    if rep["EhrSub"]:
+        return "Sym1b" if p.nu1 * p.mu2 - p.nu2 * p.mu1 < 0 else "Sym1c"
+    if rep["InfSub"]:
+        return "Sym2a" if rep["InfaSub"] else "Sym0a"
+    if rep["GalSub"] and rep["FinSub"]:
         return "Sym3"
-    if gal:
+    if rep["GalSub"]:
         return "Sym1"
-    if fin:
+    if rep["FinSub"]:
         return "Sym2"
-    if exp:
+    if rep["ExpSub"]:
         return "Sym4"
     return "Sym0"
+
+
+def assert_matches_oracle(p):
+    cls = classify(p)
+    assert list(cls.predicates.items()) == list(raw_report(p).items())
+    assert predicate_report(p) == cls.predicates
+    assert cls.invariants == compute_invariants(p)
+    assert cls.tag == raw_classify(p)
 
 
 @given(subfamily_params())
 @settings(max_examples=150, deadline=None)
 def test_classifier_agrees_with_invariant_route(p):
-    assert classify(p).tag == classify_by_invariants(p)
+    assert_matches_oracle(p)
 
 
 @given(gauges(), subfamily_params())
 @settings(max_examples=80, deadline=None)
 def test_invariant_route_after_gauge(g, p):
-    q = gauge_act_params(g, p)
-    assert classify(q).tag == classify_by_invariants(q)
+    assert_matches_oracle(gauge_act_params(g, p))
+
+
+def test_invariant_corners_match_oracle():
+    """Every point whose iota1..iota5 lie in {-1, 0, 1, 2}, gauge-moved.
+
+    The subfamily conditions are relations among the invariants with small
+    constants, so this grid lands on each of them and on their overlaps,
+    where a dropped or extra condition changes the report.  Each point is
+    built at the canonical gauge nu1 = 1, mu1 = 0 and then moved.
+    """
+    gs = (GaugeElement(F(-2, 3), F(5, 2)), GaugeElement(3, -1))
+    for i1, i2, i3, i4, i5 in itertools.product((-1, 0, 1, 2), repeat=5):
+        nu2, mu3 = F(-i2, 2), F(i3 - 1)
+        p = DGParams(1, 1, nu2=nu2, mu2=i1, mu3=mu3, mu4=i4,
+                     mu5=(i5 - i1 + 2 * nu2 * i4 - 2 * nu2 ** 2 * mu3) / 2)
+        assert compute_invariants(p).as_tuple() == (0, i1, i2, i3, i4, i5)
+        for g in gs:
+            assert_matches_oracle(gauge_act_params(g, p))
+
