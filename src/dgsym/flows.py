@@ -4,8 +4,12 @@ Every basis generator has a closed-form flow obtained by integrating its
 characteristic system dx/de = xi, dt/de = tau, dr/de = phi, ds/de = sigma.
 Flows that relocate the grid (scaling, expansion, boosts, rotations, time
 translation) remap coordinates and times; vertical flows act pointwise on
-(r, s).  :func:`flow_numeric` exponentiates an arbitrary vector field with an
-RK4 characteristic integrator and cross-validates the closed forms.
+(r, s).  Each flow is a :class:`FlowMap`; the nonlinear gauge action and the
+Zheat/Zse flows of :mod:`dgsym.linearize` are vertical ones
+(:func:`vertical_map`).  :func:`apply_flow` is the one way to apply a FlowMap,
+to a field slice or to an (r, s) evaluator.  :func:`flow_numeric`
+exponentiates an arbitrary vector field with an RK4 characteristic integrator
+and cross-validates the closed forms.
 
 Phase is tracked as a continuous real field throughout; nothing is wrapped
 into (-pi, pi].
@@ -22,20 +26,18 @@ from .fields import Grid, LogPolarField, interp_field, sample_trajectory
 from .params import DGParams
 from .pde import ResidualReport, residual
 from .symexpr import VectorFieldSpec, var_names
-from .symmetry import (GeneratorName, GeneratorNotAdmissible,
-                       exp_rate_coefficients, is_admissible, parse_generator)
+from .symmetry import (GeneratorNotAdmissible, exp_rate_coefficients,
+                       is_admissible, parse_generator)
 
-__all__ = ["FlowMap", "closed_flow_map", "flow_closed", "flow_numeric",
-           "flow_on_evaluator", "FlowReport", "verify_symmetry_flow",
-           "TransformedSolution"]
+__all__ = ["FlowMap", "vertical_map", "apply_flow", "closed_flow_map",
+           "flow_closed", "flow_numeric", "flow_on_evaluator", "FlowReport",
+           "verify_symmetry_flow", "TransformedSolution"]
 
 
 @dataclass(frozen=True)
 class FlowMap:
     """Closed-form flow data: time remap, coordinate remap, vertical action."""
 
-    name: GeneratorName
-    eps: float
     time_map: callable          # source slice time -> transformed slice time
     source_time: callable       # transformed slice time -> source slice time
     source_coords: callable     # (coords, t_out) -> source coords tuple
@@ -47,6 +49,39 @@ def _identity_coords(xs, t):
     return xs
 
 
+def _identity_time(t):
+    return t
+
+
+def vertical_map(vertical) -> FlowMap:
+    """FlowMap acting on (r, s) only: vertical(r0, s0, coords, t) -> (r, s)."""
+    return FlowMap(_identity_time, _identity_time, _identity_coords, vertical,
+                   relocates=False)
+
+
+def apply_flow(fmap: FlowMap, psi):
+    """Apply a flow to a LogPolarField slice or to an (r, s) evaluator.
+
+    A slice is acted on at its own time stamp, which the flow remaps;
+    grid-relocating flows resample onto the original grid by cubic
+    interpolation.  Any other ``psi`` is taken as an evaluator and composed
+    lazily as a :class:`TransformedSolution`.
+    """
+    if not isinstance(psi, LogPolarField):
+        return TransformedSolution(fmap, psi)
+    t_out = fmap.time_map(psi.t)
+    coords = psi.grid.coords()
+    if fmap.relocates:
+        src = fmap.source_coords(coords, t_out)
+        r0, s0 = interp_field(psi, src)
+    else:
+        r0, s0 = psi.r, psi.s
+    r, s = fmap.vertical(r0, s0, coords, t_out)
+    return LogPolarField(psi.grid, float(t_out),
+                         np.broadcast_to(r, psi.grid.shape).copy(),
+                         np.broadcast_to(s, psi.grid.shape).copy())
+
+
 def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
     """Build the closed-form flow of a named generator at parameter point p."""
     name = parse_generator(name)
@@ -55,10 +90,8 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
     nu1, nu2, mu1 = float(p.nu1), float(p.nu2), float(p.mu1)
     kind = name.kind
 
-    ident = lambda t: t
-
     if kind == "H":
-        return FlowMap(name, eps, lambda t0: t0 + eps, lambda t: t - eps,
+        return FlowMap(lambda t0: t0 + eps, lambda t: t - eps,
                        _identity_coords,
                        lambda r0, s0, xs, t: (r0, s0), relocates=False)
 
@@ -70,7 +103,7 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
             out[j] = np.asarray(xs[j]) - eps
             return tuple(out)
 
-        return FlowMap(name, eps, ident, ident, coords,
+        return FlowMap(_identity_time, _identity_time, coords,
                        lambda r0, s0, xs, t: (r0, s0), relocates=True)
 
     if kind == "L":
@@ -84,15 +117,14 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
             out[k] = -s_ * xj + c * xk
             return tuple(out)
 
-        return FlowMap(name, eps, ident, ident, coords,
+        return FlowMap(_identity_time, _identity_time, coords,
                        lambda r0, s0, xs, t: (r0, s0), relocates=True)
 
     if kind == "D":
         scale = math.exp(-eps)
         r_shift = -eps * n / 2.0
         s_shift = eps * n * mu1 / (2.0 * nu1)
-        return FlowMap(name, eps,
-                       lambda t0: t0 * math.exp(2 * eps),
+        return FlowMap(lambda t0: t0 * math.exp(2 * eps),
                        lambda t: t * math.exp(-2 * eps),
                        lambda xs, t: tuple(np.asarray(x) * scale for x in xs),
                        lambda r0, s0, xs, t: (r0 + r_shift, s0 + s_shift),
@@ -112,8 +144,7 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
             s = s0 - eps * q / (4.0 * nu1 * d) + (n * mu1 / (2.0 * nu1)) * np.log(d)
             return r, s
 
-        return FlowMap(name, eps,
-                       lambda t0: t0 / (1.0 - eps * t0),
+        return FlowMap(lambda t0: t0 / (1.0 - eps * t0),
                        lambda t: t / denom(t),
                        lambda xs, t: tuple(np.asarray(x) / denom(t) for x in xs),
                        vertical, relocates=True)
@@ -124,8 +155,7 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
         def vertical(r0, s0, xs, t):
             return r0, grow * s0 + (grow - 1.0) * (2.0 * nu2 / nu1) * r0
 
-        return FlowMap(name, eps,
-                       lambda t0: t0 * math.exp(-eps),
+        return FlowMap(lambda t0: t0 * math.exp(-eps),
                        lambda t: t * grow,
                        _identity_coords, vertical, relocates=False)
 
@@ -141,16 +171,15 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
             t = np.asarray(t, dtype=float)
             return r0, s0 - (eps * np.asarray(xs[j]) - 0.5 * eps * eps * t) / (2.0 * nu1)
 
-        return FlowMap(name, eps, ident, ident, coords, vertical, relocates=True)
+        return FlowMap(_identity_time, _identity_time, coords, vertical,
+                       relocates=True)
 
     if kind == "E":
         shift = -eps / (2.0 * nu1)
-        return FlowMap(name, eps, ident, ident, _identity_coords,
-                       lambda r0, s0, xs, t: (r0, s0 + shift), relocates=False)
+        return vertical_map(lambda r0, s0, xs, t: (r0, s0 + shift))
 
     if kind == "R":
-        return FlowMap(name, eps, ident, ident, _identity_coords,
-                       lambda r0, s0, xs, t: (r0 + eps, s0), relocates=False)
+        return vertical_map(lambda r0, s0, xs, t: (r0 + eps, s0))
 
     if kind == "F":
         lam_q, eta_q, kap_q = exp_rate_coefficients(p)
@@ -166,8 +195,7 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
             step = 0.5 * (np.log(g) + u0)
             return r0 + step, s0 - kap * step
 
-        return FlowMap(name, eps, ident, ident, _identity_coords, vertical,
-                       relocates=False)
+        return vertical_map(vertical)
 
     if kind == "Yf":
         if p.mu1 != 2 * p.nu2:
@@ -181,8 +209,7 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
             fz = np.polynomial.polynomial.polyval(z, coeffs)
             return r0 + eps * fz, s0 - (2.0 * nu2 / nu1) * eps * fz
 
-        return FlowMap(name, eps, ident, ident, _identity_coords, vertical,
-                       relocates=False)
+        return vertical_map(vertical)
 
     raise ValueError(f"no closed-form flow for generator kind {kind!r}")
 
@@ -191,11 +218,10 @@ def flow_closed(name, eps: float, psi: LogPolarField, p: DGParams,
                 require_admissible: bool = True, **payload) -> LogPolarField:
     """Apply the closed-form flow of a generator to one field slice.
 
-    Grid-relocating flows resample onto the original grid by cubic
-    interpolation; the slice's time stamp is remapped by the flow.  The
-    infinite heat/Schroedinger generators take their solution payloads
-    (phi_plus/phi_minus or Psi) as keyword arguments and are delegated to
-    :mod:`dgsym.linearize`.
+    The generator's FlowMap is applied with :func:`apply_flow`.  The infinite
+    heat/Schroedinger generators take their solution payloads (phi_plus and
+    phi_minus, or Psi) as keyword arguments; :mod:`dgsym.linearize` builds
+    their vertical FlowMaps and applies them the same way.
     """
     name = parse_generator(name)
     if require_admissible and not is_admissible(name, p):
@@ -208,18 +234,7 @@ def flow_closed(name, eps: float, psi: LogPolarField, p: DGParams,
         from .linearize import z_flow_se
         return z_flow_se(payload["Psi"], eps, psi, p)
 
-    fmap = closed_flow_map(name, eps, p)
-    t_out = fmap.time_map(psi.t)
-    coords = psi.grid.coords()
-    if fmap.relocates:
-        src = fmap.source_coords(coords, t_out)
-        r0, s0 = interp_field(psi, src)
-    else:
-        r0, s0 = psi.r, psi.s
-    r, s = fmap.vertical(r0, s0, coords, t_out)
-    return LogPolarField(psi.grid, float(t_out),
-                         np.broadcast_to(r, psi.grid.shape).copy(),
-                         np.broadcast_to(s, psi.grid.shape).copy())
+    return apply_flow(closed_flow_map(name, eps, p), psi)
 
 
 @dataclass(frozen=True)

@@ -7,8 +7,11 @@ solutions; for iota1 > 0 the nonlinear gauge N_(Lambda, gamma) with
 Lambda = sqrt(2 iota1)/|nu1|, gamma = -2 nu2/nu1 connects the family to the
 free linear Schroedinger equation with coefficient nu1*Lambda.
 
-The one-parameter flows of the infinite generators are integrated in
-coordinates where they are linear in the flow parameter:
+The gauge action on wavefunctions and the one-parameter flows of the
+infinite generators are vertical :class:`dgsym.flows.FlowMap` s, applied to
+field slices and evaluators alike by :func:`dgsym.flows.apply_flow`.  The
+flows are integrated in coordinates where they are linear in the flow
+parameter:
 
     heat branch:  e^(r + |lam| w) and e^(r - |lam| w) advance linearly,
                   w = (2 nu2/nu1) r + s;
@@ -23,14 +26,14 @@ a logarithm argument reaches zero.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
-from .fields import LogPolarField
+from .flows import apply_flow, vertical_map
 from .params import DGParams, GaugeElement, classify
-from .pde import GaugedSolution, HeatGaussian
+from .pde import HeatGaussian
 
 __all__ = [
     "NotLinearizable", "LinearizationData", "linearization_data",
@@ -118,18 +121,15 @@ def _gauge_pair(g) -> tuple:
     return float(L), float(c)
 
 
-def gauge_act_field(g, psi, validate: bool = False):
+def gauge_act_field(g, psi):
     """Nonlinear gauge on wavefunctions: r' = r, s' = gamma r + Lambda s.
 
-    Accepts a GaugeElement or a (Lambda, gamma) pair; acts on a
-    LogPolarField or on an (r, s) evaluator.  |psi| is untouched, so the
-    probability density is invariant by construction.
+    Accepts a GaugeElement or a (Lambda, gamma) pair; acts, as a vertical
+    FlowMap, on a LogPolarField or on an (r, s) evaluator.  |psi| is
+    untouched, so the probability density is invariant by construction.
     """
     L, c = _gauge_pair(g)
-    if isinstance(psi, LogPolarField):
-        out = LogPolarField(psi.grid, psi.t, psi.r.copy(), c * psi.r + L * psi.s)
-        return out.validate() if validate else out
-    return GaugedSolution(base=psi, Lambda=L, gamma=c)
+    return apply_flow(vertical_map(lambda r, s, xs, t: (r, c * r + L * s)), psi)
 
 
 # ---------------------------------------------------------------------------
@@ -202,43 +202,26 @@ def z_flow_heat(phi_plus, phi_minus, eps: float, psi0, p: DGParams):
     _require_heat_pair(phi_plus, phi_minus, data)
     al = data.abs_lambda
 
-    if isinstance(psi0, LogPolarField):
-        xs = psi0.grid.coords()
-        P = phi_plus.value(xs, psi0.t)
-        M = phi_minus.value(xs, psi0.t)
-        r, s = _heat_flow_rs(psi0.r, psi0.s, P, M, eps, p, al)
-        return LogPolarField(psi0.grid, psi0.t, r, s)
+    def vertical(r0, s0, xs, t):
+        P = phi_plus.value(xs, t)
+        M = phi_minus.value(xs, t)
+        return _heat_flow_rs(r0, s0, P, M, eps, p, al)
 
-    class _Flowed:
-        def rs(self, xs, t, _src=psi0):
-            r0, s0 = _src.rs(xs, t)
-            P = phi_plus.value(xs, t)
-            M = phi_minus.value(xs, t)
-            return _heat_flow_rs(r0, s0, P, M, eps, p, al)
-
-    return _Flowed()
+    return apply_flow(vertical_map(vertical), psi0)
 
 
-def z_flow_heat_from_zero(phi_plus, phi_minus, eps: float, p: DGParams):
+def z_flow_heat_from_zero(phi_plus, phi_minus, eps: float,
+                          p: DGParams) -> HeatPairSolution:
     """Flow started from the trivial solution: the heat pair map with both
     kernels rescaled by 2 |lam| eps."""
     if eps <= 0:
         raise ValueError("the zero-initial entry point needs eps > 0")
     data = linearization_data(p)
     _require_heat_pair(phi_plus, phi_minus, data)
-    al = data.abs_lambda
-
-    class _FromZero:
-        def rs(self, xs, t):
-            scale = 2.0 * al * eps
-            a = np.log(scale * phi_plus.value(xs, t))
-            b = np.log(scale * phi_minus.value(xs, t))
-            nu_ratio = float(p.nu2) / float(p.nu1)
-            r = 0.5 * (a + b)
-            s = -nu_ratio * (a + b) + (b - a) / (2.0 * al)
-            return r, s
-
-    return _FromZero()
+    scale = 2.0 * data.abs_lambda * eps
+    return HeatPairSolution(*(replace(phi, amplitude=scale * phi.amplitude,
+                                      offset=scale * phi.offset)
+                              for phi in (phi_plus, phi_minus)), p, data)
 
 
 # ---------------------------------------------------------------------------
@@ -274,19 +257,11 @@ def z_flow_se(Psi, eps: float, psi0, p: DGParams):
         raise NotLinearizable("this flow applies to the iota1 > 0 branch only")
     Lam = data.LambdaCap
 
-    if isinstance(psi0, LogPolarField):
-        xs = psi0.grid.coords()
-        mlog, theta = _se_payload(Psi, xs, psi0.t)
-        r, s = _se_flow_rs(psi0.r, psi0.s, mlog, theta, eps, p, Lam)
-        return LogPolarField(psi0.grid, psi0.t, r, s)
+    def vertical(r0, s0, xs, t):
+        mlog, theta = _se_payload(Psi, xs, t)
+        return _se_flow_rs(r0, s0, mlog, theta, eps, p, Lam)
 
-    class _Flowed:
-        def rs(self, xs, t, _src=psi0):
-            r0, s0 = _src.rs(xs, t)
-            mlog, theta = _se_payload(Psi, xs, t)
-            return _se_flow_rs(r0, s0, mlog, theta, eps, p, Lam)
-
-    return _Flowed()
+    return apply_flow(vertical_map(vertical), psi0)
 
 
 def z_flow_se_from_zero(Psi, eps: float, p: DGParams):
@@ -300,11 +275,8 @@ def z_flow_se_from_zero(Psi, eps: float, p: DGParams):
     Lam = data.LambdaCap
     nu_ratio = float(p.nu2) / float(p.nu1)
 
-    class _FromZero:
-        def rs(self, xs, t):
-            mlog, theta = _se_payload(Psi, xs, t)
-            r = mlog + math.log(2.0 * eps / Lam)
-            s = Lam * (theta + 0.5 * math.pi) - 2.0 * nu_ratio * r
-            return r, s
+    def vertical(mlog, theta, xs, t):
+        r = mlog + math.log(2.0 * eps / Lam)
+        return r, Lam * (theta + 0.5 * math.pi) - 2.0 * nu_ratio * r
 
-    return _FromZero()
+    return apply_flow(vertical_map(vertical), Psi)

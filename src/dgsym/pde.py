@@ -33,7 +33,7 @@ __all__ = [
     "Functionals", "functionals", "dg_rhs", "evolve", "EvolutionBlowup",
     "ResidualReport", "residual", "se_residual",
     "heat_solution", "se_gaussian", "plane_wave_solution",
-    "HeatGaussian", "SEPacket", "PlaneWave", "GaugedSolution",
+    "HeatGaussian", "SEPacket", "PlaneWave",
     "ScaleSimilaritySolution", "HJSimilaritySolution",
     "heat_residual", "rhs_coefficients",
 ]
@@ -444,23 +444,6 @@ def plane_wave_solution(p: DGParams, k) -> PlaneWave:
     if k.size != p.n:
         raise ValueError("wave vector must have one component per axis")
     return PlaneWave(k=tuple(k), omega=float(p.mu3) * float(k @ k))
-
-
-@dataclass(frozen=True)
-class GaugedSolution:
-    """(r, s) -> (r, gamma r + Lambda s) applied to a base evaluator."""
-
-    base: object
-    Lambda: float
-    gamma: float
-
-    def rs(self, xs, t):
-        r, s = self.base.rs(xs, t)
-        return r, self.gamma * r + self.Lambda * s
-
-    def rs_t(self, xs, t):
-        r_t, s_t = self.base.rs_t(xs, t)
-        return r_t, self.gamma * r_t + self.Lambda * s_t
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from dgsym.fields import Grid, LogPolarField, sample_trajectory
+from dgsym.fields import (Grid, LogPolarField, sample_evaluator,
+                          sample_trajectory)
 from dgsym.flows import (TransformedSolution, closed_flow_map, flow_closed,
                          flow_numeric, flow_on_evaluator, verify_symmetry_flow)
 from dgsym.linearize import heat_pair_to_dg, linearization_data
@@ -265,11 +266,12 @@ def test_rotation_flow_residual_2d(pts):
 
 def test_translation_of_gauged_packet(pts):
     """Translating a gauged packet keeps the residual at baseline scale."""
-    from dgsym.pde import GaugedSolution, se_gaussian
+    from dgsym.linearize import gauge_act_field
+    from dgsym.pde import se_gaussian
     p = pts["sym1c"]
     data = linearization_data(p)
-    sol = GaugedSolution(base=se_gaussian(data.se_coefficient, b0=-0.3),
-                         Lambda=data.LambdaCap, gamma=data.gamma)
+    sol = gauge_act_field(data.gauge_from_linear(),
+                          se_gaussian(data.se_coefficient, b0=-0.3))
     grid = Grid.make(npts=64, extent=(-4, 4))
     rep = verify_symmetry_flow(p, "P:1", 0.5, sol, grid, (0.02, 0.18))
     assert rep.after.l2 <= 2 * rep.baseline.l2 + 1e-12
@@ -308,6 +310,46 @@ def test_flow_closed_dispatches_infinite_generators(pts):
     via_name = flow_closed("Zse", 0.2, f0, pc, Psi=psi)
     direct = z_flow_se(psi, 0.2, f0, pc)
     assert max_diff(via_name, direct) == 0.0
+
+
+def _vertical_cases(pts, heat_sol):
+    """(field adapter, evaluator adapter) pairs of one vertical flow each."""
+    from fractions import Fraction
+
+    from dgsym.linearize import gauge_act_field, z_flow_heat, z_flow_se
+    from dgsym.params import GaugeElement
+    from dgsym.pde import se_gaussian
+
+    pb, pc = pts["sym1b"], pts["sym1c"]
+    fp, fm = heat_sol.phi_plus, heat_sol.phi_minus
+    psi = se_gaussian(linearization_data(pc).se_coefficient, b0=-0.3)
+    both = {
+        "gauge-element": lambda f: gauge_act_field(
+            GaugeElement(Fraction(2), Fraction(-1, 3)), f),
+        "gauge-pair": lambda f: gauge_act_field((0.7, -1.3), f),
+        "Zheat": lambda f: z_flow_heat(fp, fm, 0.3, f, pb),
+        "Zse": lambda f: z_flow_se(psi, 0.2, f, pc),
+    }
+    cases = {label: (f, f) for label, f in both.items()}
+    for gen, key in (("F", "expsub-nu2"), ("Yf:1+z^2", "infasub")):
+        p = pts[key]
+        cases[gen] = (lambda f, gen=gen, p=p: flow_closed(gen, 0.4, f, p),
+                      lambda ev, gen=gen, p=p: flow_on_evaluator(gen, 0.4, ev, p))
+    return cases
+
+
+@pytest.mark.parametrize("case", ["gauge-element", "gauge-pair", "Zheat",
+                                  "Zse", "F", "Yf:1+z^2"])
+def test_field_and_evaluator_adapters_agree(pts, heat_sol, case):
+    """Flowing a sampled slice and sampling the flowed evaluator give the
+    same bits: both adapters run one vertical FlowMap through apply_flow."""
+    on_field, on_evaluator = _vertical_cases(pts, heat_sol)[case]
+    grid = Grid.make(npts=48, extent=(-3, 3))
+    for t in (0.02, 0.11):
+        a = on_field(sample_evaluator(heat_sol, grid, t))
+        b = sample_evaluator(on_evaluator(heat_sol), grid, t)
+        assert a.t == b.t == t
+        assert np.array_equal(a.r, b.r) and np.array_equal(a.s, b.s)
 
 
 def test_vertical_group_law_random_eps(pts, smooth_field):

@@ -13,9 +13,8 @@ from dgsym.linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
                              z_flow_se_from_zero)
 from dgsym.params import (GaugeElement, gauge_act_params, gauge_compose,
                           make_ehr_sub, reference_points)
-from dgsym.pde import (GaugedSolution, HJSimilaritySolution,
-                       ScaleSimilaritySolution, heat_solution, residual,
-                       se_gaussian, se_residual)
+from dgsym.pde import (HJSimilaritySolution, ScaleSimilaritySolution,
+                       heat_solution, residual, se_gaussian, se_residual)
 from tests.conftest import convergence_ratio
 
 F = Fraction
@@ -343,7 +342,7 @@ def test_gauge_covariance_of_dynamics(pts, key, g):
     else:
         sol = HJSimilaritySolution(p, bump=0.4)
     q = gauge_act_params(g, p)
-    moved = GaugedSolution(base=sol, Lambda=float(g.Lambda), gamma=float(g.gamma))
+    moved = gauge_act_field(g, sol)
     c0, f0, ratio0 = convergence_ratio(p, sol, npts=48)
     c1, f1, ratio1 = convergence_ratio(q, moved, npts=48)
     assert 3.0 < ratio1 < 5.0
