@@ -95,7 +95,7 @@ def _classify_report(path, p: DGParams) -> dict:
                             "gamma": rational_str(g.gamma)},
     }
     if cls.tag in ("Sym1b", "Sym1c"):
-        data = linearization_data(p)
+        data = linearization_data(p, cls)
         out.update(data.to_json_dict())
     return out
 
@@ -211,11 +211,12 @@ def _heat_pair(p: DGParams, data, after: float, before: float):
 
 
 def _bundled_solution(p: DGParams):
-    tag = classify(p).tag
+    cls = classify(p)
+    tag = cls.tag
     if tag == "Sym1b":
-        return _heat_pair(p, linearization_data(p), after=1.5, before=-0.75)
+        return _heat_pair(p, linearization_data(p, cls), after=1.5, before=-0.75)
     if tag == "Sym1c":
-        data = linearization_data(p)
+        data = linearization_data(p, cls)
         return z_flow_se_from_zero(se_gaussian(data.se_coefficient, b0=-0.3),
                                    0.5, p)
     if tag == "Sym3" and p.nu2 == 0:

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .flows import apply_flow, vertical_map
-from .params import DGParams, GaugeElement, classify
+from .params import DGParams, GaugeElement, SymmetryClass, classify
 from .pde import HeatGaussian
 
 __all__ = [
@@ -89,8 +89,13 @@ class LinearizationData:
         return d
 
 
-def linearization_data(p: DGParams) -> LinearizationData:
-    cls = classify(p)
+def linearization_data(p: DGParams, cls: SymmetryClass | None = None) -> LinearizationData:
+    """Branch and constants of the linearization at p.
+
+    ``cls`` is ``classify(p)`` when the caller already has it.
+    """
+    if cls is None:
+        cls = classify(p)
     if cls.tag not in ("Sym1b", "Sym1c"):
         raise NotLinearizable(
             f"point classifies as {cls.tag}; linearization needs the subfamily "

@@ -8,8 +8,17 @@ with rational ``coeff``, ``a``, ``b`` and nonnegative integer powers.  This
 class is closed under the operations the symmetry analysis needs: addition,
 multiplication, exact partial differentiation, and Lie brackets of first-order
 vector fields on (x1..xn, t, r, s).  Zero testing is decidable: the normal
-form has sorted, merged, nonzero terms, so an expression is zero iff its term
-list is empty.
+form has merged, nonzero terms, so an expression is zero iff its term dict is
+empty.
+
+Normal form.  ``_terms`` maps ``(a, b, powers)`` to a nonzero ``Fraction``;
+each key occurs once (terms are merged), and a zero exp rate is stored as the
+int ``0``, never as ``Fraction(0)`` (the two are equal and hash alike, so this
+only spares dict lookups the ``Fraction`` hash).  The public constructor
+``SymExpr(n, terms)`` establishes this from any dict; the internal ``_make``
+trusts it, and every operation below builds its result dict in normal form
+and hands it to ``_make``, so a result is normalized once.  The sorted term
+tuple that fixes ``repr`` and ``hash`` is built lazily, on first use.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 import numpy as np
 
@@ -47,6 +57,39 @@ def _q(x) -> Fraction:
     raise TypeError(f"expected exact rational, got {type(x).__name__}")
 
 
+def _is_scalar(x) -> bool:
+    t = type(x)
+    return t is Fraction or t is int or isinstance(x, (int, Fraction))
+
+
+def _rate(a):
+    """Exp rate in normal form: exact, with zero stored as the int 0."""
+    a = _q(a)
+    return a if a else 0
+
+
+def _mul_into(terms: dict, left, right) -> None:
+    """Accumulate the product of two term dicts into ``terms``."""
+    get = terms.get
+    right = right.items()
+    for (a1, b1, p1), c1 in left.items():
+        for (a2, b2, p2), c2 in right:
+            # a rate sum that cancels is stored as the int 0
+            key = (a2 if not a1 else a1 if not a2 else a1 + a2 or 0,
+                   b2 if not b1 else b1 if not b2 else b1 + b2 or 0,
+                   tuple(map(add, p1, p2)))
+            old = get(key)
+            terms[key] = c1 * c2 if old is None else old + c1 * c2
+
+
+def _nonzero(terms: dict) -> dict:
+    """Drop the entries that cancelled, keeping the order of the rest."""
+    for c in terms.values():
+        if not c:
+            return {k: c for k, c in terms.items() if c}
+    return terms
+
+
 class SymExpr:
     """Exact symbolic expression in (x1..xn, t, r, s); immutable."""
 
@@ -56,27 +99,36 @@ class SymExpr:
         self.n = n
         clean = {}
         if terms:
-            for key, coeff in terms.items():
+            for (a, b, powers), coeff in terms.items():
                 if coeff:
+                    key = (a or 0, b or 0, powers)
                     clean[key] = clean.get(key, Fraction(0)) + coeff
                     if not clean[key]:
                         del clean[key]
         self._terms = clean
-        self._key = tuple(sorted(self._terms.items()))
+        self._key = None
+
+    @classmethod
+    def _make(cls, n: int, terms: dict) -> "SymExpr":
+        """Wrap a dict already in normal form (see the module docstring)."""
+        self = object.__new__(cls)
+        self.n = n
+        self._terms = terms
+        self._key = None
+        return self
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "SymExpr":
-        return cls(n)
+        return cls._make(n, {})
 
     @classmethod
     def const(cls, n: int, value) -> "SymExpr":
         value = _q(value)
         if not value:
-            return cls(n)
-        key = (Fraction(0), Fraction(0), (0,) * (n + 3))
-        return cls(n, {key: value})
+            return cls._make(n, {})
+        return cls._make(n, {(0, 0, (0,) * (n + 3)): value})
 
     @classmethod
     def var(cls, n: int, name: str) -> "SymExpr":
@@ -85,14 +137,34 @@ class SymExpr:
             raise KeyError(f"unknown variable {name!r} for n={n}")
         powers = [0] * (n + 3)
         powers[idx[name]] = 1
-        key = (Fraction(0), Fraction(0), tuple(powers))
-        return cls(n, {key: Fraction(1)})
+        return cls._make(n, {(0, 0, tuple(powers)): Fraction(1)})
 
     @classmethod
     def exp_rs(cls, n: int, a, b) -> "SymExpr":
         """exp(a*r + b*s) with exact rational a, b."""
-        key = (_q(a), _q(b), (0,) * (n + 3))
-        return cls(n, {key: Fraction(1)})
+        return cls._make(n, {(_rate(a), _rate(b), (0,) * (n + 3)): Fraction(1)})
+
+    @classmethod
+    def lincomb(cls, n: int, pairs) -> "SymExpr":
+        """Sum of c * e over (c, e) pairs with rational c, built in one pass."""
+        terms = {}
+        get = terms.get
+        for c, e in pairs:
+            if type(e) is not SymExpr:
+                raise TypeError(f"expected SymExpr, got {type(e).__name__}")
+            if e.n != n:
+                raise ValueError("arity mismatch between expressions")
+            if type(c) is not int and type(c) is not Fraction:
+                c = _q(c)
+            if not c or not e._terms:
+                continue
+            items = e._terms.items()
+            if c != 1:
+                items = [(key, coeff * c) for key, coeff in items]
+            for key, coeff in items:
+                old = get(key)
+                terms[key] = coeff if old is None else old + coeff
+        return cls._make(n, _nonzero(terms))
 
     # -- normal form --------------------------------------------------------
 
@@ -100,11 +172,17 @@ class SymExpr:
     def is_zero(self) -> bool:
         return not self._terms
 
+    def _sorted(self) -> tuple:
+        if self._key is None:
+            self._key = tuple(sorted(self._terms.items()))
+        return self._key
+
     def __eq__(self, other):
-        return isinstance(other, SymExpr) and self.n == other.n and self._key == other._key
+        return (type(other) is SymExpr and self.n == other.n
+                and self._terms == other._terms)
 
     def __hash__(self):
-        return hash((self.n, self._key))
+        return hash((self.n, self._sorted()))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -113,38 +191,51 @@ class SymExpr:
             raise ValueError("arity mismatch between expressions")
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not SymExpr:
+            if not _is_scalar(other):
+                return NotImplemented
             other = SymExpr.const(self.n, other)
         self._check(other)
         terms = dict(self._terms)
+        get = terms.get
         for key, coeff in other._terms.items():
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return SymExpr(self.n, terms)
+            old = get(key)
+            if old is None:
+                terms[key] = coeff
+            else:
+                coeff = old + coeff
+                if coeff:
+                    terms[key] = coeff
+                else:
+                    del terms[key]
+        return SymExpr._make(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SymExpr(self.n, {k: -c for k, c in self._terms.items()})
+        return SymExpr._make(self.n, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = SymExpr.const(self.n, other)
+        if type(other) is not SymExpr and not _is_scalar(other):
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
+        if not _is_scalar(other):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _q(other)
-            return SymExpr(self.n, {k: c * q for k, c in self._terms.items()})
+        if type(other) is not SymExpr:
+            if not _is_scalar(other):
+                return NotImplemented
+            if not other:
+                return SymExpr._make(self.n, {})
+            return SymExpr._make(self.n, {k: c * other for k, c in self._terms.items()})
         self._check(other)
         terms = {}
-        for (a1, b1, p1), c1 in self._terms.items():
-            for (a2, b2, p2), c2 in other._terms.items():
-                key = (a1 + a2, b1 + b2, tuple(u + v for u, v in zip(p1, p2)))
-                terms[key] = terms.get(key, Fraction(0)) + c1 * c2
-        return SymExpr(self.n, terms)
+        _mul_into(terms, self._terms, other._terms)
+        return SymExpr._make(self.n, _nonzero(terms))
 
     __rmul__ = __mul__
 
@@ -169,21 +260,22 @@ class SymExpr:
             raise KeyError(f"unknown variable {name!r} for n={self.n}")
         i = idx[name]
         terms = {}
-
-        def put(key, coeff):
-            if coeff:
-                terms[key] = terms.get(key, Fraction(0)) + coeff
-
-        for (a, b, powers), coeff in self._terms.items():
+        get = terms.get
+        for key, coeff in self._terms.items():
+            a, b, powers = key
             if powers[i] > 0:
                 lowered = list(powers)
                 lowered[i] -= 1
-                put((a, b, tuple(lowered)), coeff * powers[i])
-            if name == "r" and a:
-                put((a, b, powers), coeff * a)
-            elif name == "s" and b:
-                put((a, b, powers), coeff * b)
-        return SymExpr(self.n, terms)
+                lkey = (a, b, tuple(lowered))
+                old = get(lkey)
+                dc = coeff * powers[i]
+                terms[lkey] = dc if old is None else old + dc
+            rate = a if name == "r" else b if name == "s" else 0
+            if rate:
+                old = get(key)
+                dc = coeff * rate
+                terms[key] = dc if old is None else old + dc
+        return SymExpr._make(self.n, _nonzero(terms))
 
     def depends_on(self, name: str) -> bool:
         idx = var_index(self.n)[name]
@@ -232,7 +324,7 @@ class SymExpr:
             return "0"
         names = var_names(self.n)
         parts = []
-        for (a, b, powers), coeff in self._key:
+        for (a, b, powers), coeff in self._sorted():
             factors = []
             if coeff != 1 or (not any(powers) and not (a or b)):
                 factors.append(str(coeff))
@@ -320,11 +412,11 @@ class VectorFieldSpec:
 
     def apply_to(self, f: SymExpr) -> SymExpr:
         """Directional derivative X(f)."""
-        out = SymExpr.zero(self.n)
+        terms = {}
         for name, coeff in zip(var_names(self.n), self.components()):
-            if not coeff.is_zero:
-                out = out + coeff * f.differentiate(name)
-        return out
+            if coeff._terms:
+                _mul_into(terms, coeff._terms, f.differentiate(name)._terms)
+        return SymExpr._make(self.n, _nonzero(terms))
 
     def is_vertical(self) -> bool:
         """True when the field moves only (r, s)."""

@@ -131,10 +131,7 @@ def infsub_poly_generator(p: DGParams, coeffs) -> VectorFieldSpec:
     """Y_f with polynomial f: f(mu1 r + nu1 s) (d/dr - (2 nu2/nu1) d/ds)."""
     n = p.n
     z = p.mu1 * SymExpr.var(n, "r") + p.nu1 * SymExpr.var(n, "s")
-    f = SymExpr.zero(n)
-    for k, c in enumerate(coeffs):
-        if c:
-            f = f + Fraction(c) * z ** k
+    f = SymExpr.lincomb(n, ((Fraction(c), z ** k) for k, c in enumerate(coeffs) if c))
     zero = SymExpr.zero(n)
     return VectorFieldSpec(n=n, xi=(zero,) * n, tau=zero, phi=f,
                            sigma=-(2 * p.nu2 / p.nu1) * f)
@@ -302,11 +299,12 @@ def _expected_bracket(a: GeneratorName, b: GeneratorName, p: DGParams):
     return None
 
 
-def _combo_field(terms, p: DGParams) -> VectorFieldSpec:
-    out = VectorFieldSpec.zero(p.n)
-    for coeff, gname in terms:
-        out = out + basis_generator(gname, p, require_admissible=False).scale(coeff)
-    return out
+def _combo_field(terms, fields: dict, n: int) -> VectorFieldSpec:
+    """Sum of coeff * fields[name] over the (coeff, name) terms."""
+    comps = [SymExpr.lincomb(n, ((c, fields[g].components()[u]) for c, g in terms))
+             for u in range(n + 3)]
+    return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
+                           phi=comps[n + 1], sigma=comps[n + 2])
 
 
 def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
@@ -338,7 +336,7 @@ def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
                 expected = [] if flipped is None else flipped
                 sign = -1
             got = lie_bracket(fields[a], fields[b])
-            want = _combo_field(expected, p).scale(sign)
+            want = _combo_field([(sign * c, g) for c, g in expected], fields, n)
             diff = got - want
             rows.append(CheckRow(
                 label=f"[{a},{b}]",
@@ -440,6 +438,40 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
 
     nu1, nu2 = p.nu1, p.nu2
     mu1, mu2, mu3, mu4, mu5 = p.mu1, p.mu2, p.mu3, p.mu4, p.mu5
+    m14, m25 = mu1 + mu4, mu2 + mu5
+
+    # Each family is linear in X: sum of (coefficient, derivative) pairs.
+    families = (
+        ("det01", ((-1, "xi_t"), (-mu1, "lap_xi"), (2 * m14, "phi_x"),
+                   (4 * mu2, "phi_xs"), (2 * mu3, "sig_x"), (2 * mu1, "sig_xs"))),
+        ("det02", ((-nu1, "lap_xi"), (2 * nu1, "phi_x"), (4 * nu2, "phi_xs"),
+                   (2 * nu1, "sig_xs"))),
+        ("det03", ((-mu2, "lap_xi"), (4 * m25, "phi_x"), (2 * mu2, "phi_xr"),
+                   (m14, "sig_x"), (mu1, "sig_xr"))),
+        ("det04", ((1, "xi_t"), (-2 * nu2, "lap_xi"), (8 * nu2, "phi_x"),
+                   (4 * nu2, "phi_xr"), (2 * nu1, "sig_x"), (2 * nu1, "sig_xr"))),
+        ("det07", ((2 * m14, "phi_s"), (2 * mu2, "phi_ss"), (mu3, "sig_s"),
+                   (mu1, "sig_ss"), (mu3, "tau_t"), (-2 * mu3, "xi_x"))),
+        ("det08", ((2 * mu2, "phi_s"), (nu1, "sig_r"), (mu1, "tau_t"),
+                   (-2 * mu1, "xi_x"))),
+        ("det09", ((mu1 + 2 * nu2, "phi_s"), (-nu1, "phi_r"), (nu1, "sig_s"),
+                   (nu1, "tau_t"), (-2 * nu1, "xi_x"))),
+        ("det10", ((4 * m25, "phi_s"), (m14, "phi_r"), (2 * mu2, "phi_rs"),
+                   (mu3 + nu1, "sig_r"), (mu1, "sig_rs"), (m14, "tau_t"),
+                   (-2 * m14, "xi_x"))),
+        ("det11", ((2 * mu2, "phi_r"), (-2 * mu2, "sig_s"), (mu1 + 2 * nu2, "sig_r"),
+                   (2 * mu2, "tau_t"), (-4 * mu2, "xi_x"))),
+        ("det12", ((2 * mu2, "phi_s"), (nu1, "sig_r"), (2 * nu2, "tau_t"),
+                   (-4 * nu2, "xi_x"))),
+        ("det13", ((m14 + 4 * nu2, "phi_s"), (2 * nu2, "phi_rs"), (nu1, "sig_s"),
+                   (nu1, "sig_rs"), (nu1, "tau_t"), (-2 * nu1, "xi_x"))),
+        ("det14", ((8 * m25, "phi_r"), (2 * mu2, "phi_rr"), (-4 * m25, "sig_s"),
+                   (2 * (m14 + 2 * nu2), "sig_r"), (mu1, "sig_rr"),
+                   (4 * m25, "tau_t"), (-8 * m25, "xi_x"))),
+        ("det15", ((4 * m25, "phi_s"), (4 * nu2, "phi_r"), (2 * nu2, "phi_rr"),
+                   (2 * nu1, "sig_r"), (nu1, "sig_rr"), (4 * nu2, "tau_t"),
+                   (-8 * nu2, "xi_x"))),
+    )
 
     phi, sigma, tau = X.phi, X.sigma, X.tau
     xs = [f"x{j}" for j in range(1, n + 1)]
@@ -450,79 +482,44 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
         return e
 
     def lap(e):
-        out = SymExpr.zero(n)
-        for nm in xs:
-            out = out + d(e, nm, nm)
-        return out
+        return SymExpr.lincomb(n, ((1, d(e, nm, nm)) for nm in xs))
 
-    tau_t = d(tau, "t")
     phi_r, phi_s = d(phi, "r"), d(phi, "s")
-    phi_rr, phi_ss, phi_rs = d(phi_r, "r"), d(phi_s, "s"), d(phi_r, "s")
     sig_r, sig_s = d(sigma, "r"), d(sigma, "s")
-    sig_rr, sig_ss, sig_rs = d(sig_r, "r"), d(sig_s, "s"), d(sig_r, "s")
+    derivs = {
+        "tau_t": d(tau, "t"),
+        "phi_r": phi_r, "phi_s": phi_s, "sig_r": sig_r, "sig_s": sig_s,
+        "phi_rr": d(phi_r, "r"), "phi_ss": d(phi_s, "s"), "phi_rs": d(phi_r, "s"),
+        "sig_rr": d(sig_r, "r"), "sig_ss": d(sig_s, "s"), "sig_rs": d(sig_r, "s"),
+    }
 
     out = []
     for j in range(1, n + 1):
         xj = f"x{j}"
         xi_j = X.xi[j - 1]
-        lap_xi = lap(xi_j)
-        xi_t = d(xi_j, "t")
-        xi_x = d(xi_j, xj)
         phi_x, sig_x = d(phi, xj), d(sigma, xj)
-        phi_xs, phi_xr = d(phi_x, "s"), d(phi_x, "r")
-        sig_xs, sig_xr = d(sig_x, "s"), d(sig_x, "r")
+        derivs.update(
+            lap_xi=lap(xi_j), xi_t=d(xi_j, "t"), xi_x=d(xi_j, xj),
+            phi_x=phi_x, sig_x=sig_x,
+            phi_xs=d(phi_x, "s"), phi_xr=d(phi_x, "r"),
+            sig_xs=d(sig_x, "s"), sig_xr=d(sig_x, "r"))
+        for label, row in families:
+            out.append((f"{label}[{j}]",
+                        SymExpr.lincomb(n, ((c, derivs[name]) for c, name in row))))
 
-        out.append((f"det01[{j}]",
-                    -xi_t - mu1 * lap_xi + 2 * (mu1 + mu4) * phi_x
-                    + 4 * mu2 * phi_xs + 2 * mu3 * sig_x + 2 * mu1 * sig_xs))
-        out.append((f"det02[{j}]",
-                    -nu1 * lap_xi + 2 * nu1 * phi_x + 4 * nu2 * phi_xs
-                    + 2 * nu1 * sig_xs))
-        out.append((f"det03[{j}]",
-                    -mu2 * lap_xi + 4 * (mu2 + mu5) * phi_x + 2 * mu2 * phi_xr
-                    + (mu1 + mu4) * sig_x + mu1 * sig_xr))
-        out.append((f"det04[{j}]",
-                    xi_t - 2 * nu2 * lap_xi + 8 * nu2 * phi_x + 4 * nu2 * phi_xr
-                    + 2 * nu1 * sig_x + 2 * nu1 * sig_xr))
-        out.append((f"det07[{j}]",
-                    2 * (mu1 + mu4) * phi_s + 2 * mu2 * phi_ss + mu3 * sig_s
-                    + mu1 * sig_ss + mu3 * tau_t - 2 * mu3 * xi_x))
-        out.append((f"det08[{j}]",
-                    2 * mu2 * phi_s + nu1 * sig_r + mu1 * tau_t - 2 * mu1 * xi_x))
-        out.append((f"det09[{j}]",
-                    (mu1 + 2 * nu2) * phi_s - nu1 * phi_r + nu1 * sig_s
-                    + nu1 * tau_t - 2 * nu1 * xi_x))
-        out.append((f"det10[{j}]",
-                    4 * (mu2 + mu5) * phi_s + (mu1 + mu4) * phi_r + 2 * mu2 * phi_rs
-                    + (mu3 + nu1) * sig_r + mu1 * sig_rs + (mu1 + mu4) * tau_t
-                    - 2 * (mu1 + mu4) * xi_x))
-        out.append((f"det11[{j}]",
-                    2 * mu2 * phi_r - 2 * mu2 * sig_s + (mu1 + 2 * nu2) * sig_r
-                    + 2 * mu2 * tau_t - 4 * mu2 * xi_x))
-        out.append((f"det12[{j}]",
-                    2 * mu2 * phi_s + nu1 * sig_r + 2 * nu2 * tau_t - 4 * nu2 * xi_x))
-        out.append((f"det13[{j}]",
-                    (mu1 + mu4 + 4 * nu2) * phi_s + 2 * nu2 * phi_rs + nu1 * sig_s
-                    + nu1 * sig_rs + nu1 * tau_t - 2 * nu1 * xi_x))
-        out.append((f"det14[{j}]",
-                    8 * (mu2 + mu5) * phi_r + 2 * mu2 * phi_rr
-                    - 4 * (mu2 + mu5) * sig_s
-                    + 2 * (mu1 + mu4 + 2 * nu2) * sig_r + mu1 * sig_rr
-                    + 4 * (mu2 + mu5) * tau_t - 8 * (mu2 + mu5) * xi_x))
-        out.append((f"det15[{j}]",
-                    4 * (mu2 + mu5) * phi_s + 4 * nu2 * phi_r + 2 * nu2 * phi_rr
-                    + 2 * nu1 * sig_r + nu1 * sig_rr + 4 * nu2 * tau_t
-                    - 8 * nu2 * xi_x))
-
-    out.append(("det05", d(sigma, "t") + mu1 * lap(sigma) + 2 * mu2 * lap(phi)))
-    out.append(("det06", -d(phi, "t") + 2 * nu2 * lap(phi) + nu1 * lap(sigma)))
-    out.append(("det16",
-                mu3 * phi_s + 2 * nu1 * phi_s + 2 * nu2 * phi_ss + nu1 * sig_ss))
+    lap_phi, lap_sig = lap(phi), lap(sigma)
+    out.append(("det05", SymExpr.lincomb(
+        n, ((1, d(sigma, "t")), (mu1, lap_sig), (2 * mu2, lap_phi)))))
+    out.append(("det06", SymExpr.lincomb(
+        n, ((-1, d(phi, "t")), (2 * nu2, lap_phi), (nu1, lap_sig)))))
+    out.append(("det16", SymExpr.lincomb(
+        n, ((mu3 + 2 * nu1, phi_s), (2 * nu2, derivs["phi_ss"]),
+            (nu1, derivs["sig_ss"])))))
 
     for j in range(1, n + 1):
         for k in range(j + 1, n + 1):
-            out.append((f"rot[{j},{k}]",
-                        d(X.xi[j - 1], f"x{k}") + d(X.xi[k - 1], f"x{j}")))
+            out.append((f"rot[{j},{k}]", SymExpr.lincomb(
+                n, ((1, d(X.xi[j - 1], f"x{k}")), (1, d(X.xi[k - 1], f"x{j}"))))))
     return out
 
 

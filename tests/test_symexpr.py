@@ -192,3 +192,92 @@ def test_normalization_exact_at_rational_points():
         point = {name: Q(rng.randint(-9, 9), rng.randint(1, 9))
                  for name in ("x1", "t", "r", "s")}
         assert a.subs_rational(point) == b.subs_rational(point)
+
+
+# ---------------------------------------------------------------------------
+# fast paths: one-pass linear combinations and the trusted normal form
+
+def assert_normal_form(e):
+    """Merged terms, nonzero Fraction coefficients, zero rates stored as int 0."""
+    for (a, b, powers), coeff in e._terms.items():
+        assert type(coeff) is Fraction and coeff != 0
+        for rate in (a, b):
+            assert rate != 0 or type(rate) is int
+    assert e == SymExpr(e.n, dict(e._terms))
+
+
+@pytest.mark.parametrize("other", [1.5, None, "1", [1]])
+def test_unsupported_operands_raise_type_error(other):
+    e = v("r")
+    for op in (lambda: e + other, lambda: other + e, lambda: e - other,
+               lambda: other - e, lambda: e * other, lambda: other * e):
+        with pytest.raises(TypeError):
+            op()
+
+
+def test_lincomb_rejects_inexact_coefficients():
+    with pytest.raises(TypeError):
+        SymExpr.lincomb(1, [(0.5, v("r"))])
+    with pytest.raises(TypeError):
+        SymExpr.lincomb(1, [(1, 2)])
+    with pytest.raises(ValueError):
+        SymExpr.lincomb(1, [(1, v("r", n=2))])
+
+
+scaled_terms = st.lists(
+    st.tuples(st.fractions(min_value=-3, max_value=3, max_denominator=4), terms),
+    min_size=0, max_size=4)
+
+
+@given(scaled_terms)
+@settings(max_examples=60, deadline=None)
+def test_lincomb_equals_naive_sum(pairs):
+    exprs = [(coeff, build(ts)) for coeff, ts in pairs]
+    naive = SymExpr.zero(1)
+    for coeff, e in exprs:
+        naive = naive + coeff * e
+    got = SymExpr.lincomb(1, exprs)
+    assert got == naive
+    assert hash(got) == hash(naive) and repr(got) == repr(naive)
+    assert_normal_form(got)
+
+
+@given(terms, terms)
+@settings(max_examples=60, deadline=None)
+def test_no_zero_coefficient_after_any_operation(ts1, ts2):
+    e, f = build(ts1), build(ts2)
+    results = [e + f, e - f, -e, e * f, e * F(-2, 3), e * 0, e + 1, 1 - e,
+               e + (-e), e - e, (e + f) - f, e.differentiate("r"),
+               e.differentiate("x1"), (e * f).differentiate("s"),
+               SymExpr.lincomb(1, [(1, e), (-1, e)]),
+               SymExpr.lincomb(1, [(F(1, 2), e), (2, f), (-1, e * F(1, 2))])]
+    for r in results:
+        assert_normal_form(r)
+    assert (e + (-e)).is_zero and (e - e).is_zero
+    assert SymExpr.lincomb(1, [(1, e), (-1, e)]).is_zero
+    assert (e + f) - f == e
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_cancelled_exp_rate_is_constant(n):
+    prod = SymExpr.exp_rs(n, 1, 0) * SymExpr.exp_rs(n, -1, 0)
+    one = SymExpr.const(n, 1)
+    assert prod == one and hash(prod) == hash(one) and repr(prod) == "1"
+    assert_normal_form(prod)
+    mixed = SymExpr.exp_rs(n, F(1, 2), 2) * SymExpr.exp_rs(n, F(-1, 2), -2)
+    assert mixed == one and hash(mixed) == hash(one)
+
+
+@given(terms)
+@settings(max_examples=60, deadline=None)
+def test_trusted_normal_form_matches_public_constructor(ts):
+    e = build(ts) * v("t") - build(list(reversed(ts)))
+    public = SymExpr(1, dict(e._terms))
+    assert public == e and hash(public) == hash(e) and repr(public) == repr(e)
+    # Fraction(0) rates and zero coefficients given to the public constructor
+    # reach the same normal form.
+    raw = {(F(a) if a == 0 else a, F(b) if b == 0 else b, p): c
+           for (a, b, p), c in e._terms.items()}
+    raw[(F(0), F(0), (0, 0, 0, 7))] = F(0)
+    assert SymExpr(1, raw) == e and hash(SymExpr(1, raw)) == hash(e)
+    assert_normal_form(SymExpr(1, raw))

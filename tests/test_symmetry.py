@@ -278,3 +278,65 @@ def test_jacobi_identity_on_basis_generators(pts):
             + lie_bracket(Y, lie_bracket(Z, X)) \
             + lie_bracket(Z, lie_bracket(X, Y))
         assert total.is_zero
+
+
+@pytest.mark.parametrize("key", ["generic", "sym1b"])
+def test_determining_residuals_linear_in_field(pts, key):
+    """res(X + c Y) == res(X) + c res(Y), exactly, off the subfamilies."""
+    p = pts[key]
+    c = F(-7, 3)
+    pairs = [("A", "C"), ("Yf:1+z^2", "B:1"), ("A", "Yf:z^3"), ("F", "A")]
+    for gx, gy in pairs:
+        try:
+            X = basis_generator(gx, p, require_admissible=False)
+            Y = basis_generator(gy, p, require_admissible=False)
+        except GeneratorNotAdmissible:
+            continue  # F has no exponent rates at this point
+        res_x = determining_residuals(p, X)
+        res_y = determining_residuals(p, Y)
+        assert not residuals_all_zero(res_x), gx
+        combined = determining_residuals(p, X + Y.scale(c))
+        assert [lbl for lbl, _ in combined] == [lbl for lbl, _ in res_x]
+        for (lbl, got), (_, ex), (_, ey) in zip(combined, res_x, res_y):
+            assert got == ex + c * ey, (gx, gy, lbl)
+
+
+def _hand_residuals(p, field):
+    """Determining residuals of sigma = x1 r or phi = x1 s, derived by hand
+    from the equations (n = 1, xi = tau = 0)."""
+    nu1, nu2, mu1, mu2, mu3 = p.nu1, p.nu2, p.mu1, p.mu2, p.mu3
+    m14, m25 = p.mu1 + p.mu4, p.mu2 + p.mu5
+    x, r, s = (SymExpr.var(1, nm) for nm in ("x1", "r", "s"))
+    one = SymExpr.const(1, 1)
+    if field == "sigma":  # sig_x = r, sig_xr = 1, sig_r = x1
+        return {"det01[1]": 2 * mu3 * r, "det03[1]": m14 * r + mu1 * one,
+                "det04[1]": 2 * nu1 * r + 2 * nu1 * one, "det08[1]": nu1 * x,
+                "det10[1]": (mu3 + nu1) * x, "det11[1]": (mu1 + 2 * nu2) * x,
+                "det12[1]": nu1 * x, "det14[1]": 2 * (m14 + 2 * nu2) * x,
+                "det15[1]": 2 * nu1 * x}
+    # phi_x = s, phi_xs = 1, phi_s = x1
+    return {"det01[1]": 2 * m14 * s + 4 * mu2 * one,
+            "det02[1]": 2 * nu1 * s + 4 * nu2 * one, "det03[1]": 4 * m25 * s,
+            "det04[1]": 8 * nu2 * s, "det07[1]": 2 * m14 * x,
+            "det08[1]": 2 * mu2 * x, "det09[1]": (mu1 + 2 * nu2) * x,
+            "det10[1]": 4 * m25 * x, "det12[1]": 2 * mu2 * x,
+            "det13[1]": (m14 + 4 * nu2) * x, "det15[1]": 4 * m25 * x,
+            "det16": (mu3 + 2 * nu1) * x}
+
+
+@pytest.mark.parametrize("field", ["sigma", "phi"])
+def test_determining_residuals_of_mixed_derivative_fields(pts, field):
+    """Every family coefficient of sig_x, sig_xr, phi_x, phi_xs, ... counts:
+    no basis generator has nonzero mixed (x, r) or (x, s) derivatives."""
+    from dgsym.symexpr import VectorFieldSpec
+    p = pts["generic"]
+    z = SymExpr.zero(1)
+    x = SymExpr.var(1, "x1")
+    if field == "sigma":
+        X = VectorFieldSpec(n=1, xi=(z,), tau=z, phi=z, sigma=x * SymExpr.var(1, "r"))
+    else:
+        X = VectorFieldSpec(n=1, xi=(z,), tau=z, phi=x * SymExpr.var(1, "s"), sigma=z)
+    want = _hand_residuals(p, field)
+    got = dict(determining_residuals(p, X))
+    for label, e in got.items():
+        assert e == want.get(label, z), label
