@@ -22,6 +22,7 @@ from . import __version__
 from .fields import (Grid, LogPolarField, read_snapshot, read_trajectory,
                      sample_trajectory, write_trajectory)
 from .flows import verify_symmetry_flow
+from .kernels import boundary_ring
 from .linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
                         linearization_data, z_flow_se_from_zero)
 from .params import (DGParams, GaugeElement, canonical_gauge, classify,
@@ -348,19 +349,21 @@ def cmd_simulate(args) -> int:
     grid = _parse_grid(args.grid or "64,0.125", args.bc)
     field0, closed_form = _make_init(args.init, grid, p)
     dx2 = min(grid.spacings) ** 2
-    dt = args.dt if args.dt else 0.2 * dx2
-    steps = args.steps or int(np.ceil((args.t_final or 0.1) / dt))
+    dt = 0.2 * dx2 if args.dt is None else args.dt
+    # a dt that is not positive gets no step count here; evolve refuses it
+    steps = args.steps or (int(np.ceil((args.t_final or 0.1) / dt)) if dt > 0 else 0)
 
     bc_values = None
     if grid.bc == "dirichlet":
         if closed_form is not None:
             bc_values = closed_form.rs
         else:
-            r0, s0 = field0.r.copy(), field0.s.copy()
-            bc_values = lambda xs, t: (r0, s0)
+            ring, _ = boundary_ring(grid)
+            held = field0.r[ring], field0.s[ring]
+            bc_values = lambda xs, t: held
 
     traj = evolve(p, field0, steps, dt=dt, bc_values=bc_values,
-                  save_every=max(1, args.save_every))
+                  save_every=args.save_every)
     rep = residual(p, traj) if len(traj) >= 3 else None
     outdir = args.out or "dgsym-run"
     write_trajectory(traj, outdir, params_json=p.to_json_dict(), dt=dt)

@@ -214,9 +214,10 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
     raise ValueError(f"no closed-form flow for generator kind {kind!r}")
 
 
-def flow_closed(name, eps: float, psi: LogPolarField, p: DGParams,
-                require_admissible: bool = True, **payload) -> LogPolarField:
-    """Apply the closed-form flow of a generator to one field slice.
+def flow_closed(name, eps: float, psi, p: DGParams,
+                require_admissible: bool = True, **payload):
+    """Apply the closed-form flow of a generator to a field slice or an
+    (r, s) evaluator.
 
     The generator's FlowMap is applied with :func:`apply_flow`.  The infinite
     heat/Schroedinger generators take their solution payloads (phi_plus and
@@ -252,11 +253,11 @@ class TransformedSolution:
 
 
 def flow_on_evaluator(name, eps: float, solution, p: DGParams,
-                      require_admissible: bool = True) -> TransformedSolution:
-    name = parse_generator(name)
-    if require_admissible and not is_admissible(name, p):
-        raise GeneratorNotAdmissible(f"{name} is not admissible here")
-    return TransformedSolution(closed_flow_map(name, eps, p), solution)
+                      require_admissible: bool = True,
+                      **payload) -> TransformedSolution:
+    """:func:`flow_closed` on an (r, s) evaluator: the same generators, the
+    Zheat/Zse payloads included."""
+    return flow_closed(name, eps, solution, p, require_admissible, **payload)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,15 @@ correctly across the seam.
 On dirichlet grids the outermost layer of points along each axis is the
 boundary ring: its values are imposed, not evolved, so every right-hand side
 is zero there and residuals are taken over the points inside it.
+``boundary_ring`` gives the ring as one integer index tuple (``np.nonzero``
+of the ring mask, so ``arr[ring]`` is the flat run of ring values) next to
+the ``inner`` slices.  A periodic grid has an empty ring index, so
+``arr[ring] = 0`` changes nothing there.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,29 +63,29 @@ def _axis_diffs(f, axis, dx, periodic, wrap):
     return first, second
 
 
+@lru_cache(maxsize=32)
 def boundary_ring(grid):
-    """``(faces, inner)`` for the dirichlet boundary ring of ``grid``.
+    """``(ring, inner)`` for the dirichlet boundary ring of ``grid``.
 
-    ``faces`` holds one index tuple per face, two per axis; ``inner`` indexes
-    every point off the ring.  A periodic grid has no ring: no faces, and
-    ``inner`` covers the whole grid.
+    ``ring`` is one index tuple (from ``np.nonzero`` of the ring mask, its
+    arrays read-only) picking every ring point in C order; ``inner`` indexes
+    every point off the ring.  A periodic grid has no ring: ``ring`` is empty
+    and ``inner`` covers the whole grid.
     """
-    if grid.bc == "periodic":
-        return [], (slice(None),) * grid.n
-    faces = []
-    for axis in range(grid.n):
-        for end in (0, -1):
-            face = [slice(None)] * grid.n
-            face[axis] = end
-            faces.append(tuple(face))
-    return faces, (slice(1, -1),) * grid.n
+    inner = (slice(None) if grid.bc == "periodic" else slice(1, -1),) * grid.n
+    mask = np.ones(grid.shape, dtype=bool)
+    mask[inner] = False
+    ring = np.nonzero(mask)
+    for idx in ring:
+        idx.setflags(write=False)
+    return ring, inner
 
 
 def zero_ring(grid, *arrays):
     """Zero each array in place on the boundary ring; return them."""
-    for face in boundary_ring(grid)[0]:
-        for arr in arrays:
-            arr[face] = 0.0
+    ring = boundary_ring(grid)[0]
+    for arr in arrays:
+        arr[ring] = 0.0
     return arrays
 
 

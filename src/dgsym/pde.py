@@ -88,36 +88,45 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
            blowup: float = 100.0, save_every: int = 1) -> Trajectory:
     """Method-of-lines RK4 on the evolution system.
 
-    dt defaults to c_cfl * dx_min^2 and may not exceed it.  On dirichlet
-    grids ``bc_values(coords, t) -> (r, s)`` supplies boundary data at stage
-    times (convergence studies pin them to a closed-form solution).
+    dt defaults to c_cfl * dx_min^2 and may not exceed it; it must be finite
+    and positive, and ``save_every`` at least 1.  On dirichlet grids
+    ``bc_values(coords, t) -> (r, s)`` supplies boundary data (convergence
+    studies pin it to a closed-form solution).  It is called on the boundary
+    ring coordinates only, ``tuple(c[ring] for c in grid.coords())``, and
+    once per distinct stage time: RK4 stages 2 and 3 share t + dt/2, and a
+    value is reused only when the float time is exactly equal.  Its results
+    broadcast to the ring's shape, so it may return scalars.
     """
     grid = field0.grid
     dx2 = min(grid.spacings) ** 2
     if dt is None:
         dt = c_cfl * dx2
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt={dt!r} must be finite and positive")
     if dt > c_cfl * dx2 * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.3g} violates the stability rule "
                          f"dt <= c_cfl*dx^2 = {c_cfl * dx2:.3g}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if save_every < 1:
+        raise ValueError(f"save_every={save_every!r} must be >= 1")
 
     dirichlet = grid.bc == "dirichlet"
     if dirichlet and bc_values is None:
         raise ValueError("dirichlet evolution needs bc_values pinned to a "
                          "reference solution")
-    coords = grid.coords()
-    faces, _ = boundary_ring(grid)
+    ring, _ = boundary_ring(grid)
+    ring_coords = tuple(c[ring] for c in grid.coords())
     coeffs = rhs_coefficients(p)
+    held_t, held = None, None  # time and ring values of the latest call
 
     def pin(r, s, t):
+        nonlocal held_t, held
         if dirichlet:
-            rb, sb = bc_values(coords, t)
-            rb = np.broadcast_to(rb, grid.shape)
-            sb = np.broadcast_to(sb, grid.shape)
-            for face in faces:
-                r[face] = rb[face]
-                s[face] = sb[face]
+            if t != held_t:
+                held_t, held = t, tuple(np.broadcast_to(v, ring[0].shape)
+                                        for v in bc_values(ring_coords, t))
+            r[ring], s[ring] = held
         return r, s
 
     traj = Trajectory(grid, [field0.copy()])

@@ -146,6 +146,42 @@ def test_simulate_dirichlet_packet(capsys, tmp_path, se_file):
     assert rows[0]["residual"]["linf"] < 1e-4
 
 
+def test_simulate_dirichlet_bump_holds_initial_ring(capsys, tmp_path):
+    """Without a closed form the dirichlet ring keeps its initial values."""
+    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+    out = str(tmp_path / "held")
+    code, _, _ = run(capsys, "simulate", "--params", path,
+                     "--grid", "32,0.2", "--bc", "dirichlet",
+                     "--init", "bump:ra=0.2,sa=0.1,w=1.0",
+                     "--steps", "12", "--save-every", "4", "--out", out)
+    assert code == 0
+    traj = read_trajectory(out)
+    assert len(traj) == 4
+    ring = np.zeros(traj.grid.shape, dtype=bool)
+    ring[[0, -1]] = True
+    first = traj[0]
+    for fld in traj.fields[1:]:
+        assert np.array_equal(fld.r[ring], first.r[ring])
+        assert np.array_equal(fld.s[ring], first.s[ring])
+        assert not np.array_equal(fld.r, first.r)
+
+
+@pytest.mark.parametrize("flags", [["--dt", "-0.001", "--steps", "1"],
+                                   ["--dt", "nan", "--steps", "1"],
+                                   ["--dt", "0"], ["--dt", "-0.001"],
+                                   ["--dt", "nan"],
+                                   ["--steps", "4", "--save-every", "0"],
+                                   ["--steps", "4", "--save-every", "-2"]])
+def test_simulate_rejects_bad_step_or_save_interval(capsys, tmp_path, se_file, flags):
+    out = str(tmp_path / "bad")
+    code, _, err = run(capsys, "simulate", "--params", se_file,
+                       "--grid", "32,0.2", "--bc", "periodic",
+                       "--init", "bump", *flags, "--out", out)
+    assert code == 2
+    assert "must be" in err
+    assert not os.path.exists(out)
+
+
 def test_simulate_refuses_periodic_se_packet(capsys, tmp_path, se_file):
     out = str(tmp_path / "se")
     code, _, err = run(capsys, "simulate", "--params", se_file,

@@ -312,6 +312,28 @@ def test_flow_closed_dispatches_infinite_generators(pts):
     assert max_diff(via_name, direct) == 0.0
 
 
+def test_flow_on_evaluator_accepts_infinite_generators(pts, heat_sol):
+    """flow_on_evaluator takes the same generators and payloads as
+    flow_closed, and flows an evaluator to the same bits."""
+    from dgsym.pde import se_gaussian
+
+    grid = Grid.make(npts=32, extent=(-2, 2))
+    xs = grid.coords()
+    fp, fm = heat_sol.phi_plus, heat_sol.phi_minus
+    pc = pts["sym1c"]
+    psi = se_gaussian(linearization_data(pc).se_coefficient, b0=-0.3)
+    src_c = flow_on_evaluator("D", 0.1, heat_sol, pc, require_admissible=False)
+    for name, eps, src, p, payload in (
+            ("Zheat", 0.3, heat_sol, pts["sym1b"], {"phi_plus": fp, "phi_minus": fm}),
+            ("Zse", 0.2, src_c, pc, {"Psi": psi})):
+        moved = flow_on_evaluator(name, eps, src, p, **payload)
+        assert isinstance(moved, TransformedSolution)
+        ref = flow_closed(name, eps, src, p, **payload)
+        for t in (0.02, 0.11):
+            got, want = moved.rs(xs, t), ref.rs(xs, t)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
 def _vertical_cases(pts, heat_sol):
     """(field adapter, evaluator adapter) pairs of one vertical flow each."""
     from fractions import Fraction

@@ -418,3 +418,173 @@ def test_evolve_diffusive_point_self_consistent():
     traj = evolve(p, f0, steps=60, save_every=6)
     rep = residual(p, traj)
     assert rep.l2 < 5e-3
+
+
+# ---------------------------------------------------------------------------
+# dirichlet boundary contract: bc_values sees the ring only, once per time
+
+def _ring_mask(grid):
+    """Points with some coordinate on the edge of the grid's extent."""
+    xs = grid.coords()
+    return np.any([np.isin(x, ab) for x, ab in zip(xs, grid.bounds)], axis=0)
+
+
+@pytest.mark.parametrize("grid", [
+    Grid.make(n=1, npts=32, bc="periodic"), Grid.make(n=2, npts=16, bc="periodic"),
+    Grid.make(n=1, npts=32), Grid.make(n=2, npts=16)])
+def test_zero_ring_zeroes_exactly_the_ring(grid):
+    from dgsym.kernels import boundary_ring, zero_ring
+
+    ring, inner = boundary_ring(grid)
+    mask = _ring_mask(grid) if grid.bc == "dirichlet" else np.zeros(grid.shape, bool)
+    arr = np.ones(grid.shape)
+    zero_ring(grid, arr)
+    assert np.array_equal(arr == 0.0, mask)
+    assert len(ring) == grid.n and ring[0].size == np.count_nonzero(mask)
+    assert np.all(arr[inner] == 1.0)
+
+
+def _reference_evolve(p, f0, steps, dt, bc_values, save_every):
+    """RK4 as evolve runs it, pinning each face from a full-grid evaluation."""
+    from dgsym.kernels import evolution_rhs
+    from dgsym.pde import rhs_coefficients
+
+    grid, coeffs, xs = f0.grid, rhs_coefficients(p), f0.grid.coords()
+    faces = []
+    for axis in range(grid.n):
+        for end in (0, -1):
+            face = [slice(None)] * grid.n
+            face[axis] = end
+            faces.append(tuple(face))
+
+    def pin(r, s, t):
+        rb, sb = (np.broadcast_to(v, grid.shape) for v in bc_values(xs, t))
+        for face in faces:
+            r[face], s[face] = rb[face], sb[face]
+        return r, s
+
+    out = [(f0.t, f0.r.copy(), f0.s.copy())]
+    r, s, t = f0.r.copy(), f0.s.copy(), f0.t
+    for step in range(1, steps + 1):
+        k1r, k1s = evolution_rhs(r, s, grid, coeffs)
+        r2, s2 = pin(r + 0.5 * dt * k1r, s + 0.5 * dt * k1s, t + 0.5 * dt)
+        k2r, k2s = evolution_rhs(r2, s2, grid, coeffs)
+        r3, s3 = pin(r + 0.5 * dt * k2r, s + 0.5 * dt * k2s, t + 0.5 * dt)
+        k3r, k3s = evolution_rhs(r3, s3, grid, coeffs)
+        r4, s4 = pin(r + dt * k3r, s + dt * k3s, t + dt)
+        k4r, k4s = evolution_rhs(r4, s4, grid, coeffs)
+        r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
+        s = s + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        t = f0.t + step * dt
+        r, s = pin(r, s, t)
+        if step % save_every == 0 or step == steps:
+            out.append((t, r.copy(), s.copy()))
+    return out
+
+
+def _assert_same_trajectory(traj, ref):
+    assert len(traj) == len(ref)
+    for fld, (t, r, s) in zip(traj.fields, ref):
+        assert fld.t == t
+        assert np.array_equal(fld.r, r) and np.array_equal(fld.s, s)
+
+
+def _gauged_packet_sum(n):
+    from fractions import Fraction
+
+    from dgsym.linearize import (gauge_act_field, linearization_data,
+                                 z_flow_se_from_zero)
+    from dgsym.params import GaugeElement, gauge_act_params, reference_points
+
+    base = reference_points(n)["sym1c"]
+    a = linearization_data(base).se_coefficient
+    psi = SEPacketSum((se_gaussian(a, n=n, b0=-0.2),
+                       se_gaussian(a, n=n, b0=-0.3, center=(0.5,) * n,
+                                   k=(0.4,) * n, amplitude=0.2)))
+    g = GaugeElement(Fraction(3, 2), Fraction(-1, 3))
+    return (gauge_act_params(g, base),
+            gauge_act_field(g, z_flow_se_from_zero(psi, 0.5, base)))
+
+
+def _heat_pair(n):
+    from dgsym.linearize import heat_pair_to_dg, linearization_data
+    from dgsym.params import reference_points
+
+    p = reference_points(n)["sym1b"]
+    data = linearization_data(p)
+    fp = heat_solution(data.diffusion, "forward", n=n, amplitude=0.8,
+                       focus_time=1.2, offset=0.5)
+    fm = heat_solution(data.diffusion, "backward", n=n, amplitude=0.6,
+                       focus_time=-0.3, offset=0.4)
+    return p, heat_pair_to_dg(fp, fm, p)
+
+
+@pytest.mark.parametrize("make", [_gauged_packet_sum, _heat_pair],
+                         ids=["gauged-packet-sum", "heat-pair"])
+@pytest.mark.parametrize("n, npts", [(1, 33), (2, 17)])
+def test_evolve_pins_ring_once_per_stage_time(make, n, npts):
+    p, sol = make(n)
+    grid = Grid.make(n=n, npts=npts, extent=(-4, 4))
+    f0 = sample_evaluator(sol, grid, 0.0)
+    calls = []
+
+    def recorded(xs, t):
+        calls.append((xs, t))
+        return sol.rs(xs, t)
+
+    # sym1b is backward-parabolic: few enough steps that its grid-scale
+    # modes stay far below the blow-up bound
+    steps, dt = 8, 0.2 * min(grid.spacings) ** 2
+    traj = evolve(p, f0, steps, bc_values=recorded, save_every=3)
+    _assert_same_trajectory(traj, _reference_evolve(p, f0, steps, dt,
+                                                    sol.rs, save_every=3))
+
+    mask = _ring_mask(grid)
+    ring_xs = tuple(x[mask] for x in grid.coords())
+    assert ring_xs[0].size == npts ** n - (npts - 2) ** n
+    for xs, _ in calls:
+        assert len(xs) == n
+        assert all(np.array_equal(a, b) for a, b in zip(xs, ring_xs))
+    times = [t for _, t in calls]
+    assert all(a != b for a, b in zip(times, times[1:]))
+    # stages 2 and 3 share one call; the stage-4 and post-update times of a
+    # step share one only when their floats agree
+    assert 2 * steps <= len(calls) <= 3 * steps
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_evolve_broadcasts_scalar_boundary_values(n):
+    from dgsym.params import reference_points
+
+    p = reference_points(n)["sym1c"]
+    grid = Grid.make(n=n, npts=17, extent=(-2, 2))
+    q = sum(x ** 2 for x in grid.coords())
+    f0 = LogPolarField(grid, 0.0, 0.1 - 0.05 * q, 0.02 * q)
+
+    def scalars(xs, t):
+        return 0.1 + t, -0.2
+
+    traj = evolve(p, f0, 6, bc_values=scalars, save_every=2)
+    dt = 0.2 * min(grid.spacings) ** 2
+    _assert_same_trajectory(traj, _reference_evolve(p, f0, 6, dt, scalars,
+                                                    save_every=2))
+    mask = _ring_mask(grid)
+    for fld in traj.fields[1:]:
+        assert np.all(fld.r[mask] == 0.1 + fld.t)
+        assert np.all(fld.s[mask] == -0.2)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
+def test_evolve_rejects_bad_dt(pts, dt):
+    g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
+    f0 = LogPolarField(g, 0.0, np.zeros(32), np.zeros(32))
+    with pytest.raises(ValueError, match="dt="):
+        evolve(pts["sym1c"], f0, steps=1, dt=dt)
+
+
+@pytest.mark.parametrize("save_every", [0, -2])
+def test_evolve_rejects_bad_save_every(pts, save_every):
+    g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
+    f0 = LogPolarField(g, 0.0, np.zeros(32), np.zeros(32))
+    with pytest.raises(ValueError, match="save_every"):
+        evolve(pts["sym1c"], f0, steps=4, save_every=save_every)
