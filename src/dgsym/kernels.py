@@ -11,9 +11,13 @@ and ``evolution_rhs`` combines them with nine coefficients:
     r_t = a1 lap(r) + a2 lap(s) + a3 |grad r|^2 + a4 grad r . grad s
     s_t = b1 lap(r) + b2 lap(s) + b3 |grad r|^2 + b4 grad r . grad s + b5 |grad s|^2
 
-Phase derivatives on periodic grids use neighbor differences wrapped to the
-nearest multiple of 2 pi, so plane waves with nonzero winding differentiate
-correctly across the seam.
+Along each axis the field is padded by one point at each end and differenced
+once; the two offset views of that difference are the backward and forward
+differences.  On periodic grids the padding is the wrapped neighbours, and
+phase differences are wrapped to the nearest multiple of 2 pi, so plane waves
+with nonzero winding differentiate correctly across the seam.  On dirichlet
+grids the padding copies the edge value, so the outward difference there is
+f - f = 0 exactly and the ring holds one-sided values.
 
 On dirichlet grids the outermost layer of points along each axis is the
 boundary ring: its values are imposed, not evolved, so every right-hand side
@@ -38,29 +42,20 @@ def _wrap(d):
 
 
 def _axis_diffs(f, axis, dx, periodic, wrap):
-    """Centered first/second derivative via forward/backward differences."""
-    if periodic:
-        dp = np.roll(f, -1, axis=axis) - f
-        dm = f - np.roll(f, 1, axis=axis)
-        if wrap:
-            dp = _wrap(dp)
-            dm = _wrap(dm)
-    else:
-        dp = np.zeros_like(f)
-        dm = np.zeros_like(f)
-        sl_all = [slice(None)] * f.ndim
+    """Centered first and second derivative of ``f`` along ``axis``.
 
-        def sl(a, b):
-            s = list(sl_all)
-            s[axis] = slice(a, b)
-            return tuple(s)
-
-        diff = np.diff(f, axis=axis)
-        dp[sl(0, -1)] = diff
-        dm[sl(1, None)] = diff
-    first = (dp + dm) / (2.0 * dx)
-    second = (dp - dm) / (dx * dx)
-    return first, second
+    One padded difference per axis: ``f`` gains one point at each end (see
+    the module docstring), ``d`` is the difference of the padded array, and
+    ``d[:-1]`` and ``d[1:]`` are the backward and forward differences.
+    """
+    ax = (slice(None),) * axis
+    lo, hi = f[ax + (slice(None, 1),)], f[ax + (slice(-1, None),)]
+    fp = np.concatenate((hi, f, lo) if periodic else (lo, f, hi), axis=axis)
+    d = fp[ax + (slice(1, None),)] - fp[ax + (slice(None, -1),)]
+    if wrap:
+        d = _wrap(d)
+    dm, dp = d[ax + (slice(None, -1),)], d[ax + (slice(1, None),)]
+    return (dp + dm) / (2.0 * dx), (dp - dm) / (dx * dx)
 
 
 @lru_cache(maxsize=32)
@@ -116,6 +111,9 @@ def evolution_rhs(r, s, grid, coeffs):
     bundle, zero on the boundary ring."""
     a1, a2, a3, a4, b1, b2, b3, b4, b5 = coeffs
     lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(r, s, grid)
-    rt = a1 * lap_r + a2 * lap_s + a3 * gr2 + a4 * grgs
-    st = b1 * lap_r + b2 * lap_s + b3 * gr2 + b4 * grgs + b5 * gs2
+    rt, st = a1 * lap_r, b1 * lap_r
+    for a, b, term in ((a2, b2, lap_s), (a3, b3, gr2), (a4, b4, grgs)):
+        rt += a * term
+        st += b * term
+    st += b5 * gs2
     return zero_ring(grid, rt, st)

@@ -26,7 +26,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .fields import Grid, LogPolarField, Trajectory
-from .kernels import boundary_ring, derivative_bundle, evolution_rhs, zero_ring
+from .kernels import (_axis_diffs, boundary_ring, derivative_bundle,
+                      evolution_rhs, zero_ring)
 from .params import DGParams, predicate_report
 
 __all__ = [
@@ -183,18 +184,23 @@ def _time_derivative(prev, cur, nxt, h1, h2):
         / (h1 * h2 * (h1 + h2))
 
 
+def _check_times(times):
+    """Refuse time stamps a three-point time derivative cannot use."""
+    if len(times) < 3:
+        raise ValueError("residual needs at least 3 time slices")
+    if not all(b > a for a, b in zip(times[:-1], times[1:])):
+        raise ValueError("trajectory times must be strictly increasing")
+
+
 def _residual_fields(rhs_fn, traj: Trajectory):
     """Generic (rhs - d/dt) residual over the inner time slices."""
-    if len(traj) < 3:
-        raise ValueError("residual needs at least 3 time slices")
     times = traj.times
+    _check_times(times)
     _, inner = boundary_ring(traj.grid)
     res_r, res_s = [], []
     for k in range(1, len(traj) - 1):
         h1 = times[k] - times[k - 1]
         h2 = times[k + 1] - times[k]
-        if h1 <= 0 or h2 <= 0:
-            raise ValueError("trajectory times must be strictly increasing")
         r_t = _time_derivative(traj[k - 1].r, traj[k].r, traj[k + 1].r, h1, h2)
         s_t = _time_derivative(traj[k - 1].s, traj[k].s, traj[k + 1].s, h1, h2)
         rhs_r, rhs_s = rhs_fn(traj[k])
@@ -299,15 +305,23 @@ def heat_solution(D, direction, n=1, amplitude=1.0, center=None,
 
 
 def heat_residual(sol: HeatGaussian, grid: Grid, times) -> float:
-    """L2 finite-difference residual of d_t phi + sign * D lap phi = 0."""
+    """L2 finite-difference residual of d_t phi + sign * D lap phi = 0.
+
+    Refuses, like ``residual``, fewer than 3 time stamps or stamps that do
+    not strictly increase.
+    """
+    _check_times(times)
     vals = [sol.value(grid.coords(), t) for t in times]
     _, inner = boundary_ring(grid)
+    periodic = grid.bc == "periodic"
     res = []
     for k in range(1, len(times) - 1):
         h1, h2 = times[k] - times[k - 1], times[k + 1] - times[k]
         phi_t = _time_derivative(vals[k - 1], vals[k], vals[k + 1], h1, h2)
-        # phi is an amplitude, never a phase: it takes the unwrapped r slot.
-        lap = derivative_bundle(vals[k], np.zeros_like(vals[k]), grid)[0]
+        # phi is an amplitude, never a phase: its differences are not wrapped
+        second = [_axis_diffs(vals[k], axis, grid.dx(axis), periodic,
+                              wrap=False)[1] for axis in range(grid.n)]
+        lap = sum(second[1:], second[0])
         res.append((phi_t + sol.sign() * sol.D * lap)[inner])
     return float(np.sqrt(np.mean(np.square(res))))
 

@@ -1,0 +1,217 @@
+"""The derivative stencil against a plain reference of its formulas.
+
+The reference below differences with ``np.roll`` on periodic grids and with
+``np.diff`` into zeroed arrays on dirichlet grids, term by term.  The library
+stencil must reproduce it bit for bit: every trajectory, residual and
+functional is built on it, so any change of rounding would show in all of
+them.
+"""
+
+import numpy as np
+import pytest
+
+from dgsym.fields import Grid, LogPolarField, sample_evaluator
+from dgsym.kernels import derivative_bundle, evolution_rhs
+from dgsym.pde import evolve, functionals
+
+from test_pde import _assert_same_trajectory, _ring_mask, _reference_evolve
+
+TWO_PI = 2.0 * np.pi
+
+
+def _ref_wrap(d):
+    return d - TWO_PI * np.rint(d / TWO_PI)
+
+
+def _ref_axis_diffs(f, axis, dx, periodic, wrap):
+    if periodic:
+        dp = np.roll(f, -1, axis=axis) - f
+        dm = f - np.roll(f, 1, axis=axis)
+        if wrap:
+            dp = _ref_wrap(dp)
+            dm = _ref_wrap(dm)
+    else:
+        dp = np.zeros_like(f)
+        dm = np.zeros_like(f)
+        head = [slice(None)] * f.ndim
+        tail = [slice(None)] * f.ndim
+        head[axis] = slice(0, -1)
+        tail[axis] = slice(1, None)
+        diff = np.diff(f, axis=axis)
+        dp[tuple(head)] = diff
+        dm[tuple(tail)] = diff
+    first = (dp + dm) / (2.0 * dx)
+    second = (dp - dm) / (dx * dx)
+    return first, second
+
+
+def ref_bundle(r, s, grid):
+    periodic = grid.bc == "periodic"
+    bundle = None
+    for axis in range(grid.n):
+        dx = grid.dx(axis)
+        r1, r2 = _ref_axis_diffs(r, axis, dx, periodic, wrap=False)
+        s1, s2 = _ref_axis_diffs(s, axis, dx, periodic, wrap=periodic)
+        terms = (r2, s2, r1 * r1, s1 * s1, r1 * s1)
+        if bundle is None:
+            bundle = terms
+        else:
+            for acc, term in zip(bundle, terms):
+                acc += term
+    return bundle
+
+
+def _ref_zero_ring(grid, *arrays):
+    if grid.bc == "dirichlet":
+        for arr in arrays:
+            arr[_ring_mask(grid)] = 0.0
+    return arrays
+
+
+def ref_rhs(r, s, grid, coeffs):
+    a1, a2, a3, a4, b1, b2, b3, b4, b5 = coeffs
+    lap_r, lap_s, gr2, gs2, grgs = ref_bundle(r, s, grid)
+    rt = a1 * lap_r + a2 * lap_s + a3 * gr2 + a4 * grgs
+    st = b1 * lap_r + b2 * lap_s + b3 * gr2 + b4 * grgs + b5 * gs2
+    return _ref_zero_ring(grid, rt, st)
+
+
+def ref_functionals(r, s, grid):
+    lap_r, lap_s, gr2, gs2, grgs = ref_bundle(r, s, grid)
+    return _ref_zero_ring(grid, lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2,
+                          gs2, 2.0 * grgs, 4.0 * gr2)
+
+
+GRIDS = [
+    Grid.make(n=1, npts=37, bc="periodic"),
+    Grid(n=2, npts=19, bounds=((-4.0, 4.0), (-1.5, 2.5)), bc="periodic"),
+    Grid.make(n=1, npts=37),
+    Grid(n=2, npts=19, bounds=((-4.0, 4.0), (-1.5, 2.5))),
+]
+GRID_IDS = ["1d-periodic", "2d-periodic", "1d-dirichlet", "2d-dirichlet"]
+
+
+def _random_fields(grid, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=grid.shape), rng.normal(scale=3.0, size=grid.shape)
+
+
+def _winding_fields(grid, seed):
+    """A phase that winds across the periodic seam, plus noise."""
+    rng = np.random.default_rng(seed)
+    xs = grid.coords()
+    winding = sum(2 * np.pi * (j + 1) / (b - a) * x
+                  for j, (x, (a, b)) in enumerate(zip(xs, grid.bounds)))
+    return (0.3 * rng.normal(size=grid.shape),
+            winding + 0.1 * rng.normal(size=grid.shape) + 5.0)
+
+
+def _near_pi_fields(grid, seed):
+    """Neighbour phase steps within a few ulps of +-pi along every axis,
+    where the 2 pi wrap rounds half way."""
+    rng = np.random.default_rng(seed)
+    s = 0.0
+    for x in np.meshgrid(*[np.arange(grid.npts)] * grid.n, indexing="ij"):
+        steps = np.pi * rng.choice([-1.0, 1.0], size=grid.npts) \
+            * (1.0 + rng.integers(-4, 5, size=grid.npts) * np.finfo(float).eps)
+        s = s + np.cumsum(steps)[x]
+    return rng.normal(size=grid.shape), s
+
+
+FIELDS = [_random_fields, _winding_fields, _near_pi_fields]
+FIELD_IDS = ["random", "winding", "near-pi"]
+
+
+@pytest.mark.parametrize("make", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_bundle_rhs_and_functionals_match_reference(grid, make):
+    for seed in range(3):
+        r, s = make(grid, seed)
+        for got, want in zip(derivative_bundle(r, s, grid),
+                             ref_bundle(r, s, grid)):
+            assert np.array_equal(got, want)
+        coeffs = tuple(np.random.default_rng(seed + 10).normal(size=9))
+        for got, want in zip(evolution_rhs(r, s, grid, coeffs),
+                             ref_rhs(r, s, grid, coeffs)):
+            assert np.array_equal(got, want)
+        field = LogPolarField(grid, 0.0, r, s)
+        for got, want in zip(functionals(field), ref_functionals(r, s, grid)):
+            assert np.array_equal(got, want)
+
+
+def test_bundle_does_not_modify_its_inputs():
+    grid = GRIDS[1]
+    r, s = _winding_fields(grid, 0)
+    r0, s0 = r.copy(), s.copy()
+    derivative_bundle(r, s, grid)
+    assert np.array_equal(r, r0) and np.array_equal(s, s0)
+
+
+@pytest.mark.parametrize("grid", GRIDS[2:], ids=GRID_IDS[2:])
+def test_dirichlet_ring_keeps_one_sided_values(grid):
+    """On the ring the outward difference is exactly 0: a point on the low
+    edge of axis 0 sees only its forward difference."""
+    r, s = _random_fields(grid, 3)
+    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(r, s, grid)
+    dx = grid.dx(0)
+    if grid.n == 1:
+        dp, dm = r[1] - r[0], r[-1] - r[-2]
+        assert lap_r[0] == dp / (dx * dx)
+        assert lap_r[-1] == -dm / (dx * dx)
+        assert gr2[0] == (dp / (2.0 * dx)) ** 2
+        sp = s[1] - s[0]
+        assert grgs[0] == (dp / (2.0 * dx)) * (sp / (2.0 * dx))
+        assert gs2[-1] == ((s[-1] - s[-2]) / (2.0 * dx)) ** 2
+    else:
+        # the corner (0, 0): forward differences along both axes
+        dy = grid.dx(1)
+        px, py = r[1, 0] - r[0, 0], r[0, 1] - r[0, 0]
+        assert lap_r[0, 0] == px / (dx * dx) + py / (dy * dy)
+        assert gr2[0, 0] == (px / (2.0 * dx)) ** 2 + (py / (2.0 * dy)) ** 2
+        qx, qy = s[-1, 0] - s[-2, 0], s[-1, 1] - s[-1, 0]
+        assert lap_s[-1, 0] == -qx / (dx * dx) + qy / (dy * dy)
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_heat_residual_matches_reference_laplacian(grid):
+    """heat_residual takes its Laplacian from the stencil's second
+    derivatives, equal to the lap r of a bundle with a zero phase."""
+    from dgsym.kernels import boundary_ring
+    from dgsym.pde import _time_derivative, heat_residual, heat_solution
+
+    sol = heat_solution(0.7, "forward", n=grid.n, offset=0.3)
+    times = np.array([0.0, 0.04, 0.1, 0.13, 0.2])
+    vals = [sol.value(grid.coords(), t) for t in times]
+    inner = boundary_ring(grid)[1]
+    res = []
+    for k in range(1, len(times) - 1):
+        h1, h2 = times[k] - times[k - 1], times[k + 1] - times[k]
+        phi_t = _time_derivative(vals[k - 1], vals[k], vals[k + 1], h1, h2)
+        lap = ref_bundle(vals[k], np.zeros_like(vals[k]), grid)[0]
+        res.append((phi_t + sol.sign() * sol.D * lap)[inner])
+    assert heat_residual(sol, grid, times) == np.sqrt(np.mean(np.square(res)))
+
+
+def test_evolve_matches_reference_stencil_1d_periodic(pts):
+    p = pts["sym1c"]
+    grid = Grid.make(n=1, npts=64, extent=(-4, 4), bc="periodic")
+    x = grid.coords()[0]
+    # two windings of the phase across the seam
+    f0 = LogPolarField(grid, 0.0, 0.2 * np.cos(np.pi * x / 4),
+                       np.pi * x / 2 + 0.1 * np.sin(np.pi * x / 4))
+    dt = 0.2 * grid.dx() ** 2
+    traj = evolve(p, f0, 12, save_every=4)
+    _assert_same_trajectory(traj, _reference_evolve(
+        p, f0, 12, dt, None, save_every=4, rhs=ref_rhs))
+
+
+def test_evolve_matches_reference_stencil_2d_dirichlet():
+    from test_pde import _gauged_packet_sum
+
+    p, sol = _gauged_packet_sum(2)
+    grid = Grid(n=2, npts=17, bounds=((-4.0, 4.0), (-3.0, 3.0)))
+    f0 = sample_evaluator(sol, grid, 0.0)
+    dt = 0.2 * min(grid.spacings) ** 2
+    traj = evolve(p, f0, 8, bc_values=sol.rs, save_every=3)
+    _assert_same_trajectory(traj, _reference_evolve(
+        p, f0, 8, dt, sol.rs, save_every=3, rhs=ref_rhs))

@@ -355,6 +355,22 @@ def test_heat_solution_gaussian_order(pts):
     assert 3.0 < r1 / r2 < 5.0
 
 
+@pytest.mark.parametrize("times, match", [
+    ([0.0, 0.1], "at least 3 time slices"),
+    ([0.0, 0.1, 0.1, 0.2], "strictly increasing"),
+    ([0.0, 0.2, 0.1], "strictly increasing"),
+    ([0.0, float("nan"), 0.2], "strictly increasing")])
+def test_heat_residual_refuses_times_like_residual(pts, times, match):
+    sol = heat_solution(1.0, "forward", offset=0.2)
+    g = Grid.make(npts=32, extent=(-2, 2))
+    with pytest.raises(ValueError, match=match) as heat_err:
+        heat_residual(sol, g, np.array(times))
+    fields = [LogPolarField(g, t, np.zeros(32), np.zeros(32)) for t in times]
+    with pytest.raises(ValueError, match=match) as res_err:
+        residual(pts["sym1c"], Trajectory(g, fields))
+    assert str(heat_err.value) == str(res_err.value)
+
+
 def test_heat_solution_positivity_and_validation():
     with pytest.raises(ValueError):
         heat_solution(-1.0, "forward")
@@ -444,11 +460,14 @@ def test_zero_ring_zeroes_exactly_the_ring(grid):
     assert np.all(arr[inner] == 1.0)
 
 
-def _reference_evolve(p, f0, steps, dt, bc_values, save_every):
-    """RK4 as evolve runs it, pinning each face from a full-grid evaluation."""
+def _reference_evolve(p, f0, steps, dt, bc_values, save_every, rhs=None):
+    """RK4 as evolve runs it, pinning each face from a full-grid evaluation
+    (no pinning when ``bc_values`` is None); ``rhs`` defaults to the library
+    ``evolution_rhs``."""
     from dgsym.kernels import evolution_rhs
     from dgsym.pde import rhs_coefficients
 
+    rhs = rhs or evolution_rhs
     grid, coeffs, xs = f0.grid, rhs_coefficients(p), f0.grid.coords()
     faces = []
     for axis in range(grid.n):
@@ -458,6 +477,8 @@ def _reference_evolve(p, f0, steps, dt, bc_values, save_every):
             faces.append(tuple(face))
 
     def pin(r, s, t):
+        if bc_values is None:
+            return r, s
         rb, sb = (np.broadcast_to(v, grid.shape) for v in bc_values(xs, t))
         for face in faces:
             r[face], s[face] = rb[face], sb[face]
@@ -466,13 +487,13 @@ def _reference_evolve(p, f0, steps, dt, bc_values, save_every):
     out = [(f0.t, f0.r.copy(), f0.s.copy())]
     r, s, t = f0.r.copy(), f0.s.copy(), f0.t
     for step in range(1, steps + 1):
-        k1r, k1s = evolution_rhs(r, s, grid, coeffs)
+        k1r, k1s = rhs(r, s, grid, coeffs)
         r2, s2 = pin(r + 0.5 * dt * k1r, s + 0.5 * dt * k1s, t + 0.5 * dt)
-        k2r, k2s = evolution_rhs(r2, s2, grid, coeffs)
+        k2r, k2s = rhs(r2, s2, grid, coeffs)
         r3, s3 = pin(r + 0.5 * dt * k2r, s + 0.5 * dt * k2s, t + 0.5 * dt)
-        k3r, k3s = evolution_rhs(r3, s3, grid, coeffs)
+        k3r, k3s = rhs(r3, s3, grid, coeffs)
         r4, s4 = pin(r + dt * k3r, s + dt * k3s, t + dt)
-        k4r, k4s = evolution_rhs(r4, s4, grid, coeffs)
+        k4r, k4s = rhs(r4, s4, grid, coeffs)
         r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
         s = s + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
         t = f0.t + step * dt
