@@ -1,6 +1,10 @@
 """Command-line front end.
 
-Commands: classify, verify, simulate, linearize, gauge.  Reports are JSON
+Commands: classify, verify, simulate, linearize, gauge; each takes only the
+options it reads.  --params is one parameter file (classify: files or
+directories).  The point-taking verify suites use it, else the --class
+reference point, at dimension --n if given; simulate, linearize and the flow
+suite run on a grid of the point's dimension, n in {1, 2}.  Reports are JSON
 lines on stdout (one object per check or per input file); a human-readable
 summary goes to stderr.  Exit codes: 0 all checks pass, 1 check failure,
 2 input error, 3 command inapplicable to the parameter point.  DGSYM_LOG
@@ -28,8 +32,8 @@ from .linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
 from .params import (DGParams, GaugeElement, canonical_gauge, classify,
                      gauge_act_params, predicate_report, rational_str,
                      reference_points)
-from .pde import (HJSimilaritySolution, ScaleSimilaritySolution, evolve,
-                  heat_solution, residual, se_gaussian, se_residual)
+from .pde import (HJSimilaritySolution, ScaleSimilaritySolution, default_dt,
+                  evolve, heat_solution, residual, se_gaussian, se_residual)
 from .symmetry import (GeneratorNotAdmissible, basis_generator,
                        determining_residuals, is_admissible, parse_generator,
                        residuals_all_zero, verify_commutator_table,
@@ -59,17 +63,30 @@ def _load_params(path) -> DGParams:
         raise InputError(f"{path}: {exc}") from exc
 
 
-def _parse_grid(spec: str, bc: str) -> Grid:
+def _grid(spec: str | None, n: int, bc: str = "dirichlet") -> Grid:
+    """n-dimensional grid from 'N,dx', centred on 0; 64 points over [-4, 4]
+    on each axis when no spec is given.  Grid refuses n outside {1, 2}."""
+    if spec is None:
+        return Grid.make(n=n, npts=64, extent=(-4, 4), bc=bc)
     try:
         npts_s, dx_s = spec.split(",")
         npts, dx = int(npts_s), float(dx_s)
     except ValueError as exc:
         raise InputError(f"--grid expects 'N,dx', got {spec!r}") from exc
-    if bc == "periodic":
-        half = npts * dx / 2.0
-        return Grid.make(n=1, npts=npts, extent=(-half, half), bc=bc)
-    half = (npts - 1) * dx / 2.0
-    return Grid.make(n=1, npts=npts, extent=(-half, half), bc=bc)
+    half = (npts if bc == "periodic" else npts - 1) * dx / 2.0
+    return Grid.make(n=n, npts=npts, extent=(-half, half), bc=bc)
+
+
+def _positive(text: str) -> float:
+    if not 0 < float(text) < np.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return float(text)
+
+
+def _count(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text!r}")
+    return int(text)
 
 
 def _rationals(text: str) -> Fraction:
@@ -142,20 +159,22 @@ _DETERMINING_SETS = {
 
 
 def _point_for(args, default_key: str) -> DGParams:
+    """The --params point, else the --class reference point (default_key
+    when neither is given), at spatial dimension --n when that is given."""
     if args.params:
-        return _load_params(args.params[0])
-    key = (args.point_class or default_key).lower()
-    pts = reference_points(args.n or 1)
-    if key not in pts:
-        raise InputError(f"unknown reference class {key!r}; "
-                         f"choose from {sorted(pts)}")
-    return pts[key]
+        p = _load_params(args.params)
+    else:
+        key = (args.point_class or default_key).lower()
+        pts = reference_points()
+        if key not in pts:
+            raise InputError(f"unknown reference class {key!r}; "
+                             f"choose from {sorted(pts)}")
+        p = pts[key]
+    return p if args.n is None else p.replace(n=args.n)
 
 
 def _suite_commutators(args, rows):
     p = _point_for(args, "sym3-nu2")
-    if args.n:
-        p = p.replace(n=args.n)
     for row in verify_commutator_table(p):
         rows.append({"suite": "commutators", "check": row.label,
                      "pass": row.passed, "detail": row.detail})
@@ -166,12 +185,12 @@ def _suite_commutators(args, rows):
 
 
 def _suite_determining(args, rows):
-    sub = args.subfamily or "Sym3"
+    sub = args.subfamily
     if sub not in _DETERMINING_SETS:
         raise InputError(f"unknown subfamily {sub!r}; choose from "
                          f"{sorted(_DETERMINING_SETS)}")
     key, gens = _DETERMINING_SETS[sub]
-    p = _load_params(args.params[0]) if args.params else reference_points(args.n or 1)[key]
+    p = _point_for(args, key)
     gens = args.gen or gens
     for gname in gens:
         name = parse_generator(gname)
@@ -193,8 +212,9 @@ def _suite_determining(args, rows):
                          "pass": bool(nonzero), "nonzero": nonzero})
 
 
-def _heat_pair(p: DGParams, data, after: float, before: float):
-    """Heat-pair solution at a Sym1b point, valid for before < t < after.
+def _linearized_solution(p: DGParams, data, after: float, before: float):
+    """Sym1c: the Zse flow of a Gaussian packet.  Sym1b: a heat pair valid
+    for before < t < after.  Both of the point's dimension.
 
     phi+ solves the forward heat equation when nu1 > 0 and the backward one
     when nu1 < 0, phi- the other.  A forward kernel sharpens toward its focus
@@ -202,9 +222,13 @@ def _heat_pair(p: DGParams, data, after: float, before: float):
     by its direction: ``after`` for a forward kernel, ``before`` for a
     backward one.
     """
+    if data.branch != "real":
+        pack = se_gaussian(data.se_coefficient, n=p.n, b0=-0.3)
+        return z_flow_se_from_zero(pack, 0.5, p)
+
     def kernel(direction, amplitude, offset):
         focus = after if direction == "forward" else before
-        return heat_solution(data.diffusion, direction, amplitude=amplitude,
+        return heat_solution(data.diffusion, direction, n=p.n, amplitude=amplitude,
                              focus_time=focus, offset=offset)
 
     plus, minus = ("forward", "backward") if p.nu1 > 0 else ("backward", "forward")
@@ -214,12 +238,9 @@ def _heat_pair(p: DGParams, data, after: float, before: float):
 def _bundled_solution(p: DGParams):
     cls = classify(p)
     tag = cls.tag
-    if tag == "Sym1b":
-        return _heat_pair(p, linearization_data(p, cls), after=1.5, before=-0.75)
-    if tag == "Sym1c":
-        data = linearization_data(p, cls)
-        return z_flow_se_from_zero(se_gaussian(data.se_coefficient, b0=-0.3),
-                                   0.5, p)
+    if tag in ("Sym1b", "Sym1c"):
+        return _linearized_solution(p, linearization_data(p, cls),
+                                    after=1.5, before=-0.75)
     if tag == "Sym3" and p.nu2 == 0:
         return ScaleSimilaritySolution(p)
     if tag == "Sym2a":
@@ -229,12 +250,10 @@ def _bundled_solution(p: DGParams):
 
 
 def _suite_flow(args, rows):
-    p = _load_params(args.params[0]) if args.params else reference_points(1)["sym1b"]
+    p = _point_for(args, "sym1b")
     sol = _bundled_solution(p)
-    grid = args.grid_obj or Grid.make(npts=64, extent=(-4, 4))
+    grid = _grid(args.grid, p.n)
     gens = args.gen or ["P:1", "B:1", "H", "D", "C"]
-    eps = args.eps if args.eps is not None else 0.3
-    baseline_tol = args.tol if args.tol else 0.05
     lo, hi = 3.0, 5.0
     for gname in gens:
         name = parse_generator(gname)
@@ -243,8 +262,8 @@ def _suite_flow(args, rows):
                          "skipped": True, "pass": True,
                          "detail": f"not admissible at {classify(p).tag}"})
             continue
-        rep = verify_symmetry_flow(p, name, eps, sol, grid, (0.02, 0.18),
-                                   baseline_tol=baseline_tol)
+        rep = verify_symmetry_flow(p, name, args.eps, sol, grid, (0.02, 0.18),
+                                   baseline_tol=args.tol)
         ok = lo <= rep.ratio_l2 <= hi
         rows.append({"suite": "flow", "generator": str(name), "pass": ok,
                      **rep.to_json_dict()})
@@ -253,7 +272,7 @@ def _suite_flow(args, rows):
 def _suite_gauge(args, rows):
     import random
 
-    rng = random.Random(args.seed or 0)
+    rng = random.Random(args.seed)
     count = 200
 
     def rq(lo=-4, hi=4, den=6):
@@ -277,21 +296,14 @@ def _suite_gauge(args, rows):
                  "samples": count, "violations": bad, "pass": bad == 0})
 
 
+_SUITES = {"commutators": _suite_commutators, "determining": _suite_determining,
+           "flow": _suite_flow, "gauge": _suite_gauge}
+
+
 def cmd_verify(args) -> int:
     rows = []
-    suites = [args.suite] if args.suite != "all" \
-        else ["commutators", "determining", "flow", "gauge"]
-    for suite in suites:
-        if suite in ("commutators",):
-            _suite_commutators(args, rows)
-        elif suite == "determining":
-            _suite_determining(args, rows)
-        elif suite in ("flow", "flows"):
-            _suite_flow(args, rows)
-        elif suite == "gauge":
-            _suite_gauge(args, rows)
-        else:
-            raise InputError(f"unknown suite {suite!r}")
+    for suite in _SUITES if args.suite == "all" else [args.suite]:
+        _SUITES[suite](args, rows)
     rows.sort(key=lambda r: (r.get("suite", ""), str(r.get("check", r.get("generator", "")))))
     failures = 0
     for row in rows:
@@ -345,13 +357,13 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
 
 
 def cmd_simulate(args) -> int:
-    p = _load_params(args.params[0])
-    grid = _parse_grid(args.grid or "64,0.125", args.bc)
+    p = _load_params(args.params)
+    grid = _grid(args.grid, p.n, args.bc)
     field0, closed_form = _make_init(args.init, grid, p)
-    dx2 = min(grid.spacings) ** 2
-    dt = 0.2 * dx2 if args.dt is None else args.dt
-    # a dt that is not positive gets no step count here; evolve refuses it
-    steps = args.steps or (int(np.ceil((args.t_final or 0.1) / dt)) if dt > 0 else 0)
+    dt = default_dt(grid) if args.dt is None else args.dt
+    steps = args.steps
+    if steps is None:  # a dt that is not positive gets 0 steps; evolve refuses it
+        steps = int(np.ceil(args.t_final / dt)) if dt > 0 else 0
 
     bc_values = None
     if grid.bc == "dirichlet":
@@ -365,13 +377,12 @@ def cmd_simulate(args) -> int:
     traj = evolve(p, field0, steps, dt=dt, bc_values=bc_values,
                   save_every=args.save_every)
     rep = residual(p, traj) if len(traj) >= 3 else None
-    outdir = args.out or "dgsym-run"
-    write_trajectory(traj, outdir, params_json=p.to_json_dict(), dt=dt)
+    write_trajectory(traj, args.out, params_json=p.to_json_dict(), dt=dt)
     row = {"command": "simulate", "class": classify(p).tag, "steps": steps,
-           "dt": dt, "out": outdir,
+           "dt": dt, "out": args.out,
            "residual": rep.to_json_dict() if rep else None}
     _emit(row)
-    _say(f"simulate: {steps} steps of dt={dt:.3g} written to {outdir}")
+    _say(f"simulate: {steps} steps of dt={dt:.3g} written to {args.out}")
     return EXIT_OK
 
 
@@ -379,60 +390,52 @@ def cmd_simulate(args) -> int:
 # linearize
 
 def cmd_linearize(args) -> int:
-    p = _load_params(args.params[0])
+    p = _load_params(args.params)
     try:
         data = linearization_data(p)
     except NotLinearizable as exc:
         _say(f"linearize: {exc}")
         return EXIT_INAPPLICABLE
 
-    grid = args.grid_obj or Grid.make(npts=64, extent=(-4, 4))
+    grid = _grid(args.grid, p.n)
     fine = grid.refine(2)
-    t_final = args.t_final or 0.2
-    times = np.linspace(0.0, t_final, 9)
-    times_fine = np.linspace(0.0, t_final, 17)
-    outdir = args.out or "dgsym-linearize"
-
-    if data.branch == "real":
-        sol = _heat_pair(p, data, after=t_final + 1.0, before=-0.3)
-        traj = sample_trajectory(sol, grid, times)
-        rep = residual(p, traj)
-        rep_fine = residual(p, sample_trajectory(sol, fine, times_fine))
-        ratio = rep.l2 / rep_fine.l2 if rep_fine.l2 else float("inf")
-        write_trajectory(traj, outdir, params_json=p.to_json_dict())
-        ok = 3.0 <= ratio <= 5.0
-        _emit({"command": "linearize", **data.to_json_dict(), "branch": "heat",
-               "residual": rep.to_json_dict(),
-               "residual_fine": rep_fine.to_json_dict(),
-               "convergence_ratio": ratio, "pass": ok, "out": outdir})
-        _say(f"linearize(heat): residual l2={rep.l2:.3e}, ratio={ratio:.2f}")
-        return EXIT_OK if ok else EXIT_CHECK
-
-    pack = se_gaussian(data.se_coefficient, n=p.n, b0=-0.3)
-    sol = z_flow_se_from_zero(pack, 0.5, p)
+    times = np.linspace(0.0, args.t_final, 9)
+    times_fine = np.linspace(0.0, args.t_final, 17)
+    sol = _linearized_solution(p, data, after=args.t_final + 1.0, before=-0.3)
     traj = sample_trajectory(sol, grid, times)
     rep = residual(p, traj)
-    se_side = gauge_act_field(data.gauge_to_linear(), sol)
-    se_rep = se_residual(data.se_coefficient,
-                         sample_trajectory(se_side, grid, times))
-    se_rep_fine = se_residual(data.se_coefficient,
-                              sample_trajectory(se_side, fine, times_fine))
-    ratio = se_rep.l2 / se_rep_fine.l2 if se_rep_fine.l2 else float("inf")
-    # round trip: gauge there and back restores (r, s)
-    f0 = traj[0]
-    back = gauge_act_field(data.gauge_from_linear(),
-                           gauge_act_field(data.gauge_to_linear(), f0))
-    rt_err = float(max(np.max(np.abs(back.r - f0.r)), np.max(np.abs(back.s - f0.s))))
-    write_trajectory(traj, outdir, params_json=p.to_json_dict())
-    ok = 3.0 <= ratio <= 5.0 and rt_err < (args.tol or 1e-10)
-    _emit({"command": "linearize", **data.to_json_dict(),
-           "branch": "schroedinger", "dg_residual": rep.to_json_dict(),
-           "se_residual": se_rep.to_json_dict(),
-           "se_residual_fine": se_rep_fine.to_json_dict(),
-           "convergence_ratio": ratio, "roundtrip_error": rt_err,
-           "pass": ok, "out": outdir})
-    _say(f"linearize(se): se-residual l2={se_rep.l2:.3e}, ratio={ratio:.2f}, "
-         f"roundtrip={rt_err:.2e}")
+
+    if data.branch == "real":
+        rep_fine = residual(p, sample_trajectory(sol, fine, times_fine))
+        ratio = rep.l2 / rep_fine.l2 if rep_fine.l2 else float("inf")
+        ok = 3.0 <= ratio <= 5.0
+        report = {"branch": "heat", "residual": rep.to_json_dict(),
+                  "residual_fine": rep_fine.to_json_dict(),
+                  "convergence_ratio": ratio}
+        summary = f"linearize(heat): residual l2={rep.l2:.3e}, ratio={ratio:.2f}"
+    else:
+        se_side = gauge_act_field(data.gauge_to_linear(), sol)
+        se_rep = se_residual(data.se_coefficient,
+                             sample_trajectory(se_side, grid, times))
+        se_rep_fine = se_residual(data.se_coefficient,
+                                  sample_trajectory(se_side, fine, times_fine))
+        ratio = se_rep.l2 / se_rep_fine.l2 if se_rep_fine.l2 else float("inf")
+        # round trip: gauge there and back restores (r, s)
+        f0 = traj[0]
+        back = gauge_act_field(data.gauge_from_linear(),
+                               gauge_act_field(data.gauge_to_linear(), f0))
+        rt_err = float(max(np.max(np.abs(back.r - f0.r)), np.max(np.abs(back.s - f0.s))))
+        ok = 3.0 <= ratio <= 5.0 and rt_err < args.tol
+        report = {"branch": "schroedinger", "dg_residual": rep.to_json_dict(),
+                  "se_residual": se_rep.to_json_dict(),
+                  "se_residual_fine": se_rep_fine.to_json_dict(),
+                  "convergence_ratio": ratio, "roundtrip_error": rt_err}
+        summary = (f"linearize(se): se-residual l2={se_rep.l2:.3e}, "
+                   f"ratio={ratio:.2f}, roundtrip={rt_err:.2e}")
+    write_trajectory(traj, args.out, params_json=p.to_json_dict())
+    _emit({"command": "linearize", **data.to_json_dict(), **report,
+           "pass": ok, "out": args.out})
+    _say(summary)
     return EXIT_OK if ok else EXIT_CHECK
 
 
@@ -440,11 +443,11 @@ def cmd_linearize(args) -> int:
 # gauge
 
 def cmd_gauge(args) -> int:
-    p = _load_params(args.params[0])
+    p = _load_params(args.params)
     if args.lam is None:
         raise InputError("gauge needs --lambda")
     lam = _rationals(args.lam)
-    gam = _rationals(args.gamma or "0")
+    gam = _rationals(args.gamma)
     if lam == 0:
         raise InputError("Lambda must be nonzero")
     traj = None
@@ -480,49 +483,51 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"dgsym {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--params", nargs="*", default=[],
-                        help="parameter JSON file(s) or a directory")
-        sp.add_argument("--grid", help="grid as 'N,dx'")
-        sp.add_argument("--dt", type=float)
-        sp.add_argument("--gen", nargs="*", help="generator names, e.g. B:1 Yf:z^2")
-        sp.add_argument("--eps", type=float)
-        sp.add_argument("--out", help="output file or directory")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--tol", type=float)
-        sp.add_argument("--n", type=int, help="spatial dimension override")
-
     sp = sub.add_parser("classify", help="gauge invariants and symmetry class")
-    common(sp)
+    sp.add_argument("--params", nargs="+", default=[],
+                    help="parameter JSON file(s) or a directory")
 
     sp = sub.add_parser("verify", help="symbolic and numeric check suites")
-    common(sp)
-    sp.add_argument("--suite", default="all",
-                    choices=["commutators", "determining", "flow", "flows",
-                             "gauge", "all"])
+    sp.add_argument("--params", help="parameter JSON file")
+    sp.add_argument("--grid", help="flow suite grid as 'N,dx' per axis")
+    sp.add_argument("--gen", nargs="*", help="generator names, e.g. B:1 Yf:z^2")
+    sp.add_argument("--eps", type=float, default=0.3, help="flow parameter")
+    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--tol", type=_positive, default=0.05,
+                    help="flow suite baseline residual tolerance")
+    sp.add_argument("--n", type=int, help="spatial dimension of the point")
     sp.add_argument("--class", dest="point_class",
                     help="reference class name, e.g. sym3-nu2")
-    sp.add_argument("--subfamily",
+    sp.add_argument("--subfamily", default="Sym3",
                     help="determining-equation subfamily, e.g. GalSub")
+    sp.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
 
     sp = sub.add_parser("simulate", help="evolve an initial field")
-    common(sp)
+    sp.add_argument("--params", help="parameter JSON file")
+    sp.add_argument("--grid", default="64,0.125", help="grid as 'N,dx' per axis")
+    sp.add_argument("--dt", type=float)
+    sp.add_argument("--out", default="dgsym-run", help="output directory")
     sp.add_argument("--bc", default="periodic", choices=["periodic", "dirichlet"])
     sp.add_argument("--init", default="bump",
                     help="bump[:ra=..,sa=..,w=..] | planewave[:k=..] | "
                          "se-packet[:k=..] | file:PATH")
-    sp.add_argument("--t-final", dest="t_final", type=float)
-    sp.add_argument("--steps", type=int)
+    sp.add_argument("--t-final", dest="t_final", type=_positive, default=0.1)
+    sp.add_argument("--steps", type=_count)
     sp.add_argument("--save-every", dest="save_every", type=int, default=1)
 
     sp = sub.add_parser("linearize", help="heat-pair / Schroedinger linearization")
-    common(sp)
-    sp.add_argument("--t-final", dest="t_final", type=float)
+    sp.add_argument("--params", help="parameter JSON file")
+    sp.add_argument("--grid", help="grid as 'N,dx' per axis")
+    sp.add_argument("--out", default="dgsym-linearize", help="output directory")
+    sp.add_argument("--t-final", dest="t_final", type=_positive, default=0.2)
+    sp.add_argument("--tol", type=_positive, default=1e-10,
+                    help="gauge round-trip tolerance")
 
     sp = sub.add_parser("gauge", help="act on parameters (and trajectories)")
-    common(sp)
+    sp.add_argument("--params", help="parameter JSON file")
+    sp.add_argument("--out", help="output parameter file")
     sp.add_argument("--lambda", dest="lam", help="rational Lambda, e.g. 2 or 3/2")
-    sp.add_argument("--gamma", help="rational gamma")
+    sp.add_argument("--gamma", default="0", help="rational gamma")
     sp.add_argument("--traj", help="trajectory directory to transform")
     sp.add_argument("--traj-out", dest="traj_out")
 
@@ -532,22 +537,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(level=os.environ.get("DGSYM_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
-    if getattr(args, "grid", None) and args.command in ("verify", "linearize"):
-        args.grid_obj = _parse_grid(args.grid, "dirichlet")
-    else:
-        args.grid_obj = None
     handlers = {"classify": cmd_classify, "verify": cmd_verify,
                 "simulate": cmd_simulate, "linearize": cmd_linearize,
                 "gauge": cmd_gauge}
     try:
-        if args.command in ("classify", "simulate", "linearize", "gauge") \
-                and not args.params:
+        if args.command != "verify" and not args.params:
             raise InputError(f"{args.command} needs --params")
         return handlers[args.command](args)
-    except GeneratorNotAdmissible as exc:
-        _say(f"inapplicable: {exc}")
-        return EXIT_INAPPLICABLE
-    except NotLinearizable as exc:
+    except (GeneratorNotAdmissible, NotLinearizable) as exc:
         _say(f"inapplicable: {exc}")
         return EXIT_INAPPLICABLE
     except (InputError, ValueError) as exc:

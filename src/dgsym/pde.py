@@ -31,8 +31,8 @@ from .kernels import (_axis_diffs, boundary_ring, derivative_bundle,
 from .params import DGParams, predicate_report
 
 __all__ = [
-    "Functionals", "functionals", "dg_rhs", "evolve", "EvolutionBlowup",
-    "ResidualReport", "residual", "se_residual",
+    "Functionals", "functionals", "dg_rhs", "default_dt", "evolve",
+    "EvolutionBlowup", "ResidualReport", "residual", "se_residual",
     "heat_solution", "se_gaussian", "plane_wave_solution",
     "HeatGaussian", "SEPacket", "PlaneWave",
     "ScaleSimilaritySolution", "HJSimilaritySolution",
@@ -84,12 +84,17 @@ class EvolutionBlowup(RuntimeError):
         self.step, self.t, self.norm = step, t, norm
 
 
+def default_dt(grid: Grid) -> float:
+    """The stability rule: the largest RK4 step, and the default, on grid."""
+    return 0.2 * min(grid.spacings) ** 2
+
+
 def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = None,
-           c_cfl: float = 0.2, bc_values: Callable | None = None,
-           blowup: float = 100.0, save_every: int = 1) -> Trajectory:
+           bc_values: Callable | None = None, blowup: float = 100.0,
+           save_every: int = 1) -> Trajectory:
     """Method-of-lines RK4 on the evolution system.
 
-    dt defaults to c_cfl * dx_min^2 and may not exceed it; it must be finite
+    dt defaults to ``default_dt(grid)`` and may not exceed it; it must be finite
     and positive, and ``save_every`` at least 1.  On dirichlet grids
     ``bc_values(coords, t) -> (r, s)`` supplies boundary data (convergence
     studies pin it to a closed-form solution).  It is called on the boundary
@@ -99,14 +104,14 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
     broadcast to the ring's shape, so it may return scalars.
     """
     grid = field0.grid
-    dx2 = min(grid.spacings) ** 2
+    dt_max = default_dt(grid)
     if dt is None:
-        dt = c_cfl * dx2
+        dt = dt_max
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt={dt!r} must be finite and positive")
-    if dt > c_cfl * dx2 * (1.0 + 1e-12):
+    if dt > dt_max * (1.0 + 1e-12):
         raise ValueError(f"dt={dt:.3g} violates the stability rule "
-                         f"dt <= c_cfl*dx^2 = {c_cfl * dx2:.3g}")
+                         f"dt <= default_dt(grid) = {dt_max:.3g}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if save_every < 1:

@@ -1,10 +1,11 @@
+import argparse
 import json
 import os
 
 import numpy as np
 import pytest
 
-from dgsym.cli import main
+from dgsym.cli import build_parser, main
 from dgsym.fields import read_trajectory
 from dgsym.params import DGParams, reference_points
 
@@ -330,3 +331,135 @@ def test_verify_gauge_suite_deterministic(capsys):
     _, rows1, _ = run(capsys, "verify", "--suite", "gauge", "--seed", "11")
     _, rows2, _ = run(capsys, "verify", "--suite", "gauge", "--seed", "11")
     assert rows1 == rows2
+
+
+# -- option surface -----------------------------------------------------------
+
+SURFACE = {
+    "classify": {"--params"},
+    "verify": {"--params", "--grid", "--gen", "--eps", "--seed", "--tol", "--n",
+               "--class", "--subfamily", "--suite"},
+    "simulate": {"--params", "--grid", "--dt", "--out", "--bc", "--init",
+                 "--t-final", "--steps", "--save-every"},
+    "linearize": {"--params", "--grid", "--out", "--t-final", "--tol"},
+    "gauge": {"--params", "--out", "--lambda", "--gamma", "--traj", "--traj-out"},
+}
+
+# options each command accepted, and ignored, before it declared only its own
+UNREAD = {
+    "classify": ["--grid", "--dt", "--gen", "--eps", "--out", "--seed", "--tol", "--n"],
+    "verify": ["--dt", "--out"],
+    "simulate": ["--gen", "--eps", "--seed", "--tol", "--n"],
+    "linearize": ["--dt", "--gen", "--eps", "--seed", "--n"],
+    "gauge": ["--grid", "--dt", "--gen", "--eps", "--seed", "--tol", "--n"],
+}
+VALUES = {"--grid": "32,0.2", "--dt": "0.001", "--gen": "B:1", "--eps": "0.3",
+          "--out": "out", "--seed": "1", "--tol": "0.1", "--n": "2"}
+
+
+def test_each_command_declares_only_what_it_reads():
+    ap = build_parser()
+    (subs,) = [a for a in ap._actions if isinstance(a, argparse._SubParsersAction)]
+    declared = {name: {opt for a in sp._actions for opt in a.option_strings
+                       if opt not in ("-h", "--help")}
+                for name, sp in subs.choices.items()}
+    assert declared == SURFACE
+    assert sum(map(len, declared.values())) == 31
+
+
+def _argparse_exit(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    return exc.value.code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,option", [(c, o) for c, opts in UNREAD.items()
+                                            for o in opts])
+def test_unread_option_is_refused(capsys, se_file, command, option):
+    code, err = _argparse_exit(capsys, [command, "--params", se_file,
+                                        option, VALUES[option]])
+    assert code == 2
+    assert "unrecognized arguments" in err and option in err
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "linearize", "gauge"])
+def test_one_params_file_outside_classify(capsys, se_file, sym1b_file, command):
+    code, err = _argparse_exit(capsys, [command, "--params", se_file, sym1b_file])
+    assert code == 2
+    assert sym1b_file in err
+
+
+# -- zero is a value, not "unset" ---------------------------------------------
+
+@pytest.mark.parametrize("command,option,value", [
+    ("simulate", "--t-final", "0"), ("simulate", "--t-final", "inf"),
+    ("linearize", "--t-final", "0"),
+    ("simulate", "--steps", "-1"), ("verify", "--tol", "0"),
+    ("linearize", "--tol", "0")])
+def test_out_of_range_option_names_itself(capsys, se_file, command, option, value):
+    code, err = _argparse_exit(capsys, [command, "--params", se_file, option, value])
+    assert code == 2
+    assert f"argument {option}: must be" in err
+
+
+def test_simulate_zero_steps_runs_none(capsys, tmp_path, se_file):
+    out = str(tmp_path / "zero")
+    code, rows, _ = run(capsys, "simulate", "--params", se_file, "--grid", "32,0.2",
+                        "--steps", "0", "--out", out)
+    assert code == 0
+    assert rows[0]["steps"] == 0
+    assert len(read_trajectory(out)) == 1
+
+
+# -- points and grids of the point's own dimension ------------------------------
+
+def _n2_file(tmp_path, key):
+    return write_params(tmp_path, f"{key}-n2.json", reference_points(2)[key])
+
+
+@pytest.mark.parametrize("key", ["sym1b", "sym1c"])
+def test_verify_flow_on_n2_point(capsys, tmp_path, key):
+    code, rows, _ = run(capsys, "verify", "--suite", "flow",
+                        "--params", _n2_file(tmp_path, key))
+    assert code == 0
+    assert len(rows) == 5
+    assert all(r["pass"] and 3.0 <= r["ratio_l2"] <= 5.0 for r in rows)
+
+
+def test_linearize_on_n2_point(capsys, tmp_path):
+    code, rows, _ = run(capsys, "linearize", "--params", _n2_file(tmp_path, "sym1c"),
+                        "--out", str(tmp_path / "lin"))
+    assert code == 0
+    assert rows[0]["branch"] == "schroedinger"
+    assert 3.0 <= rows[0]["convergence_ratio"] <= 5.0
+
+
+def test_simulate_grid_has_the_point_dimension(capsys, tmp_path):
+    out = tmp_path / "run"
+    code, _, _ = run(capsys, "simulate", "--params", _n2_file(tmp_path, "sym1c"),
+                     "--grid", "16,0.5", "--steps", "2", "--out", str(out))
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["grid"]["n"] == manifest["params"]["n"] == 2
+
+
+def test_simulate_refuses_n3_point(capsys, tmp_path):
+    path = write_params(tmp_path, "sym1c-n3.json", reference_points(3)["sym1c"])
+    out = tmp_path / "run"
+    code, rows, err = run(capsys, "simulate", "--params", path, "--out", str(out))
+    assert code == 2
+    assert "n in {1, 2}" in err
+    assert rows == [] and not out.exists()
+
+
+@pytest.mark.parametrize("flags,key,n", [
+    (["--suite", "flow"], "sym1c", None),
+    (["--suite", "flow"], "sym1c", 2),
+    (["--suite", "determining", "--subfamily", "GalSub"], "generic", None)])
+def test_verify_class_matches_params_file(capsys, tmp_path, flags, key, n):
+    by_file = write_params(tmp_path, f"{key}.json", reference_points(n or 1)[key])
+    dim = [] if n is None else ["--n", str(n)]
+    by_class = run(capsys, "verify", *flags, "--class", key, *dim)
+    assert by_class == run(capsys, "verify", *flags, "--params", by_file)
+    default = run(capsys, "verify", *flags, *dim)
+    assert default[1] != by_class[1]
