@@ -4,11 +4,14 @@ Commands: classify, verify, simulate, linearize, gauge; each takes only the
 options it reads.  --params is one parameter file (classify: files or
 directories).  The point-taking verify suites use it, else the --class
 reference point, at dimension --n if given; simulate, linearize and the flow
-suite run on a grid of the point's dimension, n in {1, 2}.  Reports are JSON
-lines on stdout (one object per check or per input file); a human-readable
-summary goes to stderr.  Exit codes: 0 all checks pass, 1 check failure,
-2 input error, 3 command inapplicable to the parameter point.  DGSYM_LOG
-sets the logging level.
+suite run on a grid of the point's dimension, n in {1, 2}.  The commutator
+and determining suites take their generators from the point's class: a
+determining row passes when its residuals vanish exactly where the
+generator is admissible.  Reports are JSON lines on stdout (one object per
+check or per input file); a human-readable summary goes to stderr.  Exit
+codes: 0 all checks pass, 1 check failure, 2 input error, 3 command
+inapplicable to the parameter point, or no check ran.  DGSYM_LOG sets the
+logging level.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from .params import (DGParams, GaugeElement, canonical_gauge, classify,
                      reference_points)
 from .pde import (HJSimilaritySolution, ScaleSimilaritySolution, default_dt,
                   evolve, heat_solution, residual, se_gaussian, se_residual)
-from .symmetry import (GeneratorNotAdmissible, basis_generator,
-                       determining_residuals, is_admissible, parse_generator,
-                       residuals_all_zero, verify_commutator_table,
-                       verify_infinite_relations)
+from .symmetry import (GeneratorNotAdmissible, basis_generator, basis_names,
+                       determining_residuals, exp_rate_coefficients,
+                       is_admissible, parse_generator, residuals_all_zero,
+                       verify_commutator_table, verify_infinite_relations)
 
 log = logging.getLogger("dgsym")
 
@@ -80,6 +83,12 @@ def _grid(spec: str | None, n: int, bc: str = "dirichlet") -> Grid:
 def _positive(text: str) -> float:
     if not 0 < float(text) < np.inf:
         raise argparse.ArgumentTypeError(f"must be finite and > 0, got {text!r}")
+    return float(text)
+
+
+def _finite(text: str) -> float:
+    if not np.isfinite(float(text)):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
     return float(text)
 
 
@@ -147,17 +156,6 @@ def cmd_classify(args) -> int:
 # ---------------------------------------------------------------------------
 # verify
 
-_DETERMINING_SETS = {
-    "GalSub": ("galsub", ["H", "D", "C", "P:1", "B:1", "E", "R"]),
-    "FinSub": ("finsub", ["H", "D", "A", "P:1", "E", "R"]),
-    "Sym3": ("sym3-nu2", ["H", "D", "C", "A", "P:1", "B:1", "E", "R"]),
-    "ExpSub": ("expsub-nu2", ["H", "D", "P:1", "E", "R", "F"]),
-    "InfSub": ("infsub", ["H", "D", "P:1", "E", "R", "Yf:1+z^2+z^3"]),
-    "EhrSub": ("sym1b-nu2", ["H", "D", "C", "P:1", "B:1", "E", "R"]),
-    "generic": ("generic", ["H", "D", "P:1", "E", "R"]),
-}
-
-
 def _point_for(args, default_key: str) -> DGParams:
     """The --params point, else the --class reference point (default_key
     when neither is given), at spatial dimension --n when that is given."""
@@ -184,32 +182,34 @@ def _suite_commutators(args, rows):
                          "pass": row.passed})
 
 
+def _exact_basis(p: DGParams) -> list:
+    """Every basis generator with exact coefficients at p's n, F only where
+    its exponent rates exist, plus one Y_f with a nonconstant f."""
+    names = [g for g in basis_names(p.n) if g not in ("Zheat", "Zse")]
+    try:
+        exp_rate_coefficients(p)
+    except GeneratorNotAdmissible:
+        names.remove("F")
+    return names + ["Yf:1+z^2+z^3"]
+
+
 def _suite_determining(args, rows):
-    sub = args.subfamily
-    if sub not in _DETERMINING_SETS:
-        raise InputError(f"unknown subfamily {sub!r}; choose from "
-                         f"{sorted(_DETERMINING_SETS)}")
-    key, gens = _DETERMINING_SETS[sub]
-    p = _point_for(args, key)
-    gens = args.gen or gens
-    for gname in gens:
+    """A row passes when its residuals vanish exactly where the generator is
+    admissible, so each point checks its symmetries and its non-symmetries.
+
+    Y_f with constant f is R plus a multiple of E, a symmetry everywhere,
+    but admissible only on InfSub: ``--gen Yf:1`` fails off InfSub.
+    """
+    p = _point_for(args, "sym3-nu2")
+    tag = classify(p).tag
+    for gname in args.gen or _exact_basis(p):
         name = parse_generator(gname)
-        X = basis_generator(name, p, require_admissible=False)
-        res = determining_residuals(p, X)
-        ok = residuals_all_zero(res)
-        nonzero = [lbl for lbl, e in res if not e.is_zero]
-        rows.append({"suite": "determining", "subfamily": sub,
-                     "generator": str(name), "pass": ok,
-                     "nonzero": nonzero})
-    if sub == "generic":
-        # negative control: these must fail outside their subfamilies
-        for gname in ("C", "B:1"):
-            X = basis_generator(gname, p, require_admissible=False)
-            nonzero = [lbl for lbl, e in determining_residuals(p, X)
-                       if not e.is_zero]
-            rows.append({"suite": "determining", "subfamily": "generic",
-                         "generator": gname, "expected_nonzero": True,
-                         "pass": bool(nonzero), "nonzero": nonzero})
+        res = determining_residuals(p, basis_generator(name, p, require_admissible=False))
+        admissible = is_admissible(name, p)
+        rows.append({"suite": "determining", "class": tag, "generator": str(name),
+                     "admissible": admissible,
+                     "pass": residuals_all_zero(res) == admissible,
+                     "nonzero": [lbl for lbl, e in res if not e.is_zero]})
 
 
 def _linearized_solution(p: DGParams, data, after: float, before: float):
@@ -258,8 +258,7 @@ def _suite_flow(args, rows):
     for gname in gens:
         name = parse_generator(gname)
         if not is_admissible(name, p):
-            rows.append({"suite": "flow", "generator": str(name),
-                         "skipped": True, "pass": True,
+            rows.append({"suite": "flow", "generator": str(name), "skipped": True,
                          "detail": f"not admissible at {classify(p).tag}"})
             continue
         rep = verify_symmetry_flow(p, name, args.eps, sol, grid, (0.02, 0.18),
@@ -305,14 +304,18 @@ def cmd_verify(args) -> int:
     for suite in _SUITES if args.suite == "all" else [args.suite]:
         _SUITES[suite](args, rows)
     rows.sort(key=lambda r: (r.get("suite", ""), str(r.get("check", r.get("generator", "")))))
-    failures = 0
+    failures = skipped = 0
     for row in rows:
         _emit(row)
-        if not row.get("pass", False):
+        if row.get("skipped"):
+            skipped += 1
+        elif not row.get("pass", False):
             failures += 1
-    npass = len(rows) - failures
-    _say(f"verify: {npass}/{len(rows)} checks passed")
-    return EXIT_OK if failures == 0 else EXIT_CHECK
+    ran = len(rows) - skipped
+    _say(f"verify: {ran - failures}/{ran} checks passed, {skipped} skipped")
+    if failures:
+        return EXIT_CHECK
+    return EXIT_OK if ran else EXIT_INAPPLICABLE
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +494,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--params", help="parameter JSON file")
     sp.add_argument("--grid", help="flow suite grid as 'N,dx' per axis")
     sp.add_argument("--gen", nargs="*", help="generator names, e.g. B:1 Yf:z^2")
-    sp.add_argument("--eps", type=float, default=0.3, help="flow parameter")
+    sp.add_argument("--eps", type=_finite, default=0.3, help="flow parameter")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--tol", type=_positive, default=0.05,
                     help="flow suite baseline residual tolerance")
     sp.add_argument("--n", type=int, help="spatial dimension of the point")
     sp.add_argument("--class", dest="point_class",
                     help="reference class name, e.g. sym3-nu2")
-    sp.add_argument("--subfamily", default="Sym3",
-                    help="determining-equation subfamily, e.g. GalSub")
     sp.add_argument("--suite", default="all", choices=[*_SUITES, "all"])
 
     sp = sub.add_parser("simulate", help="evolve an initial field")

@@ -30,7 +30,7 @@ from .symmetry import (GeneratorNotAdmissible, exp_rate_coefficients,
                        is_admissible, parse_generator)
 
 __all__ = ["FlowMap", "vertical_map", "apply_flow", "closed_flow_map",
-           "flow_closed", "flow_numeric", "flow_on_evaluator", "FlowReport",
+           "flow_closed", "flow_numeric", "FlowReport",
            "verify_symmetry_flow", "TransformedSolution"]
 
 
@@ -250,14 +250,6 @@ class TransformedSolution:
         x0 = self.fmap.source_coords(xs, t)
         r0, s0 = self.source.rs(x0, t0)
         return self.fmap.vertical(r0, s0, xs, t)
-
-
-def flow_on_evaluator(name, eps: float, solution, p: DGParams,
-                      require_admissible: bool = True,
-                      **payload) -> TransformedSolution:
-    """:func:`flow_closed` on an (r, s) evaluator: the same generators, the
-    Zheat/Zse payloads included."""
-    return flow_closed(name, eps, solution, p, require_admissible, **payload)
 
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,9 @@ from dgsym.params import (DGParams, GaugeElement, classify, compute_invariants,
                           make_infa_sub, make_sym3, reference_points)
 from dgsym.pde import (SEPacketSum, ScaleSimilaritySolution, evolve,
                        heat_solution, residual, se_gaussian, se_residual)
-from dgsym.symmetry import (basis_generator, determining_residuals,
-                            residuals_all_zero, verify_commutator_table,
-                            verify_infinite_relations)
+from dgsym.symmetry import (admissible_generators, basis_generator,
+                            determining_residuals, residuals_all_zero,
+                            verify_commutator_table, verify_infinite_relations)
 
 F = Fraction
 
@@ -147,7 +147,7 @@ SUBFAMILY_SETS = [
     ("sym3-nu2", 1, ["H", "D", "C", "A", "P:1", "B:1", "E", "R"]),
     ("expsub", 1, ["H", "D", "P:1", "E", "R", "F"]),
     ("expsub-nu2", 1, ["H", "D", "P:1", "E", "R", "F"]),
-    ("infsub", 1, ["H", "D", "P:1", "E", "R", "Yf:1+z+z^2+z^3+z^4"]),
+    ("infsub", 1, ["H", "D", "P:1", "E", "R", "F", "Yf:1+z+z^2+z^3+z^4"]),
     ("infasub", 1, ["H", "D", "A", "P:1", "E", "R", "Yf:z^3"]),
 ]
 
@@ -156,6 +156,8 @@ def test_criterion_04_determining_equations():
     with criterion(4, "determining equations: zero on subfamilies, nonzero off"):
         for key, n, gens in SUBFAMILY_SETS:
             p = reference_points(n)[key]
+            exact = {g for g in admissible_generators(p) if g not in ("Zheat", "Zse")}
+            assert {g for g in gens if not g.startswith("Yf")} == exact, key
             for gname in gens:
                 X = basis_generator(gname, p)
                 res = determining_residuals(p, X)

@@ -77,18 +77,30 @@ def test_verify_commutators(capsys):
 
 def test_verify_determining_galsub(capsys):
     code, rows, _ = run(capsys, "verify", "--suite", "determining",
-                        "--subfamily", "GalSub")
+                        "--class", "galsub")
     assert code == 0
-    assert all(r["pass"] for r in rows)
-    assert {r["generator"] for r in rows} >= {"C", "B:1", "D"}
+    assert all(r["pass"] and r["class"] == "Sym1" for r in rows)
+    symmetries = {r["generator"] for r in rows if r["admissible"]}
+    assert symmetries == {"H", "D", "E", "R", "P:1", "C", "B:1"}
+    assert all(not r["nonzero"] for r in rows if r["admissible"])
 
 
 def test_verify_determining_generic_negative_controls(capsys):
     code, rows, _ = run(capsys, "verify", "--suite", "determining",
-                        "--subfamily", "generic")
+                        "--class", "generic")
     assert code == 0
-    controls = [r for r in rows if r.get("expected_nonzero")]
-    assert controls and all(r["pass"] and r["nonzero"] for r in controls)
+    controls = [r for r in rows if not r["admissible"]]
+    assert {r["generator"] for r in controls} >= {"C", "B:1", "A"}
+    assert all(r["pass"] and r["nonzero"] for r in controls)
+
+
+@pytest.mark.parametrize("suite", ["commutators", "determining"])
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("key", sorted(reference_points()))
+def test_verify_suite_at_every_reference_class(capsys, suite, key, n):
+    code, rows, _ = run(capsys, "verify", "--suite", suite,
+                        "--class", key, "--n", str(n))
+    assert code == 0 and rows and all(r["pass"] for r in rows)
 
 
 def test_verify_flow_boost(capsys):
@@ -110,6 +122,14 @@ def test_verify_flow_skips_inadmissible(capsys, tmp_path):
     assert ran[0]["generator"] == "A" and ran[0]["pass"]
 
 
+def test_verify_flow_with_no_check_run_is_inapplicable(capsys):
+    code, rows, err = run(capsys, "verify", "--suite", "flow",
+                          "--class", "sym1b", "--gen", "Yf:z")
+    assert code == 3
+    assert len(rows) == 1 and rows[0]["skipped"] and "pass" not in rows[0]
+    assert "0/0 checks passed, 1 skipped" in err
+
+
 def test_verify_gauge_suite_seeded(capsys):
     code, rows, _ = run(capsys, "verify", "--suite", "gauge", "--seed", "7")
     assert code == 0
@@ -118,7 +138,7 @@ def test_verify_gauge_suite_seeded(capsys):
 
 def test_verify_unknown_inputs(capsys):
     code, _, err = run(capsys, "verify", "--suite", "determining",
-                       "--subfamily", "Nope")
+                       "--class", "Nope")
     assert code == 2
     code, _, err = run(capsys, "verify", "--suite", "flow", "--gen", "Q:9")
     assert code == 2
@@ -338,23 +358,25 @@ def test_verify_gauge_suite_deterministic(capsys):
 SURFACE = {
     "classify": {"--params"},
     "verify": {"--params", "--grid", "--gen", "--eps", "--seed", "--tol", "--n",
-               "--class", "--subfamily", "--suite"},
+               "--class", "--suite"},
     "simulate": {"--params", "--grid", "--dt", "--out", "--bc", "--init",
                  "--t-final", "--steps", "--save-every"},
     "linearize": {"--params", "--grid", "--out", "--t-final", "--tol"},
     "gauge": {"--params", "--out", "--lambda", "--gamma", "--traj", "--traj-out"},
 }
 
-# options each command accepted, and ignored, before it declared only its own
+# options each command accepted, and ignored, before it declared only its own,
+# and verify's --subfamily, which the point's own class replaced
 UNREAD = {
     "classify": ["--grid", "--dt", "--gen", "--eps", "--out", "--seed", "--tol", "--n"],
-    "verify": ["--dt", "--out"],
+    "verify": ["--dt", "--out", "--subfamily"],
     "simulate": ["--gen", "--eps", "--seed", "--tol", "--n"],
     "linearize": ["--dt", "--gen", "--eps", "--seed", "--n"],
     "gauge": ["--grid", "--dt", "--gen", "--eps", "--seed", "--tol", "--n"],
 }
 VALUES = {"--grid": "32,0.2", "--dt": "0.001", "--gen": "B:1", "--eps": "0.3",
-          "--out": "out", "--seed": "1", "--tol": "0.1", "--n": "2"}
+          "--out": "out", "--seed": "1", "--tol": "0.1", "--n": "2",
+          "--subfamily": "GalSub"}
 
 
 def test_each_command_declares_only_what_it_reads():
@@ -364,7 +386,7 @@ def test_each_command_declares_only_what_it_reads():
                        if opt not in ("-h", "--help")}
                 for name, sp in subs.choices.items()}
     assert declared == SURFACE
-    assert sum(map(len, declared.values())) == 31
+    assert sum(map(len, declared.values())) == 30
 
 
 def _argparse_exit(capsys, argv):
@@ -395,7 +417,8 @@ def test_one_params_file_outside_classify(capsys, se_file, sym1b_file, command):
     ("simulate", "--t-final", "0"), ("simulate", "--t-final", "inf"),
     ("linearize", "--t-final", "0"),
     ("simulate", "--steps", "-1"), ("verify", "--tol", "0"),
-    ("linearize", "--tol", "0")])
+    ("linearize", "--tol", "0"), ("verify", "--eps", "nan"),
+    ("verify", "--eps", "inf")])
 def test_out_of_range_option_names_itself(capsys, se_file, command, option, value):
     code, err = _argparse_exit(capsys, [command, "--params", se_file, option, value])
     assert code == 2
@@ -455,7 +478,7 @@ def test_simulate_refuses_n3_point(capsys, tmp_path):
 @pytest.mark.parametrize("flags,key,n", [
     (["--suite", "flow"], "sym1c", None),
     (["--suite", "flow"], "sym1c", 2),
-    (["--suite", "determining", "--subfamily", "GalSub"], "generic", None)])
+    (["--suite", "determining"], "generic", None)])
 def test_verify_class_matches_params_file(capsys, tmp_path, flags, key, n):
     by_file = write_params(tmp_path, f"{key}.json", reference_points(n or 1)[key])
     dim = [] if n is None else ["--n", str(n)]

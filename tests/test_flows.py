@@ -4,7 +4,7 @@ import pytest
 from dgsym.fields import (Grid, LogPolarField, sample_evaluator,
                           sample_trajectory)
 from dgsym.flows import (TransformedSolution, closed_flow_map, flow_closed,
-                         flow_numeric, flow_on_evaluator, verify_symmetry_flow)
+                         flow_numeric, verify_symmetry_flow)
 from dgsym.linearize import heat_pair_to_dg, linearization_data
 from dgsym.pde import (HJSimilaritySolution, ScaleSimilaritySolution,
                        heat_solution, residual)
@@ -73,7 +73,7 @@ def test_scaling_flow_formula(pts):
         def rs(self, xs, t):
             return 0.1 * np.asarray(xs[0]) ** 2 + t, 0.3 * np.asarray(xs[0])
 
-    moved = flow_on_evaluator("D", eps, Src(), p)
+    moved = flow_closed("D", eps, Src(), p)
     x = np.linspace(-1, 1, 7)
     t = 0.3
     r, s = moved.rs((x,), t)
@@ -154,9 +154,9 @@ def test_relocating_group_law_on_evaluators(pts, gen):
             x = np.asarray(xs[0])
             return 0.2 * np.sin(x) + 0.1 * t, 0.1 * x ** 2 - 0.2 * t
 
-    a = flow_on_evaluator(gen, 0.2, Src(), p, require_admissible=False)
+    a = flow_closed(gen, 0.2, Src(), p, require_admissible=False)
     ab = TransformedSolution(closed_flow_map(gen, 0.1, p), a)
-    tot = flow_on_evaluator(gen, 0.3, Src(), p, require_admissible=False)
+    tot = flow_closed(gen, 0.3, Src(), p, require_admissible=False)
     x = np.linspace(-1.5, 1.5, 11)
     r1, s1 = ab.rs((x,), 0.2)
     r2, s2 = tot.rs((x,), 0.2)
@@ -222,7 +222,7 @@ def test_flow_residual_affine_on_special_point(pts):
 def test_flow_residual_infinite_commutative(pts):
     p = pts["infasub"]
     sol = HJSimilaritySolution(p, t0=-1.0, bump=0.4)
-    moved = flow_on_evaluator("Yf:z+1/2*z^2", 0.3, sol, p)
+    moved = flow_closed("Yf:z+1/2*z^2", 0.3, sol, p)
     g1 = Grid.make(npts=64, extent=(-4, 4))
     g2 = g1.refine(2)
     r1 = residual(p, sample_trajectory(moved, g1, np.linspace(0.0, 0.2, 9)))
@@ -312,9 +312,9 @@ def test_flow_closed_dispatches_infinite_generators(pts):
     assert max_diff(via_name, direct) == 0.0
 
 
-def test_flow_on_evaluator_accepts_infinite_generators(pts, heat_sol):
-    """flow_on_evaluator takes the same generators and payloads as
-    flow_closed, and flows an evaluator to the same bits."""
+def test_flow_closed_on_evaluator_accepts_infinite_generators(pts, heat_sol):
+    """flow_closed takes the Zheat/Zse payloads on an (r, s) evaluator too,
+    and its lazy result flows to the same bits on every call."""
     from dgsym.pde import se_gaussian
 
     grid = Grid.make(npts=32, extent=(-2, 2))
@@ -322,11 +322,11 @@ def test_flow_on_evaluator_accepts_infinite_generators(pts, heat_sol):
     fp, fm = heat_sol.phi_plus, heat_sol.phi_minus
     pc = pts["sym1c"]
     psi = se_gaussian(linearization_data(pc).se_coefficient, b0=-0.3)
-    src_c = flow_on_evaluator("D", 0.1, heat_sol, pc, require_admissible=False)
+    src_c = flow_closed("D", 0.1, heat_sol, pc, require_admissible=False)
     for name, eps, src, p, payload in (
             ("Zheat", 0.3, heat_sol, pts["sym1b"], {"phi_plus": fp, "phi_minus": fm}),
             ("Zse", 0.2, src_c, pc, {"Psi": psi})):
-        moved = flow_on_evaluator(name, eps, src, p, **payload)
+        moved = flow_closed(name, eps, src, p, **payload)
         assert isinstance(moved, TransformedSolution)
         ref = flow_closed(name, eps, src, p, **payload)
         for t in (0.02, 0.11):
@@ -356,7 +356,7 @@ def _vertical_cases(pts, heat_sol):
     for gen, key in (("F", "expsub-nu2"), ("Yf:1+z^2", "infasub")):
         p = pts[key]
         cases[gen] = (lambda f, gen=gen, p=p: flow_closed(gen, 0.4, f, p),
-                      lambda ev, gen=gen, p=p: flow_on_evaluator(gen, 0.4, ev, p))
+                      lambda ev, gen=gen, p=p: flow_closed(gen, 0.4, ev, p))
     return cases
 
 

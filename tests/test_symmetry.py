@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from dgsym.params import make_exp_sub, reference_points
 from dgsym.symexpr import SymExpr, lie_bracket
-from dgsym.symmetry import (GeneratorNotAdmissible, basis_generator,
-                            determining_residuals, exp_rate_coefficients,
-                            infsub_poly_generator, is_admissible,
-                            parse_generator, residuals_all_zero,
+from dgsym.symmetry import (GeneratorNotAdmissible, admissible_generators,
+                            basis_generator, determining_residuals,
+                            exp_rate_coefficients, infsub_poly_generator,
+                            is_admissible, parse_generator, residuals_all_zero,
                             verify_commutator_table, verify_infinite_relations)
 
 F = Fraction
@@ -170,7 +170,7 @@ SUBFAMILY_GENERATORS = [
     ("sym3-nu2", ["H", "D", "C", "A", "P:1", "B:1", "E", "R"]),
     ("expsub", ["H", "D", "P:1", "E", "R", "F"]),
     ("expsub-nu2", ["H", "D", "P:1", "E", "R", "F"]),
-    ("infsub", ["H", "D", "P:1", "E", "R", "Yf:1+z^2+z^3"]),
+    ("infsub", ["H", "D", "P:1", "E", "R", "F", "Yf:1+z^2+z^3"]),
     ("infasub", ["H", "D", "A", "P:1", "E", "R", "Yf:z^4"]),
 ]
 
@@ -178,6 +178,8 @@ SUBFAMILY_GENERATORS = [
 @pytest.mark.parametrize("key,gens", SUBFAMILY_GENERATORS)
 def test_determining_zero_on_subfamily(pts, key, gens):
     p = pts[key]
+    exact = {g for g in admissible_generators(p) if g not in ("Zheat", "Zse")}
+    assert {g for g in gens if not g.startswith("Yf")} == exact
     for gname in gens:
         X = basis_generator(gname, p)
         res = determining_residuals(p, X)
