@@ -35,8 +35,9 @@ from .linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
 from .params import (DGParams, GaugeElement, canonical_gauge, classify,
                      gauge_act_params, predicate_report, rational_str,
                      reference_points)
-from .pde import (HJSimilaritySolution, ScaleSimilaritySolution, default_dt,
-                  evolve, heat_solution, residual, se_gaussian, se_residual)
+from .pde import (EvolutionBlowup, HJSimilaritySolution, ScaleSimilaritySolution,
+                  default_dt, evolve, heat_solution, residual, se_gaussian,
+                  se_residual)
 from .symmetry import (GeneratorNotAdmissible, basis_generator, basis_names,
                        determining_residuals, exp_rate_coefficients,
                        is_admissible, parse_generator, residuals_all_zero,
@@ -195,11 +196,7 @@ def _exact_basis(p: DGParams) -> list:
 
 def _suite_determining(args, rows):
     """A row passes when its residuals vanish exactly where the generator is
-    admissible, so each point checks its symmetries and its non-symmetries.
-
-    Y_f with constant f is R plus a multiple of E, a symmetry everywhere,
-    but admissible only on InfSub: ``--gen Yf:1`` fails off InfSub.
-    """
+    admissible, so each point checks its symmetries and its non-symmetries."""
     p = _point_for(args, "sym3-nu2")
     tag = classify(p).tag
     for gname in args.gen or _exact_basis(p):
@@ -548,6 +545,9 @@ def main(argv=None) -> int:
     except (GeneratorNotAdmissible, NotLinearizable) as exc:
         _say(f"inapplicable: {exc}")
         return EXIT_INAPPLICABLE
+    except EvolutionBlowup as exc:
+        _say(f"failed: blow-up check: {exc}")
+        return EXIT_CHECK
     except (InputError, ValueError) as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT

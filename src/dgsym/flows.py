@@ -198,7 +198,7 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
         return vertical_map(vertical)
 
     if kind == "Yf":
-        if p.mu1 != 2 * p.nu2:
+        if p.mu1 != 2 * p.nu2 and any(name.poly[1:]):
             raise ValueError(
                 "the Y_f flow is closed-form only in the commutative case "
                 "mu1 = 2 nu2 (z is conserved); use flow_numeric otherwise")

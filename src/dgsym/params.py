@@ -10,14 +10,22 @@ construction, and the maximal Lie-symmetry class of a parameter point is
 decided from the invariants alone.
 
 Everything here is exact: parameters are ``fractions.Fraction`` and no
-floating point enters any predicate.
+floating point enters any predicate.  Every subfamily condition is
+homogeneous in (nu, mu), so the predicates are decided on Python integers:
+the eight denominators are cleared once (``DGParams.cleared``) and each
+condition is one integer relation among the cleared numerators I0..I5 of
+the invariants.  ``compute_invariants`` is the rational view of the same
+integers.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 RationalLike = Union[Fraction, int, str]
@@ -42,6 +50,12 @@ ALGEBRA_STRUCTURE = {
 }
 
 
+# 'p' or 'p/q' in plain ASCII digits: parsed with int(), which is faster
+# than Fraction's own parser; any other string goes to Fraction(), so every
+# string is accepted or refused exactly as Fraction(value.strip()) would.
+_PLAIN_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
+
+
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
 
@@ -54,7 +68,13 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        if _PLAIN_RATIO.fullmatch(text):
+            num, _, den = text.partition("/")
+            num, den = int(num), int(den or 1)
+            if den:
+                return Fraction(num, den)
+        return Fraction(text)
     raise TypeError(f"expected int, Fraction or 'p/q' string, got {type(value).__name__}")
 
 
@@ -86,6 +106,21 @@ class DGParams:
 
     def replace(self, **kw) -> "DGParams":
         return replace(self, **kw)
+
+    @cached_property
+    def cleared(self) -> tuple:
+        """``(D, A, I0, ..., I5)``: the invariants with denominators cleared.
+
+        D is the lcm of the eight denominators and A = nu1 D, B = nu2 D,
+        Mi = mui D are integers; the invariants are iota0..iota5 =
+        I0/D^2, I1/D^2, I2/D, I3/A, I4/(A D), I5/(A D^2).
+        """
+        qs = [getattr(self, name) for name in PARAM_NAMES]
+        D = math.lcm(*(q.denominator for q in qs))
+        A, B, M0, M1, M2, M3, M4, M5 = (q.numerator * (D // q.denominator) for q in qs)
+        return (D, A, A * M0, A * M2 - B * M1, M1 - 2 * B, A + M3,
+                A * M4 - M1 * M3,
+                A * (A * (M2 + 2 * M5) - B * (M1 + 2 * M4)) + 2 * B * B * M3)
 
     def as_float_dict(self) -> dict:
         return {name: float(getattr(self, name)) for name in PARAM_NAMES}
@@ -191,17 +226,12 @@ def gauge_act_params(g: GaugeElement, p: DGParams) -> DGParams:
 
 
 def compute_invariants(p: DGParams) -> GaugeInvariants:
-    """The six exact gauge invariants of a parameter point."""
-    return GaugeInvariants(
-        iota0=p.nu1 * p.mu0,
-        iota1=p.nu1 * p.mu2 - p.nu2 * p.mu1,
-        iota2=p.mu1 - 2 * p.nu2,
-        iota3=1 + p.mu3 / p.nu1,
-        iota4=p.mu4 - p.mu1 * p.mu3 / p.nu1,
-        iota5=p.nu1 * (p.mu2 + 2 * p.mu5)
-        - p.nu2 * (p.mu1 + 2 * p.mu4)
-        + 2 * p.nu2 ** 2 * p.mu3 / p.nu1,
-    )
+    """The six exact gauge invariants of a parameter point: the rational
+    view of ``p.cleared``."""
+    D, A, I0, I1, I2, I3, I4, I5 = p.cleared
+    D2 = D * D
+    return GaugeInvariants(Fraction(I0, D2), Fraction(I1, D2), Fraction(I2, D),
+                           Fraction(I3, A), Fraction(I4, A * D), Fraction(I5, A * D2))
 
 
 def canonical_gauge(p: DGParams) -> GaugeElement:
@@ -210,38 +240,43 @@ def canonical_gauge(p: DGParams) -> GaugeElement:
 
 
 # ---------------------------------------------------------------------------
-# Subfamilies: each one condition on the invariants, exact comparisons.
+# Subfamilies: each one condition on the invariants, decided on the cleared
+# integers (D > 0 and A != 0, so every relation below is the invariant one
+# multiplied through by a nonzero integer).
 
 def _exp_relations(iota2: Fraction, iota3: Fraction) -> tuple:
-    """(iota1, iota4, iota5) of the exponential subfamily, iota2, iota3 != 0."""
+    """(iota1, iota4, iota5) of the exponential subfamily, iota2, iota3 != 0;
+    ``make_exp_sub`` solves the invariant definitions with them."""
     iota1 = (iota3 ** 2 - 1) * iota2 ** 2 / (8 * iota3 ** 2)
     return iota1, (1 - iota3) * iota2 / 2, iota1 * iota3
 
 
-def _subfamilies(i: GaugeInvariants) -> dict:
-    """Every subfamily condition evaluated on the invariants iota0..iota5.
+def _subfamilies(cleared: tuple) -> dict:
+    """Every subfamily condition evaluated on the cleared integers of a point.
 
     GalSub: Galilei-invariant.  FinSub: the extra finite generator A.
     InfSub: the infinite vector-field symmetry Y_f; InfaSub its commutative
     case.  EhrSub: linearizable (heat pair for iota1 < 0, free SE for
-    iota1 > 0).  ExpSub: the exponential vertical generator F.
+    iota1 > 0).  ExpSub: the exponential vertical generator F, where
+    iota2, iota3 != 0 and (iota1, iota4, iota5) = ``_exp_relations``.
     """
-    inf = i.iota1 == 0 and i.iota5 == 0 and i.iota3 == -1 and i.iota4 == i.iota2
+    _, A, _, I1, I2, I3, I4, I5 = cleared
+    inf = I1 == 0 and I5 == 0 and I3 == -A and I4 == A * I2
     return {
-        "GalSub": i.iota3 == 0 and i.iota4 == 0,
-        "FinSub": i.iota1 == 0 and i.iota2 == 0 and i.iota4 == 0 and i.iota5 == 0,
+        "GalSub": I3 == 0 and I4 == 0,
+        "FinSub": I1 == 0 and I2 == 0 and I4 == 0 and I5 == 0,
         "InfSub": inf,
-        "InfaSub": inf and i.iota2 == 0,
-        "EhrSub": i.iota2 == 0 and i.iota3 == 0 and i.iota4 == 0
-        and i.iota5 == 0 and i.iota1 != 0,
-        "ExpSub": i.iota2 != 0 and i.iota3 != 0
-        and (i.iota1, i.iota4, i.iota5) == _exp_relations(i.iota2, i.iota3),
+        "InfaSub": inf and I2 == 0,
+        "EhrSub": I2 == 0 and I3 == 0 and I4 == 0 and I5 == 0 and I1 != 0,
+        "ExpSub": I2 != 0 and I3 != 0
+        and 8 * I3 * I3 * I1 == (I3 * I3 - A * A) * I2 * I2
+        and 2 * I4 == (A - I3) * I2 and I5 == I1 * I3,
     }
 
 
 def predicate_report(p: DGParams) -> dict:
     """Every subfamily predicate evaluated at p (for inspecting ambiguous points)."""
-    return _subfamilies(compute_invariants(p))
+    return _subfamilies(p.cleared)
 
 
 def classify(p: DGParams) -> SymmetryClass:
@@ -252,10 +287,9 @@ def classify(p: DGParams) -> SymmetryClass:
     and the generic class last.  Degenerate overlaps resolve toward the more
     symmetric class.
     """
-    inv = compute_invariants(p)
-    report = _subfamilies(inv)
+    report = _subfamilies(p.cleared)
     if report["EhrSub"]:
-        tag = "Sym1b" if inv.iota1 < 0 else "Sym1c"
+        tag = "Sym1b" if p.cleared[3] < 0 else "Sym1c"  # the sign of iota1
     elif report["InfSub"]:
         tag = "Sym2a" if report["InfaSub"] else "Sym0a"
     elif report["GalSub"] and report["FinSub"]:
@@ -269,7 +303,7 @@ def classify(p: DGParams) -> SymmetryClass:
     else:
         tag = "Sym0"
     return SymmetryClass(tag=tag, algebra=ALGEBRA_STRUCTURE[tag],
-                         predicates=report, invariants=inv)
+                         predicates=report, invariants=compute_invariants(p))
 
 
 # ---------------------------------------------------------------------------

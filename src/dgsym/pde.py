@@ -79,7 +79,7 @@ def dg_rhs(p: DGParams, field: LogPolarField) -> tuple:
 
 class EvolutionBlowup(RuntimeError):
     def __init__(self, step, t, norm):
-        super().__init__(f"|r| reached {norm:.3g} at step {step} (t={t:.6g}); "
+        super().__init__(f"max|r| = {norm:.3g} at step {step} (t={t:.6g}); "
                          "the evolution left the trusted regime")
         self.step, self.t, self.norm = step, t, norm
 
@@ -225,7 +225,9 @@ def residual(p: DGParams, traj: Trajectory) -> ResidualReport:
     stamps allowed); a trajectory solves the system iff both residuals vanish
     to discretization order.
     """
-    res_r, res_s = _residual_fields(lambda f: dg_rhs(p, f), traj)
+    coeffs = rhs_coefficients(p)
+    res_r, res_s = _residual_fields(
+        lambda f: evolution_rhs(f.r, f.s, f.grid, coeffs), traj)
     (r_linf, r_l2), (s_linf, s_l2) = _norms(res_r), _norms(res_s)
     return ResidualReport(r_linf, r_l2, s_linf, s_l2)
 

@@ -101,8 +101,8 @@ def _admissibility(name: GeneratorName, cls: SymmetryClass) -> bool:
         return cls.predicates["FinSub"]
     if kind == "F":
         return cls.predicates["ExpSub"]
-    if kind == "Yf":
-        return cls.predicates["InfSub"]
+    if kind == "Yf":  # constant f: R plus a multiple of E, a symmetry everywhere
+        return cls.predicates["InfSub"] or not any(name.poly[1:])
     if kind == "Zheat":
         return cls.tag == "Sym1b"
     if kind == "Zse":

@@ -7,7 +7,7 @@ import pytest
 
 from dgsym.cli import build_parser, main
 from dgsym.fields import read_trajectory
-from dgsym.params import DGParams, reference_points
+from dgsym.params import PARAM_NAMES, DGParams, reference_points
 
 
 def write_params(tmp_path, name, p: DGParams):
@@ -92,6 +92,17 @@ def test_verify_determining_generic_negative_controls(capsys):
     controls = [r for r in rows if not r["admissible"]]
     assert {r["generator"] for r in controls} >= {"C", "B:1", "A"}
     assert all(r["pass"] and r["nonzero"] for r in controls)
+
+
+def test_verify_determining_constant_yf_is_a_symmetry_everywhere(capsys):
+    """Y_f with constant f is R plus a multiple of E: admissible off InfSub."""
+    code, rows, _ = run(capsys, "verify", "--suite", "determining",
+                        "--class", "generic", "--gen", "Yf:1", "Yf:z")
+    assert code == 0
+    const, linear = rows
+    assert const["generator"] == "Yf:(1)*z^0" and const["admissible"]
+    assert const["pass"] and not const["nonzero"]
+    assert not linear["admissible"] and linear["pass"] and linear["nonzero"]
 
 
 @pytest.mark.parametrize("suite", ["commutators", "determining"])
@@ -211,6 +222,23 @@ def test_simulate_refuses_periodic_se_packet(capsys, tmp_path, se_file):
                        "--out", out)
     assert code == 2
     assert "dirichlet" in err
+    assert not os.path.exists(out)
+
+
+def test_simulate_blowup_is_a_named_check_failure(capsys, tmp_path):
+    """linear-se with every parameter scaled by 10 blows up at the default dt
+    on this grid: exit 1 with one stderr line, no traceback, nothing written."""
+    se = reference_points()["linear-se"]
+    p = DGParams(n=1, **{k: 10 * getattr(se, k) for k in PARAM_NAMES})
+    path = write_params(tmp_path, "se10.json", p)
+    out = str(tmp_path / "blown")
+    code, rows, err = run(capsys, "simulate", "--params", path,
+                          "--grid", "64,0.125", "--bc", "periodic",
+                          "--init", "bump", "--t-final", "0.5", "--out", out)
+    assert code == 1 and rows == []
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("failed: blow-up check: max|r| = ")
+    assert "at step 7 (t=" in err
     assert not os.path.exists(out)
 
 

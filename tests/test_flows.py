@@ -108,6 +108,16 @@ def test_yf_closed_flow_needs_commutative_case(pts, smooth_field):
         flow_closed("Yf:z", 0.1, smooth_field, pts["infsub"])
 
 
+def test_constant_yf_flow_is_a_shift_everywhere(pts, smooth_field):
+    """Y_f with constant f is admissible off InfSub, and its flow is the
+    shift of (r, s) along (1, -2 nu2/nu1) even where z is not conserved."""
+    p = pts["generic"]
+    out = flow_closed("Yf:3", 0.1, smooth_field, p)
+    np.testing.assert_allclose(out.r, smooth_field.r + 0.3, atol=1e-15)
+    np.testing.assert_allclose(
+        out.s, smooth_field.s - 0.3 * 2 * float(p.nu2 / p.nu1), atol=1e-15)
+
+
 def test_yf_flow_conserves_z(pts, smooth_field):
     p = pts["infasub"]
     out = flow_closed("Yf:1+z^2", 0.4, smooth_field, p)

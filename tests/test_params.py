@@ -97,8 +97,73 @@ def test_json_round_trip(tmp_path):
         DGParams.from_json_dict({"nu1": "1"})
 
 
+def load_value(text):
+    """The mu2 that from_json_dict reads from ``text``, or the exception type."""
+    try:
+        return DGParams.from_json_dict({"n": 1, "nu1": "1", "mu2": text}).mu2
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def fraction_value(text):
+    try:
+        return F(text.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+
+
+def small_exponent(text):
+    """At most three exponent digits: Fraction('1e99999999') builds 10**99999999."""
+    return sum(c.isdigit() for c in text.partition("e")[2]) <= 3
+
+
+@given(st.text(alphabet="0123456789-+/ ._e", max_size=12).filter(small_exponent))
+@settings(max_examples=400, deadline=None)
+def test_loader_agrees_with_fraction(text):
+    got = load_value(text)
+    assert got == fraction_value(text)
+    assert type(got) is type(fraction_value(text))
+
+
+@pytest.mark.parametrize("text,want", [
+    ("0.5", F(1, 2)), (" 3/4 ", F(3, 4)), ("+3", F(3)), ("1_0", F(10)),
+    ("-0", F(0)), ("007/010", F(7, 10)), ("-12/8", F(-3, 2)),
+    ("1/0", ZeroDivisionError), ("-3/00", ZeroDivisionError),
+    ("3/ 4", ValueError), ("-3/-4", ValueError), ("abc", ValueError),
+    ("", ValueError), ("4/", ValueError),
+])
+def test_loader_edge_strings(text, want):
+    assert load_value(text) == want == fraction_value(text)
+
+
+def test_loader_keeps_the_error_message():
+    for text in ("1/0", "3/ 4", "abc"):
+        with pytest.raises((ValueError, ZeroDivisionError)) as got:
+            DGParams.from_json_dict({"n": 1, "nu1": "1", "mu2": text})
+        with pytest.raises((ValueError, ZeroDivisionError)) as want:
+            F(text.strip())
+        assert str(got.value) == str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # invariants
+
+def defining_invariants(p):
+    """iota0..iota5 from their defining rational formulas."""
+    return (p.nu1 * p.mu0,
+            p.nu1 * p.mu2 - p.nu2 * p.mu1,
+            p.mu1 - 2 * p.nu2,
+            1 + p.mu3 / p.nu1,
+            p.mu4 - p.mu1 * p.mu3 / p.nu1,
+            p.nu1 * (p.mu2 + 2 * p.mu5) - p.nu2 * (p.mu1 + 2 * p.mu4)
+            + 2 * p.nu2 ** 2 * p.mu3 / p.nu1)
+
+
+@given(subfamily_params())
+@settings(max_examples=150, deadline=None)
+def test_invariants_equal_defining_formulas(p):
+    assert compute_invariants(p).as_tuple() == defining_invariants(p)
+
 
 def test_invariants_trivial_point():
     p = DGParams(n=1, nu1=1)
@@ -182,6 +247,21 @@ def test_gauge_invariance_exp_subfamily(g, p):
     assert classify(p).tag in ("Sym4", "Sym0a")
     q = gauge_act_params(g, p)
     assert classify(q).tag == classify(p).tag
+
+
+wide = st.fractions(min_value=-50, max_value=50, max_denominator=10 ** 6)
+
+
+@given(st.builds(GaugeElement, wide.filter(lambda q: q != 0), wide),
+       st.builds(GaugeElement, wide.filter(lambda q: q != 0), wide),
+       subfamily_params())
+@settings(max_examples=80, deadline=None)
+def test_invariants_constant_on_gauge_orbits(g1, g2, p):
+    q1 = gauge_act_params(g1, p)
+    q2 = gauge_act_params(g2, q1)
+    assert compute_invariants(q1) == compute_invariants(q2) == compute_invariants(p)
+    assert compute_invariants(gauge_act_params(gauge_compose(g2, g1), p)) == \
+        compute_invariants(p)
 
 
 # ---------------------------------------------------------------------------
@@ -343,6 +423,32 @@ def assert_matches_oracle(p):
     assert predicate_report(p) == cls.predicates
     assert cls.invariants == compute_invariants(p)
     assert cls.tag == raw_classify(p)
+
+
+P1, P2, P3, P4 = 999983, 1000003, 999979, 1000033  # primes near 10^6
+
+
+@pytest.mark.parametrize("p", [
+    DGParams(1, F(7, P1), F(-3, P2), F(5, P3), F(1, P4), F(2, P1 * P2),
+             F(-9, P3), F(4, P4), F(11, P2)),
+    make_gal_sub(1, F(7, P1), F(-3, P2), F(5, P3), F(1, P4), F(2, P1)),
+    make_fin_sub(1, F(7, P1), F(-3, P2), F(5, P3)),
+    make_inf_sub(1, F(7, P1), F(-3, P2), F(5, P3)),
+    make_infa_sub(1, F(7, P1), F(-3, P2)),
+    make_sym3(1, F(7, P1), F(-3, P2)),
+    make_ehr_sub(1, F(7, P1), F(-3, P2), F(5, P3)),
+    make_ehr_sub(1, F(-7, P1), F(-3, P2), F(5, P3)),
+    make_exp_sub(1, F(7, P1), F(-3, P2), F(5, P3), F(1, P4)),
+], ids=["generic", "gal", "fin", "inf", "infa", "sym3", "ehr+", "ehr-", "exp"])
+@pytest.mark.parametrize("g", [gauge_identity(), GaugeElement(F(P2, P4), F(-P3, P1))],
+                         ids=["id", "moved"])
+def test_classify_large_coprime_denominators(p, g):
+    q = gauge_act_params(g, p)
+    assert q.cleared[0] > 10 ** 12  # the cleared denominator D
+    assert classify(q).tag == raw_classify(p)
+    assert_matches_oracle(q)
+    perturbed = q.replace(mu5=q.mu5 + F(1, P1 * P4))
+    assert_matches_oracle(perturbed)
 
 
 @given(subfamily_params())

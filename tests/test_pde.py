@@ -7,9 +7,11 @@ import pytest
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
                           read_trajectory, sample_evaluator, sample_trajectory,
                           write_snapshot, write_trajectory)
-from dgsym.pde import (EvolutionBlowup, SEPacketSum, dg_rhs, evolve,
-                       functionals, heat_residual, heat_solution,
-                       plane_wave_solution, residual, se_gaussian, se_residual)
+from dgsym.params import reference_points
+from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, _norms,
+                       _residual_fields, dg_rhs, evolve, functionals,
+                       heat_residual, heat_solution, plane_wave_solution,
+                       residual, se_gaussian, se_residual)
 
 
 def interior(arr):
@@ -337,6 +339,22 @@ def test_residual_detects_perturbation(pts):
     assert residual(p, bent).l2 > 4 * base.l2
 
 
+@pytest.mark.parametrize("key", ["generic", "sym1c-nu2", "expsub"])
+@pytest.mark.parametrize("n,bc", [(1, "periodic"), (2, "dirichlet")])
+def test_residual_equals_per_slice_rhs(key, n, bc):
+    """One set of stencil coefficients per call gives the report that
+    converting the parameters again for every time slice gives, bit for bit."""
+    p = reference_points(n)[key]
+    rng = np.random.default_rng(20260)
+    g = Grid.make(n=n, npts=24, extent=(-2, 2), bc=bc)
+    times = np.cumsum(rng.uniform(0.01, 0.02, 7))
+    traj = Trajectory(g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
+                                        rng.standard_normal(g.shape))
+                          for t in times])
+    res_r, res_s = _residual_fields(lambda f: dg_rhs(p, f), traj)
+    assert residual(p, traj) == ResidualReport(*_norms(res_r), *_norms(res_s))
+
+
 # ---------------------------------------------------------------------------
 # closed forms
 
@@ -411,7 +429,6 @@ def test_se_gaussian_nowhere_zero_and_order(pts):
 
 
 def test_evolve_plane_wave_2d(pts):
-    from dgsym.params import reference_points
     p = reference_points(2)["infsub"]
     g = Grid.make(n=2, npts=24, extent=(0, 2 * np.pi), bc="periodic")
     pw = plane_wave_solution(p, (1.0, 2.0))
@@ -529,7 +546,6 @@ def _gauged_packet_sum(n):
 
 def _heat_pair(n):
     from dgsym.linearize import heat_pair_to_dg, linearization_data
-    from dgsym.params import reference_points
 
     p = reference_points(n)["sym1b"]
     data = linearization_data(p)
@@ -575,7 +591,6 @@ def test_evolve_pins_ring_once_per_stage_time(make, n, npts):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_evolve_broadcasts_scalar_boundary_values(n):
-    from dgsym.params import reference_points
 
     p = reference_points(n)["sym1c"]
     grid = Grid.make(n=n, npts=17, extent=(-2, 2))
