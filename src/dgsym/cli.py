@@ -9,9 +9,9 @@ and determining suites take their generators from the point's class: a
 determining row passes when its residuals vanish exactly where the
 generator is admissible.  Reports are JSON lines on stdout (one object per
 check or per input file); a human-readable summary goes to stderr.  Exit
-codes: 0 all checks pass, 1 check failure, 2 input error, 3 command
-inapplicable to the parameter point, or no check ran.  DGSYM_LOG sets the
-logging level.
+codes: 0 all checks pass, 1 check failure, 2 input error (an unusable path
+too), 3 command inapplicable to the parameter point, or no check ran.
+DGSYM_LOG sets the logging level.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .fields import (Grid, LogPolarField, read_snapshot, read_trajectory,
-                     sample_trajectory, write_trajectory)
+from .fields import (Grid, LogPolarField, Trajectory, read_snapshot,
+                     read_trajectory, sample_trajectory, write_trajectory)
 from .flows import verify_symmetry_flow
 from .kernels import boundary_ring
 from .linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
@@ -469,7 +469,8 @@ def cmd_gauge(args) -> int:
         q.dump(args.out)
         _say(f"gauge: wrote {args.out}")
     if traj is not None:
-        out = traj.__class__(traj.grid, [gauge_act_field(g, f) for f in traj.fields])
+        out = Trajectory.from_fields(traj.grid,
+                                     [gauge_act_field(g, f) for f in traj.fields])
         write_trajectory(out, args.traj_out or (args.traj.rstrip("/") + "-gauged"),
                          params_json=q.to_json_dict())
         _say("gauge: transformed trajectory written")
@@ -548,7 +549,7 @@ def main(argv=None) -> int:
     except EvolutionBlowup as exc:
         _say(f"failed: blow-up check: {exc}")
         return EXIT_CHECK
-    except (InputError, ValueError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT
 

@@ -4,13 +4,17 @@ A wavefunction is stored as the pair (r, s) = (ln|psi|, unwrapped arg psi) on
 a uniform grid in one or two spatial dimensions.  Nowhere-vanishing psi is a
 structural assumption: r must be finite everywhere and s must have no jump of
 2 pi between neighbors.
+
+A trajectory is T such slices on one grid: a ``times`` array and float64
+stacks ``r`` and ``s`` of shape ``(T, *grid.shape)``, as a trajectory
+directory's ``r.npy`` and ``s.npy`` store them.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -103,39 +107,45 @@ class LogPolarField:
                 raise ValueError("s has a neighbor jump above pi; unwrap the phase")
         return self
 
-    def copy(self) -> "LogPolarField":
-        return LogPolarField(self.grid, self.t, self.r.copy(), self.s.copy())
-
     def psi(self) -> np.ndarray:
         return np.exp(self.r + 1j * self.s)
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
-    """Time-ordered sequence of fields on a common grid."""
+    """T time slices on one grid: ``times`` of shape (T,) and the ``r`` and
+    ``s`` stacks of shape (T, *grid.shape).  ``traj[k]`` is slice k as a
+    ``LogPolarField`` whose arrays are views into the stacks."""
 
     grid: Grid
-    fields: list = field(default_factory=list)
+    times: np.ndarray
+    r: np.ndarray
+    s: np.ndarray
 
     def __post_init__(self):
-        for f in self.fields:
-            if f.grid != self.grid:
-                raise ValueError("all fields must share the trajectory grid")
+        self.times, self.r, self.s = (np.asarray(a, dtype=np.float64)
+                                      for a in (self.times, self.r, self.s))
+        shape = self.times.shape + self.grid.shape
+        if self.times.ndim != 1 or self.r.shape != shape or self.s.shape != shape:
+            raise ValueError(f"need times (T,) and stacks (T, *grid.shape); got "
+                             f"{self.times.shape}, {self.r.shape}, {self.s.shape} "
+                             f"on a grid of shape {self.grid.shape}")
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.array([f.t for f in self.fields])
+    @classmethod
+    def from_fields(cls, grid: Grid, fields: list) -> "Trajectory":
+        """Stack a list of time-ordered slices on ``grid`` into one trajectory."""
+        return cls(grid, [f.t for f in fields], [f.r for f in fields],
+                   [f.s for f in fields])
 
     def __len__(self):
-        return len(self.fields)
+        return len(self.times)
 
     def __getitem__(self, k) -> LogPolarField:
-        return self.fields[k]
+        return LogPolarField(self.grid, float(self.times[k]), self.r[k], self.s[k])
 
-    def append(self, f: LogPolarField):
-        if f.grid != self.grid:
-            raise ValueError("grid mismatch")
-        self.fields.append(f)
+    @property
+    def fields(self) -> list:
+        return [self[k] for k in range(len(self))]
 
 
 def sample_evaluator(evaluator, grid: Grid, t: float) -> LogPolarField:
@@ -147,7 +157,8 @@ def sample_evaluator(evaluator, grid: Grid, t: float) -> LogPolarField:
 
 
 def sample_trajectory(evaluator, grid: Grid, times) -> Trajectory:
-    return Trajectory(grid, [sample_evaluator(evaluator, grid, t) for t in times])
+    return Trajectory.from_fields(
+        grid, [sample_evaluator(evaluator, grid, t) for t in times])
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +237,7 @@ def _grid_from_json(d) -> Grid:
 def write_trajectory(traj: Trajectory, outdir, params_json=None, dt=None) -> str:
     """Trajectory directory: ``r.npy`` and ``s.npy`` plus ``manifest.json``.
 
-    Each ``.npy`` file is one float64 stack of shape ``(T, *grid.shape)``; the
+    Each ``.npy`` file is one of the trajectory's stacks, saved as it is; the
     manifest holds the grid, the T time stamps, ``dt`` and the parameters.
     The manifest is removed first and written last, so an interrupted write
     never leaves a manifest that points at missing or stale stacks.
@@ -235,11 +246,8 @@ def write_trajectory(traj: Trajectory, outdir, params_json=None, dt=None) -> str
     mpath = os.path.join(outdir, "manifest.json")
     if os.path.exists(mpath):
         os.remove(mpath)
-    shape = (len(traj),) + traj.grid.shape
     for name in _STACKS:
-        stack = np.array([getattr(f, name) for f in traj.fields],
-                         dtype=np.float64).reshape(shape)
-        np.save(os.path.join(outdir, f"{name}.npy"), stack)
+        np.save(os.path.join(outdir, f"{name}.npy"), getattr(traj, name))
     manifest = {
         "grid": _grid_to_json(traj.grid),
         "times": [float(t) for t in traj.times],
@@ -264,20 +272,17 @@ def _load_stack(path, shape) -> np.ndarray:
 
 
 def read_trajectory(outdir) -> Trajectory:
-    """Read a directory written by ``write_trajectory``.
-
-    A manifest with a ``snapshots`` list names one CSV snapshot per time
-    stamp, the layout written before the ``.npy`` stacks; it still loads.
+    """Read a directory written by ``write_trajectory``; its ``r.npy`` and
+    ``s.npy`` become the trajectory's stacks.  A stack that is unreadable, not
+    float64, or not of shape ``(T, *grid.shape)`` for the manifest's T time
+    stamps is refused with a ``ValueError`` naming its file.  Per-snapshot CSV
+    directories, the layout written before the stacks, do not load.
     """
     with open(os.path.join(outdir, "manifest.json")) as fh:
         manifest = json.load(fh)
     grid = _grid_from_json(manifest["grid"])
-    if "snapshots" in manifest:
-        return Trajectory(grid, [read_snapshot(os.path.join(outdir, name), grid)
-                                 for name in manifest["snapshots"]])
-    times = manifest["times"]
+    times = [float(t) for t in manifest["times"]]
     shape = (len(times),) + grid.shape
     r, s = (_load_stack(os.path.join(outdir, f"{name}.npy"), shape)
             for name in _STACKS)
-    return Trajectory(grid, [LogPolarField(grid, float(t), r[k], s[k])
-                             for k, t in enumerate(times)])
+    return Trajectory(grid, times, r, s)

@@ -362,19 +362,26 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     The transformed trajectory is sampled on ``grid`` at uniform times inside
     ``t_window`` and on a refined grid (space and time both refined), giving
     the order-2 convergence ratio.  The source solution is checked first at
-    its own (remapped) window against ``baseline_tol``.
+    its own (remapped) window against ``baseline_tol``.  An ``eps`` whose
+    source times are not finite and strictly increasing is refused.
     """
     name = parse_generator(name)
     if require_admissible and not is_admissible(name, p):
         raise GeneratorNotAdmissible(
             f"{name} is not admissible at this parameter point")
 
-    fmap = closed_flow_map(name, eps, p)
     times = np.linspace(t_window[0], t_window[1], num_slices)
-    src_times = np.array([fmap.source_time(t) for t in times])
-    order = np.argsort(src_times)
+    try:
+        fmap = closed_flow_map(name, eps, p)
+        src_times = np.sort([fmap.source_time(t) for t in times])
+        usable = np.all(np.isfinite(src_times)) and np.all(np.diff(src_times) > 0)
+    except OverflowError:
+        usable = False
+    if not usable:
+        raise ValueError(f"flow parameter eps={eps:g} maps the time window of {name} "
+                         "to source times that are not finite and strictly increasing")
 
-    base_traj = sample_trajectory(solution, grid, src_times[order])
+    base_traj = sample_trajectory(solution, grid, src_times)
     baseline = residual(p, base_traj)
     if baseline.linf > baseline_tol:
         raise ValueError(f"baseline residual {baseline.linf:.3g} exceeds "

@@ -101,7 +101,9 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
     ring coordinates only, ``tuple(c[ring] for c in grid.coords())``, and
     once per distinct stage time: RK4 stages 2 and 3 share t + dt/2, and a
     value is reused only when the float time is exactly equal.  Its results
-    broadcast to the ring's shape, so it may return scalars.
+    broadcast to the ring's shape, so it may return scalars.  ``field0`` must
+    be finite with max|r| <= ``blowup``; a step past it raises ``EvolutionBlowup``.
+    The rows are ``field0``, every ``save_every``-th step and the last step.
     """
     grid = field0.grid
     dt_max = default_dt(grid)
@@ -135,10 +137,15 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
             r[ring], s[ring] = held
         return r, s
 
-    traj = Trajectory(grid, [field0.copy()])
-    r = field0.r.copy()
-    s = field0.s.copy()
-    t = field0.t
+    norm = float(np.max(np.abs(field0.r)))
+    if not (math.isfinite(norm) and norm <= blowup and np.all(np.isfinite(field0.s))):
+        raise ValueError(f"initial field must be finite with max|r| <= {blowup:g} "
+                         f"(the blow-up bound); it has max|r| = {norm:.3g}")
+
+    rows = 1 + -(-steps // save_every)  # field0 and every saved step
+    times, (rs, ss) = np.empty(rows), np.empty((2, rows) + grid.shape)
+    times[0], rs[0], ss[0] = field0.t, field0.r, field0.s
+    r, s, t, row = field0.r.copy(), field0.s.copy(), field0.t, 1
     for step in range(1, steps + 1):
         k1r, k1s = evolution_rhs(r, s, grid, coeffs)
         r2, s2 = pin(r + 0.5 * dt * k1r, s + 0.5 * dt * k1s, t + 0.5 * dt)
@@ -155,8 +162,9 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
         if not math.isfinite(norm) or norm > blowup:
             raise EvolutionBlowup(step, t, norm)
         if step % save_every == 0 or step == steps:
-            traj.append(LogPolarField(grid, t, r.copy(), s.copy()))
-    return traj
+            times[row], rs[row], ss[row] = t, r, s
+            row += 1
+    return Trajectory(grid, times, rs, ss)
 
 
 # ---------------------------------------------------------------------------
@@ -184,34 +192,43 @@ class ResidualReport:
 
 
 def _time_derivative(prev, cur, nxt, h1, h2):
-    """Three-point first derivative at the middle slice, exact on quadratics."""
-    return (h1 * h1 * nxt - h2 * h2 * prev + (h2 * h2 - h1 * h1) * cur) \
-        / (h1 * h2 * (h1 + h2))
+    """Three-point first derivative at the middle slice, exact on quadratics:
+    (h1² nxt - h2² prev + (h2² - h1²) cur) / (h1 h2 (h1 + h2)), evaluated in
+    that order in one output array."""
+    d = h1 * h1 * nxt
+    d -= h2 * h2 * prev
+    d += (h2 * h2 - h1 * h1) * cur
+    d /= h1 * h2 * (h1 + h2)
+    return d
 
 
 def _check_times(times):
     """Refuse time stamps a three-point time derivative cannot use."""
     if len(times) < 3:
         raise ValueError("residual needs at least 3 time slices")
-    if not all(b > a for a, b in zip(times[:-1], times[1:])):
+    if not np.all(np.diff(times) > 0):
         raise ValueError("trajectory times must be strictly increasing")
 
 
+def _stack_time_derivative(times, stack):
+    """``_time_derivative`` at the inner slices 1..T-2 of a (T, ...) stack,
+    in one call over the whole stack."""
+    h = np.diff(times).reshape((-1,) + (1,) * (stack.ndim - 1))
+    return _time_derivative(stack[:-2], stack[1:-1], stack[2:], h[:-1], h[1:])
+
+
 def _residual_fields(rhs_fn, traj: Trajectory):
-    """Generic (rhs - d/dt) residual over the inner time slices."""
-    times = traj.times
-    _check_times(times)
-    _, inner = boundary_ring(traj.grid)
-    res_r, res_s = [], []
+    """Generic (rhs - d/dt) residual over the inner time slices, written over
+    the d/dt stacks, with one ``rhs_fn`` call per slice."""
+    _check_times(traj.times)
+    res_r = _stack_time_derivative(traj.times, traj.r)
+    res_s = _stack_time_derivative(traj.times, traj.s)
     for k in range(1, len(traj) - 1):
-        h1 = times[k] - times[k - 1]
-        h2 = times[k + 1] - times[k]
-        r_t = _time_derivative(traj[k - 1].r, traj[k].r, traj[k + 1].r, h1, h2)
-        s_t = _time_derivative(traj[k - 1].s, traj[k].s, traj[k + 1].s, h1, h2)
         rhs_r, rhs_s = rhs_fn(traj[k])
-        res_r.append((rhs_r - r_t)[inner])
-        res_s.append((rhs_s - s_t)[inner])
-    return np.array(res_r), np.array(res_s)
+        np.subtract(rhs_r, res_r[k - 1], out=res_r[k - 1])
+        np.subtract(rhs_s, res_s[k - 1], out=res_s[k - 1])
+    inner = (slice(None),) + boundary_ring(traj.grid)[1]
+    return res_r[inner], res_s[inner]
 
 
 def _norms(arr) -> tuple:
@@ -318,18 +335,15 @@ def heat_residual(sol: HeatGaussian, grid: Grid, times) -> float:
     not strictly increase.
     """
     _check_times(times)
-    vals = [sol.value(grid.coords(), t) for t in times]
-    _, inner = boundary_ring(grid)
+    vals = np.array([sol.value(grid.coords(), t) for t in times])
     periodic = grid.bc == "periodic"
-    res = []
-    for k in range(1, len(times) - 1):
-        h1, h2 = times[k] - times[k - 1], times[k + 1] - times[k]
-        phi_t = _time_derivative(vals[k - 1], vals[k], vals[k + 1], h1, h2)
+    res = _stack_time_derivative(times, vals)
+    for k, v in enumerate(vals[1:-1]):
         # phi is an amplitude, never a phase: its differences are not wrapped
-        second = [_axis_diffs(vals[k], axis, grid.dx(axis), periodic,
-                              wrap=False)[1] for axis in range(grid.n)]
-        lap = sum(second[1:], second[0])
-        res.append((phi_t + sol.sign() * sol.D * lap)[inner])
+        second = [_axis_diffs(v, axis, grid.dx(axis), periodic, wrap=False)[1]
+                  for axis in range(grid.n)]
+        res[k] += sol.sign() * sol.D * sum(second[1:], second[0])
+    res = res[(slice(None),) + boundary_ring(grid)[1]]
     return float(np.sqrt(np.mean(np.square(res))))
 
 

@@ -32,8 +32,7 @@ from operator import add
 import numpy as np
 
 __all__ = [
-    "SymExpr", "VectorFieldSpec", "lie_bracket", "differentiate", "is_zero",
-    "parse_expr", "parse_poly",
+    "SymExpr", "VectorFieldSpec", "lie_bracket", "parse_expr", "parse_poly",
 ]
 
 
@@ -303,20 +302,6 @@ class SymExpr:
             total = total + term
         return total
 
-    def subs_rational(self, values: dict) -> Fraction:
-        """Exact value at a rational point (no exp factors allowed)."""
-        total = Fraction(0)
-        names = var_names(self.n)
-        for (a, b, powers), coeff in self._terms.items():
-            if a or b:
-                raise ValueError("exact substitution defined only for exp-free expressions")
-            term = coeff
-            for name, power in zip(names, powers):
-                if power:
-                    term *= _q(values[name]) ** power
-            total += term
-        return total
-
     # -- display -------------------------------------------------------------
 
     def __repr__(self):
@@ -344,14 +329,6 @@ class SymExpr:
         return " + ".join(parts)
 
 
-def differentiate(e: SymExpr, name: str) -> SymExpr:
-    return e.differentiate(name)
-
-
-def is_zero(e: SymExpr) -> bool:
-    return e.is_zero
-
-
 # ---------------------------------------------------------------------------
 # Vector fields on (x1..xn, t, r, s).
 
@@ -371,11 +348,6 @@ class VectorFieldSpec:
         for comp in (*self.xi, self.tau, self.phi, self.sigma):
             if comp.n != self.n:
                 raise ValueError("component arity mismatch")
-
-    @classmethod
-    def zero(cls, n: int) -> "VectorFieldSpec":
-        z = SymExpr.zero(n)
-        return cls(n=n, xi=(z,) * n, tau=z, phi=z, sigma=z)
 
     def components(self) -> tuple:
         return (*self.xi, self.tau, self.phi, self.sigma)

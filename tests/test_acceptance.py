@@ -12,7 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dgsym.fields import Grid, LogPolarField, sample_evaluator, sample_trajectory
+from dgsym.fields import (Grid, LogPolarField, Trajectory, sample_evaluator,
+                          sample_trajectory)
 from dgsym.flows import flow_closed, verify_symmetry_flow
 from dgsym.linearize import (gauge_act_field, heat_pair_to_dg,
                              linearization_data, z_flow_se_from_zero)
@@ -234,7 +235,7 @@ def test_criterion_07_se_branch_linearization():
         reps = []
         for npts, slices in ((64, 8), (128, 16)):
             traj = _simulate_dg(p, sol, npts, slices=slices)
-            gauged = traj.__class__(
+            gauged = Trajectory.from_fields(
                 traj.grid,
                 [gauge_act_field(data.gauge_to_linear(), f) for f in traj.fields])
             reps.append(se_residual(data.se_coefficient, gauged))

@@ -141,6 +141,18 @@ def test_verify_flow_with_no_check_run_is_inapplicable(capsys):
     assert "0/0 checks passed, 1 skipped" in err
 
 
+@pytest.mark.parametrize("eps", ["1e9", "-1e9"])
+def test_verify_flow_names_eps_that_collapses_the_window(capsys, eps):
+    """D rescales time by exp(2 eps): at eps = 1e9 every source time is 0,
+    and at -1e9 the factor overflows."""
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--gen", "D",
+                          f"--eps={eps}")
+    assert code == 2 and rows == []
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert f"flow parameter eps={float(eps):g}" in err
+    assert "not finite and strictly increasing" in err
+
+
 def test_verify_gauge_suite_seeded(capsys):
     code, rows, _ = run(capsys, "verify", "--suite", "gauge", "--seed", "7")
     assert code == 0
@@ -240,6 +252,46 @@ def test_simulate_blowup_is_a_named_check_failure(capsys, tmp_path):
     assert err.startswith("failed: blow-up check: max|r| = ")
     assert "at step 7 (t=" in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("init", ["bump:ra=nan", "bump:ra=1e6"])
+def test_simulate_refuses_bad_initial_data(capsys, tmp_path, init):
+    """Initial data that is not finite or already past the blow-up bound is
+    an input error before the first step, not a failed blow-up check."""
+    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+    out = str(tmp_path / "run")
+    code, rows, err = run(capsys, "simulate", "--params", path, "--grid", "32,0.2",
+                          "--bc", "dirichlet", "--init", init, "--steps", "4",
+                          "--out", out)
+    assert code == 2 and rows == []
+    assert err.startswith("error: initial field must be finite")
+    assert len(err.splitlines()) == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("command", ["simulate", "linearize", "gauge"])
+def test_unwritable_output_path_is_input_error(capsys, tmp_path, command):
+    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    target = str(blocker / "out")
+    if command == "gauge":
+        traj = str(tmp_path / "run")
+        assert main(["simulate", "--params", path, "--grid", "32,0.2",
+                     "--steps", "4", "--out", traj]) == 0
+        capsys.readouterr()
+        argv = ["gauge", "--params", path, "--lambda", "2", "--traj", traj,
+                "--traj-out", target]
+    elif command == "simulate":
+        argv = ["simulate", "--params", path, "--grid", "32,0.2", "--steps", "4",
+                "--out", target]
+    else:
+        argv = ["linearize", "--params", path, "--out", target]
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err
+    last = err.splitlines()[-1]
+    assert last.startswith("error: ") and target in last
 
 
 @pytest.mark.parametrize("damage", ["missing", "one-row"])

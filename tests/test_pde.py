@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
                           read_trajectory, sample_evaluator, sample_trajectory,
                           write_snapshot, write_trajectory)
+from dgsym.kernels import boundary_ring, derivative_bundle, zero_ring
 from dgsym.params import reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, _norms,
                        _residual_fields, dg_rhs, evolve, functionals,
@@ -60,8 +62,8 @@ def test_snapshot_round_trip(tmp_path):
 def test_trajectory_round_trip(tmp_path):
     g = Grid.make(npts=32, extent=(-1, 1))
     x = g.coords()[0]
-    traj = Trajectory(g, [LogPolarField(g, 0.1 * k, -x ** 2 + 0.01 * k, 0.2 * x)
-                          for k in range(3)])
+    traj = Trajectory.from_fields(
+        g, [LogPolarField(g, 0.1 * k, -x ** 2 + 0.01 * k, 0.2 * x) for k in range(3)])
     write_trajectory(traj, tmp_path / "run", params_json={"n": 1}, dt=0.1)
     back = read_trajectory(tmp_path / "run")
     assert len(back) == 3
@@ -72,9 +74,9 @@ def test_trajectory_round_trip(tmp_path):
 def _wavy_trajectory(g, count=5):
     xs = g.coords()
     q = sum(x ** 2 for x in xs)
-    return Trajectory(g, [LogPolarField(g, 0.1 * k / 3, -q / 7 + 0.01 * k,
-                                        np.sin(xs[0]) / 3 + 0.2 * k)
-                          for k in range(count)])
+    return Trajectory.from_fields(g, [LogPolarField(g, 0.1 * k / 3, -q / 7 + 0.01 * k,
+                                                    np.sin(xs[0]) / 3 + 0.2 * k)
+                                      for k in range(count)])
 
 
 @pytest.mark.parametrize("grid", [
@@ -93,22 +95,25 @@ def test_trajectory_npy_round_trip_bit_exact(tmp_path, grid):
         assert np.array_equal(a.r, b.r) and np.array_equal(a.s, b.s)
 
 
-def test_trajectory_reads_csv_snapshot_layout(tmp_path):
-    g = Grid.make(n=2, npts=16, extent=(-1, 1))
-    traj = _wavy_trajectory(g, count=3)
-    names = [f"snap{k:05d}.csv" for k in range(3)]
-    for f, name in zip(traj.fields, names):
-        write_snapshot(f, tmp_path / name)
-    manifest = {"grid": {"n": 2, "npts": 16, "bounds": [[-1.0, 1.0]] * 2,
-                         "bc": "dirichlet"},
-                "times": [float(t) for t in traj.times], "dt": None,
-                "params": None, "snapshots": names}
-    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-    back = read_trajectory(tmp_path)
-    assert back.grid == g and len(back) == 3
-    for a, b in zip(traj.fields, back.fields):
-        assert a.t == b.t
-        assert np.array_equal(a.r, b.r) and np.array_equal(a.s, b.s)
+def test_trajectory_refuses_stacks_that_disagree():
+    g = Grid.make(npts=16, extent=(-1, 1))
+    stack, times = np.zeros((3, 16)), [0.0, 0.1, 0.2]
+    traj = Trajectory(g, times, stack, stack + 1.0)
+    assert len(traj) == 3 and traj.r.dtype == np.float64
+    assert np.shares_memory(traj[1].s, traj.s) and traj[-1].t == 0.2
+    bad = [((2,), (3, 16), (3, 16), g),          # one time stamp short
+           ((3,), (3, 16), (3, 17), g),          # s off the grid
+           ((3,), (3, 16), (3, 16), Grid.make(n=2, npts=16, extent=(-1, 1))),
+           ((1, 3), (3, 16), (3, 16), g)]        # times not one-dimensional
+    for t_shape, r_shape, s_shape, grid in bad:
+        with pytest.raises(ValueError, match=re.escape(
+                f"got {t_shape}, {r_shape}, {s_shape} on a grid of shape {grid.shape}")):
+            Trajectory(grid, np.zeros(t_shape), np.zeros(r_shape), np.zeros(s_shape))
+    other = Grid.make(npts=17, extent=(-1, 1))
+    with pytest.raises(ValueError):
+        Trajectory.from_fields(g, [LogPolarField(g, 0.0, stack[0], stack[0]),
+                                   LogPolarField(other, 0.1, np.zeros(17),
+                                                 np.zeros(17))])
 
 
 def test_trajectory_rejects_stack_times_mismatch(tmp_path):
@@ -263,8 +268,23 @@ def test_evolve_blowup_detector(pts):
     g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
     x = g.coords()[0]
     f0 = LogPolarField(g, 0.0, 0.5 * np.cos(np.pi * x), np.zeros(32))
-    with pytest.raises(EvolutionBlowup):
-        evolve(pts["sym1b"], f0, steps=5, blowup=0.1)
+    # max|r| grows from 0.5 past 0.5005 at step 3 on this backward-parabolic point
+    with pytest.raises(EvolutionBlowup) as err:
+        evolve(pts["sym1b"], f0, steps=5, blowup=0.5005)
+    assert err.value.step == 3
+
+
+@pytest.mark.parametrize("r0, s0, norm", [(np.nan, 0.0, "nan"), (-np.inf, 0.0, "inf"),
+                                          (1e6, 0.0, "1e+06"), (0.1, np.nan, "0.1")])
+def test_evolve_refuses_bad_initial_data(pts, r0, s0, norm):
+    """Initial data that is not finite or already past the blow-up bound is
+    refused before the first step, not reported as a blow-up at step 1."""
+    g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
+    f0 = LogPolarField(g, 0.0, np.full(32, r0), np.full(32, s0))
+    with pytest.raises(ValueError, match=re.escape(
+            f"must be finite with max|r| <= 100 (the blow-up bound); "
+            f"it has max|r| = {norm}")):
+        evolve(pts["sym1c"], f0, steps=4)
 
 
 def test_evolve_matches_closed_form(pts):
@@ -308,7 +328,7 @@ def test_residual_constant_trajectory(pts):
     g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
     fields = [LogPolarField(g, 0.1 * k, np.full(32, 0.3), np.full(32, -0.1))
               for k in range(4)]
-    rep = residual(pts["generic"], Trajectory(g, fields))
+    rep = residual(pts["generic"], Trajectory.from_fields(g, fields))
     assert rep.linf < 1e-14
 
 
@@ -317,7 +337,7 @@ def test_residual_needs_three_slices(pts):
     fields = [LogPolarField(g, 0.1 * k, np.zeros(32), np.zeros(32))
               for k in range(2)]
     with pytest.raises(ValueError):
-        residual(pts["generic"], Trajectory(g, fields))
+        residual(pts["generic"], Trajectory.from_fields(g, fields))
 
 
 def test_residual_detects_perturbation(pts):
@@ -334,8 +354,8 @@ def test_residual_detects_perturbation(pts):
     clean = sample_trajectory(sol, g, times)
     base = residual(p, clean)
     x = g.coords()[0]
-    bent = Trajectory(g, [LogPolarField(g, f.t, f.r, f.s + 0.05 * x)
-                          for f in clean.fields])
+    bent = Trajectory.from_fields(g, [LogPolarField(g, f.t, f.r, f.s + 0.05 * x)
+                                      for f in clean.fields])
     assert residual(p, bent).l2 > 4 * base.l2
 
 
@@ -348,11 +368,71 @@ def test_residual_equals_per_slice_rhs(key, n, bc):
     rng = np.random.default_rng(20260)
     g = Grid.make(n=n, npts=24, extent=(-2, 2), bc=bc)
     times = np.cumsum(rng.uniform(0.01, 0.02, 7))
-    traj = Trajectory(g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
-                                        rng.standard_normal(g.shape))
-                          for t in times])
+    traj = Trajectory.from_fields(
+        g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
+                          rng.standard_normal(g.shape)) for t in times])
     res_r, res_s = _residual_fields(lambda f: dg_rhs(p, f), traj)
     assert residual(p, traj) == ResidualReport(*_norms(res_r), *_norms(res_s))
+
+
+def _per_slice_report(rhs_fn, traj):
+    """Reference residual: a loop over the inner time slices, each with its
+    own three-point time derivative."""
+    times, inner = traj.times, boundary_ring(traj.grid)[1]
+    res_r, res_s = [], []
+    for k in range(1, len(traj) - 1):
+        h1, h2 = times[k] - times[k - 1], times[k + 1] - times[k]
+
+        def d_dt(name):
+            prev, cur, nxt = (getattr(traj[j], name) for j in (k - 1, k, k + 1))
+            return (h1 * h1 * nxt - h2 * h2 * prev + (h2 * h2 - h1 * h1) * cur) \
+                / (h1 * h2 * (h1 + h2))
+
+        rhs_r, rhs_s = rhs_fn(traj[k])
+        res_r.append((rhs_r - d_dt("r"))[inner])
+        res_s.append((rhs_s - d_dt("s"))[inner])
+    norms = [(float(np.max(np.abs(a))), float(np.sqrt(np.mean(a * a))))
+             for a in (np.array(res_r), np.array(res_s))]
+    return ResidualReport(*norms[0], *norms[1])
+
+
+STACK_GRIDS = [Grid.make(n=1, npts=48, extent=(-2, 2), bc="periodic"),
+               Grid.make(n=1, npts=40, extent=(-2, 2)),
+               Grid.make(n=2, npts=20, extent=(-2, 2)),
+               Grid.make(n=2, npts=16, extent=(-2, 2), bc="periodic")]
+
+
+@pytest.mark.parametrize("g", STACK_GRIDS, ids=lambda g: f"{g.n}d-{g.bc}")
+def test_residuals_equal_per_slice_reference(g):
+    """residual, se_residual and heat_residual take one time derivative over
+    the whole stack; it equals the per-slice loop bit for bit."""
+    rng = np.random.default_rng(g.npts)
+    times = np.cumsum(rng.uniform(0.01, 0.02, 6))
+    traj = Trajectory.from_fields(
+        g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
+                          rng.standard_normal(g.shape)) for t in times])
+    for key in ("sym1c", "linear-se", "galsub"):
+        p = reference_points(g.n)[key]
+        assert residual(p, traj) == _per_slice_report(lambda f: dg_rhs(p, f), traj)
+
+    a = -0.7
+
+    def se_rhs(f):
+        lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(f.r, f.s, f.grid)
+        return zero_ring(f.grid, a * (lap_s + 2.0 * grgs), -a * (lap_r + gr2 - gs2))
+
+    assert se_residual(a, traj) == _per_slice_report(se_rhs, traj)
+
+    # the heat equation as the r equation of a trajectory with r = phi:
+    # r_t = -sign D lap r
+    sol = heat_solution(0.7, "backward", n=g.n, offset=0.3)
+    heat = Trajectory.from_fields(
+        g, [LogPolarField(g, t, sol.value(g.coords(), t), np.zeros(g.shape))
+            for t in times])
+    lap_only = _per_slice_report(
+        lambda f: (-sol.sign() * sol.D * derivative_bundle(f.r, f.s, g)[0],
+                   np.zeros(g.shape)), heat)
+    assert heat_residual(sol, g, list(times)) == lap_only.r_l2
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +465,7 @@ def test_heat_residual_refuses_times_like_residual(pts, times, match):
         heat_residual(sol, g, np.array(times))
     fields = [LogPolarField(g, t, np.zeros(32), np.zeros(32)) for t in times]
     with pytest.raises(ValueError, match=match) as res_err:
-        residual(pts["sym1c"], Trajectory(g, fields))
+        residual(pts["sym1c"], Trajectory.from_fields(g, fields))
     assert str(heat_err.value) == str(res_err.value)
 
 
@@ -411,7 +491,7 @@ def test_se_gaussian_validation_and_plane_wave():
     times = np.linspace(0.0, 0.1, 5)
     fields = [LogPolarField(g, t, np.zeros_like(x), k * x + a * k * k * t)
               for t in times]
-    rep = se_residual(a, Trajectory(g, fields))
+    rep = se_residual(a, Trajectory.from_fields(g, fields))
     assert rep.linf < 1e-10
 
 

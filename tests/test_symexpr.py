@@ -180,18 +180,12 @@ def test_bracket_arity_mismatch():
 
 
 def test_normalization_exact_at_rational_points():
-    """Two construction orders agree exactly at 100 random rational points."""
+    """Two construction orders give the same exact normal form."""
     from fractions import Fraction as Q
-    import random
-    rng = random.Random(5)
     a = (3 * v("x1") ** 2 - Q(1, 3) * v("t")) * (v("r") + 2 * v("s"))
     b = v("r") * (3 * v("x1") ** 2) + 2 * v("s") * (3 * v("x1") ** 2) \
         - Q(1, 3) * v("t") * v("r") - Q(2, 3) * v("t") * v("s")
     assert a == b
-    for _ in range(100):
-        point = {name: Q(rng.randint(-9, 9), rng.randint(1, 9))
-                 for name in ("x1", "t", "r", "s")}
-        assert a.subs_rational(point) == b.subs_rational(point)
 
 
 # ---------------------------------------------------------------------------
