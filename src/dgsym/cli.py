@@ -464,7 +464,7 @@ def cmd_gauge(args) -> int:
            "params": q.to_json_dict(),
            "class_before": classify(p).tag, "class_after": after.tag,
            "invariants": after.invariants.to_json_dict()}
-    _emit(row)
+    # the row is printed only once every write has succeeded
     if args.out:
         q.dump(args.out)
         _say(f"gauge: wrote {args.out}")
@@ -474,6 +474,7 @@ def cmd_gauge(args) -> int:
         write_trajectory(out, args.traj_out or (args.traj.rstrip("/") + "-gauged"),
                          params_json=q.to_json_dict())
         _say("gauge: transformed trajectory written")
+    _emit(row)
     return EXIT_OK
 
 

@@ -8,6 +8,11 @@ structural assumption: r must be finite everywhere and s must have no jump of
 A trajectory is T such slices on one grid: a ``times`` array and float64
 stacks ``r`` and ``s`` of shape ``(T, *grid.shape)``, as a trajectory
 directory's ``r.npy`` and ``s.npy`` store them.
+
+A closed-form solution is an evaluator: ``rs(xs, t) -> (r, s)`` on the
+coordinate tuple ``xs`` of ``grid.coords()``.  ``t`` is a scalar, or an array
+of shape ``(T, 1, ...)`` that broadcasts against ``xs`` with a leading time
+axis; ``sample_trajectory`` samples all T time stamps in one such call.
 """
 
 from __future__ import annotations
@@ -149,7 +154,7 @@ class Trajectory:
 
 
 def sample_evaluator(evaluator, grid: Grid, t: float) -> LogPolarField:
-    """Sample an (r, s) evaluator with signature rs(coords_tuple, t) on a grid."""
+    """Sample an (r, s) evaluator on a grid at one time stamp ``t``."""
     r, s = evaluator.rs(grid.coords(), t)
     return LogPolarField(grid, float(t),
                          np.broadcast_to(r, grid.shape).copy(),
@@ -157,8 +162,16 @@ def sample_evaluator(evaluator, grid: Grid, t: float) -> LogPolarField:
 
 
 def sample_trajectory(evaluator, grid: Grid, times) -> Trajectory:
-    return Trajectory.from_fields(
-        grid, [sample_evaluator(evaluator, grid, t) for t in times])
+    """Sample an (r, s) evaluator on a grid at every time stamp in one call,
+    ``evaluator.rs(grid.coords(), t)`` with ``t`` the times as a (T, 1, ...)
+    column.  The slices agree with ``sample_evaluator`` at each time to
+    rounding: numpy may round a power or a complex quotient of an array
+    differently from the same operation on a scalar."""
+    times = np.asarray(times, dtype=np.float64)
+    shape = times.shape + grid.shape
+    r, s = evaluator.rs(grid.coords(), times.reshape((-1,) + (1,) * grid.n))
+    return Trajectory(grid, times, np.broadcast_to(r, shape).copy(),
+                      np.broadcast_to(s, shape).copy())
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +284,35 @@ def _load_stack(path, shape) -> np.ndarray:
     return stack
 
 
+def _read_manifest(outdir) -> tuple:
+    """``(grid, times)`` from a trajectory directory's manifest; a ``grid``
+    or ``times`` that is missing or malformed is refused with a
+    ``ValueError`` naming the file and the key."""
+    mpath = os.path.join(outdir, "manifest.json")
+    with open(mpath) as fh:
+        manifest = json.load(fh)
+    try:
+        grid = _grid_from_json(manifest["grid"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{mpath}: key 'grid' is missing or not a grid "
+                         f"({type(exc).__name__}: {exc})") from exc
+    times = manifest.get("times")
+    if not (isinstance(times, list) and all(
+            isinstance(t, (int, float)) and not isinstance(t, bool) for t in times)):
+        raise ValueError(f"{mpath}: key 'times' is missing or not a list of numbers")
+    return grid, [float(t) for t in times]
+
+
 def read_trajectory(outdir) -> Trajectory:
     """Read a directory written by ``write_trajectory``; its ``r.npy`` and
-    ``s.npy`` become the trajectory's stacks.  A stack that is unreadable, not
-    float64, or not of shape ``(T, *grid.shape)`` for the manifest's T time
-    stamps is refused with a ``ValueError`` naming its file.  Per-snapshot CSV
-    directories, the layout written before the stacks, do not load.
+    ``s.npy`` become the trajectory's stacks.  A manifest without a valid
+    ``grid`` and ``times`` list is refused with a ``ValueError`` naming the
+    file and the key.  A stack that is unreadable, not float64, or not of
+    shape ``(T, *grid.shape)`` for the manifest's T time stamps is refused
+    with a ``ValueError`` naming its file.  Per-snapshot CSV directories, the
+    layout written before the stacks, do not load.
     """
-    with open(os.path.join(outdir, "manifest.json")) as fh:
-        manifest = json.load(fh)
-    grid = _grid_from_json(manifest["grid"])
-    times = [float(t) for t in manifest["times"]]
+    grid, times = _read_manifest(outdir)
     shape = (len(times),) + grid.shape
     r, s = (_load_stack(os.path.join(outdir, f"{name}.npy"), shape)
             for name in _STACKS)

@@ -362,8 +362,9 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     The transformed trajectory is sampled on ``grid`` at uniform times inside
     ``t_window`` and on a refined grid (space and time both refined), giving
     the order-2 convergence ratio.  The source solution is checked first at
-    its own (remapped) window against ``baseline_tol``.  An ``eps`` whose
-    source times are not finite and strictly increasing is refused.
+    its own (remapped) window against ``baseline_tol``; a failure names the
+    generator, ``eps`` and that source window.  An ``eps`` whose source times
+    are not finite and strictly increasing is refused.
     """
     name = parse_generator(name)
     if require_admissible and not is_admissible(name, p):
@@ -384,9 +385,12 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     base_traj = sample_trajectory(solution, grid, src_times)
     baseline = residual(p, base_traj)
     if baseline.linf > baseline_tol:
-        raise ValueError(f"baseline residual {baseline.linf:.3g} exceeds "
-                         f"threshold {baseline_tol:.3g}; not a solution on "
-                         "this grid")
+        raise ValueError(
+            f"baseline residual {baseline.linf:.3g} exceeds threshold "
+            f"{baseline_tol:.3g} on the source times [{src_times[0]:.3g}, "
+            f"{src_times[-1]:.3g}] that {name} at eps={eps:g} maps the window "
+            f"[{t_window[0]:g}, {t_window[1]:g}] to: the solution does not "
+            "solve the system there on this grid, or eps is too large")
 
     moved = TransformedSolution(fmap, solution)
     after = residual(p, sample_trajectory(moved, grid, times))

@@ -26,6 +26,12 @@ is zero there and residuals are taken over the points inside it.
 of the ring mask, so ``arr[ring]`` is the flat run of ring values) next to
 the ``inner`` slices.  A periodic grid has an empty ring index, so
 ``arr[ring] = 0`` changes nothing there.
+
+The stencil acts on the trailing ``grid.n`` axes.  ``derivative_bundle``,
+``evolution_rhs`` and ``zero_ring`` therefore take one slice of shape
+``grid.shape`` or a slab of k slices of shape ``(k, *grid.shape)``; every
+operation is elementwise along the leading axis, so a slab gives each slice
+bit for bit what a call on that slice alone gives.
 """
 
 from __future__ import annotations
@@ -77,8 +83,9 @@ def boundary_ring(grid):
 
 
 def zero_ring(grid, *arrays):
-    """Zero each array in place on the boundary ring; return them."""
-    ring = boundary_ring(grid)[0]
+    """Zero each array (a slice or a slab) in place on the boundary ring;
+    return them."""
+    ring = (Ellipsis,) + boundary_ring(grid)[0]
     for arr in arrays:
         arr[ring] = 0.0
     return arrays
@@ -89,14 +96,15 @@ def derivative_bundle(r, s, grid):
 
     The phase ``s`` is differenced modulo 2 pi on periodic grids.  On
     dirichlet grids the boundary ring holds one-sided values; callers that
-    need it zero use ``zero_ring``.
+    need it zero use ``zero_ring``.  ``r`` and ``s`` are slices or slabs.
     """
     periodic = grid.bc == "periodic"
+    lead = np.ndim(r) - grid.n
     bundle = None
     for axis in range(grid.n):
         dx = grid.dx(axis)
-        r1, r2 = _axis_diffs(r, axis, dx, periodic, wrap=False)
-        s1, s2 = _axis_diffs(s, axis, dx, periodic, wrap=periodic)
+        r1, r2 = _axis_diffs(r, lead + axis, dx, periodic, wrap=False)
+        s1, s2 = _axis_diffs(s, lead + axis, dx, periodic, wrap=periodic)
         terms = (r2, s2, r1 * r1, s1 * s1, r1 * s1)
         if bundle is None:
             bundle = terms
@@ -108,7 +116,7 @@ def derivative_bundle(r, s, grid):
 
 def evolution_rhs(r, s, grid, coeffs):
     """(r_t, s_t) as the nine-coefficient combination of the derivative
-    bundle, zero on the boundary ring."""
+    bundle of a slice or a slab, zero on the boundary ring."""
     a1, a2, a3, a4, b1, b2, b3, b4, b5 = coeffs
     lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(r, s, grid)
     rt, st = a1 * lap_r, b1 * lap_r

@@ -217,18 +217,34 @@ def _stack_time_derivative(times, stack):
     return _time_derivative(stack[:-2], stack[1:-1], stack[2:], h[:-1], h[1:])
 
 
-def _residual_fields(rhs_fn, traj: Trajectory):
-    """Generic (rhs - d/dt) residual over the inner time slices, written over
-    the d/dt stacks, with one ``rhs_fn`` call per slice."""
-    _check_times(traj.times)
-    res_r = _stack_time_derivative(traj.times, traj.r)
-    res_s = _stack_time_derivative(traj.times, traj.s)
-    for k in range(1, len(traj) - 1):
-        rhs_r, rhs_s = rhs_fn(traj[k])
-        np.subtract(rhs_r, res_r[k - 1], out=res_r[k - 1])
-        np.subtract(rhs_s, res_s[k - 1], out=res_s[k - 1])
-    inner = (slice(None),) + boundary_ring(traj.grid)[1]
-    return res_r[inner], res_s[inner]
+# A slab of k time slices takes at most this many grid points per stencil
+# call: 1-D grids batch many slices, and 2-D grids of 64² points and up keep
+# one slice per call, where a larger slab loses more to memory traffic than
+# it saves in calls.  One `residual` on a 2-vCPU host: 1-D 256 x 65 slices
+# takes 4.7 ms per slice, 1.1 ms in slabs of 4096 points and 1.3 ms as one
+# stack; 2-D 64² x 9 takes 2.6 ms per slice and 3.3 ms as one stack.
+_SLAB_POINTS = 4096
+
+
+def _residual_fields(slab_rhs, grid: Grid, times, *stacks) -> tuple:
+    """Generic (rhs - d/dt) residual over the inner time slices 1..T-2 of
+    each (T, *grid.shape) stack, inner grid points only.
+
+    ``slab_rhs(*slabs)`` takes one (k, *grid.shape) slab of each stack and
+    returns the right-hand side of each.  It is called once per slab of
+    ``max(1, _SLAB_POINTS // points)`` slices, and its output is written over
+    the d/dt stacks.
+    """
+    _check_times(times)
+    res = [_stack_time_derivative(times, stack) for stack in stacks]
+    step = max(1, _SLAB_POINTS // math.prod(grid.shape))
+    for lo in range(1, len(times) - 1, step):
+        hi = min(lo + step, len(times) - 1)
+        rows = slice(lo - 1, hi - 1)
+        for out, rhs in zip(res, slab_rhs(*(stack[lo:hi] for stack in stacks))):
+            np.subtract(rhs, out[rows], out=out[rows])
+    inner = (slice(None),) + boundary_ring(grid)[1]
+    return tuple(out[inner] for out in res)
 
 
 def _norms(arr) -> tuple:
@@ -244,7 +260,8 @@ def residual(p: DGParams, traj: Trajectory) -> ResidualReport:
     """
     coeffs = rhs_coefficients(p)
     res_r, res_s = _residual_fields(
-        lambda f: evolution_rhs(f.r, f.s, f.grid, coeffs), traj)
+        lambda r, s: evolution_rhs(r, s, traj.grid, coeffs),
+        traj.grid, traj.times, traj.r, traj.s)
     (r_linf, r_l2), (s_linf, s_l2) = _norms(res_r), _norms(res_s)
     return ResidualReport(r_linf, r_l2, s_linf, s_l2)
 
@@ -253,12 +270,12 @@ def se_residual(a: float, traj: Trajectory) -> ResidualReport:
     """Residual of the free linear Schroedinger equation i psi_t = a lap psi,
     written in log-polar variables."""
 
-    def rhs(fld):
-        lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(fld.r, fld.s, fld.grid)
-        return zero_ring(fld.grid, a * (lap_s + 2.0 * grgs),
+    def rhs(r, s):
+        lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(r, s, traj.grid)
+        return zero_ring(traj.grid, a * (lap_s + 2.0 * grgs),
                          -a * (lap_r + gr2 - gs2))
 
-    res_r, res_s = _residual_fields(rhs, traj)
+    res_r, res_s = _residual_fields(rhs, traj.grid, traj.times, traj.r, traj.s)
     (r_linf, r_l2), (s_linf, s_l2) = _norms(res_r), _norms(res_s)
     return ResidualReport(r_linf, r_l2, s_linf, s_l2)
 
@@ -332,18 +349,20 @@ def heat_residual(sol: HeatGaussian, grid: Grid, times) -> float:
     """L2 finite-difference residual of d_t phi + sign * D lap phi = 0.
 
     Refuses, like ``residual``, fewer than 3 time stamps or stamps that do
-    not strictly increase.
+    not strictly increase, before it evaluates the kernel at them.
     """
+    times = np.asarray(times, dtype=float)
     _check_times(times)
     vals = np.array([sol.value(grid.coords(), t) for t in times])
-    periodic = grid.bc == "periodic"
-    res = _stack_time_derivative(times, vals)
-    for k, v in enumerate(vals[1:-1]):
+    periodic, coeff = grid.bc == "periodic", -sol.sign() * sol.D
+
+    def rhs(v):
         # phi is an amplitude, never a phase: its differences are not wrapped
-        second = [_axis_diffs(v, axis, grid.dx(axis), periodic, wrap=False)[1]
+        second = [_axis_diffs(v, 1 + axis, grid.dx(axis), periodic, wrap=False)[1]
                   for axis in range(grid.n)]
-        res[k] += sol.sign() * sol.D * sum(second[1:], second[0])
-    res = res[(slice(None),) + boundary_ring(grid)[1]]
+        return (coeff * sum(second[1:], second[0]),)
+
+    res, = _residual_fields(rhs, grid, times, vals)
     return float(np.sqrt(np.mean(np.square(res))))
 
 
@@ -381,8 +400,10 @@ class SEPacket:
         return np.zeros(self.n) if self.k is None else np.asarray(self.k, dtype=float)
 
     def _moved(self, xs, t):
+        """|x - center + 2 a k t|^2 and k; the shift is one term per axis,
+        so a time array ``t`` broadcasts against each coordinate."""
         k = self._k()
-        shift = 2.0 * self.a * k * t
+        shift = [2.0 * self.a * kj * t for kj in k]
         return _sum_sq(xs, self.center, shift), k
 
     def rs(self, xs, t):
@@ -400,9 +421,8 @@ class SEPacket:
         dlogA = -(self.n / 2.0) * (4.0j * self.a * self.b0) / z
         dB = -4.0j * self.a * B * B
         q, k = self._moved(xs, t)
-        shift = 2.0 * self.a * k * t
         dq = sum(2.0 * (np.asarray(x) - (self.center[i] if self.center else 0.0)
-                        + shift[i]) * 2.0 * self.a * k[i]
+                        + 2.0 * self.a * k[i] * t) * 2.0 * self.a * k[i]
                  for i, x in enumerate(xs))
         r_t = dlogA.real + dB.real * q + B.real * dq
         s_t = dlogA.imag + dB.imag * q + B.imag * dq + self.a * float(k @ k)

@@ -153,6 +153,18 @@ def test_verify_flow_names_eps_that_collapses_the_window(capsys, eps):
     assert "not finite and strictly increasing" in err
 
 
+def test_verify_flow_baseline_failure_names_generator_and_eps(capsys):
+    """C at eps = 1e9 squeezes the window onto t ~ 1e-9, where the bundled
+    sym1b solution has no small residual: the message names the flow."""
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--gen", "C",
+                          "--eps=1e9")
+    assert code == 2 and rows == []
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert "baseline residual" in err
+    assert "that C at eps=1e+09 maps the window [0.02, 0.18]" in err
+    assert "source times [" in err
+
+
 def test_verify_gauge_suite_seeded(capsys):
     code, rows, _ = run(capsys, "verify", "--suite", "gauge", "--seed", "7")
     assert code == 0
@@ -292,6 +304,48 @@ def test_unwritable_output_path_is_input_error(capsys, tmp_path, command):
     assert "Traceback" not in err
     last = err.splitlines()[-1]
     assert last.startswith("error: ") and target in last
+
+
+@pytest.mark.parametrize("option", ["--out", "--traj-out"])
+def test_gauge_failed_write_prints_no_row(capsys, tmp_path, option):
+    """The gauge row goes to stdout only after every write has succeeded."""
+    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+    traj = str(tmp_path / "run")
+    assert main(["simulate", "--params", path, "--grid", "32,0.2",
+                 "--steps", "4", "--out", traj]) == 0
+    capsys.readouterr()
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    argv = ["gauge", "--params", path, "--lambda", "2", "--traj", traj,
+            option, str(blocker / "out")]
+    assert main(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("key, damage", [
+    ("times", lambda m: m["times"].__setitem__(1, None)),
+    ("grid", lambda m: m.pop("grid"))], ids=["null-time", "no-grid"])
+def test_gauge_traj_bad_manifest_is_input_error(capsys, tmp_path, sym1b_file,
+                                                key, damage):
+    simdir = tmp_path / "sim"
+    assert main(["simulate", "--params", sym1b_file, "--grid", "32,0.2",
+                 "--bc", "periodic", "--init", "bump", "--steps", "4",
+                 "--out", str(simdir)]) == 0
+    capsys.readouterr()
+    mpath = simdir / "manifest.json"
+    manifest = json.loads(mpath.read_text())
+    damage(manifest)
+    mpath.write_text(json.dumps(manifest))
+    code, rows, err = run(capsys, "gauge", "--params", sym1b_file,
+                          "--lambda", "2", "--traj", str(simdir),
+                          "--traj-out", str(tmp_path / "out"))
+    assert code == 2 and rows == []
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+    assert str(mpath) in err and f"key '{key}'" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("damage", ["missing", "one-row"])

@@ -8,12 +8,13 @@ import pytest
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
                           read_trajectory, sample_evaluator, sample_trajectory,
                           write_snapshot, write_trajectory)
-from dgsym.kernels import boundary_ring, derivative_bundle, zero_ring
+from dgsym.kernels import (boundary_ring, derivative_bundle, evolution_rhs,
+                           zero_ring)
 from dgsym.params import reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, _norms,
                        _residual_fields, dg_rhs, evolve, functionals,
                        heat_residual, heat_solution, plane_wave_solution,
-                       residual, se_gaussian, se_residual)
+                       residual, rhs_coefficients, se_gaussian, se_residual)
 
 
 def interior(arr):
@@ -363,7 +364,7 @@ def test_residual_detects_perturbation(pts):
 @pytest.mark.parametrize("n,bc", [(1, "periodic"), (2, "dirichlet")])
 def test_residual_equals_per_slice_rhs(key, n, bc):
     """One set of stencil coefficients per call gives the report that
-    converting the parameters again for every time slice gives, bit for bit."""
+    converting the parameters again for every stencil call gives, bit for bit."""
     p = reference_points(n)[key]
     rng = np.random.default_rng(20260)
     g = Grid.make(n=n, npts=24, extent=(-2, 2), bc=bc)
@@ -371,7 +372,9 @@ def test_residual_equals_per_slice_rhs(key, n, bc):
     traj = Trajectory.from_fields(
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
-    res_r, res_s = _residual_fields(lambda f: dg_rhs(p, f), traj)
+    res_r, res_s = _residual_fields(
+        lambda r, s: evolution_rhs(r, s, g, rhs_coefficients(p)),
+        g, traj.times, traj.r, traj.s)
     assert residual(p, traj) == ResidualReport(*_norms(res_r), *_norms(res_s))
 
 
@@ -396,21 +399,35 @@ def _per_slice_report(rhs_fn, traj):
     return ResidualReport(*norms[0], *norms[1])
 
 
-STACK_GRIDS = [Grid.make(n=1, npts=48, extent=(-2, 2), bc="periodic"),
-               Grid.make(n=1, npts=40, extent=(-2, 2)),
-               Grid.make(n=2, npts=20, extent=(-2, 2)),
-               Grid.make(n=2, npts=16, extent=(-2, 2), bc="periodic")]
+# (grid, time slices, slab sizes of the stencil calls over the inner slices)
+STACK_CASES = [
+    pytest.param(Grid.make(n=1, npts=48, extent=(-2, 2), bc="periodic"), 6, [4],
+                 id="1d-periodic"),
+    pytest.param(Grid.make(n=1, npts=40, extent=(-2, 2)), 6, [4], id="1d-dirichlet"),
+    pytest.param(Grid.make(n=2, npts=20, extent=(-2, 2)), 6, [4], id="2d-dirichlet"),
+    pytest.param(Grid.make(n=2, npts=16, extent=(-2, 2), bc="periodic"), 6, [4],
+                 id="2d-periodic"),
+    pytest.param(Grid.make(n=1, npts=256, extent=(-2, 2), bc="periodic"), 40,
+                 [16, 16, 6], id="1d-periodic-256x40"),
+    pytest.param(Grid.make(n=2, npts=32, extent=(-2, 2)), 11, [4, 4, 1],
+                 id="2d-dirichlet-32x11"),
+]
 
 
-@pytest.mark.parametrize("g", STACK_GRIDS, ids=lambda g: f"{g.n}d-{g.bc}")
-def test_residuals_equal_per_slice_reference(g):
+@pytest.mark.parametrize("g, slices, slabs", STACK_CASES)
+def test_residuals_equal_per_slice_reference(g, slices, slabs):
     """residual, se_residual and heat_residual take one time derivative over
-    the whole stack; it equals the per-slice loop bit for bit."""
+    the whole stack and one stencil call per slab of time slices; they equal
+    the per-slice loop bit for bit."""
     rng = np.random.default_rng(g.npts)
-    times = np.cumsum(rng.uniform(0.01, 0.02, 6))
+    times = np.cumsum(rng.uniform(0.01, 0.02, slices))
     traj = Trajectory.from_fields(
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
+    seen = []
+    _residual_fields(lambda r, s: seen.append(len(r)) or (r, s),
+                     g, traj.times, traj.r, traj.s)
+    assert seen == slabs
     for key in ("sym1c", "linear-se", "galsub"):
         p = reference_points(g.n)[key]
         assert residual(p, traj) == _per_slice_report(lambda f: dg_rhs(p, f), traj)
