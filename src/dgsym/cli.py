@@ -20,6 +20,7 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
 from fractions import Fraction
 
@@ -363,7 +364,11 @@ def cmd_simulate(args) -> int:
     dt = default_dt(grid) if args.dt is None else args.dt
     steps = args.steps
     if steps is None:  # a dt that is not positive gets 0 steps; evolve refuses it
-        steps = int(np.ceil(args.t_final / dt)) if dt > 0 else 0
+        count = np.ceil(args.t_final / dt) if dt > 0 else 0.0
+        if not np.isfinite(count):
+            raise InputError(f"--t-final {args.t_final:g} at dt={dt:g} makes "
+                             "a step count too large to represent")
+        steps = int(count)
 
     bc_values = None
     if grid.bc == "dirichlet":
@@ -464,16 +469,30 @@ def cmd_gauge(args) -> int:
            "params": q.to_json_dict(),
            "class_before": classify(p).tag, "class_after": after.tag,
            "invariants": after.invariants.to_json_dict()}
-    # the row is printed only once every write has succeeded
-    if args.out:
-        q.dump(args.out)
-        _say(f"gauge: wrote {args.out}")
+    # the row is printed only once every write has succeeded; a failed write
+    # removes the outputs this call created
+    traj_out = moved = None
     if traj is not None:
-        out = Trajectory.from_fields(traj.grid,
-                                     [gauge_act_field(g, f) for f in traj.fields])
-        write_trajectory(out, args.traj_out or (args.traj.rstrip("/") + "-gauged"),
-                         params_json=q.to_json_dict())
-        _say("gauge: transformed trajectory written")
+        traj_out = args.traj_out or (args.traj.rstrip("/") + "-gauged")
+        moved = Trajectory.from_fields(traj.grid,
+                                       [gauge_act_field(g, f) for f in traj.fields])
+    fresh = [path for path in (args.out, traj_out)
+             if path and not os.path.lexists(path)]
+    try:
+        if args.out:
+            q.dump(args.out)
+        if moved is not None:
+            write_trajectory(moved, traj_out, params_json=q.to_json_dict())
+    except OSError:
+        for path in fresh:
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            elif os.path.lexists(path):
+                os.remove(path)
+        raise
+    for path in (args.out, traj_out):
+        if path:
+            _say(f"gauge: wrote {path}")
     _emit(row)
     return EXIT_OK
 

@@ -13,6 +13,9 @@ A closed-form solution is an evaluator: ``rs(xs, t) -> (r, s)`` on the
 coordinate tuple ``xs`` of ``grid.coords()``.  ``t`` is a scalar, or an array
 of shape ``(T, 1, ...)`` that broadcasts against ``xs`` with a leading time
 axis; ``sample_trajectory`` samples all T time stamps in one such call.
+A slice holds values on its grid points only, so a flow that moves points
+in x acts on the evaluator, and the result is sampled; nothing here
+interpolates between grid points.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["Grid", "LogPolarField", "Trajectory", "sample_evaluator",
-           "interp_field", "write_snapshot", "read_snapshot",
-           "write_trajectory", "read_trajectory"]
+           "write_snapshot", "read_snapshot", "write_trajectory",
+           "read_trajectory"]
 
 
 @dataclass(frozen=True)
@@ -172,45 +175,6 @@ def sample_trajectory(evaluator, grid: Grid, times) -> Trajectory:
     r, s = evaluator.rs(grid.coords(), times.reshape((-1,) + (1,) * grid.n))
     return Trajectory(grid, times, np.broadcast_to(r, shape).copy(),
                       np.broadcast_to(s, shape).copy())
-
-
-# ---------------------------------------------------------------------------
-# Interpolation (for grid-relocating flows).
-
-def interp_field(f: LogPolarField, points: tuple, tol: float = 1e-9) -> tuple:
-    """Cubic interpolation of (r, s) at off-grid points.
-
-    ``points`` is a tuple of coordinate arrays, one per axis, broadcastable to
-    a common shape.  Points may not leave the grid support by more than
-    ``tol``; phase winding across a periodic seam makes cubic phase
-    interpolation ill-posed, so relocation is a dirichlet-grid operation.
-    """
-    from scipy.interpolate import CubicSpline, RectBivariateSpline
-
-    grid = f.grid
-    if grid.bc != "dirichlet":
-        raise NotImplementedError(
-            "relocating interpolation needs a dirichlet grid; vertical flows "
-            "work on any grid")
-    for i, pts in enumerate(points):
-        a, b = grid.bounds[i]
-        pts = np.asarray(pts)
-        if pts.min() < a - tol or pts.max() > b + tol:
-            raise ValueError(
-                f"flow leaves grid support on axis {i}: "
-                f"[{pts.min():.4g}, {pts.max():.4g}] vs [{a}, {b}]")
-    clipped = [np.clip(np.asarray(pts, dtype=float), *grid.bounds[i])
-               for i, pts in enumerate(points)]
-    if grid.n == 1:
-        x = grid.axis(0)
-        return (CubicSpline(x, f.r)(clipped[0]),
-                CubicSpline(x, f.s)(clipped[0]))
-    x, y = grid.axis(0), grid.axis(1)
-    rsp = RectBivariateSpline(x, y, f.r, kx=3, ky=3)
-    ssp = RectBivariateSpline(x, y, f.s, kx=3, ky=3)
-    shape = np.broadcast(*clipped).shape
-    px, py = (np.broadcast_to(c, shape).ravel() for c in clipped)
-    return (rsp.ev(px, py).reshape(shape), ssp.ev(px, py).reshape(shape))
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,17 @@
 
 Every basis generator has a closed-form flow obtained by integrating its
 characteristic system dx/de = xi, dt/de = tau, dr/de = phi, ds/de = sigma.
-Flows that relocate the grid (scaling, expansion, boosts, rotations, time
-translation) remap coordinates and times; vertical flows act pointwise on
-(r, s).  Each flow is a :class:`FlowMap`; the nonlinear gauge action and the
-Zheat/Zse flows of :mod:`dgsym.linearize` are vertical ones
-(:func:`vertical_map`).  :func:`apply_flow` is the one way to apply a FlowMap,
-to a field slice or to an (r, s) evaluator.  :func:`flow_numeric`
-exponentiates an arbitrary vector field with an RK4 characteristic integrator
-and cross-validates the closed forms.
+Each flow is a :class:`FlowMap`: a time remap, a coordinate remap and a
+vertical action on (r, s).  :func:`apply_flow` is the one way to apply a
+FlowMap.  On an (r, s) evaluator it composes the map lazily
+(:class:`TransformedSolution`), which is exact for every flow.  On a field
+slice it applies only maps that leave x in place (``relocates=False``): the
+vertical maps, the nonlinear gauge action and the Zheat/Zse flows of
+:mod:`dgsym.linearize` (:func:`vertical_map`), plus H and A, which change
+only the time stamp.  A flow that moves points in x acts on the evaluator;
+sample the result.  :func:`flow_numeric` exponentiates an arbitrary vector
+field on an evaluator with an RK4 characteristic integrator and
+cross-validates the closed forms.
 
 Phase is tracked as a continuous real field throughout; nothing is wrapped
 into (-pi, pi].
@@ -22,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import Grid, LogPolarField, interp_field, sample_trajectory
+from .fields import Grid, LogPolarField, sample_trajectory
 from .params import DGParams
 from .pde import ResidualReport, residual
 from .symexpr import VectorFieldSpec, var_names
-from .symmetry import (GeneratorNotAdmissible, exp_rate_coefficients,
-                       is_admissible, parse_generator)
+from .symmetry import (GeneratorNotAdmissible, _check_indices,
+                       exp_rate_coefficients, is_admissible, parse_generator)
 
 __all__ = ["FlowMap", "vertical_map", "apply_flow", "closed_flow_map",
            "flow_closed", "flow_numeric", "FlowReport",
@@ -60,23 +63,20 @@ def vertical_map(vertical) -> FlowMap:
 
 
 def apply_flow(fmap: FlowMap, psi):
-    """Apply a flow to a LogPolarField slice or to an (r, s) evaluator.
+    """Apply a flow to an (r, s) evaluator or to a LogPolarField slice.
 
-    A slice is acted on at its own time stamp, which the flow remaps;
-    grid-relocating flows resample onto the original grid by cubic
-    interpolation.  Any other ``psi`` is taken as an evaluator and composed
-    lazily as a :class:`TransformedSolution`.
+    An evaluator is composed lazily as a :class:`TransformedSolution`.  A
+    slice is acted on at its own time stamp, which the flow remaps; a map
+    that moves points in x (``relocates=True``) is refused there, since the
+    slice holds no values off its grid.
     """
     if not isinstance(psi, LogPolarField):
         return TransformedSolution(fmap, psi)
-    t_out = fmap.time_map(psi.t)
-    coords = psi.grid.coords()
     if fmap.relocates:
-        src = fmap.source_coords(coords, t_out)
-        r0, s0 = interp_field(psi, src)
-    else:
-        r0, s0 = psi.r, psi.s
-    r, s = fmap.vertical(r0, s0, coords, t_out)
+        raise ValueError("this flow moves points in x and a field slice has no "
+                         "values off its grid: flow the evaluator, then sample it")
+    t_out = fmap.time_map(psi.t)
+    r, s = fmap.vertical(psi.r, psi.s, psi.grid.coords(), t_out)
     return LogPolarField(psi.grid, float(t_out),
                          np.broadcast_to(r, psi.grid.shape).copy(),
                          np.broadcast_to(s, psi.grid.shape).copy())
@@ -87,6 +87,7 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
     name = parse_generator(name)
     eps = float(eps)
     n = p.n
+    _check_indices(name, n)
     nu1, nu2, mu1 = float(p.nu1), float(p.nu2), float(p.mu1)
     kind = name.kind
 
@@ -211,30 +212,27 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
 
         return vertical_map(vertical)
 
+    if kind in ("Zheat", "Zse"):
+        raise ValueError(
+            f"the {kind} flow is built from a solution of the linear equation: "
+            "call dgsym.linearize.z_flow_heat(phi_plus, phi_minus, ...) or "
+            "z_flow_se(Psi, ...)")
     raise ValueError(f"no closed-form flow for generator kind {kind!r}")
 
 
 def flow_closed(name, eps: float, psi, p: DGParams,
-                require_admissible: bool = True, **payload):
-    """Apply the closed-form flow of a generator to a field slice or an
-    (r, s) evaluator.
+                require_admissible: bool = True):
+    """Apply the closed-form flow of a generator to an (r, s) evaluator or a
+    field slice with :func:`apply_flow`.
 
-    The generator's FlowMap is applied with :func:`apply_flow`.  The infinite
-    heat/Schroedinger generators take their solution payloads (phi_plus and
-    phi_minus, or Psi) as keyword arguments; :mod:`dgsym.linearize` builds
-    their vertical FlowMaps and applies them the same way.
+    The infinite heat/Schroedinger generators Zheat and Zse are refused:
+    their flows need a solution of the linear equation, which
+    :func:`dgsym.linearize.z_flow_heat` and :func:`dgsym.linearize.z_flow_se`
+    take directly.
     """
     name = parse_generator(name)
     if require_admissible and not is_admissible(name, p):
         raise GeneratorNotAdmissible(f"{name} is not admissible here")
-
-    if name.kind == "Zheat":
-        from .linearize import z_flow_heat
-        return z_flow_heat(payload["phi_plus"], payload["phi_minus"], eps, psi, p)
-    if name.kind == "Zse":
-        from .linearize import z_flow_se
-        return z_flow_se(payload["Psi"], eps, psi, p)
-
     return apply_flow(closed_flow_map(name, eps, p), psi)
 
 
@@ -267,66 +265,59 @@ def _rk4(deriv, state, eps: float, steps: int):
     return state
 
 
-def flow_numeric(X: VectorFieldSpec, eps: float, psi: LogPolarField,
-                 steps: int = 64) -> LogPolarField:
+def flow_numeric(X: VectorFieldSpec, eps: float, source, steps: int = 64):
     """Exponentiate a generator by integrating its characteristic system.
 
-    Works pointwise for vertical fields.  For relocating fields the
-    coordinate subsystem (which is closed: xi = xi(x, t), tau = tau(t)) is
-    integrated backward from the grid to find source points, the field is
-    interpolated there, and the full system is integrated forward.
+    Takes an (r, s) evaluator and returns one.  Its ``rs(xs, t)`` integrates
+    the coordinate subsystem (closed for the paper's generators: xi = xi(x, t),
+    tau = tau(t)) back by ``eps`` to the source point, evaluates ``source``
+    there and integrates the full system forward to (xs, t).  The source time
+    keeps the shape of t, a scalar or a (T, 1, ...) column.
     """
     if steps < 1:
         raise ValueError("step count must be >= 1")
-    grid = psi.grid
-    n = X.n
-    names = var_names(n)
-    coords = [np.asarray(c, dtype=float) for c in grid.coords()]
+    return _CharacteristicFlow(X, float(eps), source, steps)
 
-    def full_deriv(state):
-        values = dict(zip(names, state))
-        return [comp.evaluate(values) * np.ones(grid.shape)
-                for comp in X.components()]
 
-    def _check_range(r, s):
+@dataclass(frozen=True)
+class _CharacteristicFlow:
+    X: VectorFieldSpec
+    eps: float
+    source: object
+    steps: int
+
+    def rs(self, xs, t):
+        X, n = self.X, self.X.n
+        names = var_names(n)
+        t = np.asarray(t, dtype=float)
+        shape = np.broadcast_shapes(t.shape, *(np.shape(x) for x in xs))
+
+        def deriv(comps, keys):
+            # the variables not in keys (r and s for the coordinate
+            # subsystem) are held at 0; the generators' xi and tau ignore them
+            def f(state):
+                values = dict.fromkeys(names, 0.0)
+                values.update(zip(keys, state))
+                ones = np.ones(np.shape(state[0]))
+                return [c.evaluate(values) * ones for c in comps]
+            return f
+
+        t0 = _rk4(deriv([X.tau], ["t"]), [t], -self.eps, self.steps)[0][()]
+        query = [np.broadcast_to(v, shape) for v in (*xs, t)]
+        back = _rk4(deriv([*X.xi, X.tau], names[:n + 1]), query, -self.eps,
+                    self.steps)
+        r0, s0 = self.source.rs(tuple(back[:n]), t0)
+        out = _rk4(deriv(X.components(), names),
+                   [*back, *(np.broadcast_to(v, shape) for v in (r0, s0))],
+                   self.eps, self.steps)
+        r, s = out[n + 1], out[n + 2]
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
             raise OverflowError("characteristic integration left the "
                                 "representable range (r or s overflowed)")
-        return r, s
-
-    if X.is_vertical():
-        state = [*coords, np.full(grid.shape, psi.t), psi.r.copy(), psi.s.copy()]
-        out = _rk4(full_deriv, state, eps, steps)
-        return LogPolarField(grid, psi.t, *_check_range(out[n + 1], out[n + 2]))
-
-    # slice time maps forward along dt/de = tau(t)
-    def t_deriv(state):
-        values = dict(zip(names, [*([0.0] * n), state[0], 0.0, 0.0]))
-        return [float(np.asarray(X.tau.evaluate(values)))]
-
-    t_out = _rk4(t_deriv, [float(psi.t)], eps, steps)[0]
-
-    def coord_deriv(state):
-        values = dict(zip(names, [*state, 0.0, 0.0]))
-        comps = [*X.xi, X.tau]
-        return [c.evaluate(values) * np.ones(grid.shape) for c in comps]
-
-    back = _rk4(coord_deriv, [*coords, np.full(grid.shape, t_out)], -eps, steps)
-    src_coords, t0_arr = back[:n], back[n]
-    if not np.allclose(t0_arr, psi.t, atol=1e-9):
-        raise RuntimeError("time round trip failed; increase steps")
-    r0, s0 = (psi.r, psi.s) if all(
-        np.allclose(a, b) for a, b in zip(src_coords, coords)) \
-        else interp_field(psi, tuple(src_coords))
-
-    state = [*[c.copy() for c in src_coords], np.full(grid.shape, psi.t),
-             np.asarray(r0, dtype=float).copy(), np.asarray(s0, dtype=float).copy()]
-    out = _rk4(full_deriv, state, eps, steps)
-    for i in range(n):
-        if not np.allclose(out[i], coords[i], atol=1e-8):
+        if not all(np.allclose(a, b, atol=1e-8) for a, b in zip(out, query)):
             raise RuntimeError("characteristic round trip failed to return "
-                               "to the grid; increase steps")
-    return LogPolarField(grid, float(t_out), *_check_range(out[n + 1], out[n + 2]))
+                               "to the query points; increase steps")
+        return r, s
 
 
 # ---------------------------------------------------------------------------

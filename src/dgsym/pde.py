@@ -85,8 +85,12 @@ class EvolutionBlowup(RuntimeError):
 
 
 def default_dt(grid: Grid) -> float:
-    """The stability rule: the largest RK4 step, and the default, on grid."""
-    return 0.2 * min(grid.spacings) ** 2
+    """The stability rule: the largest RK4 step, and the default, on grid;
+    inf where the square of the spacing overflows."""
+    try:
+        return 0.2 * min(grid.spacings) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = None,
@@ -143,7 +147,11 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
                          f"(the blow-up bound); it has max|r| = {norm:.3g}")
 
     rows = 1 + -(-steps // save_every)  # field0 and every saved step
-    times, (rs, ss) = np.empty(rows), np.empty((2, rows) + grid.shape)
+    try:
+        times, (rs, ss) = np.empty(rows), np.empty((2, rows) + grid.shape)
+    except (MemoryError, ValueError) as exc:
+        raise ValueError(f"steps={steps} saved every {save_every} make a "
+                         "trajectory too large to hold in memory") from exc
     times[0], rs[0], ss[0] = field0.t, field0.r, field0.s
     r, s, t, row = field0.r.copy(), field0.s.copy(), field0.t, 1
     for step in range(1, steps + 1):
@@ -251,14 +259,9 @@ def _norms(arr) -> tuple:
     return float(np.max(np.abs(arr))), float(np.sqrt(np.mean(arr * arr)))
 
 
-def residual(p: DGParams, traj: Trajectory) -> ResidualReport:
-    """Residual norms of both evolution equations over interior points.
-
-    Time derivatives are centered three-point differences (non-uniform time
-    stamps allowed); a trajectory solves the system iff both residuals vanish
-    to discretization order.
-    """
-    coeffs = rhs_coefficients(p)
+def _residual_report(coeffs, traj: Trajectory) -> ResidualReport:
+    """Residual norms of the nine-coefficient system ``evolution_rhs`` over
+    interior points."""
     res_r, res_s = _residual_fields(
         lambda r, s: evolution_rhs(r, s, traj.grid, coeffs),
         traj.grid, traj.times, traj.r, traj.s)
@@ -266,18 +269,25 @@ def residual(p: DGParams, traj: Trajectory) -> ResidualReport:
     return ResidualReport(r_linf, r_l2, s_linf, s_l2)
 
 
+def residual(p: DGParams, traj: Trajectory) -> ResidualReport:
+    """Residual norms of both evolution equations over interior points.
+
+    Time derivatives are centered three-point differences (non-uniform time
+    stamps allowed); a trajectory solves the system iff both residuals vanish
+    to discretization order.
+    """
+    return _residual_report(rhs_coefficients(p), traj)
+
+
 def se_residual(a: float, traj: Trajectory) -> ResidualReport:
     """Residual of the free linear Schroedinger equation i psi_t = a lap psi,
-    written in log-polar variables."""
+    written in log-polar variables.
 
-    def rhs(r, s):
-        lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(r, s, traj.grid)
-        return zero_ring(traj.grid, a * (lap_s + 2.0 * grgs),
-                         -a * (lap_r + gr2 - gs2))
-
-    res_r, res_s = _residual_fields(rhs, traj.grid, traj.times, traj.r, traj.s)
-    (r_linf, r_l2), (s_linf, s_l2) = _norms(res_r), _norms(res_s)
-    return ResidualReport(r_linf, r_l2, s_linf, s_l2)
+    Its coefficients are ``rhs_coefficients`` of the family's linear point
+    DGParams(nu1=a, mu2=a/2, mu3=-a, mu5=-a/4).
+    """
+    a = float(a)
+    return _residual_report((0.0, a, 0.0, 2.0 * a, -a, 0.0, -a, 0.0, a), traj)
 
 
 # ---------------------------------------------------------------------------

@@ -390,10 +390,6 @@ class VectorFieldSpec:
                 _mul_into(terms, coeff._terms, f.differentiate(name)._terms)
         return SymExpr._make(self.n, _nonzero(terms))
 
-    def is_vertical(self) -> bool:
-        """True when the field moves only (r, s)."""
-        return all(c.is_zero for c in self.xi) and self.tau.is_zero
-
 
 def lie_bracket(X: VectorFieldSpec, Y: VectorFieldSpec) -> VectorFieldSpec:
     """[X, Y] with component [X,Y]^u = X(Y^u) - Y(X^u), exact."""

@@ -156,6 +156,7 @@ def basis_generator(name, p: DGParams, require_admissible: bool = True) -> Vecto
                 f"{name} is not a symmetry generator at a {cls.tag} point")
 
     n = p.n
+    _check_indices(name, n)
     zero = SymExpr.zero(n)
     kind = name.kind
 
@@ -171,15 +172,10 @@ def basis_generator(name, p: DGParams, require_admissible: bool = True) -> Vecto
         return VectorFieldSpec(n=n, xi=tuple(xi), tau=SymExpr.const(n, 1),
                                phi=zero, sigma=zero)
     if kind == "P":
-        _check_index(name.i, n)
         xi[name.i - 1] = SymExpr.const(n, 1)
         return VectorFieldSpec(n=n, xi=tuple(xi), tau=zero, phi=zero, sigma=zero)
     if kind == "L":
         j, k = name.i, name.j
-        _check_index(j, n)
-        _check_index(k, n)
-        if not j < k:
-            raise ValueError("rotation indices must satisfy j < k")
         xi[k - 1] = xvar(j)
         xi[j - 1] = -xvar(k)
         return VectorFieldSpec(n=n, xi=tuple(xi), tau=zero, phi=zero, sigma=zero)
@@ -195,7 +191,6 @@ def basis_generator(name, p: DGParams, require_admissible: bool = True) -> Vecto
             phi=Fraction(-n, 2) * t,
             sigma=-(Fraction(1) / (4 * p.nu1)) * x_sq + (n * p.mu1 / (2 * p.nu1)) * t)
     if kind == "B":
-        _check_index(name.i, n)
         xi[name.i - 1] = t
         return VectorFieldSpec(n=n, xi=tuple(xi), tau=zero, phi=zero,
                                sigma=-(Fraction(1) / (2 * p.nu1)) * xvar(name.i))
@@ -223,9 +218,14 @@ def basis_generator(name, p: DGParams, require_admissible: bool = True) -> Vecto
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _check_index(j, n):
-    if not 1 <= j <= n:
-        raise ValueError(f"index {j} out of range for n={n}")
+def _check_indices(name: GeneratorName, n: int):
+    """P:j and B:j need 1 <= j <= n, L:j,k needs 1 <= j < k <= n."""
+    indices = {"P": (name.i,), "B": (name.i,), "L": (name.i, name.j)}
+    for j in indices.get(name.kind, ()):
+        if not 1 <= j <= n:
+            raise ValueError(f"index {j} out of range for n={n}")
+    if name.kind == "L" and not name.i < name.j:
+        raise ValueError("rotation indices must satisfy j < k")
 
 
 # ---------------------------------------------------------------------------

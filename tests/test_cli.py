@@ -165,6 +165,21 @@ def test_verify_flow_baseline_failure_names_generator_and_eps(capsys):
     assert "source times [" in err
 
 
+@pytest.mark.parametrize("gen, n, message", [
+    ("L:1,2", 1, "out of range for n=1"), ("P:2", 1, "out of range for n=1"),
+    ("P:0", 1, "out of range for n=1"), ("B:2", 1, "out of range for n=1"),
+    ("L:1,1", 2, "j < k"), ("L:2,1", 2, "j < k")])
+def test_verify_flow_refuses_indices_like_determining(capsys, gen, n, message):
+    """Both suites refuse a generator index outside 1..n, and L:j,k unless
+    j < k, as an input error."""
+    for suite in ("flow", "determining"):
+        code, rows, err = run(capsys, "verify", "--suite", suite, "--gen", gen,
+                              "--n", str(n))
+        assert code == 2 and rows == []
+        assert "Traceback" not in err
+        assert message in err
+
+
 def test_verify_gauge_suite_seeded(capsys):
     code, rows, _ = run(capsys, "verify", "--suite", "gauge", "--seed", "7")
     assert code == 0
@@ -324,6 +339,25 @@ def test_gauge_failed_write_prints_no_row(capsys, tmp_path, option):
     assert out.err.splitlines()[-1].startswith("error: ")
 
 
+def test_gauge_failed_write_removes_what_it_wrote(capsys, tmp_path):
+    """--out is written before the trajectory; when the trajectory write then
+    fails, the new parameter file is removed again."""
+    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+    traj = str(tmp_path / "run")
+    assert main(["simulate", "--params", path, "--grid", "32,0.2",
+                 "--steps", "4", "--out", traj]) == 0
+    capsys.readouterr()
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    out = tmp_path / "g.json"
+    code, rows, err = run(capsys, "gauge", "--params", path, "--lambda", "2",
+                          "--out", str(out), "--traj", traj,
+                          "--traj-out", str(blocker / "t"))
+    assert code == 2 and rows == []
+    assert err.splitlines()[-1].startswith("error: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, damage", [
     ("times", lambda m: m["times"].__setitem__(1, None)),
     ("grid", lambda m: m.pop("grid"))], ids=["null-time", "no-grid"])
@@ -346,6 +380,30 @@ def test_gauge_traj_bad_manifest_is_input_error(capsys, tmp_path, sym1b_file,
     assert err.startswith("error: ")
     assert str(mpath) in err and f"key '{key}'" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--t-final", "1e12"],
+                                   ["--t-final", "1e300", "--dt", "1e-10"]])
+def test_simulate_refuses_step_count_too_large(capsys, tmp_path, se_file, flags):
+    """A step count that cannot be represented, or whose trajectory cannot
+    be allocated, is an input error, not a traceback."""
+    out = tmp_path / "run"
+    code, rows, err = run(capsys, "simulate", "--params", se_file, "--grid",
+                          "32,0.2", *flags, "--out", str(out))
+    assert code == 2 and rows == [] and not out.exists()
+    assert "Traceback" not in err
+    assert err.splitlines()[-1].startswith("error: ")
+    assert "too large" in err
+
+
+def test_simulate_grid_whose_step_overflows_is_input_error(capsys, tmp_path,
+                                                          se_file):
+    """dx = 1e300 overflows dx**2: the default step is inf and is refused."""
+    out = tmp_path / "run"
+    code, rows, err = run(capsys, "simulate", "--params", se_file, "--grid",
+                          "16,1e300", "--out", str(out))
+    assert code == 2 and rows == [] and not out.exists()
+    assert "Traceback" not in err and "dt=inf must be finite" in err
 
 
 @pytest.mark.parametrize("damage", ["missing", "one-row"])
@@ -620,3 +678,131 @@ def test_verify_class_matches_params_file(capsys, tmp_path, flags, key, n):
     assert by_class == run(capsys, "verify", *flags, "--params", by_file)
     default = run(capsys, "verify", *flags, *dim)
     assert default[1] != by_class[1]
+
+
+# -- the CLI contract over drawn argument vectors --------------------------------
+
+# Each option's candidates: (valid values, bad ones), the bad ones zero,
+# negative, nan, inf, huge or malformed.  Grids keep 16-64 points and runs stay
+# a few steps long: --n, --steps and a grid's point count stay small, and the
+# huge --t-final is too large for any drawn grid and --save-every to run.
+_GRIDS = (["16,0.5", "33,0.25", "64,0.125"],
+          ["0,0.1", "-16,0.1", "16,0", "16,-0.25", "16,nan", "16,inf",
+           "16,1e300", "64", "x,y", ""])
+_PARAMS = (["sym1b.json", "sym1c.json", "linear-se.json", "generic.json",
+            "sym1b-n2.json"],
+           ["sym1c-n3.json", "malformed.json", "missing.json", "plain"])
+_OUTS = (["out", "nested/out"], ["plain/out"])
+CONTRACT = {
+    "verify": {
+        "--params": _PARAMS, "--grid": _GRIDS,
+        "--gen": ([[], ["B:1"], ["P:1", "H"], ["Yf:z^2"], ["L:1,2"]],
+                  [["Zheat"], ["Q"], ["P:0"]]),
+        "--eps": (["0.3", "-0.2"], ["0", "nan", "inf", "1e300", "x"]),
+        "--seed": (["0", "7", "-3"], ["99999999999999999999", "x"]),
+        "--tol": (["0.05", "1"], ["0", "-1", "nan", "inf", "1e300", "x"]),
+        "--n": (["1", "2"], ["3", "0", "-1", "x"]),
+        "--class": (["sym1b", "sym1c", "sym3", "galsub", "generic"], ["bogus", ""]),
+        "--suite": (["commutators", "determining", "flow", "gauge", "all"], ["x"]),
+    },
+    "simulate": {
+        "--params": _PARAMS, "--grid": _GRIDS, "--out": _OUTS,
+        "--dt": (["0.0005"], ["0", "-0.001", "nan", "inf", "1e300", "x"]),
+        "--bc": (["periodic", "dirichlet"], ["x"]),
+        "--init": (["bump", "bump:ra=0.2,sa=0.1,w=1.0", "planewave:k=1",
+                    "se-packet"],
+                   ["bump:ra=nan", "bump:ra=1e300", "bump:w=0", "bump:ra",
+                    "file:missing.csv", "x"]),
+        "--t-final": (["0.002", "0.01"], ["0", "-1", "nan", "inf", "1e300", "x"]),
+        "--steps": (["0", "3"], ["-1", "nan", "x"]),
+        "--save-every": (["1", "2"], ["0", "-1", "1000000000000", "x"]),
+    },
+    "linearize": {
+        "--params": _PARAMS, "--grid": _GRIDS, "--out": _OUTS,
+        "--t-final": (["0.2", "0.05"], ["0", "-1", "nan", "inf", "1e300", "x"]),
+        "--tol": (["1e-10", "1"], ["0", "-1", "nan", "inf", "1e300", "x"]),
+    },
+    "gauge": {
+        "--params": _PARAMS,
+        "--out": (["g.json", "nested/g.json"], ["plain/g.json"]),
+        "--lambda": (["2", "-1/2"], ["0", "nan", "inf", "1e300", "1/0", "x"]),
+        "--gamma": (["0", "-2/3"], ["nan", "1e300", "1/0", "x"]),
+        "--traj": (["traj"], ["missing-traj", "plain"]),
+        "--traj-out": (["traj-out", "nested/t"], ["plain/t"]),
+    },
+}
+DEFAULT_OUT = {"simulate": ["dgsym-run"], "linearize": ["dgsym-linearize"]}
+
+
+def test_contract_declares_every_option():
+    assert {c: set(opts) for c, opts in CONTRACT.items()} == \
+        {c: SURFACE[c] for c in CONTRACT}
+
+
+def _outputs(command, opts):
+    """Paths the run may write: explicit --out/--traj-out, else the defaults."""
+    if command == "gauge":
+        paths = [opts[o] for o in ("--out", "--traj-out") if o in opts]
+        if "--traj" in opts and "--traj-out" not in opts:
+            paths.append(opts["--traj"].rstrip("/") + "-gauged")
+        return paths
+    if command == "verify":
+        return []
+    return [opts["--out"]] if "--out" in opts else DEFAULT_OUT[command]
+
+
+def test_cli_contract_on_drawn_arguments(capsys, tmp_path, monkeypatch):
+    """Every drawn argument vector exits 0, 1, 2 or 3 with no traceback, and
+    an input error (exit 2) leaves no output behind."""
+    import shutil
+
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    monkeypatch.chdir(tmp_path)
+    pts1, pts2, pts3 = reference_points(1), reference_points(2), reference_points(3)
+    for name, p in (("sym1b", pts1["sym1b"]), ("sym1c", pts1["sym1c"]),
+                    ("linear-se", pts1["linear-se"]), ("generic", pts1["generic"]),
+                    ("sym1b-n2", pts2["sym1b"]), ("sym1c-n3", pts3["sym1c"])):
+        p.dump(tmp_path / f"{name}.json")
+    (tmp_path / "malformed.json").write_text("{")
+    (tmp_path / "plain").write_text("a regular file")
+    assert main(["simulate", "--params", "sym1b.json", "--grid", "16,0.5",
+                 "--steps", "3", "--out", "traj"]) == 0
+
+    @st.composite
+    def argv(draw):
+        command = draw(st.sampled_from(sorted(CONTRACT)))
+        chosen = draw(st.sets(st.sampled_from(sorted(CONTRACT[command]))))
+        opts = {}
+        for option in sorted(chosen):  # one option in four draws a bad value
+            valid, bad = CONTRACT[command][option]
+            opts[option] = draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0
+                                                else valid))
+        args = [command]
+        for option, value in opts.items():
+            args += [option, *value] if isinstance(value, list) else [option, value]
+        return command, opts, args
+
+    @given(argv())
+    @settings(max_examples=60, deadline=None)
+    def check(drawn):
+        command, opts, args = drawn
+        outputs = _outputs(command, opts)
+        for path in outputs:
+            if os.path.isdir(path):
+                shutil.rmtree(path)
+            elif os.path.isfile(path):
+                os.remove(path)
+        try:
+            code = main(args)
+        except SystemExit as exc:  # argparse refuses the vector
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (args, code, err)
+        assert "Traceback" not in err, (args, err)
+        if code == 2:
+            left = [path for path in outputs if os.path.exists(path)]
+            assert not left, (args, left)
+
+    check()

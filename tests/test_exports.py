@@ -49,3 +49,53 @@ def test_perfbench_traced_names_resolve():
         if owner is None or name not in vars(owner):
             missing.append((modname, attr))
     assert spans.TRACED and missing == []
+
+
+def test_package_imports_have_no_cycle():
+    """No dgsym module imports, directly or through others, one that imports it."""
+    graph = {}
+    for module in MODULES:
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"dgsym.{module}")))
+        graph[module] = {node.module.split(".")[0] for node in ast.walk(tree)
+                         if isinstance(node, ast.ImportFrom) and node.level == 1
+                         and node.module}
+
+    def reaches(start, goal, seen=()):
+        return any(nxt == goal or (nxt not in seen and
+                                   reaches(nxt, goal, (*seen, nxt)))
+                   for nxt in graph.get(start, ()))
+
+    assert [m for m in MODULES if reaches(m, m)] == []
+
+
+def test_dgsym_runs_without_scipy():
+    """dgsym depends on numpy only: with scipy unimportable it imports, the
+    flow suite passes and a numeric flow runs on an evaluator."""
+    script = """
+import sys
+sys.modules["scipy"] = None
+import numpy as np
+import dgsym
+from dgsym import cli
+from dgsym.fields import Grid, sample_evaluator
+from dgsym.flows import flow_numeric
+from dgsym.params import reference_points
+from dgsym.symmetry import basis_generator
+
+class Src:
+    def rs(self, xs, t):
+        return 0.2 * np.sin(xs[0]) + t, 0.1 * xs[0]
+
+assert cli.main(["verify", "--suite", "flow"]) == 0
+X = basis_generator("D", reference_points()["sym1b"])
+field = sample_evaluator(flow_numeric(X, 0.2, Src()), Grid.make(npts=16), 0.1)
+assert np.all(np.isfinite(field.r)) and np.all(np.isfinite(field.s))
+"""
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=str(Path(dgsym.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -13,6 +13,15 @@ from dgsym.symmetry import GeneratorNotAdmissible, basis_generator
 ALL_CLOSED = ["H", "P:1", "D", "C", "A", "B:1", "E", "R"]
 
 
+class Smooth:
+    """A smooth (r, s) evaluator; at t = 0.07 it is close to smooth_field."""
+
+    def rs(self, xs, t):
+        x = np.asarray(xs[0])
+        return (0.3 * np.sin(x) - 0.1 + 0.1 * t,
+                0.2 * np.cos(2 * x) + 0.05 * x - 0.2 * t)
+
+
 @pytest.fixture()
 def smooth_field():
     grid = Grid.make(npts=48, extent=(-3, 3))
@@ -41,11 +50,18 @@ def max_diff(f1, f2):
 
 @pytest.mark.parametrize("gen", ALL_CLOSED + ["F", "Yf:z^2"])
 def test_zero_epsilon_is_identity(pts, smooth_field, gen):
+    """On an evaluator for every flow, and on a slice for the flows that
+    leave x in place."""
     key = {"F": "expsub", "Yf:z^2": "infasub"}.get(gen, "sym3-nu2")
     p = pts[key]
-    out = flow_closed(gen, 0.0, smooth_field, p, require_admissible=False)
-    assert max_diff(out, smooth_field) < 1e-14
-    assert out.t == pytest.approx(smooth_field.t)
+    grid, t = smooth_field.grid, smooth_field.t
+    moved = flow_closed(gen, 0.0, Smooth(), p, require_admissible=False)
+    assert max_diff(sample_evaluator(moved, grid, t),
+                    sample_evaluator(Smooth(), grid, t)) < 1e-14
+    if not closed_flow_map(gen, 0.0, p).relocates:
+        out = flow_closed(gen, 0.0, smooth_field, p, require_admissible=False)
+        assert max_diff(out, smooth_field) < 1e-14
+        assert out.t == pytest.approx(smooth_field.t)
 
 
 def test_phase_shift_flow(pts, smooth_field):
@@ -91,11 +107,10 @@ def test_time_map_round_trips(pts):
             assert fmap.source_time(fmap.time_map(t0)) == pytest.approx(t0)
 
 
-def test_expansion_flow_singularity(pts, smooth_field):
-    p = pts["sym3-nu2"]
-    bad = LogPolarField(smooth_field.grid, -3.0, smooth_field.r, smooth_field.s)
-    with pytest.raises(ValueError):
-        flow_closed("C", 0.5, bad, p)  # 1 + eps*t <= 0 at t=-3
+def test_expansion_flow_singularity(pts):
+    moved = flow_closed("C", 0.5, Smooth(), pts["sym3-nu2"])
+    with pytest.raises(ValueError, match="singular"):
+        moved.rs((np.linspace(-1, 1, 5),), -3.0)  # 1 + eps*t <= 0 at t=-3
 
 
 def test_exponential_flow_domain_error(pts, smooth_field):
@@ -127,17 +142,21 @@ def test_yf_flow_conserves_z(pts, smooth_field):
     np.testing.assert_allclose(z0, z1, atol=1e-12)
 
 
-def test_relocating_flow_needs_dirichlet(pts):
-    grid = Grid.make(npts=32, extent=(0, 2 * np.pi), bc="periodic")
-    x = grid.coords()[0]
-    f = LogPolarField(grid, 0.0, 0.1 * np.cos(x), 0.1 * np.sin(x))
-    with pytest.raises(NotImplementedError):
-        flow_closed("D", 0.1, f, pts["sym3-nu2"])
+@pytest.mark.parametrize("gen", ["P:1", "B:1", "D", "C"])
+def test_relocating_map_on_slice_is_refused(pts, smooth_field, gen):
+    with pytest.raises(ValueError, match="flow the evaluator, then sample it"):
+        flow_closed(gen, 0.1, smooth_field, pts["sym3-nu2"],
+                    require_admissible=False)
 
 
-def test_translation_flow_leaves_support(pts, smooth_field):
-    with pytest.raises(ValueError):
-        flow_closed("P:1", 0.5, smooth_field, pts["generic"])
+@pytest.mark.parametrize("gen, key", [("Zheat", "sym1b"), ("Zse", "sym1c")])
+def test_flow_closed_refuses_infinite_generators(pts, smooth_field, heat_sol,
+                                                 gen, key):
+    """Zheat and Zse flows need a linear-side solution; flow_closed names the
+    two functions that take it, on slices and evaluators alike."""
+    for psi in (smooth_field, heat_sol):
+        with pytest.raises(ValueError, match="z_flow_heat.*z_flow_se"):
+            flow_closed(gen, 0.2, psi, pts[key])
 
 
 # ---------------------------------------------------------------------------
@@ -180,31 +199,38 @@ def test_relocating_group_law_on_evaluators(pts, gen):
 @pytest.mark.parametrize("key,gen,eps", [
     ("finsub", "A", 0.3), ("expsub-nu2", "F", 0.2), ("generic", "E", 1.0),
     ("generic", "R", 0.4), ("sym1b", "D", 0.2), ("sym1b", "C", 0.25),
-    ("infasub", "Yf:z^2", 0.2),
+    ("infasub", "Yf:z^2", 0.2), ("sym1b", "H", 0.3), ("sym1b", "P:1", 0.5),
+    ("sym1b", "B:1", 0.3),
 ])
 def test_numeric_matches_closed(pts, smooth_field, key, gen, eps):
+    """Both flows act on one evaluator; they agree at a scalar t and on a
+    (T, 1) time column."""
     p = pts[key]
     X = basis_generator(gen, p, require_admissible=False)
-    fc = flow_closed(gen, eps, smooth_field, p, require_admissible=False)
-    fn = flow_numeric(X, eps, smooth_field, steps=128)
-    assert max_diff(fc, fn) < 1e-8
-    assert abs(fc.t - fn.t) < 1e-10
+    fc = flow_closed(gen, eps, Smooth(), p, require_admissible=False)
+    fn = flow_numeric(X, eps, Smooth(), steps=128)
+    grid, t = smooth_field.grid, smooth_field.t
+    assert max_diff(sample_evaluator(fc, grid, t),
+                    sample_evaluator(fn, grid, t)) < 1e-8
+    assert max_diff(sample_trajectory(fc, grid, [t, 0.13]),
+                    sample_trajectory(fn, grid, [t, 0.13])) < 1e-8
 
 
 def test_numeric_boost_vertical_part(pts, smooth_field):
-    """At t = 0 the boost does not move the grid; its phase ramp must match."""
+    """At t = 0 the boost does not move x; its phase ramp must match."""
     p = pts["sym1b"]
-    f0 = LogPolarField(smooth_field.grid, 0.0, smooth_field.r, smooth_field.s)
     X = basis_generator("B:1", p)
-    fc = flow_closed("B:1", 0.3, f0, p)
-    fn = flow_numeric(X, 0.3, f0, steps=64)
-    assert max_diff(fc, fn) < 1e-12
+    fc = flow_closed("B:1", 0.3, Smooth(), p)
+    fn = flow_numeric(X, 0.3, Smooth(), steps=64)
+    grid = smooth_field.grid
+    assert max_diff(sample_evaluator(fc, grid, 0.0),
+                    sample_evaluator(fn, grid, 0.0)) < 1e-12
 
 
-def test_numeric_step_validation(pts, smooth_field):
+def test_numeric_step_validation(pts):
     X = basis_generator("E", pts["generic"])
     with pytest.raises(ValueError):
-        flow_numeric(X, 0.1, smooth_field, steps=0)
+        flow_numeric(X, 0.1, Smooth(), steps=0)
 
 
 # ---------------------------------------------------------------------------
@@ -290,58 +316,15 @@ def test_translation_of_gauged_packet(pts):
 
 def test_numeric_flow_overflow_guard(pts, smooth_field):
     # r ~ 700 overflows the exp(eta*r + lambda*s) coefficient (eta = 13/2)
-    big = LogPolarField(smooth_field.grid, 0.0,
-                        smooth_field.r + 700.0, smooth_field.s)
+    class Big:
+        def rs(self, xs, t):
+            r, s = Smooth().rs(xs, t)
+            return r + 700.0, s
+
     X = basis_generator("F", pts["expsub-nu2"])
+    moved = flow_numeric(X, 1.0, Big(), steps=4)
     with pytest.raises(OverflowError), np.errstate(over="ignore", invalid="ignore"):
-        flow_numeric(X, 1.0, big, steps=4)
-
-
-def test_flow_closed_dispatches_infinite_generators(pts):
-    from dgsym.linearize import z_flow_heat, z_flow_se
-    from dgsym.pde import se_gaussian
-
-    p = pts["sym1b"]
-    data = linearization_data(p)
-    fp = heat_solution(data.diffusion, "forward", amplitude=0.8,
-                       focus_time=1.2, offset=0.5)
-    fm = heat_solution(data.diffusion, "backward", amplitude=0.6,
-                       focus_time=-0.3, offset=0.4)
-    grid = Grid.make(npts=32, extent=(-2, 2))
-    x = grid.coords()[0]
-    f0 = LogPolarField(grid, 0.05, 0.2 * np.sin(x), 0.1 * np.cos(x))
-    via_name = flow_closed("Zheat", 0.3, f0, p, phi_plus=fp, phi_minus=fm)
-    direct = z_flow_heat(fp, fm, 0.3, f0, p)
-    assert max_diff(via_name, direct) == 0.0
-
-    pc = pts["sym1c"]
-    dc = linearization_data(pc)
-    psi = se_gaussian(dc.se_coefficient, b0=-0.3)
-    via_name = flow_closed("Zse", 0.2, f0, pc, Psi=psi)
-    direct = z_flow_se(psi, 0.2, f0, pc)
-    assert max_diff(via_name, direct) == 0.0
-
-
-def test_flow_closed_on_evaluator_accepts_infinite_generators(pts, heat_sol):
-    """flow_closed takes the Zheat/Zse payloads on an (r, s) evaluator too,
-    and its lazy result flows to the same bits on every call."""
-    from dgsym.pde import se_gaussian
-
-    grid = Grid.make(npts=32, extent=(-2, 2))
-    xs = grid.coords()
-    fp, fm = heat_sol.phi_plus, heat_sol.phi_minus
-    pc = pts["sym1c"]
-    psi = se_gaussian(linearization_data(pc).se_coefficient, b0=-0.3)
-    src_c = flow_closed("D", 0.1, heat_sol, pc, require_admissible=False)
-    for name, eps, src, p, payload in (
-            ("Zheat", 0.3, heat_sol, pts["sym1b"], {"phi_plus": fp, "phi_minus": fm}),
-            ("Zse", 0.2, src_c, pc, {"Psi": psi})):
-        moved = flow_closed(name, eps, src, p, **payload)
-        assert isinstance(moved, TransformedSolution)
-        ref = flow_closed(name, eps, src, p, **payload)
-        for t in (0.02, 0.11):
-            got, want = moved.rs(xs, t), ref.rs(xs, t)
-            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        sample_evaluator(moved, smooth_field.grid, 0.0)
 
 
 def _vertical_cases(pts, heat_sol):

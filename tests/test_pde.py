@@ -1,16 +1,18 @@
 import json
 import os
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
                           read_trajectory, sample_evaluator, sample_trajectory,
                           write_snapshot, write_trajectory)
-from dgsym.kernels import (boundary_ring, derivative_bundle, evolution_rhs,
-                           zero_ring)
-from dgsym.params import reference_points
+from dgsym.kernels import boundary_ring, derivative_bundle, evolution_rhs
+from dgsym.params import DGParams, reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, _norms,
                        _residual_fields, dg_rhs, evolve, functionals,
                        heat_residual, heat_solution, plane_wave_solution,
@@ -399,6 +401,11 @@ def _per_slice_report(rhs_fn, traj):
     return ResidualReport(*norms[0], *norms[1])
 
 
+def _linear_se_point(n, a):
+    """The family point whose system is i psi_t = a lap psi."""
+    return DGParams(n=n, nu1=a, mu2=a / 2, mu3=-a, mu5=-a / 4)
+
+
 # (grid, time slices, slab sizes of the stencil calls over the inner slices)
 STACK_CASES = [
     pytest.param(Grid.make(n=1, npts=48, extent=(-2, 2), bc="periodic"), 6, [4],
@@ -432,13 +439,9 @@ def test_residuals_equal_per_slice_reference(g, slices, slabs):
         p = reference_points(g.n)[key]
         assert residual(p, traj) == _per_slice_report(lambda f: dg_rhs(p, f), traj)
 
-    a = -0.7
-
-    def se_rhs(f):
-        lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(f.r, f.s, f.grid)
-        return zero_ring(f.grid, a * (lap_s + 2.0 * grgs), -a * (lap_r + gr2 - gs2))
-
-    assert se_residual(a, traj) == _per_slice_report(se_rhs, traj)
+    se_point = _linear_se_point(g.n, Fraction(-7, 10))
+    assert se_residual(-0.7, traj) == _per_slice_report(
+        lambda f: dg_rhs(se_point, f), traj)
 
     # the heat equation as the r equation of a trajectory with r = phi:
     # r_t = -sign D lap r
@@ -450,6 +453,26 @@ def test_residuals_equal_per_slice_reference(g, slices, slabs):
         lambda f: (-sol.sign() * sol.D * derivative_bundle(f.r, f.s, g)[0],
                    np.zeros(g.shape)), heat)
     assert heat_residual(sol, g, list(times)) == lap_only.r_l2
+
+
+def test_se_residual_is_residual_at_the_linear_point():
+    g = Grid.make(n=1, npts=64, extent=(-2, 2))
+    rng = np.random.default_rng(5)
+    times = np.cumsum(rng.uniform(0.01, 0.02, 7))
+    traj = Trajectory.from_fields(
+        g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
+                          rng.standard_normal(g.shape)) for t in times])
+    assert _linear_se_point(1, Fraction(-1)) == reference_points(1)["linear-se"]
+
+    @given(st.fractions(min_value=-5, max_value=5, max_denominator=60)
+           .filter(lambda a: a != 0))
+    @settings(max_examples=30, deadline=None)
+    def check(a):
+        se, dg = se_residual(float(a), traj), residual(_linear_se_point(1, a), traj)
+        for key in ("r_linf", "r_l2", "s_linf", "s_l2"):
+            assert getattr(se, key) == pytest.approx(getattr(dg, key), rel=1e-13)
+
+    check()
 
 
 # ---------------------------------------------------------------------------

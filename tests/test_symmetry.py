@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dgsym.params import make_exp_sub, reference_points
-from dgsym.symexpr import SymExpr, lie_bracket
+from dgsym.params import make_exp_sub, make_inf_sub, reference_points
+from dgsym.symexpr import SymExpr, VectorFieldSpec, lie_bracket
 from dgsym.symmetry import (GeneratorNotAdmissible, admissible_generators,
                             basis_generator, determining_residuals,
                             exp_rate_coefficients, infsub_poly_generator,
@@ -258,6 +258,25 @@ def test_poly_generator_is_symmetry_on_random_infsub(nu1, nu2, mu1, coeffs):
     p = make_inf_sub(1, nu1, nu2, mu1)
     X = infsub_poly_generator(p, coeffs)
     assert residuals_all_zero(determining_residuals(p, X))
+
+
+@given(st.sampled_from([1, 2]),
+       st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(lambda q: q != 0),
+       st.fractions(min_value=-2, max_value=2, max_denominator=4),
+       st.fractions(min_value=-2, max_value=2, max_denominator=4))
+@settings(max_examples=40, deadline=None)
+def test_exponential_generator_is_a_yf_on_infsub(n, nu1, nu2, mu1):
+    """At every InfSub point with mu1 != 2 nu2, F is the vertical field
+    f(z) (d_r - (2 nu2/nu1) d_s) with f = exp(-2z/(mu1 - 2 nu2)) and
+    z = mu1 r + nu1 s, so F lies inside the infinite Y_f family there."""
+    assume(mu1 != 2 * nu2)
+    p = make_inf_sub(n, nu1, nu2, mu1)
+    rate = -2 / (mu1 - 2 * nu2)
+    f = SymExpr.exp_rs(n, rate * mu1, rate * nu1)
+    zero = SymExpr.zero(n)
+    Y = VectorFieldSpec(n=n, xi=(zero,) * n, tau=zero, phi=f,
+                        sigma=f * (-2 * nu2 / nu1))
+    assert (basis_generator("F", p) - Y).is_zero
 
 
 def test_jacobi_identity_on_basis_generators(pts):
