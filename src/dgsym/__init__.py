@@ -5,7 +5,7 @@ from .params import (DGParams, GaugeElement, GaugeInvariants, SymmetryClass,
                      classify, compute_invariants, canonical_gauge,
                      gauge_act_params, gauge_compose, gauge_identity,
                      gauge_inverse, predicate_report, reference_points)
-from .symexpr import SymExpr, VectorFieldSpec, lie_bracket, parse_expr
+from .symexpr import SymExpr, VectorFieldSpec, lie_bracket
 from .symmetry import (basis_generator, determining_residuals, parse_generator,
                        residuals_all_zero, verify_commutator_table,
                        verify_infinite_relations, GeneratorNotAdmissible)

@@ -214,8 +214,15 @@ def _check_times(times):
     """Refuse time stamps a three-point time derivative cannot use."""
     if len(times) < 3:
         raise ValueError("residual needs at least 3 time slices")
-    if not np.all(np.diff(times) > 0):
+    h = np.diff(times)
+    if not np.all(h > 0):
         raise ValueError("trajectory times must be strictly increasing")
+    with np.errstate(over="ignore", under="ignore"):
+        scale = h[:-1] * h[1:] * (h[:-1] + h[1:])
+    if not np.all(np.isfinite(scale) & (scale > 0)):
+        raise ValueError("trajectory time steps too large or too small: "
+                         "h1*h2*(h1+h2) of the three-point time derivative "
+                         "is not a finite positive float")
 
 
 def _stack_time_derivative(times, stack):

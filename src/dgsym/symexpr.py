@@ -9,7 +9,9 @@ class is closed under the operations the symmetry analysis needs: addition,
 multiplication, exact partial differentiation, and Lie brackets of first-order
 vector fields on (x1..xn, t, r, s).  Zero testing is decidable: the normal
 form has merged, nonzero terms, so an expression is zero iff its term dict is
-empty.
+empty.  The module has no text syntax: the one payload read from text, the
+polynomial f(z) of a Y_f generator name, is read by
+:func:`dgsym.symmetry.parse_poly`.
 
 Normal form.  ``_terms`` maps ``(a, b, powers)`` to a nonzero ``Fraction``;
 each key occurs once (terms are merged), and a zero exp rate is stored as the
@@ -23,7 +25,6 @@ tuple that fixes ``repr`` and ``hash`` is built lazily, on first use.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -31,9 +32,7 @@ from operator import add
 
 import numpy as np
 
-__all__ = [
-    "SymExpr", "VectorFieldSpec", "lie_bracket", "parse_expr", "parse_poly",
-]
+__all__ = ["SymExpr", "VectorFieldSpec", "lie_bracket"]
 
 
 @lru_cache(maxsize=None)
@@ -400,143 +399,3 @@ def lie_bracket(X: VectorFieldSpec, Y: VectorFieldSpec) -> VectorFieldSpec:
     n = X.n
     return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
                            phi=comps[n + 1], sigma=comps[n + 2])
-
-
-# ---------------------------------------------------------------------------
-# Textual syntax: integers/rationals, variables, + - * ^, exp(a*r + b*s).
-
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
-
-
-def _tokenize(text: str):
-    pos, out = 0, []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"bad character in expression at {text[pos:]!r}")
-        out.append(m.group(m.lastindex))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, n, aliases=None):
-        self.tokens = tokens
-        self.pos = 0
-        self.n = n
-        self.aliases = aliases or {}
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self, expect=None):
-        tok = self.peek()
-        if tok is None or (expect is not None and tok != expect):
-            raise ValueError(f"expected {expect!r}, found {tok!r}")
-        self.pos += 1
-        return tok
-
-    def parse(self) -> SymExpr:
-        e = self.expr()
-        if self.peek() is not None:
-            raise ValueError(f"trailing input from token {self.peek()!r}")
-        return e
-
-    def expr(self) -> SymExpr:
-        e = self.term()
-        while self.peek() in ("+", "-"):
-            op = self.take()
-            rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
-
-    def term(self) -> SymExpr:
-        e = self.power()
-        while self.peek() == "*":
-            self.take()
-            e = e * self.power()
-        return e
-
-    def power(self) -> SymExpr:
-        base = self.atom()
-        if self.peek() == "^":
-            self.take()
-            if self.peek() == "-":
-                raise ValueError("negative powers are not supported")
-            base = base ** int(self.take())
-        return base
-
-    def number(self) -> Fraction:
-        num = int(self.take())
-        if self.peek() == "/":
-            self.take()
-            den = int(self.take())
-            return Fraction(num, den)
-        return Fraction(num)
-
-    def atom(self) -> SymExpr:
-        tok = self.peek()
-        if tok == "-":
-            self.take()
-            return -self.power()
-        if tok == "(":
-            self.take()
-            e = self.expr()
-            self.take(")")
-            return e
-        if tok is None:
-            raise ValueError("unexpected end of expression")
-        if tok.isdigit():
-            return SymExpr.const(self.n, self.number())
-        name = self.take()
-        if name == "exp":
-            self.take("(")
-            arg = self.expr()
-            self.take(")")
-            return self._exp_of(arg)
-        name = self.aliases.get(name, name)
-        return SymExpr.var(self.n, name)
-
-    def _exp_of(self, arg: SymExpr) -> SymExpr:
-        """exp of a linear form in (r, s) only."""
-        idx = var_index(self.n)
-        a = b = Fraction(0)
-        for (ea, eb, powers), coeff in arg._terms.items():
-            if ea or eb:
-                raise ValueError("nested exp is not supported")
-            active = [i for i, p in enumerate(powers) if p]
-            if not active:
-                raise ValueError("constant offset inside exp is not supported")
-            if len(active) != 1 or powers[active[0]] != 1:
-                raise ValueError("exp argument must be linear in r and s")
-            name = var_names(self.n)[active[0]]
-            if name == "r":
-                a += coeff
-            elif name == "s":
-                b += coeff
-            else:
-                raise ValueError("exp argument may involve only r and s")
-        return SymExpr.exp_rs(self.n, a, b)
-
-
-def parse_expr(text: str, n: int, aliases: dict | None = None) -> SymExpr:
-    """Parse the CLI expression syntax into a SymExpr."""
-    return _Parser(_tokenize(text), n, aliases).parse()
-
-
-def parse_poly(text: str, varname: str = "z") -> tuple:
-    """Parse a univariate polynomial, returning coefficients (c0, c1, ...)."""
-    expr = parse_expr(text, 0, aliases={varname: "r"})
-    idx = var_index(0)["r"]
-    degree = 0
-    for (a, b, powers) in expr._terms:
-        if a or b:
-            raise ValueError("polynomial payload cannot contain exp")
-        for i, p in enumerate(powers):
-            if p and i != idx:
-                raise ValueError(f"polynomial must involve only {varname!r}")
-        degree = max(degree, powers[idx])
-    coeffs = [Fraction(0)] * (degree + 1)
-    for (a, b, powers), coeff in expr._terms.items():
-        coeffs[powers[idx]] = coeff
-    return tuple(coeffs)

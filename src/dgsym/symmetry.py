@@ -12,14 +12,16 @@ is a symmetry generator iff every residual is zero.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .params import DGParams, SymmetryClass, classify, predicate_report
-from .symexpr import SymExpr, VectorFieldSpec, lie_bracket, parse_poly
+from .symexpr import SymExpr, VectorFieldSpec, lie_bracket
 
 __all__ = [
-    "GeneratorName", "parse_generator", "basis_names", "basis_generator",
+    "GeneratorName", "parse_generator", "parse_poly", "basis_names", "basis_generator",
     "is_admissible", "admissible_generators", "exp_rate_coefficients",
     "infsub_poly_generator", "verify_commutator_table", "verify_infinite_relations",
     "determining_residuals", "residuals_all_zero",
@@ -46,7 +48,8 @@ class GeneratorName:
         if self.kind in ("P", "B"):
             return f"{self.kind}:{self.i}"
         if self.kind == "Yf":
-            return "Yf:" + "+".join(f"({c})*z^{k}" for k, c in enumerate(self.poly) if c)
+            return "Yf:" + ("+".join(f"({c})*z^{k}" for k, c in enumerate(self.poly) if c)
+                            or "0")
         return self.kind
 
 
@@ -111,7 +114,11 @@ def _admissibility(name: GeneratorName, cls: SymmetryClass) -> bool:
 
 
 def is_admissible(name, p: DGParams) -> bool:
-    return _admissibility(parse_generator(name), classify(p))
+    """Whether name generates a symmetry at p; an index outside 1..n is a
+    ValueError, as in basis_generator."""
+    name = parse_generator(name)
+    _check_indices(name, p.n)
+    return _admissibility(name, classify(p))
 
 
 def basis_names(n: int) -> list:
@@ -129,6 +136,144 @@ def admissible_generators(p: DGParams) -> list:
     cls = classify(p)
     return [name for name in basis_names(p.n)
             if _admissibility(parse_generator(name), cls)]
+
+
+# ---------------------------------------------------------------------------
+# Y_f payloads: polynomials in z, as coefficient tuples (c0, c1, ..., cd) of
+# Fractions with no trailing zeros, (0,) for the zero polynomial.
+
+def _poly_trim(f):
+    while len(f) > 1 and not f[-1]:
+        f = f[:-1]
+    return f
+
+
+def _poly_add(f, g, sign=1):
+    """f + sign * g."""
+    return _poly_trim(tuple(a + sign * b for a, b in zip_longest(f, g, fillvalue=0)))
+
+
+def _poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    terms = [(j, b) for j, b in enumerate(g) if b]
+    for i, a in enumerate(f):
+        if a:
+            for j, b in terms:
+                out[i + j] += a * b
+    return _poly_trim(tuple(out))
+
+
+def _poly_diff(f):
+    return tuple(k * c for k, c in enumerate(f))[1:] or (Fraction(0),)
+
+
+MAX_DEGREE = 64
+MAX_NESTING = 32
+
+_POLY_TOKEN = re.compile(r"\d+|\w+|\S")
+_Z = (Fraction(0), Fraction(1))
+
+
+def _bounded(value: int, limit: int, what: str) -> int:
+    if value > limit:
+        raise ValueError(f"payload {what} exceeds {limit}")
+    return value
+
+
+class _PolyReader:
+    """Recursive descent over one payload's tokens.  Each rule returns the
+    coefficients and a degree bound, the degree with the base of every power
+    counted as degree >= 1.  The bound is checked before a product or power
+    is expanded, and the depth before parentheses or unary minus recurse."""
+
+    def __init__(self, text: str):
+        self.tokens = _POLY_TOKEN.findall(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+
+    def take(self) -> str:
+        tok = self.peek()
+        if tok is None:
+            raise ValueError("payload ends early")
+        self.pos += 1
+        return tok
+
+    def integer(self) -> int:
+        tok = self.take()
+        if not tok.isdecimal():
+            raise ValueError(f"expected an integer literal, found {tok!r}")
+        return int(tok)
+
+    def sum(self, depth: int):
+        c, d = self.product(depth)
+        while self.peek() in ("+", "-"):
+            sign = 1 if self.take() == "+" else -1
+            c2, d2 = self.product(depth)
+            c, d = _poly_add(c, c2, sign), max(d, d2)
+        return c, d
+
+    def product(self, depth: int):
+        c, d = self.factor(depth)
+        while self.peek() == "*":
+            self.take()
+            c2, d2 = self.factor(depth)
+            d = _bounded(d + d2, MAX_DEGREE, "degree")
+            c = _poly_mul(c, c2)
+        return c, d
+
+    def factor(self, depth: int):
+        """Unary minus applies to the power after it: -z^2 is -(z^2)."""
+        if self.peek() == "-":
+            self.take()
+            c, d = self.factor(_bounded(depth + 1, MAX_NESTING, "nesting"))
+            return tuple(-a for a in c), d
+        c, d = self.atom(depth)
+        if self.peek() == "^":
+            self.take()
+            k = self.integer()
+            d = _bounded(k * max(d, 1), MAX_DEGREE, "degree")
+            base, c = c, (Fraction(1),)
+            for _ in range(k):
+                c = _poly_mul(c, base)
+        return c, d
+
+    def atom(self, depth: int):
+        tok = self.take()
+        if tok == "(":
+            out = self.sum(_bounded(depth + 1, MAX_NESTING, "nesting"))
+            if self.take() != ")":
+                raise ValueError("unbalanced parenthesis in payload")
+            return out
+        if tok == "z":
+            return _Z, 1
+        if tok.isdecimal():  # p/q binds tighter than ^: 3/2^2 is 9/4
+            num, den = int(tok), 1
+            if self.peek() == "/":
+                self.take()
+                den = self.integer()
+                if not den:
+                    raise ValueError("zero denominator in payload")
+            return (Fraction(num, den),), 0
+        raise ValueError(f"unexpected {tok!r} in payload: it is a polynomial in z")
+
+
+def parse_poly(text: str) -> tuple:
+    """Coefficients (c0, c1, ..., cd) of a Y_f payload, a polynomial in z.
+
+    The payload holds integers, p/q literals, z, + - * ^ and parentheses; ^
+    takes an integer literal.  Trailing zeros are trimmed, and the zero
+    polynomial is (0,).  A ValueError, raised before any expansion, refuses
+    anything else, a zero denominator, a degree bound above MAX_DEGREE (the
+    base of a power counts as degree >= 1, so 2^65 is refused too) and
+    parentheses or unary minus nested deeper than MAX_NESTING.
+    """
+    reader = _PolyReader(text)
+    coeffs, _ = reader.sum(0)
+    if reader.peek() is not None:
+        raise ValueError(f"unexpected {reader.peek()!r} in payload {text!r}")
+    return coeffs
 
 
 def infsub_poly_generator(p: DGParams, coeffs) -> VectorFieldSpec:
@@ -348,28 +493,9 @@ def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
 # ---------------------------------------------------------------------------
 # Infinite-family bracket relations (polynomial payloads).
 
-def _poly_diff(f):
-    return tuple(k * c for k, c in enumerate(f))[1:] or (Fraction(0),)
-
-
-def _poly_mul(f, g):
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += Fraction(a) * Fraction(b)
-    return tuple(out)
-
-
-def _poly_sub(f, g):
-    m = max(len(f), len(g))
-    f = tuple(f) + (Fraction(0),) * (m - len(f))
-    g = tuple(g) + (Fraction(0),) * (m - len(g))
-    return tuple(Fraction(a) - Fraction(b) for a, b in zip(f, g))
-
-
 def _poly_vf_bracket(f, g):
     """[f, g](z) = f g' - g f'."""
-    return _poly_sub(_poly_mul(f, _poly_diff(g)), _poly_mul(g, _poly_diff(f)))
+    return _poly_add(_poly_mul(f, _poly_diff(g)), _poly_mul(g, _poly_diff(f)), -1)
 
 
 def verify_infinite_relations(p: DGParams, max_degree: int = 4) -> list:
@@ -406,7 +532,7 @@ def verify_infinite_relations(p: DGParams, max_degree: int = 4) -> list:
         A = basis_generator("A", p)
         for d in range(max_degree + 1):
             f = mono(d)
-            zfp = _poly_mul((Fraction(0), Fraction(1)), _poly_diff(f))
+            zfp = _poly_mul(_Z, _poly_diff(f))
             diff = lie_bracket(A, infsub_poly_generator(p, f)) \
                 - infsub_poly_generator(p, zfp)
             rows.append(CheckRow(f"[A,Y_z^{d}]", diff.is_zero))

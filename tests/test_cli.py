@@ -10,6 +10,9 @@ from dgsym.fields import read_trajectory
 from dgsym.params import PARAM_NAMES, DGParams, reference_points
 
 
+DEEP_PAYLOAD = "Yf:" + "(" * 400 + "z" + ")" * 400
+
+
 def write_params(tmp_path, name, p: DGParams):
     path = tmp_path / name
     p.dump(path)
@@ -178,6 +181,34 @@ def test_verify_flow_refuses_indices_like_determining(capsys, gen, n, message):
         assert code == 2 and rows == []
         assert "Traceback" not in err
         assert message in err
+
+
+@pytest.mark.parametrize("payload", [
+    "Yf:x1", "Yf:foo", "Yf:r^2", "Yf:1/0", "Yf:z^65", "Yf:z^1000000000000",
+    pytest.param(DEEP_PAYLOAD, id="Yf:400-nested-parentheses")])
+@pytest.mark.parametrize("suite", ["determining", "flow"])
+def test_verify_refuses_malformed_payload(capsys, suite, payload):
+    code, rows, err = run(capsys, "verify", "--suite", suite, "--class", "infsub",
+                          "--gen", payload)
+    assert code == 2 and rows == []
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("key", ["galsub", "generic"])
+def test_verify_class_without_bundled_solution_skips_flow(capsys, key):
+    """The flow suite skips every generator where the class has no closed-form
+    solution: all suites pass with those rows skipped, flow alone ran none."""
+    code, rows, _ = run(capsys, "verify", "--class", key)
+    assert code == 0
+    flow = [r for r in rows if r["suite"] == "flow"]
+    assert flow and all(r["skipped"] and "no bundled closed-form solution" in r["detail"]
+                        for r in flow)
+    assert all(r["pass"] for r in rows if r["suite"] != "flow")
+    code, rows, _ = run(capsys, "verify", "--suite", "flow", "--class", key)
+    assert code == 3 and rows == flow
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--class", key,
+                          "--gen", "P:2")  # a bad index is refused, not skipped
+    assert code == 2 and rows == [] and "out of range for n=1" in err
 
 
 def test_verify_gauge_suite_seeded(capsys):
@@ -468,6 +499,15 @@ def test_linearize_se_branch(capsys, tmp_path):
     assert row["roundtrip_error"] < 1e-10
 
 
+def test_linearize_refuses_times_that_overflow_the_derivative(capsys, tmp_path):
+    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+    out = tmp_path / "lin"
+    code, rows, err = run(capsys, "linearize", "--params", path,
+                          "--t-final", "1e300", "--out", str(out))
+    assert code == 2 and rows == [] and not out.exists()
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_linearize_inapplicable(capsys, tmp_path):
     path = write_params(tmp_path, "sym0.json", reference_points()["generic"])
     code, rows, err = run(capsys, "linearize", "--params", path)
@@ -697,7 +737,8 @@ CONTRACT = {
     "verify": {
         "--params": _PARAMS, "--grid": _GRIDS,
         "--gen": ([[], ["B:1"], ["P:1", "H"], ["Yf:z^2"], ["L:1,2"]],
-                  [["Zheat"], ["Q"], ["P:0"]]),
+                  [["Zheat"], ["Q"], ["P:0"], ["Yf:x1"], ["Yf:1/0"],
+                   ["Yf:z^1000000000000"], [DEEP_PAYLOAD]]),
         "--eps": (["0.3", "-0.2"], ["0", "nan", "inf", "1e300", "x"]),
         "--seed": (["0", "7", "-3"], ["99999999999999999999", "x"]),
         "--tol": (["0.05", "1"], ["0", "-1", "nan", "inf", "1e300", "x"]),

@@ -497,7 +497,9 @@ def test_heat_solution_gaussian_order(pts):
     ([0.0, 0.1], "at least 3 time slices"),
     ([0.0, 0.1, 0.1, 0.2], "strictly increasing"),
     ([0.0, 0.2, 0.1], "strictly increasing"),
-    ([0.0, float("nan"), 0.2], "strictly increasing")])
+    ([0.0, float("nan"), 0.2], "strictly increasing"),
+    ([0.0, 1e200, 2e200], "not a finite positive float"),
+    ([0.0, 1e-120, 2e-120], "not a finite positive float")])
 def test_heat_residual_refuses_times_like_residual(pts, times, match):
     sol = heat_solution(1.0, "forward", offset=0.2)
     g = Grid.make(npts=32, extent=(-2, 2))

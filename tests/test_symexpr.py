@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgsym.symexpr import (SymExpr, VectorFieldSpec, lie_bracket, parse_expr,
-                           parse_poly)
+from dgsym.symexpr import SymExpr, VectorFieldSpec, lie_bracket
+from dgsym.symmetry import parse_poly
 
 F = Fraction
 
@@ -67,38 +67,49 @@ def test_evaluate_arrays():
 
 
 # ---------------------------------------------------------------------------
-# parser
+# Y_f payloads, read by dgsym.symmetry.parse_poly
 
-def test_parse_round_trip_values():
-    e = parse_expr("2*x1^2*t - 3/4*s + exp(2*r + s) - 1", 1)
-    vals = {"x1": 2.0, "t": 3.0, "r": 0.1, "s": 0.2}
-    want = 2 * 4 * 3 - 0.75 * 0.2 + np.exp(0.4) - 1
-    assert abs(e.evaluate(vals) - want) < 1e-12
-
-
-def test_parse_unary_minus_and_parens():
-    e = parse_expr("-(x1 - 2)^2", 1)
-    assert abs(e.evaluate({"x1": 5.0, "t": 0, "r": 0, "s": 0}) + 9.0) < 1e-14
-
-
-def test_parse_exp_restrictions():
-    with pytest.raises(ValueError):
-        parse_expr("exp(x1)", 1)
-    with pytest.raises(ValueError):
-        parse_expr("exp(r^2)", 1)
-    with pytest.raises(ValueError):
-        parse_expr("exp(exp(r))", 1)
-    with pytest.raises(ValueError):
-        parse_expr("x1 +", 1)
-    with pytest.raises(ValueError):
-        parse_expr("x1 $ 2", 1)
+_Z64 = (F(0),) * 64 + (F(1),)
+PAYLOADS = [  # (text, coefficients); None marks a refused payload
+    ("1 + z^2 - 3/2*z", (F(1), F(-3, 2), F(1))),
+    ("z^3", (F(0), F(0), F(0), F(1))),
+    ("-(z - 2)^2", (F(-4), F(4), F(-1))),
+    ("(1+z)^3", (F(1), F(3), F(3), F(1))),
+    ("2*-z", (F(0), F(-2))),
+    ("--z", (F(0), F(1))),
+    ("-z^2", (F(0), F(0), F(-1))),
+    ("z+-z^2", (F(0), F(1), F(-1))),
+    ("(-3/2)*z^0+(1/7)*z^3", (F(-3, 2), F(0), F(0), F(1, 7))),
+    ("3/2^2", (F(9, 4),)),
+    ("-2^2", (F(-4),)),
+    ("z^0", (F(1),)),
+    ("0", (F(0),)),
+    ("z-z", (F(0),)),
+    ("2 * ( z + 1 ) ^ 2 - 4*z", (F(2), F(0), F(2))),
+    ("(2*z)^2*3/4", (F(0), F(0), F(3))),
+    ("z+1/2*z^2", (F(0), F(1), F(1, 2))),
+    ("1+z+z^2+z^3+z^4", (F(1),) * 5),
+    ("z^64", _Z64),
+    ("(z^8)^8", _Z64),
+    ("exp(z)", None), ("x1", None), ("foo", None), ("z2", None),
+    ("r^2", None),  # r is no alias of z
+    ("z +", None), ("z $ 2", None), ("", None), ("z/2", None), ("2z", None),
+    ("(z", None), ("z)", None),
+    ("1/0", None), ("z^-1", None), ("z^z", None), ("z^(2)", None),
+    ("z^65", None), ("z^1000000000000", None), ("z" + "*z" * 64, None),
+    ("(9^64)^64", None),  # a power's base counts as degree >= 1
+    ("(" * 400 + "z" + ")" * 400, None), ("-" * 400 + "z", None),
+]
 
 
 def test_parse_poly():
-    assert parse_poly("1 + z^2 - 3/2*z") == (F(1), F(-3, 2), F(1))
-    assert parse_poly("z^3") == (F(0), F(0), F(0), F(1))
-    with pytest.raises(ValueError):
-        parse_poly("exp(z)")
+    for text, want in PAYLOADS:
+        if want is None:
+            with pytest.raises(ValueError):
+                parse_poly(text)
+        else:
+            got = parse_poly(text)
+            assert got == want and all(type(c) is F for c in got), text
 
 
 # ---------------------------------------------------------------------------

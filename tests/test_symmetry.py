@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dgsym.params import make_exp_sub, make_inf_sub, reference_points
 from dgsym.symexpr import SymExpr, VectorFieldSpec, lie_bracket
-from dgsym.symmetry import (GeneratorNotAdmissible, admissible_generators,
-                            basis_generator, determining_residuals,
+from dgsym.symmetry import (GeneratorName, GeneratorNotAdmissible,
+                            admissible_generators, basis_generator, determining_residuals,
                             exp_rate_coefficients, infsub_poly_generator,
                             is_admissible, parse_generator, residuals_all_zero,
                             verify_commutator_table, verify_infinite_relations)
@@ -26,6 +26,32 @@ def test_parse_generator():
     for bad in ("Q", "L:1", "P:x", "Zfoo"):
         with pytest.raises(ValueError):
             parse_generator(bad)
+
+
+def _trimmed(coeffs):
+    """A payload as parse_poly returns it: no trailing zeros, (0,) for zero."""
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return tuple(coeffs) or (F(0),)
+
+
+generator_names = st.one_of(
+    st.sampled_from(["H", "D", "C", "E", "R", "A", "F", "Zheat", "Zse"]).map(
+        lambda kind: GeneratorName(kind=kind)),
+    st.builds(lambda kind, i: GeneratorName(kind=kind, i=i),
+              st.sampled_from(["P", "B"]), st.integers(1, 9)),
+    st.builds(lambda i, d: GeneratorName(kind="L", i=i, j=i + d),
+              st.integers(1, 8), st.integers(1, 8)),
+    st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=50),
+             max_size=9).map(
+        lambda coeffs: GeneratorName(kind="Yf", poly=_trimmed(coeffs))))
+
+
+@given(generator_names)
+@example(GeneratorName(kind="Yf", poly=(F(0),)))  # printed as Yf:0
+@settings(max_examples=100, deadline=None)
+def test_generator_name_round_trip(g):
+    assert parse_generator(str(g)) == g
 
 
 def test_basis_time_translation(pts):
