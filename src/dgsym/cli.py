@@ -249,16 +249,20 @@ def _bundled_solution(p: DGParams):
 
 def _suite_flow(args, rows):
     """Each generator's flow is checked on the bundled solution of the
-    point's class; with no such solution every generator is skipped."""
+    point's class; with no such solution, or at a dimension the dynamics do
+    not support, every generator is skipped."""
     p = _point_for(args, "sym1b")
-    sol = _bundled_solution(p)
-    grid = _grid(args.grid, p.n)
+    dynamic = p.n in (1, 2)  # the dimensions a Grid takes
+    sol = _bundled_solution(p) if dynamic else None
+    grid = _grid(args.grid, p.n) if dynamic else None
     gens = args.gen or ["P:1", "B:1", "H", "D", "C"]
     lo, hi = 3.0, 5.0
     for gname in gens:
         name = parse_generator(gname)
         if not is_admissible(name, p) or sol is None:  # refuses a bad index first
-            why = "no bundled closed-form solution" if sol is None else "not admissible"
+            why = ("dynamics support n in {1, 2}" if not dynamic
+                   else "no bundled closed-form solution" if sol is None
+                   else "not admissible")
             rows.append({"suite": "flow", "generator": str(name), "skipped": True,
                          "detail": f"{why} at {classify(p).tag}"})
             continue

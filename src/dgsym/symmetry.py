@@ -15,7 +15,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
+from math import lcm
+
+import numpy as np
 
 from .params import DGParams, SymmetryClass, classify, predicate_report
 from .symexpr import SymExpr, VectorFieldSpec, lie_bracket
@@ -542,14 +546,117 @@ def verify_infinite_relations(p: DGParams, max_degree: int = 4) -> list:
 # ---------------------------------------------------------------------------
 # Determining equations.
 
+# Each family is linear in X: a sum of (coefficient, derivative) pairs.  A
+# coefficient is an integer vector over the parameter basis (1, nu1, nu2,
+# mu1..mu5).  A derivative names a component of X (xi, tau, phi, sig) and the
+# variables it is differentiated by, with x the family's axis x_j and xi its
+# component xi_j; lap_u is the Laplacian sum_k u_{x_k x_k}.  The per-axis
+# families are emitted once per axis j, the scalar ones once.
+
+_ONE, _NU1, _NU2, _MU1, _MU2, _MU3, _MU4, _MU5 = np.eye(8, dtype=np.int64)
+_M14, _M25 = _MU1 + _MU4, _MU2 + _MU5
+
+_AXIS_FAMILIES = (
+    ("det01", ((-_ONE, "xi_t"), (-_MU1, "lap_xi"), (2 * _M14, "phi_x"),
+               (4 * _MU2, "phi_xs"), (2 * _MU3, "sig_x"), (2 * _MU1, "sig_xs"))),
+    ("det02", ((-_NU1, "lap_xi"), (2 * _NU1, "phi_x"), (4 * _NU2, "phi_xs"),
+               (2 * _NU1, "sig_xs"))),
+    ("det03", ((-_MU2, "lap_xi"), (4 * _M25, "phi_x"), (2 * _MU2, "phi_xr"),
+               (_M14, "sig_x"), (_MU1, "sig_xr"))),
+    ("det04", ((_ONE, "xi_t"), (-2 * _NU2, "lap_xi"), (8 * _NU2, "phi_x"),
+               (4 * _NU2, "phi_xr"), (2 * _NU1, "sig_x"), (2 * _NU1, "sig_xr"))),
+    ("det07", ((2 * _M14, "phi_s"), (2 * _MU2, "phi_ss"), (_MU3, "sig_s"),
+               (_MU1, "sig_ss"), (_MU3, "tau_t"), (-2 * _MU3, "xi_x"))),
+    ("det08", ((2 * _MU2, "phi_s"), (_NU1, "sig_r"), (_MU1, "tau_t"),
+               (-2 * _MU1, "xi_x"))),
+    ("det09", ((_MU1 + 2 * _NU2, "phi_s"), (-_NU1, "phi_r"), (_NU1, "sig_s"),
+               (_NU1, "tau_t"), (-2 * _NU1, "xi_x"))),
+    ("det10", ((4 * _M25, "phi_s"), (_M14, "phi_r"), (2 * _MU2, "phi_rs"),
+               (_MU3 + _NU1, "sig_r"), (_MU1, "sig_rs"), (_M14, "tau_t"),
+               (-2 * _M14, "xi_x"))),
+    ("det11", ((2 * _MU2, "phi_r"), (-2 * _MU2, "sig_s"), (_MU1 + 2 * _NU2, "sig_r"),
+               (2 * _MU2, "tau_t"), (-4 * _MU2, "xi_x"))),
+    ("det12", ((2 * _MU2, "phi_s"), (_NU1, "sig_r"), (2 * _NU2, "tau_t"),
+               (-4 * _NU2, "xi_x"))),
+    ("det13", ((_M14 + 4 * _NU2, "phi_s"), (2 * _NU2, "phi_rs"), (_NU1, "sig_s"),
+               (_NU1, "sig_rs"), (_NU1, "tau_t"), (-2 * _NU1, "xi_x"))),
+    ("det14", ((8 * _M25, "phi_r"), (2 * _MU2, "phi_rr"), (-4 * _M25, "sig_s"),
+               (2 * (_M14 + 2 * _NU2), "sig_r"), (_MU1, "sig_rr"),
+               (4 * _M25, "tau_t"), (-8 * _M25, "xi_x"))),
+    ("det15", ((4 * _M25, "phi_s"), (4 * _NU2, "phi_r"), (2 * _NU2, "phi_rr"),
+               (2 * _NU1, "sig_r"), (_NU1, "sig_rr"), (4 * _NU2, "tau_t"),
+               (-8 * _NU2, "xi_x"))),
+)
+
+_SCALAR_FAMILIES = (
+    ("det05", ((_ONE, "sig_t"), (_MU1, "lap_sig"), (2 * _MU2, "lap_phi"))),
+    ("det06", ((-_ONE, "phi_t"), (2 * _NU2, "lap_phi"), (_NU1, "lap_sig"))),
+    ("det16", ((_MU3 + 2 * _NU1, "phi_s"), (2 * _NU2, "phi_ss"), (_NU1, "sig_ss"))),
+)
+
+
+def _derivative_targets(name: str, j: int, n: int) -> list:
+    """(component index, variable indices) pairs that a derivative name sums,
+    in the order of X.components() and var_names(n)."""
+    head, _, tail = name.partition("_")
+    comp = {"xi": j - 1, "tau": n, "phi": n + 1, "sig": n + 2}
+    if head == "lap":
+        return [(comp[tail], (k, k)) for k in range(n)]
+    var = {"x": j - 1, "t": n, "r": n + 1, "s": n + 2}
+    return [(comp[head], tuple(var[v] for v in tail))]
+
+
+@lru_cache(maxsize=None)
+def _determining_index(n: int) -> tuple:
+    """Row labels; the distinct coefficient vectors, sparse as (basis index,
+    int) pairs; and, per component of X, the derivatives it enters by, as
+    (variable indices, ((row, vector number), ...)) pairs."""
+    labels, vecs = [], {}
+    index = [{} for _ in range(n + 3)]
+
+    def enter(vec, u, wrt):
+        sparse = tuple((i, int(c)) for i, c in enumerate(vec) if c)
+        index[u].setdefault(wrt, []).append((len(labels), vecs.setdefault(sparse, len(vecs))))
+
+    for j in range(1, n + 1):
+        for label, row in _AXIS_FAMILIES:
+            for vec, name in row:
+                for u, wrt in _derivative_targets(name, j, n):
+                    enter(vec, u, wrt)
+            labels.append(f"{label}[{j}]")
+    for label, row in _SCALAR_FAMILIES:
+        for vec, name in row:
+            for u, wrt in _derivative_targets(name, 0, n):
+                enter(vec, u, wrt)
+        labels.append(label)
+    for j in range(1, n + 1):  # rot[j,k] = xi_j,x_k + xi_k,x_j
+        for k in range(j + 1, n + 1):
+            enter(_ONE, j - 1, (k - 1,))
+            enter(_ONE, k - 1, (j - 1,))
+            labels.append(f"rot[{j},{k}]")
+    return (tuple(labels), tuple(vecs),
+            tuple(tuple((wrt, tuple(entries)) for wrt, entries in comp.items())
+                  for comp in index))
+
+
 def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
     """Left-hand sides of the determining equations with X substituted.
 
     X must already satisfy the reduction coming from the trivial equations:
     xi independent of (r, s) and tau a function of t alone.  Returns
     (label, SymExpr) pairs; X generates a symmetry at p iff all are zero.
-    The sixteen equation families are labeled det01..det16 in source order,
-    the rotation condition rot(j,k) is emitted once per index pair.
+    The sixteen equation families are labeled det01..det16.  The thirteen
+    per-axis ones come first, axis by axis (``det01[1]``, ..., ``det15[1]``,
+    ``det01[2]``, ...), then det05, det06 and det16, then the rotation
+    condition ``rot[j,k]`` once per index pair j < k.  Every residual is
+    linear in X.
+
+    One pass in Python integers: L is the lcm of the denominators of the
+    seven parameters, of every coefficient of X and of every exp rate in X.
+    Scaled by L, family coefficients, term coefficients and rates are
+    integers; a power step of a derivative multiplies by the power and L, a
+    rate step by the scaled rate, and a first derivative by one more L, so
+    every contribution is an integer numerator over L^4.
     """
     n = X.n
     if n != p.n:
@@ -561,91 +668,59 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
         if X.tau.depends_on(name):
             raise ValueError("tau must depend on t only")
 
-    nu1, nu2 = p.nu1, p.nu2
-    mu1, mu2, mu3, mu4, mu5 = p.mu1, p.mu2, p.mu3, p.mu4, p.mu5
-    m14, m25 = mu1 + mu4, mu2 + mu5
+    labels, vecs, index = _determining_index(n)
+    comps = [comp._terms for comp in X.components()]
+    qs = (p.nu1, p.nu2, p.mu1, p.mu2, p.mu3, p.mu4, p.mu5)
+    L = lcm(*(q.denominator for q in qs),
+            *(x.denominator for terms in comps for (a, b, _), c in terms.items()
+              for x in (a, b, c)))
 
-    # Each family is linear in X: sum of (coefficient, derivative) pairs.
-    families = (
-        ("det01", ((-1, "xi_t"), (-mu1, "lap_xi"), (2 * m14, "phi_x"),
-                   (4 * mu2, "phi_xs"), (2 * mu3, "sig_x"), (2 * mu1, "sig_xs"))),
-        ("det02", ((-nu1, "lap_xi"), (2 * nu1, "phi_x"), (4 * nu2, "phi_xs"),
-                   (2 * nu1, "sig_xs"))),
-        ("det03", ((-mu2, "lap_xi"), (4 * m25, "phi_x"), (2 * mu2, "phi_xr"),
-                   (m14, "sig_x"), (mu1, "sig_xr"))),
-        ("det04", ((1, "xi_t"), (-2 * nu2, "lap_xi"), (8 * nu2, "phi_x"),
-                   (4 * nu2, "phi_xr"), (2 * nu1, "sig_x"), (2 * nu1, "sig_xr"))),
-        ("det07", ((2 * m14, "phi_s"), (2 * mu2, "phi_ss"), (mu3, "sig_s"),
-                   (mu1, "sig_ss"), (mu3, "tau_t"), (-2 * mu3, "xi_x"))),
-        ("det08", ((2 * mu2, "phi_s"), (nu1, "sig_r"), (mu1, "tau_t"),
-                   (-2 * mu1, "xi_x"))),
-        ("det09", ((mu1 + 2 * nu2, "phi_s"), (-nu1, "phi_r"), (nu1, "sig_s"),
-                   (nu1, "tau_t"), (-2 * nu1, "xi_x"))),
-        ("det10", ((4 * m25, "phi_s"), (m14, "phi_r"), (2 * mu2, "phi_rs"),
-                   (mu3 + nu1, "sig_r"), (mu1, "sig_rs"), (m14, "tau_t"),
-                   (-2 * m14, "xi_x"))),
-        ("det11", ((2 * mu2, "phi_r"), (-2 * mu2, "sig_s"), (mu1 + 2 * nu2, "sig_r"),
-                   (2 * mu2, "tau_t"), (-4 * mu2, "xi_x"))),
-        ("det12", ((2 * mu2, "phi_s"), (nu1, "sig_r"), (2 * nu2, "tau_t"),
-                   (-4 * nu2, "xi_x"))),
-        ("det13", ((m14 + 4 * nu2, "phi_s"), (2 * nu2, "phi_rs"), (nu1, "sig_s"),
-                   (nu1, "sig_rs"), (nu1, "tau_t"), (-2 * nu1, "xi_x"))),
-        ("det14", ((8 * m25, "phi_r"), (2 * mu2, "phi_rr"), (-4 * m25, "sig_s"),
-                   (2 * (m14 + 2 * nu2), "sig_r"), (mu1, "sig_rr"),
-                   (4 * m25, "tau_t"), (-8 * m25, "xi_x"))),
-        ("det15", ((4 * m25, "phi_s"), (4 * nu2, "phi_r"), (2 * nu2, "phi_rr"),
-                   (2 * nu1, "sig_r"), (nu1, "sig_rr"), (4 * nu2, "tau_t"),
-                   (-8 * nu2, "xi_x"))),
-    )
+    def scale(q):  # q * L, an int
+        return q.numerator * (L // q.denominator)
 
-    phi, sigma, tau = X.phi, X.sigma, X.tau
-    xs = [f"x{j}" for j in range(1, n + 1)]
+    scaled = (L, *map(scale, qs))
+    coef = [None] * len(vecs)  # scaled family coefficients, filled on first use
+    ir, is_ = n + 1, n + 2
 
-    def d(e, *names):
-        for nm in names:
-            e = e.differentiate(nm)
-        return e
+    sums = [{} for _ in labels]
+    for terms, derivs in zip(comps, index):
+        if not terms:
+            continue
+        terms = [(key, scale(c), scale(key[0]), scale(key[1])) for key, c in terms.items()]
+        for wrt, entries in derivs:
+            pad = L if len(wrt) == 1 else 1
+            parts = {}
+            for (a, b, powers), c, ra, rb in terms:
+                cur = [(powers, c * pad)]
+                for v in wrt:
+                    nxt = []
+                    for pw, m in cur:
+                        k = pw[v]
+                        if k:
+                            nxt.append((pw[:v] + (k - 1,) + pw[v + 1:], m * k * L))
+                        rate = ra if v == ir else rb if v == is_ else 0
+                        if rate:
+                            nxt.append((pw, m * rate))
+                    cur = nxt
+                for pw, m in cur:
+                    key = (a, b, pw)
+                    parts[key] = parts.get(key, 0) + m
+            if not parts:
+                continue
+            for row, vid in entries:
+                f = coef[vid]
+                if f is None:
+                    f = coef[vid] = sum(c * scaled[i] for i, c in vecs[vid])
+                if f:
+                    acc = sums[row]
+                    get = acc.get
+                    for key, m in parts.items():
+                        acc[key] = get(key, 0) + f * m
 
-    def lap(e):
-        return SymExpr.lincomb(n, ((1, d(e, nm, nm)) for nm in xs))
-
-    phi_r, phi_s = d(phi, "r"), d(phi, "s")
-    sig_r, sig_s = d(sigma, "r"), d(sigma, "s")
-    derivs = {
-        "tau_t": d(tau, "t"),
-        "phi_r": phi_r, "phi_s": phi_s, "sig_r": sig_r, "sig_s": sig_s,
-        "phi_rr": d(phi_r, "r"), "phi_ss": d(phi_s, "s"), "phi_rs": d(phi_r, "s"),
-        "sig_rr": d(sig_r, "r"), "sig_ss": d(sig_s, "s"), "sig_rs": d(sig_r, "s"),
-    }
-
-    out = []
-    for j in range(1, n + 1):
-        xj = f"x{j}"
-        xi_j = X.xi[j - 1]
-        phi_x, sig_x = d(phi, xj), d(sigma, xj)
-        derivs.update(
-            lap_xi=lap(xi_j), xi_t=d(xi_j, "t"), xi_x=d(xi_j, xj),
-            phi_x=phi_x, sig_x=sig_x,
-            phi_xs=d(phi_x, "s"), phi_xr=d(phi_x, "r"),
-            sig_xs=d(sig_x, "s"), sig_xr=d(sig_x, "r"))
-        for label, row in families:
-            out.append((f"{label}[{j}]",
-                        SymExpr.lincomb(n, ((c, derivs[name]) for c, name in row))))
-
-    lap_phi, lap_sig = lap(phi), lap(sigma)
-    out.append(("det05", SymExpr.lincomb(
-        n, ((1, d(sigma, "t")), (mu1, lap_sig), (2 * mu2, lap_phi)))))
-    out.append(("det06", SymExpr.lincomb(
-        n, ((-1, d(phi, "t")), (2 * nu2, lap_phi), (nu1, lap_sig)))))
-    out.append(("det16", SymExpr.lincomb(
-        n, ((mu3 + 2 * nu1, phi_s), (2 * nu2, derivs["phi_ss"]),
-            (nu1, derivs["sig_ss"])))))
-
-    for j in range(1, n + 1):
-        for k in range(j + 1, n + 1):
-            out.append((f"rot[{j},{k}]", SymExpr.lincomb(
-                n, ((1, d(X.xi[j - 1], f"x{k}")), (1, d(X.xi[k - 1], f"x{j}"))))))
-    return out
+    L4 = L ** 4
+    zero = SymExpr.zero(n)  # immutable, so shared by the rows that vanish
+    return [(label, SymExpr._make(n, {key: Fraction(v, L4) for key, v in acc.items() if v})
+             if acc else zero) for label, acc in zip(labels, sums)]
 
 
 def residuals_all_zero(residuals) -> bool:

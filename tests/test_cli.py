@@ -211,6 +211,24 @@ def test_verify_class_without_bundled_solution_skips_flow(capsys, key):
     assert code == 2 and rows == [] and "out of range for n=1" in err
 
 
+@pytest.mark.parametrize("key", ["sym1b", "galsub"])
+def test_verify_at_n3_skips_flow(capsys, key):
+    """The dynamics support n in {1, 2}: at n = 3 the flow suite skips every
+    generator, with or without a bundled solution, while the other suites
+    run; flow alone ran none."""
+    code, rows, _ = run(capsys, "verify", "--class", key, "--n", "3")
+    assert code == 0
+    flow = [r for r in rows if r["suite"] == "flow"]
+    assert len(flow) == 5 and all(r["skipped"] and "dynamics support n in {1, 2}"
+                                  in r["detail"] for r in flow)
+    others = [r for r in rows if r["suite"] != "flow"]
+    assert {r["suite"] for r in others} == {"commutators", "determining", "gauge"}
+    assert all(r["pass"] for r in others)
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--class", key, "--n", "3")
+    assert code == 3 and rows == flow
+    assert "0/0 checks passed, 5 skipped" in err
+
+
 def test_verify_gauge_suite_seeded(capsys):
     code, rows, _ = run(capsys, "verify", "--suite", "gauge", "--seed", "7")
     assert code == 0

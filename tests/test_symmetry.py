@@ -4,10 +4,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from dgsym.params import make_exp_sub, make_inf_sub, reference_points
+from dgsym.params import (DGParams, make_ehr_sub, make_exp_sub, make_fin_sub,
+                          make_gal_sub, make_inf_sub, make_infa_sub, make_sym3,
+                          reference_points)
 from dgsym.symexpr import SymExpr, VectorFieldSpec, lie_bracket
 from dgsym.symmetry import (GeneratorName, GeneratorNotAdmissible,
-                            admissible_generators, basis_generator, determining_residuals,
+                            admissible_generators, basis_generator, basis_names,
+                            determining_residuals,
                             exp_rate_coefficients, infsub_poly_generator,
                             is_admissible, parse_generator, residuals_all_zero,
                             verify_commutator_table, verify_infinite_relations)
@@ -327,10 +330,171 @@ def test_jacobi_identity_on_basis_generators(pts):
         assert total.is_zero
 
 
+# ---------------------------------------------------------------------------
+# determining residuals against a SymExpr reference
+
+def _reference_residuals(p, X):
+    """The determining residuals in SymExpr arithmetic, with a copy of the
+    family table: each derivative by differentiate, each family by lincomb.
+    determining_residuals must return the same labels in the same order and
+    equal expressions."""
+    n = X.n
+    nu1, nu2 = p.nu1, p.nu2
+    mu1, mu2, mu3, mu4, mu5 = p.mu1, p.mu2, p.mu3, p.mu4, p.mu5
+    m14, m25 = mu1 + mu4, mu2 + mu5
+
+    # Each family is linear in X: sum of (coefficient, derivative) pairs.
+    families = (
+        ("det01", ((-1, "xi_t"), (-mu1, "lap_xi"), (2 * m14, "phi_x"),
+                   (4 * mu2, "phi_xs"), (2 * mu3, "sig_x"), (2 * mu1, "sig_xs"))),
+        ("det02", ((-nu1, "lap_xi"), (2 * nu1, "phi_x"), (4 * nu2, "phi_xs"),
+                   (2 * nu1, "sig_xs"))),
+        ("det03", ((-mu2, "lap_xi"), (4 * m25, "phi_x"), (2 * mu2, "phi_xr"),
+                   (m14, "sig_x"), (mu1, "sig_xr"))),
+        ("det04", ((1, "xi_t"), (-2 * nu2, "lap_xi"), (8 * nu2, "phi_x"),
+                   (4 * nu2, "phi_xr"), (2 * nu1, "sig_x"), (2 * nu1, "sig_xr"))),
+        ("det07", ((2 * m14, "phi_s"), (2 * mu2, "phi_ss"), (mu3, "sig_s"),
+                   (mu1, "sig_ss"), (mu3, "tau_t"), (-2 * mu3, "xi_x"))),
+        ("det08", ((2 * mu2, "phi_s"), (nu1, "sig_r"), (mu1, "tau_t"),
+                   (-2 * mu1, "xi_x"))),
+        ("det09", ((mu1 + 2 * nu2, "phi_s"), (-nu1, "phi_r"), (nu1, "sig_s"),
+                   (nu1, "tau_t"), (-2 * nu1, "xi_x"))),
+        ("det10", ((4 * m25, "phi_s"), (m14, "phi_r"), (2 * mu2, "phi_rs"),
+                   (mu3 + nu1, "sig_r"), (mu1, "sig_rs"), (m14, "tau_t"),
+                   (-2 * m14, "xi_x"))),
+        ("det11", ((2 * mu2, "phi_r"), (-2 * mu2, "sig_s"), (mu1 + 2 * nu2, "sig_r"),
+                   (2 * mu2, "tau_t"), (-4 * mu2, "xi_x"))),
+        ("det12", ((2 * mu2, "phi_s"), (nu1, "sig_r"), (2 * nu2, "tau_t"),
+                   (-4 * nu2, "xi_x"))),
+        ("det13", ((m14 + 4 * nu2, "phi_s"), (2 * nu2, "phi_rs"), (nu1, "sig_s"),
+                   (nu1, "sig_rs"), (nu1, "tau_t"), (-2 * nu1, "xi_x"))),
+        ("det14", ((8 * m25, "phi_r"), (2 * mu2, "phi_rr"), (-4 * m25, "sig_s"),
+                   (2 * (m14 + 2 * nu2), "sig_r"), (mu1, "sig_rr"),
+                   (4 * m25, "tau_t"), (-8 * m25, "xi_x"))),
+        ("det15", ((4 * m25, "phi_s"), (4 * nu2, "phi_r"), (2 * nu2, "phi_rr"),
+                   (2 * nu1, "sig_r"), (nu1, "sig_rr"), (4 * nu2, "tau_t"),
+                   (-8 * nu2, "xi_x"))),
+    )
+
+    phi, sigma, tau = X.phi, X.sigma, X.tau
+    xs = [f"x{j}" for j in range(1, n + 1)]
+
+    def d(e, *names):
+        for nm in names:
+            e = e.differentiate(nm)
+        return e
+
+    def lap(e):
+        return SymExpr.lincomb(n, ((1, d(e, nm, nm)) for nm in xs))
+
+    phi_r, phi_s = d(phi, "r"), d(phi, "s")
+    sig_r, sig_s = d(sigma, "r"), d(sigma, "s")
+    derivs = {
+        "tau_t": d(tau, "t"),
+        "phi_r": phi_r, "phi_s": phi_s, "sig_r": sig_r, "sig_s": sig_s,
+        "phi_rr": d(phi_r, "r"), "phi_ss": d(phi_s, "s"), "phi_rs": d(phi_r, "s"),
+        "sig_rr": d(sig_r, "r"), "sig_ss": d(sig_s, "s"), "sig_rs": d(sig_r, "s"),
+    }
+
+    out = []
+    for j in range(1, n + 1):
+        xj = f"x{j}"
+        xi_j = X.xi[j - 1]
+        phi_x, sig_x = d(phi, xj), d(sigma, xj)
+        derivs.update(
+            lap_xi=lap(xi_j), xi_t=d(xi_j, "t"), xi_x=d(xi_j, xj),
+            phi_x=phi_x, sig_x=sig_x,
+            phi_xs=d(phi_x, "s"), phi_xr=d(phi_x, "r"),
+            sig_xs=d(sig_x, "s"), sig_xr=d(sig_x, "r"))
+        for label, row in families:
+            out.append((f"{label}[{j}]",
+                        SymExpr.lincomb(n, ((c, derivs[name]) for c, name in row))))
+
+    lap_phi, lap_sig = lap(phi), lap(sigma)
+    out.append(("det05", SymExpr.lincomb(
+        n, ((1, d(sigma, "t")), (mu1, lap_sig), (2 * mu2, lap_phi)))))
+    out.append(("det06", SymExpr.lincomb(
+        n, ((-1, d(phi, "t")), (2 * nu2, lap_phi), (nu1, lap_sig)))))
+    out.append(("det16", SymExpr.lincomb(
+        n, ((mu3 + 2 * nu1, phi_s), (2 * nu2, derivs["phi_ss"]),
+            (nu1, derivs["sig_ss"])))))
+
+    for j in range(1, n + 1):
+        for k in range(j + 1, n + 1):
+            out.append((f"rot[{j},{k}]", SymExpr.lincomb(
+                n, ((1, d(X.xi[j - 1], f"x{k}")), (1, d(X.xi[k - 1], f"x{j}"))))))
+    return out
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def det_points(draw):
+    """A point from every subfamily constructor, or a fully random one."""
+    n = draw(st.sampled_from([1, 2, 3]))
+    kind = draw(st.sampled_from(["gal", "fin", "inf", "infa", "ehr", "sym3", "exp",
+                                 "random"]))
+    nu1, nu2 = draw(nonzero_rationals), draw(rationals)
+    q = [draw(rationals) for _ in range(6)]
+    try:
+        if kind == "gal":
+            return make_gal_sub(n, nu1, nu2, *q[:3])
+        if kind == "fin":
+            return make_fin_sub(n, nu1, nu2, q[0])
+        if kind == "inf":
+            return make_inf_sub(n, nu1, nu2, q[0])
+        if kind == "infa":
+            return make_infa_sub(n, nu1, nu2)
+        if kind == "ehr":
+            return make_ehr_sub(n, nu1, nu2, q[0])
+        if kind == "sym3":
+            return make_sym3(n, nu1, nu2)
+        if kind == "exp":
+            return make_exp_sub(n, nu1, nu2, q[0], q[1])
+    except ValueError:  # a constructor's excluded corner
+        assume(False)
+    return DGParams(n=n, nu1=nu1, nu2=nu2, mu0=q[0], mu1=q[1], mu2=q[2], mu3=q[3],
+                    mu4=q[4], mu5=q[5])
+
+
+def _exact_generators(p):
+    """Basis generators with exact coefficients at p and Y_f with rational f.
+    Where its exponent rates exist, F, the one field with exp terms, comes
+    as often as the other two together."""
+    names = [g for g in basis_names(p.n) if g not in ("Zheat", "Zse", "F")]
+    payloads = st.lists(rationals, min_size=1, max_size=4).map(
+        lambda f: GeneratorName(kind="Yf", poly=tuple(f)))
+    try:
+        exp_rate_coefficients(p)
+    except GeneratorNotAdmissible:
+        return st.one_of(st.sampled_from(names), payloads)
+    return st.one_of(st.sampled_from(names), payloads, st.just("F"), st.just("F"))
+
+
+@given(det_points(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_determining_residuals_match_reference(p, data):
+    """X + c Y over basis generators built outside their subfamilies too,
+    F included wherever its exponent rates exist (at ExpSub points it is a
+    symmetry): the integer pass equals the SymExpr reference exactly."""
+    gens = _exact_generators(p)
+    X, Y = (basis_generator(data.draw(gens), p, require_admissible=False)
+            for _ in range(2))
+    field = X + Y.scale(data.draw(rationals))
+    got = determining_residuals(p, field)
+    want = _reference_residuals(p, field)
+    assert [lbl for lbl, _ in got] == [lbl for lbl, _ in want]
+    for (lbl, e), (_, w) in zip(got, want):
+        assert e == w and repr(e) == repr(w), lbl
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("key", ["generic", "sym1b"])
-def test_determining_residuals_linear_in_field(pts, key):
+def test_determining_residuals_linear_in_field(key, n):
     """res(X + c Y) == res(X) + c res(Y), exactly, off the subfamilies."""
-    p = pts[key]
+    p = reference_points(n)[key]
     c = F(-7, 3)
     pairs = [("A", "C"), ("Yf:1+z^2", "B:1"), ("A", "Yf:z^3"), ("F", "A")]
     for gx, gy in pairs:
