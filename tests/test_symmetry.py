@@ -490,8 +490,9 @@ def test_determining_residuals_match_reference(p, data):
         assert e == w and repr(e) == repr(w), lbl
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-@pytest.mark.parametrize("key", ["generic", "sym1b"])
+@pytest.mark.parametrize("key,n", [
+    pytest.param(key, n, id=key if n == 1 else f"{key}-n{n}")
+    for key in ("generic", "sym1b") for n in (1, 2, 3)])
 def test_determining_residuals_linear_in_field(key, n):
     """res(X + c Y) == res(X) + c res(Y), exactly, off the subfamilies."""
     p = reference_points(n)[key]
