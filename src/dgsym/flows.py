@@ -12,7 +12,9 @@ vertical maps, the nonlinear gauge action and the Zheat/Zse flows of
 only the time stamp.  A flow that moves points in x acts on the evaluator;
 sample the result.  :func:`flow_numeric` exponentiates an arbitrary vector
 field on an evaluator with an RK4 characteristic integrator and
-cross-validates the closed forms.
+cross-validates the closed forms.  :func:`verify_symmetry_flow` moves a
+solution by a closed-form flow and takes the order-2 verdict of
+:func:`dgsym.pde.convergence` on the moved solution's residual.
 
 Phase is tracked as a continuous real field throughout; nothing is wrapped
 into (-pi, pi].
@@ -27,9 +29,9 @@ import numpy as np
 
 from .fields import Grid, LogPolarField, sample_trajectory
 from .params import DGParams
-from .pde import ResidualReport, residual
+from .pde import ResidualReport, convergence, residual
 from .symexpr import VectorFieldSpec, var_names
-from .symmetry import (GeneratorNotAdmissible, _check_indices,
+from .symmetry import (GeneratorNotAdmissible, check_indices,
                        exp_rate_coefficients, is_admissible, parse_generator)
 
 __all__ = ["FlowMap", "vertical_map", "apply_flow", "closed_flow_map",
@@ -87,7 +89,7 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
     name = parse_generator(name)
     eps = float(eps)
     n = p.n
-    _check_indices(name, n)
+    check_indices(name, n)
     nu1, nu2, mu1 = float(p.nu1), float(p.nu2), float(p.mu1)
     kind = name.kind
 
@@ -207,7 +209,9 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
 
         def vertical(r0, s0, xs, t):
             z = mu1 * np.asarray(r0) + nu1 * np.asarray(s0)
-            fz = np.polynomial.polynomial.polyval(z, coeffs)
+            fz = 0.0
+            for c in reversed(coeffs):  # Horner, as numpy's polyval
+                fz = fz * z + c
             return r0 + eps * fz, s0 - (2.0 * nu2 / nu1) * eps * fz
 
         return vertical_map(vertical)
@@ -329,40 +333,37 @@ class FlowReport:
     epsilon: float
     baseline: ResidualReport
     after: ResidualReport
-    after_fine: ResidualReport | None = None
-    ratio_l2: float | None = None
-    ratio_linf: float | None = None
+    after_fine: ResidualReport
+    ratio_l2: float
+    ratio_linf: float
+    passed: bool
 
     def to_json_dict(self):
-        d = {"generator": self.generator, "epsilon": self.epsilon,
-             "baseline": self.baseline.to_json_dict(),
-             "after": self.after.to_json_dict()}
-        if self.after_fine is not None:
-            d["after_fine"] = self.after_fine.to_json_dict()
-            d["ratio_l2"] = self.ratio_l2
-            d["ratio_linf"] = self.ratio_linf
-        return d
+        return {"generator": self.generator, "epsilon": self.epsilon,
+                "baseline": self.baseline.to_json_dict(),
+                "after": self.after.to_json_dict(),
+                "after_fine": self.after_fine.to_json_dict(),
+                "ratio_l2": self.ratio_l2, "ratio_linf": self.ratio_linf}
 
 
 def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
-                         grid: Grid, t_window: tuple, num_slices: int = 9,
-                         refine: int = 2, baseline_tol: float = 0.05,
+                         grid: Grid, t_window: tuple, baseline_tol: float = 0.05,
                          require_admissible: bool = True) -> FlowReport:
     """Transform a solution by a symmetry flow and measure the residual.
 
-    The transformed trajectory is sampled on ``grid`` at uniform times inside
-    ``t_window`` and on a refined grid (space and time both refined), giving
-    the order-2 convergence ratio.  The source solution is checked first at
-    its own (remapped) window against ``baseline_tol``; a failure names the
-    generator, ``eps`` and that source window.  An ``eps`` whose source times
-    are not finite and strictly increasing is refused.
+    The transformed solution goes through :func:`dgsym.pde.convergence` at 9
+    uniform times inside ``t_window``; ``passed`` is its order-2 verdict.  The
+    source solution is checked first at its own (remapped) times against
+    ``baseline_tol``; a failure names the generator, ``eps`` and that source
+    window.  An ``eps`` whose source times are not finite and strictly
+    increasing is refused.
     """
     name = parse_generator(name)
     if require_admissible and not is_admissible(name, p):
         raise GeneratorNotAdmissible(
             f"{name} is not admissible at this parameter point")
 
-    times = np.linspace(t_window[0], t_window[1], num_slices)
+    times = np.linspace(t_window[0], t_window[1], 9)
     try:
         fmap = closed_flow_map(name, eps, p)
         src_times = np.sort([fmap.source_time(t) for t in times])
@@ -373,8 +374,7 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
         raise ValueError(f"flow parameter eps={eps:g} maps the time window of {name} "
                          "to source times that are not finite and strictly increasing")
 
-    base_traj = sample_trajectory(solution, grid, src_times)
-    baseline = residual(p, base_traj)
+    baseline = residual(p, sample_trajectory(solution, grid, src_times))
     if baseline.linf > baseline_tol:
         raise ValueError(
             f"baseline residual {baseline.linf:.3g} exceeds threshold "
@@ -383,18 +383,9 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
             f"[{t_window[0]:g}, {t_window[1]:g}] to: the solution does not "
             "solve the system there on this grid, or eps is too large")
 
-    moved = TransformedSolution(fmap, solution)
-    after = residual(p, sample_trajectory(moved, grid, times))
-
-    fine_grid = grid.refine(refine)
-    fine_times = np.linspace(t_window[0], t_window[1],
-                             (num_slices - 1) * refine + 1)
-    after_fine = residual(p, sample_trajectory(moved, fine_grid, fine_times))
-
-    def _ratio(a, b):
-        return a / b if b > 0 else float("inf")
-
-    return FlowReport(generator=str(name), epsilon=float(eps),
-                      baseline=baseline, after=after, after_fine=after_fine,
-                      ratio_l2=_ratio(after.l2, after_fine.l2),
-                      ratio_linf=_ratio(after.linf, after_fine.linf))
+    study = convergence(lambda traj: residual(p, traj),
+                        TransformedSolution(fmap, solution), grid, times)
+    return FlowReport(generator=str(name), epsilon=float(eps), baseline=baseline,
+                      after=study.coarse, after_fine=study.fine,
+                      ratio_l2=study.ratio_l2, ratio_linf=study.ratio_linf,
+                      passed=study.passed)

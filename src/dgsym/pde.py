@@ -25,14 +25,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .fields import Grid, LogPolarField, Trajectory
-from .kernels import (_axis_diffs, boundary_ring, derivative_bundle,
-                      evolution_rhs, zero_ring)
+from .fields import Grid, LogPolarField, Trajectory, sample_trajectory
+from .kernels import boundary_ring, derivative_bundle, evolution_rhs, zero_ring
 from .params import DGParams, predicate_report
 
 __all__ = [
     "Functionals", "functionals", "dg_rhs", "default_dt", "evolve",
     "EvolutionBlowup", "ResidualReport", "residual", "se_residual",
+    "Convergence", "convergence",
     "heat_solution", "se_gaussian", "plane_wave_solution",
     "HeatGaussian", "SEPacket", "PlaneWave",
     "ScaleSimilaritySolution", "HJSimilaritySolution",
@@ -225,13 +225,6 @@ def _check_times(times):
                          "is not a finite positive float")
 
 
-def _stack_time_derivative(times, stack):
-    """``_time_derivative`` at the inner slices 1..T-2 of a (T, ...) stack,
-    in one call over the whole stack."""
-    h = np.diff(times).reshape((-1,) + (1,) * (stack.ndim - 1))
-    return _time_derivative(stack[:-2], stack[1:-1], stack[2:], h[:-1], h[1:])
-
-
 # A slab of k time slices takes at most this many grid points per stencil
 # call: 1-D grids batch many slices, and 2-D grids of 64² points and up keep
 # one slice per call, where a larger slab loses more to memory traffic than
@@ -241,38 +234,30 @@ def _stack_time_derivative(times, stack):
 _SLAB_POINTS = 4096
 
 
-def _residual_fields(slab_rhs, grid: Grid, times, *stacks) -> tuple:
-    """Generic (rhs - d/dt) residual over the inner time slices 1..T-2 of
-    each (T, *grid.shape) stack, inner grid points only.
-
-    ``slab_rhs(*slabs)`` takes one (k, *grid.shape) slab of each stack and
-    returns the right-hand side of each.  It is called once per slab of
-    ``max(1, _SLAB_POINTS // points)`` slices, and its output is written over
-    the d/dt stacks.
-    """
-    _check_times(times)
-    res = [_stack_time_derivative(times, stack) for stack in stacks]
-    step = max(1, _SLAB_POINTS // math.prod(grid.shape))
-    for lo in range(1, len(times) - 1, step):
-        hi = min(lo + step, len(times) - 1)
-        rows = slice(lo - 1, hi - 1)
-        for out, rhs in zip(res, slab_rhs(*(stack[lo:hi] for stack in stacks))):
-            np.subtract(rhs, out[rows], out=out[rows])
-    inner = (slice(None),) + boundary_ring(grid)[1]
-    return tuple(out[inner] for out in res)
-
-
 def _norms(arr) -> tuple:
     return float(np.max(np.abs(arr))), float(np.sqrt(np.mean(arr * arr)))
 
 
 def _residual_report(coeffs, traj: Trajectory) -> ResidualReport:
-    """Residual norms of the nine-coefficient system ``evolution_rhs`` over
-    interior points."""
-    res_r, res_s = _residual_fields(
-        lambda r, s: evolution_rhs(r, s, traj.grid, coeffs),
-        traj.grid, traj.times, traj.r, traj.s)
-    (r_linf, r_l2), (s_linf, s_l2) = _norms(res_r), _norms(res_s)
+    """Norms of (rhs - d/dt) of the nine-coefficient system ``evolution_rhs``
+    over the inner time slices 1..T-2 and the inner grid points.
+
+    ``_time_derivative`` is taken in one call over each whole stack, and
+    ``evolution_rhs`` once per slab of ``max(1, _SLAB_POINTS // points)``
+    slices; its output is written over the d/dt stacks.
+    """
+    grid, times, r, s = traj.grid, traj.times, traj.r, traj.s
+    _check_times(times)
+    h = np.diff(times).reshape((-1,) + (1,) * grid.n)
+    res = [_time_derivative(f[:-2], f[1:-1], f[2:], h[:-1], h[1:]) for f in (r, s)]
+    step = max(1, _SLAB_POINTS // math.prod(grid.shape))
+    for lo in range(1, len(times) - 1, step):
+        hi = min(lo + step, len(times) - 1)
+        rows = slice(lo - 1, hi - 1)
+        for out, rhs in zip(res, evolution_rhs(r[lo:hi], s[lo:hi], grid, coeffs)):
+            np.subtract(rhs, out[rows], out=out[rows])
+    inner = (slice(None),) + boundary_ring(grid)[1]
+    (r_linf, r_l2), (s_linf, s_l2) = (_norms(out[inner]) for out in res)
     return ResidualReport(r_linf, r_l2, s_linf, s_l2)
 
 
@@ -295,6 +280,41 @@ def se_residual(a: float, traj: Trajectory) -> ResidualReport:
     """
     a = float(a)
     return _residual_report((0.0, a, 0.0, 2.0 * a, -a, 0.0, -a, 0.0, a), traj)
+
+
+@dataclass(frozen=True)
+class Convergence:
+    """Residuals on a grid and on its refinement, and their ratios."""
+
+    coarse: ResidualReport
+    fine: ResidualReport
+    ratio_l2: float
+    ratio_linf: float
+
+    @property
+    def passed(self) -> bool:
+        """Second order: halving dx and dt divides the L2 residual by 3 to 5."""
+        return 3.0 <= self.ratio_l2 <= 5.0
+
+
+def convergence(residual_of, solution, grid: Grid, times) -> Convergence:
+    """Order-2 refinement study: ``residual_of(traj) -> ResidualReport`` of
+    ``solution`` sampled on ``grid`` at ``times``, uniform as ``np.linspace``
+    gives them, and on ``grid.refine(2)`` with every time interval halved.
+    A ratio is inf where the fine norm is not > 0."""
+    times = np.asarray(times, dtype=float)
+    fine_times = np.linspace(times[0], times[-1], 2 * len(times) - 1)
+    if not np.array_equal(fine_times[::2], times):
+        raise ValueError("a refinement study needs uniform time stamps, "
+                         "as np.linspace gives them")
+    coarse = residual_of(sample_trajectory(solution, grid, times))
+    fine = residual_of(sample_trajectory(solution, grid.refine(2), fine_times))
+
+    def ratio(a, b):
+        return a / b if b > 0 else math.inf
+
+    return Convergence(coarse, fine, ratio(coarse.l2, fine.l2),
+                       ratio(coarse.linf, fine.linf))
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +383,8 @@ def heat_solution(D, direction, n=1, amplitude=1.0, center=None,
 
 
 def heat_residual(sol: HeatGaussian, grid: Grid, times) -> float:
-    """L2 finite-difference residual of d_t phi + sign * D lap phi = 0.
+    """L2 finite-difference residual of d_t phi + sign * D lap phi = 0: the r
+    residual of coefficients (-sign D, 0, ..., 0) on r = phi, s = 0.
 
     Refuses, like ``residual``, fewer than 3 time stamps or stamps that do
     not strictly increase, before it evaluates the kernel at them.
@@ -371,16 +392,9 @@ def heat_residual(sol: HeatGaussian, grid: Grid, times) -> float:
     times = np.asarray(times, dtype=float)
     _check_times(times)
     vals = np.array([sol.value(grid.coords(), t) for t in times])
-    periodic, coeff = grid.bc == "periodic", -sol.sign() * sol.D
-
-    def rhs(v):
-        # phi is an amplitude, never a phase: its differences are not wrapped
-        second = [_axis_diffs(v, 1 + axis, grid.dx(axis), periodic, wrap=False)[1]
-                  for axis in range(grid.n)]
-        return (coeff * sum(second[1:], second[0]),)
-
-    res, = _residual_fields(rhs, grid, times, vals)
-    return float(np.sqrt(np.mean(np.square(res))))
+    coeffs = (-sol.sign() * sol.D,) + (0.0,) * 8
+    return _residual_report(coeffs, Trajectory(grid, times, vals,
+                                               np.zeros_like(vals))).r_l2
 
 
 @dataclass(frozen=True)

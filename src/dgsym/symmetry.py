@@ -26,7 +26,7 @@ from .symexpr import SymExpr, VectorFieldSpec, lie_bracket
 
 __all__ = [
     "GeneratorName", "parse_generator", "parse_poly", "basis_names", "basis_generator",
-    "is_admissible", "admissible_generators", "exp_rate_coefficients",
+    "is_admissible", "admissible_generators", "check_indices", "exp_rate_coefficients",
     "infsub_poly_generator", "verify_commutator_table", "verify_infinite_relations",
     "determining_residuals", "residuals_all_zero",
     "GeneratorNotAdmissible", "CheckRow",
@@ -117,12 +117,13 @@ def _admissibility(name: GeneratorName, cls: SymmetryClass) -> bool:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def is_admissible(name, p: DGParams) -> bool:
+def is_admissible(name, p: DGParams, cls: SymmetryClass | None = None) -> bool:
     """Whether name generates a symmetry at p; an index outside 1..n is a
-    ValueError, as in basis_generator."""
+    ValueError, as in basis_generator.  A caller that holds ``classify(p)``
+    passes it as ``cls`` to skip classifying p again."""
     name = parse_generator(name)
-    _check_indices(name, p.n)
-    return _admissibility(name, classify(p))
+    check_indices(name, p.n)
+    return _admissibility(name, classify(p) if cls is None else cls)
 
 
 def basis_names(n: int) -> list:
@@ -305,7 +306,7 @@ def basis_generator(name, p: DGParams, require_admissible: bool = True) -> Vecto
                 f"{name} is not a symmetry generator at a {cls.tag} point")
 
     n = p.n
-    _check_indices(name, n)
+    check_indices(name, n)
     zero = SymExpr.zero(n)
     kind = name.kind
 
@@ -367,7 +368,7 @@ def basis_generator(name, p: DGParams, require_admissible: bool = True) -> Vecto
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def _check_indices(name: GeneratorName, n: int):
+def check_indices(name: GeneratorName, n: int):
     """P:j and B:j need 1 <= j <= n, L:j,k needs 1 <= j < k <= n."""
     indices = {"P": (name.i,), "B": (name.i,), "L": (name.i, name.j)}
     for j in indices.get(name.kind, ()):

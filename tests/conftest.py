@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from dgsym.fields import Grid, sample_trajectory
 from dgsym.params import reference_points
-from dgsym.pde import residual
 
 
 @pytest.fixture(scope="session")
@@ -11,15 +9,9 @@ def pts():
     return reference_points()
 
 
-def convergence_ratio(p, solution, t_window=(0.0, 0.2), npts=64, slices=9,
-                      extent=(-4.0, 4.0), norm="l2"):
-    """Residual L2 ratio between a grid and its space+time refinement."""
-    g1 = Grid.make(npts=npts, extent=extent)
-    g2 = g1.refine(2)
-    t1 = np.linspace(*t_window, slices)
-    t2 = np.linspace(*t_window, 2 * slices - 1)
-    r1 = residual(p, sample_trajectory(solution, g1, t1))
-    r2 = residual(p, sample_trajectory(solution, g2, t2))
-    coarse = getattr(r1, norm)
-    fine = getattr(r2, norm)
-    return coarse, fine, (coarse / fine if fine else float("inf"))
+class Junk:
+    """An (r, s) evaluator that solves no equation of the family."""
+
+    def rs(self, xs, t):
+        x = np.asarray(xs[0])
+        return 0.5 * np.sin(3 * x) * (1 + t), 0.4 * np.cos(2 * x)

@@ -12,8 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dgsym.fields import (Grid, LogPolarField, Trajectory, sample_evaluator,
-                          sample_trajectory)
+from dgsym.fields import Grid, LogPolarField, Trajectory, sample_evaluator
 from dgsym.flows import flow_closed, verify_symmetry_flow
 from dgsym.linearize import (gauge_act_field, heat_pair_to_dg,
                              linearization_data, z_flow_se_from_zero)
@@ -22,8 +21,8 @@ from dgsym.params import (DGParams, GaugeElement, classify, compute_invariants,
                           gauge_inverse, make_ehr_sub, make_exp_sub,
                           make_fin_sub, make_gal_sub, make_inf_sub,
                           make_infa_sub, make_sym3, reference_points)
-from dgsym.pde import (SEPacketSum, ScaleSimilaritySolution, evolve,
-                       heat_solution, residual, se_gaussian, se_residual)
+from dgsym.pde import (SEPacketSum, ScaleSimilaritySolution, convergence,
+                       evolve, heat_solution, residual, se_gaussian, se_residual)
 from dgsym.symmetry import (admissible_generators, basis_generator,
                             determining_residuals, residuals_all_zero,
                             verify_commutator_table, verify_infinite_relations)
@@ -189,7 +188,7 @@ def test_criterion_05_lambda_sq_identity():
 
 
 def test_criterion_06_heat_branch_linearization():
-    with criterion(6, "heat pair -> solution, ratio in [3,5], N=64->128, < 30 s"):
+    with criterion(6, "heat pair -> solution, ratio in [3,5], N=64->127, < 30 s"):
         t0 = time.perf_counter()
         p = reference_points()["sym1b"]
         data = linearization_data(p)
@@ -205,12 +204,10 @@ def test_criterion_06_heat_branch_linearization():
         ]
         for fp, fm in pairs:
             sol = heat_pair_to_dg(fp, fm, p)
-            g1 = Grid.make(npts=64, extent=(-4, 4))
-            g2 = Grid.make(npts=128, extent=(-4, 4))
-            r1 = residual(p, sample_trajectory(sol, g1, np.linspace(0, 0.2, 9)))
-            r2 = residual(p, sample_trajectory(sol, g2, np.linspace(0, 0.2, 17)))
-            ratio = r1.l2 / r2.l2
-            assert 3.0 <= ratio <= 5.0, ratio
+            study = convergence(lambda traj: residual(p, traj), sol,
+                                Grid.make(npts=64, extent=(-4, 4)),
+                                np.linspace(0, 0.2, 9))
+            assert study.passed, study.ratio_l2
         elapsed = time.perf_counter() - t0
         assert elapsed < 30.0, f"took {elapsed:.2f}s"
 

@@ -1,13 +1,16 @@
 import argparse
 import json
 import os
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from dgsym import cli, linearize, params, symmetry
 from dgsym.cli import build_parser, main
 from dgsym.fields import read_trajectory
-from dgsym.params import PARAM_NAMES, DGParams, reference_points
+from dgsym.params import (PARAM_NAMES, DGParams, GaugeElement, gauge_act_params,
+                          reference_points)
 
 
 DEEP_PAYLOAD = "Yf:" + "(" * 400 + "z" + ")" * 400
@@ -507,13 +510,18 @@ def test_verify_flow_negative_nu1(capsys, sym1b_neg_file):
     assert all(r["pass"] and 3.0 <= r["ratio_l2"] <= 5.0 for r in rows)
 
 
-def test_linearize_se_branch(capsys, tmp_path):
-    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
-    out = str(tmp_path / "lin")
-    code, rows, _ = run(capsys, "linearize", "--params", path, "--out", out)
-    assert code == 0
+@pytest.mark.parametrize("n, key, gauge", [
+    (1, "sym1c", (1, 0)), (2, "sym1c", (1, 0)), (1, "sym1c-nu2", (3, -2))],
+    ids=["sym1c", "sym1c-n2", "sym1c-nu2-gauged"])
+def test_linearize_se_branch(capsys, tmp_path, n, key, gauge):
+    """Both sides of the gauge converge at order 2, and it round-trips."""
+    p = gauge_act_params(GaugeElement(*map(Fraction, gauge)), reference_points(n)[key])
+    code, rows, _ = run(capsys, "linearize", "--params", write_params(tmp_path, "p.json", p),
+                        "--out", str(tmp_path / "lin"))
     row = rows[0]
-    assert row["branch"] == "schroedinger" and row["pass"]
+    assert code == 0 and row["branch"] == "schroedinger" and row["pass"]
+    assert 3.0 <= row["convergence_ratio"] <= 5.0
+    assert 3.0 <= row["dg_convergence_ratio"] <= 5.0
     assert row["roundtrip_error"] < 1e-10
 
 
@@ -524,6 +532,21 @@ def test_linearize_refuses_times_that_overflow_the_derivative(capsys, tmp_path):
                           "--t-final", "1e300", "--out", str(out))
     assert code == 2 and rows == [] and not out.exists()
     assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_verify_classifies_once_per_point(monkeypatch):
+    calls, real = [], params.classify
+    for mod in (cli, linearize, symmetry):  # every dgsym caller of classify
+        monkeypatch.setattr(mod, "classify", lambda p: calls.append(p) or real(p))
+
+    def count(*argv):
+        calls.clear()
+        assert main(["verify", *argv]) == 0
+        return len(calls)
+
+    assert count("--suite", "determining", "--class", "galsub", "--n", "3") == 1
+    flow = ("--suite", "flow", "--class", "sym1b", "--gen")
+    assert count(*flow, "P:1") == count(*flow, "P:1", "B:1", "H", "D", "C")
 
 
 def test_linearize_inapplicable(capsys, tmp_path):
@@ -697,14 +720,6 @@ def test_verify_flow_on_n2_point(capsys, tmp_path, key):
     assert code == 0
     assert len(rows) == 5
     assert all(r["pass"] and 3.0 <= r["ratio_l2"] <= 5.0 for r in rows)
-
-
-def test_linearize_on_n2_point(capsys, tmp_path):
-    code, rows, _ = run(capsys, "linearize", "--params", _n2_file(tmp_path, "sym1c"),
-                        "--out", str(tmp_path / "lin"))
-    assert code == 0
-    assert rows[0]["branch"] == "schroedinger"
-    assert 3.0 <= rows[0]["convergence_ratio"] <= 5.0
 
 
 def test_simulate_grid_has_the_point_dimension(capsys, tmp_path):

@@ -2,7 +2,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -51,14 +54,19 @@ def test_perfbench_traced_names_resolve():
     assert spans.TRACED and missing == []
 
 
+def relative_imports(module):
+    """(source module, name) of every ``from .source import name`` in
+    dgsym.<module>; the source is None for ``from . import name``."""
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"dgsym.{module}")))
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names]
+
+
 def test_package_imports_have_no_cycle():
     """No dgsym module imports, directly or through others, one that imports it."""
-    graph = {}
-    for module in MODULES:
-        tree = ast.parse(inspect.getsource(importlib.import_module(f"dgsym.{module}")))
-        graph[module] = {node.module.split(".")[0] for node in ast.walk(tree)
-                         if isinstance(node, ast.ImportFrom) and node.level == 1
-                         and node.module}
+    graph = {module: {src.split(".")[0] for src, _ in relative_imports(module) if src}
+             for module in MODULES}
 
     def reaches(start, goal, seen=()):
         return any(nxt == goal or (nxt not in seen and
@@ -68,10 +76,26 @@ def test_package_imports_have_no_cycle():
     assert [m for m in MODULES if reaches(m, m)] == []
 
 
+def test_no_module_imports_a_private_name_of_another():
+    """A dgsym module uses only the public names of the others (dunders such
+    as ``__version__`` are public)."""
+    assert [(module, src, name) for module in MODULES
+            for src, name in relative_imports(module)
+            if name.startswith("_") and not name.endswith("__")] == []
+
+
+def run_python(script):
+    """Run ``script`` in a fresh interpreter that imports this dgsym."""
+    env = dict(os.environ, PYTHONPATH=str(Path(dgsym.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_dgsym_runs_without_scipy():
     """dgsym depends on numpy only: with scipy unimportable it imports, the
     flow suite passes and a numeric flow runs on an evaluator."""
-    script = """
+    run_python("""
 import sys
 sys.modules["scipy"] = None
 import numpy as np
@@ -90,12 +114,16 @@ assert cli.main(["verify", "--suite", "flow"]) == 0
 X = basis_generator("D", reference_points()["sym1b"])
 field = sample_evaluator(flow_numeric(X, 0.2, Src()), Grid.make(npts=16), 0.1)
 assert np.all(np.isfinite(field.r)) and np.all(np.isfinite(field.s))
-"""
-    import os
-    import subprocess
-    import sys
+""")
 
-    env = dict(os.environ, PYTHONPATH=str(Path(dgsym.__file__).resolve().parents[1]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
+
+def test_yf_flow_runs_without_numpy_polynomial():
+    """The closed Y_f flow evaluates f by Horner's rule: the flow suite runs
+    it without importing numpy.polynomial."""
+    run_python("""
+import sys
+from dgsym import cli
+assert cli.main(["verify", "--suite", "flow", "--class", "infasub",
+                 "--gen", "Yf:1+z^2"]) == 0
+assert "numpy.polynomial" not in sys.modules
+""")

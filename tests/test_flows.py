@@ -7,8 +7,9 @@ from dgsym.flows import (TransformedSolution, closed_flow_map, flow_closed,
                          flow_numeric, verify_symmetry_flow)
 from dgsym.linearize import heat_pair_to_dg, linearization_data
 from dgsym.pde import (HJSimilaritySolution, ScaleSimilaritySolution,
-                       heat_solution, residual)
+                       convergence, heat_solution, residual)
 from dgsym.symmetry import GeneratorNotAdmissible, basis_generator
+from tests.conftest import Junk
 
 ALL_CLOSED = ["H", "P:1", "D", "C", "A", "B:1", "E", "R"]
 
@@ -259,11 +260,9 @@ def test_flow_residual_infinite_commutative(pts):
     p = pts["infasub"]
     sol = HJSimilaritySolution(p, t0=-1.0, bump=0.4)
     moved = flow_closed("Yf:z+1/2*z^2", 0.3, sol, p)
-    g1 = Grid.make(npts=64, extent=(-4, 4))
-    g2 = g1.refine(2)
-    r1 = residual(p, sample_trajectory(moved, g1, np.linspace(0.0, 0.2, 9)))
-    r2 = residual(p, sample_trajectory(moved, g2, np.linspace(0.0, 0.2, 17)))
-    assert 3.0 < r1.l2 / r2.l2 < 5.0
+    study = convergence(lambda traj: residual(p, traj), moved,
+                        Grid.make(npts=64, extent=(-4, 4)), np.linspace(0.0, 0.2, 9))
+    assert study.passed
 
 
 def test_flow_verification_gates_admissibility(pts, heat_sol):
@@ -274,12 +273,6 @@ def test_flow_verification_gates_admissibility(pts, heat_sol):
 
 def test_flow_verification_rejects_non_solution(pts):
     p = pts["sym1b"]
-
-    class Junk:
-        def rs(self, xs, t):
-            x = np.asarray(xs[0])
-            return 0.5 * np.sin(3 * x) * (1 + t), 0.4 * np.cos(2 * x)
-
     grid = Grid.make(npts=64, extent=(-4, 4))
     with pytest.raises(ValueError):
         verify_symmetry_flow(p, "P:1", 0.3, Junk(), grid, (0.02, 0.18))
@@ -295,8 +288,7 @@ def test_rotation_flow_residual_2d(pts):
                        focus_time=-0.3, offset=0.4)
     sol = heat_pair_to_dg(fp, fm, p)
     grid = Grid.make(n=2, npts=48, extent=(-4, 4))
-    rep = verify_symmetry_flow(p, "L:1,2", 0.4, sol, grid, (0.02, 0.18),
-                               num_slices=7)
+    rep = verify_symmetry_flow(p, "L:1,2", 0.4, sol, grid, (0.02, 0.18))
     assert 3.0 <= rep.ratio_l2 <= 5.0
 
 

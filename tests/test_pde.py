@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import re
@@ -8,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgsym import pde
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
                           read_trajectory, sample_evaluator, sample_trajectory,
                           write_snapshot, write_trajectory)
-from dgsym.kernels import boundary_ring, derivative_bundle, evolution_rhs
+from dgsym.kernels import boundary_ring, evolution_rhs
 from dgsym.params import DGParams, reference_points
-from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, _norms,
-                       _residual_fields, dg_rhs, evolve, functionals,
-                       heat_residual, heat_solution, plane_wave_solution,
-                       residual, rhs_coefficients, se_gaussian, se_residual)
+from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, convergence,
+                       dg_rhs, evolve, functionals, heat_residual, heat_solution,
+                       plane_wave_solution, residual, rhs_coefficients,
+                       se_gaussian, se_residual)
+from tests.conftest import Junk
 
 
 def interior(arr):
@@ -374,10 +377,8 @@ def test_residual_equals_per_slice_rhs(key, n, bc):
     traj = Trajectory.from_fields(
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
-    res_r, res_s = _residual_fields(
-        lambda r, s: evolution_rhs(r, s, g, rhs_coefficients(p)),
-        g, traj.times, traj.r, traj.s)
-    assert residual(p, traj) == ResidualReport(*_norms(res_r), *_norms(res_s))
+    assert residual(p, traj) == _per_slice_report(
+        lambda f: evolution_rhs(f.r, f.s, g, rhs_coefficients(p)), traj)
 
 
 def _per_slice_report(rhs_fn, traj):
@@ -422,18 +423,20 @@ STACK_CASES = [
 
 
 @pytest.mark.parametrize("g, slices, slabs", STACK_CASES)
-def test_residuals_equal_per_slice_reference(g, slices, slabs):
-    """residual, se_residual and heat_residual take one time derivative over
-    the whole stack and one stencil call per slab of time slices; they equal
-    the per-slice loop bit for bit."""
+def test_residuals_equal_per_slice_reference(g, slices, slabs, monkeypatch):
+    """residual and se_residual take one time derivative over the whole stack
+    and one stencil call per slab of time slices; they equal the per-slice
+    loop bit for bit."""
     rng = np.random.default_rng(g.npts)
     times = np.cumsum(rng.uniform(0.01, 0.02, slices))
     traj = Trajectory.from_fields(
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
     seen = []
-    _residual_fields(lambda r, s: seen.append(len(r)) or (r, s),
-                     g, traj.times, traj.r, traj.s)
+    monkeypatch.setattr(pde, "evolution_rhs",
+                        lambda r, *rest: seen.append(len(r)) or evolution_rhs(r, *rest))
+    residual(reference_points(g.n)["sym1c"], traj)
+    monkeypatch.undo()
     assert seen == slabs
     for key in ("sym1c", "linear-se", "galsub"):
         p = reference_points(g.n)[key]
@@ -442,17 +445,6 @@ def test_residuals_equal_per_slice_reference(g, slices, slabs):
     se_point = _linear_se_point(g.n, Fraction(-7, 10))
     assert se_residual(-0.7, traj) == _per_slice_report(
         lambda f: dg_rhs(se_point, f), traj)
-
-    # the heat equation as the r equation of a trajectory with r = phi:
-    # r_t = -sign D lap r
-    sol = heat_solution(0.7, "backward", n=g.n, offset=0.3)
-    heat = Trajectory.from_fields(
-        g, [LogPolarField(g, t, sol.value(g.coords(), t), np.zeros(g.shape))
-            for t in times])
-    lap_only = _per_slice_report(
-        lambda f: (-sol.sign() * sol.D * derivative_bundle(f.r, f.s, g)[0],
-                   np.zeros(g.shape)), heat)
-    assert heat_residual(sol, g, list(times)) == lap_only.r_l2
 
 
 def test_se_residual_is_residual_at_the_linear_point():
@@ -473,6 +465,24 @@ def test_se_residual_is_residual_at_the_linear_point():
             assert getattr(se, key) == pytest.approx(getattr(dg, key), rel=1e-13)
 
     check()
+
+
+def test_convergence_is_order_two_only(pts):
+    """The refinement verdict fails a non-solution, whose residual does not
+    shrink, and a residual that is exactly 0 on the fine grid (a plane wave
+    on dyadic grid points and times), whose ratio is inf."""
+    p = pts["linear-se"]
+    dg = functools.partial(residual, p)
+    grid, times = Grid.make(npts=64, extent=(-4, 4)), np.linspace(0.02, 0.18, 9)
+    junk = convergence(dg, Junk(), grid, times)
+    assert not junk.passed and 0.9 < junk.ratio_l2 < 1.1
+    assert junk.coarse == dg(sample_trajectory(Junk(), grid, times))
+    wave = convergence(dg, plane_wave_solution(p, 0.5),
+                       Grid.make(npts=65, extent=(-4, 4)), np.linspace(0.0, 0.25, 5))
+    assert wave.fine.l2 == wave.fine.linf == 0.0
+    assert wave.ratio_l2 == wave.ratio_linf == np.inf and not wave.passed
+    with pytest.raises(ValueError, match="uniform time stamps"):
+        convergence(dg, Junk(), grid, [0.0, 0.1, 0.3])
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +552,10 @@ def test_se_gaussian_nowhere_zero_and_order(pts):
     a = float(p.nu1)
     sol = SEPacketSum((se_gaussian(a, b0=-0.2),
                        se_gaussian(a, b0=-0.3, center=(0.6,), amplitude=0.3)))
-    g1, g2 = Grid.make(npts=64, extent=(-4, 4)), Grid.make(npts=127, extent=(-4, 4))
-    r = sample_evaluator(sol, g1, 0.0).r
-    assert np.all(np.isfinite(r))
-    r1 = se_residual(a, sample_trajectory(sol, g1, np.linspace(0, 0.1, 9)))
-    r2 = se_residual(a, sample_trajectory(sol, g2, np.linspace(0, 0.1, 17)))
-    assert 3.0 < r1.l2 / r2.l2 < 5.0
+    g = Grid.make(npts=64, extent=(-4, 4))
+    assert np.all(np.isfinite(sample_evaluator(sol, g, 0.0).r))
+    assert convergence(lambda traj: se_residual(a, traj), sol, g,
+                       np.linspace(0, 0.1, 9)).passed
 
 
 def test_evolve_plane_wave_2d(pts):
