@@ -28,7 +28,7 @@ import numpy as np
 
 from . import __version__
 from .fields import (Grid, LogPolarField, Trajectory, read_snapshot,
-                     read_trajectory, sample_trajectory, write_trajectory)
+                     read_trajectory, write_trajectory)
 from .flows import verify_symmetry_flow
 from .kernels import boundary_ring
 from .linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
@@ -210,7 +210,7 @@ def _suite_determining(args, rows):
                      "nonzero": [lbl for lbl, e in res if not e.is_zero]})
 
 
-def _linearized_solution(p: DGParams, data, after: float, before: float):
+def _linearized_solution(p: DGParams, cls, after: float, before: float):
     """Sym1c: the Zse flow of a Gaussian packet.  Sym1b: a heat pair valid
     for before < t < after.  Both of the point's dimension.
 
@@ -220,9 +220,10 @@ def _linearized_solution(p: DGParams, data, after: float, before: float):
     by its direction: ``after`` for a forward kernel, ``before`` for a
     backward one.
     """
+    data = linearization_data(p, cls)
     if data.branch != "real":
         pack = se_gaussian(data.se_coefficient, n=p.n, b0=-0.3)
-        return z_flow_se_from_zero(pack, 0.5, p)
+        return z_flow_se_from_zero(pack, 0.5, p, cls)
 
     def kernel(direction, amplitude, offset):
         focus = after if direction == "forward" else before
@@ -230,15 +231,14 @@ def _linearized_solution(p: DGParams, data, after: float, before: float):
                              focus_time=focus, offset=offset)
 
     plus, minus = ("forward", "backward") if p.nu1 > 0 else ("backward", "forward")
-    return heat_pair_to_dg(kernel(plus, 0.8, 0.5), kernel(minus, 0.6, 0.4), p)
+    return heat_pair_to_dg(kernel(plus, 0.8, 0.5), kernel(minus, 0.6, 0.4), p, cls)
 
 
 def _bundled_solution(p: DGParams, cls):
     """A closed-form solution at p of class cls, or None where there is none."""
     tag = cls.tag
     if tag in ("Sym1b", "Sym1c"):
-        return _linearized_solution(p, linearization_data(p, cls),
-                                    after=1.5, before=-0.75)
+        return _linearized_solution(p, cls, after=1.5, before=-0.75)
     if tag == "Sym3" and p.nu2 == 0:
         return ScaleSimilaritySolution(p)
     if tag == "Sym2a":
@@ -400,17 +400,18 @@ def cmd_simulate(args) -> int:
 
 def cmd_linearize(args) -> int:
     p = _load_params(args.params)
+    cls = classify(p)
     try:
-        data = linearization_data(p)
+        data = linearization_data(p, cls)
     except NotLinearizable as exc:
         _say(f"linearize: {exc}")
         return EXIT_INAPPLICABLE
 
     grid = _grid(args.grid, p.n)
     times = np.linspace(0.0, args.t_final, 9)
-    sol = _linearized_solution(p, data, after=args.t_final + 1.0, before=-0.3)
-    traj = sample_trajectory(sol, grid, times)
+    sol = _linearized_solution(p, cls, after=args.t_final + 1.0, before=-0.3)
     dg = convergence(lambda tr: residual(p, tr), sol, grid, times)
+    traj = dg.trajectory
 
     if data.branch == "real":
         ok = dg.passed

@@ -1,7 +1,9 @@
 """Finite-difference stencil, derivative bundle and dirichlet boundary ring.
 
+The state is one float64 array ``u`` of shape ``(2, *lead, *grid.shape)``:
+``u[0]`` is the log-amplitude r and ``u[1]`` the phase s of psi = exp(r + i s).
 Every right-hand side of the family is a linear combination of five
-derivative fields of the log-polar state (r, s):
+derivative fields of that state:
 
     lap r,  lap s,  |grad r|^2,  |grad s|^2,  grad r . grad s
 
@@ -11,27 +13,28 @@ and ``evolution_rhs`` combines them with nine coefficients:
     r_t = a1 lap(r) + a2 lap(s) + a3 |grad r|^2 + a4 grad r . grad s
     s_t = b1 lap(r) + b2 lap(s) + b3 |grad r|^2 + b4 grad r . grad s + b5 |grad s|^2
 
-Along each axis the field is padded by one point at each end and differenced
-once; the two offset views of that difference are the backward and forward
-differences.  On periodic grids the padding is the wrapped neighbours, and
-phase differences are wrapped to the nearest multiple of 2 pi, so plane waves
-with nonzero winding differentiate correctly across the seam.  On dirichlet
-grids the padding copies the edge value, so the outward difference there is
-f - f = 0 exactly and the ring holds one-sided values.
+Along each axis the stacked state is padded by one point at each end and
+differenced once, both halves in one array operation; the two offset views of
+that difference are the backward and forward differences.  On periodic grids
+the padding is the wrapped neighbours, and the phase half of the difference is
+wrapped to the nearest multiple of 2 pi, so plane waves with nonzero winding
+differentiate correctly across the seam.  On dirichlet grids the padding
+copies the edge value, so the outward difference there is f - f = 0 exactly
+and the ring holds one-sided values.  The combination runs on ``(2, 1, ...)``
+columns of the coefficients, so r_t and s_t come out as one stacked array.
+Each element sees the operations, in the order, of a separate r and s pass.
 
 On dirichlet grids the outermost layer of points along each axis is the
 boundary ring: its values are imposed, not evolved, so every right-hand side
 is zero there and residuals are taken over the points inside it.
 ``boundary_ring`` gives the ring as one integer index tuple (``np.nonzero``
 of the ring mask, so ``arr[ring]`` is the flat run of ring values) next to
-the ``inner`` slices.  A periodic grid has an empty ring index, so
-``arr[ring] = 0`` changes nothing there.
+the ``inner`` slices; on a periodic grid the ring is empty.
 
-The stencil acts on the trailing ``grid.n`` axes.  ``derivative_bundle``,
-``evolution_rhs`` and ``zero_ring`` therefore take one slice of shape
-``grid.shape`` or a slab of k slices of shape ``(k, *grid.shape)``; every
-operation is elementwise along the leading axis, so a slab gives each slice
-bit for bit what a call on that slice alone gives.
+The stencil acts on the trailing ``grid.n`` axes.  The ``lead`` axes of ``u``
+are empty for one slice and ``(k,)`` for a slab of k time slices; every
+operation is elementwise along them, so a slab gives each slice bit for bit
+what a call on that slice alone gives.
 """
 
 from __future__ import annotations
@@ -43,23 +46,21 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def _wrap(d):
-    return d - TWO_PI * np.rint(d / TWO_PI)
+def _axis_diffs(u, axis, dx, periodic):
+    """Centered first and second derivative of the stacked state ``u`` along
+    ``axis``.
 
-
-def _axis_diffs(f, axis, dx, periodic, wrap):
-    """Centered first and second derivative of ``f`` along ``axis``.
-
-    One padded difference per axis: ``f`` gains one point at each end (see
+    One padded difference per axis: ``u`` gains one point at each end (see
     the module docstring), ``d`` is the difference of the padded array, and
-    ``d[:-1]`` and ``d[1:]`` are the backward and forward differences.
+    ``d[:-1]`` and ``d[1:]`` are the backward and forward differences.  On
+    periodic grids the phase half ``d[1]`` is wrapped.
     """
     ax = (slice(None),) * axis
-    lo, hi = f[ax + (slice(None, 1),)], f[ax + (slice(-1, None),)]
-    fp = np.concatenate((hi, f, lo) if periodic else (lo, f, hi), axis=axis)
-    d = fp[ax + (slice(1, None),)] - fp[ax + (slice(None, -1),)]
-    if wrap:
-        d = _wrap(d)
+    lo, hi = u[ax + (slice(None, 1),)], u[ax + (slice(-1, None),)]
+    up = np.concatenate((hi, u, lo) if periodic else (lo, u, hi), axis=axis)
+    d = up[ax + (slice(1, None),)] - up[ax + (slice(None, -1),)]
+    if periodic:
+        d[1] -= TWO_PI * np.rint(d[1] / TWO_PI)
     dm, dp = d[ax + (slice(None, -1),)], d[ax + (slice(1, None),)]
     return (dp + dm) / (2.0 * dx), (dp - dm) / (dx * dx)
 
@@ -83,45 +84,43 @@ def boundary_ring(grid):
 
 
 def zero_ring(grid, *arrays):
-    """Zero each array (a slice or a slab) in place on the boundary ring;
-    return them."""
-    ring = (Ellipsis,) + boundary_ring(grid)[0]
-    for arr in arrays:
-        arr[ring] = 0.0
+    """Zero each array (any leading axes, then the grid's) in place on the
+    boundary ring; return them."""
+    if grid.bc == "dirichlet":
+        ring = (Ellipsis,) + boundary_ring(grid)[0]
+        for arr in arrays:
+            arr[ring] = 0.0
     return arrays
 
 
-def derivative_bundle(r, s, grid):
-    """``(lap r, lap s, |grad r|^2, |grad s|^2, grad r . grad s)``.
+def derivative_bundle(u, grid):
+    """``(lap r, lap s, |grad r|^2, |grad s|^2, grad r . grad s)`` of the
+    stacked state ``u``.
 
-    The phase ``s`` is differenced modulo 2 pi on periodic grids.  On
-    dirichlet grids the boundary ring holds one-sided values; callers that
-    need it zero use ``zero_ring``.  ``r`` and ``s`` are slices or slabs.
+    The phase is differenced modulo 2 pi on periodic grids.  On dirichlet
+    grids the boundary ring holds one-sided values; callers that need it zero
+    use ``zero_ring``.  The first four are views into two stacked arrays.
     """
     periodic = grid.bc == "periodic"
-    lead = np.ndim(r) - grid.n
-    bundle = None
+    lead = u.ndim - grid.n
     for axis in range(grid.n):
-        dx = grid.dx(axis)
-        r1, r2 = _axis_diffs(r, lead + axis, dx, periodic, wrap=False)
-        s1, s2 = _axis_diffs(s, lead + axis, dx, periodic, wrap=periodic)
-        terms = (r2, s2, r1 * r1, s1 * s1, r1 * s1)
-        if bundle is None:
-            bundle = terms
+        d1, d2 = _axis_diffs(u, lead + axis, grid.dx(axis), periodic)
+        if axis == 0:
+            lap, sq, cross = d2, d1 * d1, d1[0] * d1[1]
         else:
-            for acc, term in zip(bundle, terms):
-                acc += term
-    return bundle
+            lap += d2
+            sq += d1 * d1
+            cross += d1[0] * d1[1]
+    return lap[0], lap[1], sq[0], sq[1], cross
 
 
-def evolution_rhs(r, s, grid, coeffs):
-    """(r_t, s_t) as the nine-coefficient combination of the derivative
-    bundle of a slice or a slab, zero on the boundary ring."""
-    a1, a2, a3, a4, b1, b2, b3, b4, b5 = coeffs
-    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(r, s, grid)
-    rt, st = a1 * lap_r, b1 * lap_r
-    for a, b, term in ((a2, b2, lap_s), (a3, b3, gr2), (a4, b4, grgs)):
-        rt += a * term
-        st += b * term
-    st += b5 * gs2
-    return zero_ring(grid, rt, st)
+def evolution_rhs(u, grid, coeffs):
+    """Stacked ``(r_t, s_t)``: the nine-coefficient combination of the
+    derivative bundle of the stacked state ``u``, zero on the boundary ring."""
+    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(u, grid)
+    cols = np.array(coeffs[:8]).reshape((2, 4) + (1,) * (u.ndim - 1))
+    rhs = cols[:, 0] * lap_r
+    for j, term in enumerate((lap_s, gr2, grgs), 1):
+        rhs += cols[:, j] * term
+    rhs[1] += coeffs[8] * gs2
+    return zero_ring(grid, rhs)[0]

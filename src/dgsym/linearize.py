@@ -176,9 +176,10 @@ class HeatPairSolution:
 
 
 def heat_pair_to_dg(phi_plus: HeatGaussian, phi_minus: HeatGaussian,
-                    p: DGParams) -> HeatPairSolution:
-    """Map a positive forward/backward heat pair to a solution evaluator."""
-    data = linearization_data(p)
+                    p: DGParams, cls: SymmetryClass | None = None) -> HeatPairSolution:
+    """Map a positive forward/backward heat pair to a solution evaluator.
+    ``cls`` is ``classify(p)`` when the caller already has it."""
+    data = linearization_data(p, cls)
     _require_heat_pair(phi_plus, phi_minus, data)
     return HeatPairSolution(phi_plus, phi_minus, p, data)
 
@@ -269,12 +270,13 @@ def z_flow_se(Psi, eps: float, psi0, p: DGParams):
     return apply_flow(vertical_map(vertical), psi0)
 
 
-def z_flow_se_from_zero(Psi, eps: float, p: DGParams):
+def z_flow_se_from_zero(Psi, eps: float, p: DGParams, cls: SymmetryClass | None = None):
     """Flow started from the trivial solution: gauge of Psi up to constant
-    modulus and phase shifts, r = ln(2 |Psi| eps / Lambda)."""
+    modulus and phase shifts, r = ln(2 |Psi| eps / Lambda).  ``cls`` is
+    ``classify(p)`` when the caller already has it."""
     if eps <= 0:
         raise ValueError("the zero-initial entry point needs eps > 0")
-    data = linearization_data(p)
+    data = linearization_data(p, cls)
     if data.branch != "imaginary":
         raise NotLinearizable("this flow applies to the iota1 > 0 branch only")
     Lam = data.LambdaCap

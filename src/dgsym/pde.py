@@ -19,6 +19,7 @@ and the free evolution system reads
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -50,9 +51,10 @@ class Functionals(NamedTuple):
 
 def functionals(field: LogPolarField) -> Functionals:
     """R1..R5 via centered second-order stencils (boundary ring zeroed)."""
-    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(field.r, field.s, field.grid)
+    u, grid = np.stack((field.r, field.s)), field.grid
+    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(u, grid)
     return Functionals(*zero_ring(
-        field.grid,
+        grid,
         lap_s + 2.0 * grgs,
         2.0 * lap_r + 4.0 * gr2,
         gs2,
@@ -71,10 +73,10 @@ def rhs_coefficients(p: DGParams) -> tuple:
     )
 
 
-def dg_rhs(p: DGParams, field: LogPolarField) -> tuple:
-    """(r_t, s_t) of the free evolution system; boundary ring is zero on
-    dirichlet grids (boundary values are imposed, not evolved)."""
-    return evolution_rhs(field.r, field.s, field.grid, rhs_coefficients(p))
+def dg_rhs(p: DGParams, field: LogPolarField) -> np.ndarray:
+    """Stacked (r_t, s_t) of the free evolution system; boundary ring is zero
+    on dirichlet grids (boundary values are imposed, not evolved)."""
+    return evolution_rhs(np.stack((field.r, field.s)), field.grid, rhs_coefficients(p))
 
 
 class EvolutionBlowup(RuntimeError):
@@ -93,21 +95,50 @@ def default_dt(grid: Grid) -> float:
         return math.inf
 
 
+# A slab of k time slices takes at most this many grid points per stencil
+# call: 1-D grids batch many slices, and 2-D grids of 64² points and up keep
+# one slice per call, where a larger slab loses more to memory traffic than
+# it saves in calls.  One `residual` on a 2-vCPU host: 1-D 256 x 65 slices
+# takes 4.7 ms per slice, 1.1 ms in slabs of 4096 points and 1.3 ms as one
+# stack; 2-D 64² x 9 takes 2.6 ms per slice and 3.3 ms as one stack.
+_SLAB_POINTS = 4096
+
+
+def _ring_values(bc_values, xs, t0, dt, steps):
+    """The (2, ring) values ``evolve`` pins at RK4 stages 2, 3, 4 and the update
+    of each step, at t + dt/2, t + dt/2, t + dt and t0 + step dt, in order.  A
+    time equal to the one before reuses its values; the distinct times are
+    sampled in (T, 1) columns of at most ``_SLAB_POINTS`` ring values."""
+    size = xs[0].size
+    times = (when for k in range(steps) for t in (t0 + k * dt,)
+             for when in (t + 0.5 * dt, t + 0.5 * dt, t + dt, t0 + (k + 1) * dt))
+    runs = ((t, len(list(same))) for t, same in itertools.groupby(times))
+    per_call = max(1, _SLAB_POINTS // size)
+    for batch in iter(lambda: list(itertools.islice(runs, per_call)), []):
+        col = np.reshape([t for t, _ in batch], (-1, 1))
+        values = np.stack([np.broadcast_to(v, (len(col), size))
+                           for v in bc_values(xs, col)], axis=1)
+        for held, (_, count) in zip(values, batch):
+            yield from (held,) * count
+
+
 def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = None,
            bc_values: Callable | None = None, blowup: float = 100.0,
            save_every: int = 1) -> Trajectory:
-    """Method-of-lines RK4 on the evolution system.
+    """Method-of-lines RK4 on the evolution system, one stacked (r, s) state.
 
     dt defaults to ``default_dt(grid)`` and may not exceed it; it must be finite
     and positive, and ``save_every`` at least 1.  On dirichlet grids
     ``bc_values(coords, t) -> (r, s)`` supplies boundary data (convergence
-    studies pin it to a closed-form solution).  It is called on the boundary
-    ring coordinates only, ``tuple(c[ring] for c in grid.coords())``, and
-    once per distinct stage time: RK4 stages 2 and 3 share t + dt/2, and a
-    value is reused only when the float time is exactly equal.  Its results
-    broadcast to the ring's shape, so it may return scalars.  ``field0`` must
-    be finite with max|r| <= ``blowup``; a step past it raises ``EvolutionBlowup``.
-    The rows are ``field0``, every ``save_every``-th step and the last step.
+    studies pin it to a closed-form solution) by the ``rs(xs, t)`` protocol of
+    ``sample_trajectory``: ``coords`` is the boundary ring only,
+    ``tuple(c[ring] for c in grid.coords())``, and ``t`` a (T, 1) column of the
+    distinct stage times of a block of steps, at most ``_SLAB_POINTS`` ring
+    values per call.  RK4 stages 2 and 3 share t + dt/2; a value is reused only
+    when the float time is exactly equal.  Results broadcast to (T, ring), so
+    scalars and ring values that ignore t do.  ``field0`` must be finite with
+    max|r| <= ``blowup``; a step past it raises ``EvolutionBlowup``.  The rows
+    are ``field0``, every ``save_every``-th step and the last step.
     """
     grid = field0.grid
     dt_max = default_dt(grid)
@@ -128,18 +159,16 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
         raise ValueError("dirichlet evolution needs bc_values pinned to a "
                          "reference solution")
     ring, _ = boundary_ring(grid)
-    ring_coords = tuple(c[ring] for c in grid.coords())
     coeffs = rhs_coefficients(p)
-    held_t, held = None, None  # time and ring values of the latest call
+    if dirichlet:
+        edge = (slice(None),) + ring
+        pins = _ring_values(bc_values, tuple(c[ring] for c in grid.coords()),
+                            field0.t, dt, steps)
 
-    def pin(r, s, t):
-        nonlocal held_t, held
+    def pin(u):
         if dirichlet:
-            if t != held_t:
-                held_t, held = t, tuple(np.broadcast_to(v, ring[0].shape)
-                                        for v in bc_values(ring_coords, t))
-            r[ring], s[ring] = held
-        return r, s
+            u[edge] = next(pins)
+        return u
 
     norm = float(np.max(np.abs(field0.r)))
     if not (math.isfinite(norm) and norm <= blowup and np.all(np.isfinite(field0.s))):
@@ -148,31 +177,26 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
 
     rows = 1 + -(-steps // save_every)  # field0 and every saved step
     try:
-        times, (rs, ss) = np.empty(rows), np.empty((2, rows) + grid.shape)
+        times, saved = np.empty(rows), np.empty((2, rows) + grid.shape)
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"steps={steps} saved every {save_every} make a "
                          "trajectory too large to hold in memory") from exc
-    times[0], rs[0], ss[0] = field0.t, field0.r, field0.s
-    r, s, t, row = field0.r.copy(), field0.s.copy(), field0.t, 1
+    u = np.stack((field0.r, field0.s))
+    times[0], saved[:, 0], row = field0.t, u, 1
     for step in range(1, steps + 1):
-        k1r, k1s = evolution_rhs(r, s, grid, coeffs)
-        r2, s2 = pin(r + 0.5 * dt * k1r, s + 0.5 * dt * k1s, t + 0.5 * dt)
-        k2r, k2s = evolution_rhs(r2, s2, grid, coeffs)
-        r3, s3 = pin(r + 0.5 * dt * k2r, s + 0.5 * dt * k2s, t + 0.5 * dt)
-        k3r, k3s = evolution_rhs(r3, s3, grid, coeffs)
-        r4, s4 = pin(r + dt * k3r, s + dt * k3s, t + dt)
-        k4r, k4s = evolution_rhs(r4, s4, grid, coeffs)
-        r = r + (dt / 6.0) * (k1r + 2.0 * k2r + 2.0 * k3r + k4r)
-        s = s + (dt / 6.0) * (k1s + 2.0 * k2s + 2.0 * k3s + k4s)
+        k1 = evolution_rhs(u, grid, coeffs)
+        k2 = evolution_rhs(pin(u + 0.5 * dt * k1), grid, coeffs)
+        k3 = evolution_rhs(pin(u + 0.5 * dt * k2), grid, coeffs)
+        k4 = evolution_rhs(pin(u + dt * k3), grid, coeffs)
+        u = pin(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         t = field0.t + step * dt
-        r, s = pin(r, s, t)
-        norm = float(np.max(np.abs(r)))
+        norm = float(np.max(np.abs(u[0])))
         if not math.isfinite(norm) or norm > blowup:
             raise EvolutionBlowup(step, t, norm)
         if step % save_every == 0 or step == steps:
-            times[row], rs[row], ss[row] = t, r, s
+            times[row], saved[:, row] = t, u
             row += 1
-    return Trajectory(grid, times, rs, ss)
+    return Trajectory(grid, times, *saved)
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +249,6 @@ def _check_times(times):
                          "is not a finite positive float")
 
 
-# A slab of k time slices takes at most this many grid points per stencil
-# call: 1-D grids batch many slices, and 2-D grids of 64² points and up keep
-# one slice per call, where a larger slab loses more to memory traffic than
-# it saves in calls.  One `residual` on a 2-vCPU host: 1-D 256 x 65 slices
-# takes 4.7 ms per slice, 1.1 ms in slabs of 4096 points and 1.3 ms as one
-# stack; 2-D 64² x 9 takes 2.6 ms per slice and 3.3 ms as one stack.
-_SLAB_POINTS = 4096
-
-
 def _norms(arr) -> tuple:
     return float(np.max(np.abs(arr))), float(np.sqrt(np.mean(arr * arr)))
 
@@ -242,22 +257,23 @@ def _residual_report(coeffs, traj: Trajectory) -> ResidualReport:
     """Norms of (rhs - d/dt) of the nine-coefficient system ``evolution_rhs``
     over the inner time slices 1..T-2 and the inner grid points.
 
-    ``_time_derivative`` is taken in one call over each whole stack, and
-    ``evolution_rhs`` once per slab of ``max(1, _SLAB_POINTS // points)``
-    slices; its output is written over the d/dt stacks.
+    The r and s stacks become one (2, T, *grid) state; ``_time_derivative``
+    is taken in one call over it, and ``evolution_rhs`` once per slab of
+    ``max(1, _SLAB_POINTS // points)`` slices, its output written over the
+    d/dt stack.
     """
-    grid, times, r, s = traj.grid, traj.times, traj.r, traj.s
+    grid, times = traj.grid, traj.times
     _check_times(times)
+    u = np.stack((traj.r, traj.s))
     h = np.diff(times).reshape((-1,) + (1,) * grid.n)
-    res = [_time_derivative(f[:-2], f[1:-1], f[2:], h[:-1], h[1:]) for f in (r, s)]
+    mid = u[:, 1:-1]
+    res = _time_derivative(u[:, :-2], mid, u[:, 2:], h[:-1], h[1:])
     step = max(1, _SLAB_POINTS // math.prod(grid.shape))
-    for lo in range(1, len(times) - 1, step):
-        hi = min(lo + step, len(times) - 1)
-        rows = slice(lo - 1, hi - 1)
-        for out, rhs in zip(res, evolution_rhs(r[lo:hi], s[lo:hi], grid, coeffs)):
-            np.subtract(rhs, out[rows], out=out[rows])
+    for lo in range(0, len(times) - 2, step):
+        rows = (slice(None), slice(lo, lo + step))
+        np.subtract(evolution_rhs(mid[rows], grid, coeffs), res[rows], out=res[rows])
     inner = (slice(None),) + boundary_ring(grid)[1]
-    (r_linf, r_l2), (s_linf, s_l2) = (_norms(out[inner]) for out in res)
+    (r_linf, r_l2), (s_linf, s_l2) = (_norms(half[inner]) for half in res)
     return ResidualReport(r_linf, r_l2, s_linf, s_l2)
 
 
@@ -284,12 +300,13 @@ def se_residual(a: float, traj: Trajectory) -> ResidualReport:
 
 @dataclass(frozen=True)
 class Convergence:
-    """Residuals on a grid and on its refinement, and their ratios."""
+    """Coarse and fine residuals, their ratios, and the coarse trajectory."""
 
     coarse: ResidualReport
     fine: ResidualReport
     ratio_l2: float
     ratio_linf: float
+    trajectory: Trajectory
 
     @property
     def passed(self) -> bool:
@@ -307,14 +324,15 @@ def convergence(residual_of, solution, grid: Grid, times) -> Convergence:
     if not np.array_equal(fine_times[::2], times):
         raise ValueError("a refinement study needs uniform time stamps, "
                          "as np.linspace gives them")
-    coarse = residual_of(sample_trajectory(solution, grid, times))
+    traj = sample_trajectory(solution, grid, times)
+    coarse = residual_of(traj)
     fine = residual_of(sample_trajectory(solution, grid.refine(2), fine_times))
 
     def ratio(a, b):
         return a / b if b > 0 else math.inf
 
     return Convergence(coarse, fine, ratio(coarse.l2, fine.l2),
-                       ratio(coarse.linf, fine.linf))
+                       ratio(coarse.linf, fine.linf), traj)
 
 
 # ---------------------------------------------------------------------------

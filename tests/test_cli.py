@@ -545,8 +545,9 @@ def test_verify_classifies_once_per_point(monkeypatch):
         return len(calls)
 
     assert count("--suite", "determining", "--class", "galsub", "--n", "3") == 1
-    flow = ("--suite", "flow", "--class", "sym1b", "--gen")
-    assert count(*flow, "P:1") == count(*flow, "P:1", "B:1", "H", "D", "C")
+    for key in ("sym1b", "sym1c"):  # the bundled solution needs the class too
+        flow = ("--suite", "flow", "--class", key, "--gen")
+        assert count(*flow, "P:1") == count(*flow, "P:1", "B:1", "H", "D", "C") == 1
 
 
 def test_linearize_inapplicable(capsys, tmp_path):

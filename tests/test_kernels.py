@@ -1,20 +1,29 @@
-"""The derivative stencil against a plain reference of its formulas.
+"""The derivative stencil against two references of its formulas.
 
-The reference below differences with ``np.roll`` on periodic grids and with
-``np.diff`` into zeroed arrays on dirichlet grids, term by term.  The library
-stencil must reproduce it bit for bit: every trajectory, residual and
-functional is built on it, so any change of rounding would show in all of
-them.
+The plain reference differences with ``np.roll`` on periodic grids and with
+``np.diff`` into zeroed arrays on dirichlet grids, term by term.  The
+two-array reference is the stencil as it was before the state was stacked:
+one padded difference per field and axis, and the nine-coefficient
+combination written out for r_t and s_t apart.  The library stencil must
+reproduce both bit for bit: every trajectory, residual and functional is
+built on it, so any change of rounding would show in all of them.
 """
+
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dgsym.fields import Grid, LogPolarField, sample_evaluator
-from dgsym.kernels import derivative_bundle, evolution_rhs
-from dgsym.pde import evolve, functionals
+from dgsym import pde
+from dgsym.fields import Grid, LogPolarField, Trajectory, sample_evaluator
+from dgsym.kernels import derivative_bundle, evolution_rhs, zero_ring
+from dgsym.params import reference_points
+from dgsym.pde import evolve, functionals, residual
 
-from test_pde import _assert_same_trajectory, _ring_mask, _reference_evolve
+from test_pde import (_assert_same_trajectory, _per_slice_report, _recording,
+                      _reference_evolve, _replaying, _ring_mask)
 
 TWO_PI = 2.0 * np.pi
 
@@ -76,6 +85,57 @@ def ref_rhs(r, s, grid, coeffs):
     return _ref_zero_ring(grid, rt, st)
 
 
+# -- the two-array reference ------------------------------------------------
+
+def _two_array_wrap(d):
+    return d - TWO_PI * np.rint(d / TWO_PI)
+
+
+def _two_array_axis_diffs(f, axis, dx, periodic, wrap):
+    ax = (slice(None),) * axis
+    lo, hi = f[ax + (slice(None, 1),)], f[ax + (slice(-1, None),)]
+    fp = np.concatenate((hi, f, lo) if periodic else (lo, f, hi), axis=axis)
+    d = fp[ax + (slice(1, None),)] - fp[ax + (slice(None, -1),)]
+    if wrap:
+        d = _two_array_wrap(d)
+    dm, dp = d[ax + (slice(None, -1),)], d[ax + (slice(1, None),)]
+    return (dp + dm) / (2.0 * dx), (dp - dm) / (dx * dx)
+
+
+def two_array_bundle(r, s, grid):
+    periodic = grid.bc == "periodic"
+    lead = np.ndim(r) - grid.n
+    bundle = None
+    for axis in range(grid.n):
+        dx = grid.dx(axis)
+        r1, r2 = _two_array_axis_diffs(r, lead + axis, dx, periodic, wrap=False)
+        s1, s2 = _two_array_axis_diffs(s, lead + axis, dx, periodic, wrap=periodic)
+        terms = (r2, s2, r1 * r1, s1 * s1, r1 * s1)
+        if bundle is None:
+            bundle = terms
+        else:
+            for acc, term in zip(bundle, terms):
+                acc += term
+    return bundle
+
+
+def two_array_rhs(r, s, grid, coeffs):
+    a1, a2, a3, a4, b1, b2, b3, b4, b5 = coeffs
+    lap_r, lap_s, gr2, gs2, grgs = two_array_bundle(r, s, grid)
+    rt, st = a1 * lap_r, b1 * lap_r
+    for a, b, term in ((a2, b2, lap_s), (a3, b3, gr2), (a4, b4, grgs)):
+        rt += a * term
+        st += b * term
+    st += b5 * gs2
+    return zero_ring(grid, rt, st)
+
+
+def two_array_functionals(r, s, grid):
+    lap_r, lap_s, gr2, gs2, grgs = two_array_bundle(r, s, grid)
+    return zero_ring(grid, lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2,
+                     gs2, 2.0 * grgs, 4.0 * gr2)
+
+
 def ref_functionals(r, s, grid):
     lap_r, lap_s, gr2, gs2, grgs = ref_bundle(r, s, grid)
     return _ref_zero_ring(grid, lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2,
@@ -127,13 +187,14 @@ FIELD_IDS = ["random", "winding", "near-pi"]
 def test_bundle_rhs_and_functionals_match_reference(grid, make):
     for seed in range(3):
         r, s = make(grid, seed)
-        for got, want in zip(derivative_bundle(r, s, grid),
-                             ref_bundle(r, s, grid)):
+        u = np.stack((r, s))
+        for got, want in zip(derivative_bundle(u, grid), ref_bundle(r, s, grid)):
             assert np.array_equal(got, want)
         coeffs = tuple(np.random.default_rng(seed + 10).normal(size=9))
-        for got, want in zip(evolution_rhs(r, s, grid, coeffs),
-                             ref_rhs(r, s, grid, coeffs)):
-            assert np.array_equal(got, want)
+        got = evolution_rhs(u, grid, coeffs)
+        assert got.shape == u.shape
+        for half, want in zip(got, ref_rhs(r, s, grid, coeffs)):
+            assert np.array_equal(half, want)
         field = LogPolarField(grid, 0.0, r, s)
         for got, want in zip(functionals(field), ref_functionals(r, s, grid)):
             assert np.array_equal(got, want)
@@ -141,10 +202,68 @@ def test_bundle_rhs_and_functionals_match_reference(grid, make):
 
 def test_bundle_does_not_modify_its_inputs():
     grid = GRIDS[1]
-    r, s = _winding_fields(grid, 0)
-    r0, s0 = r.copy(), s.copy()
-    derivative_bundle(r, s, grid)
-    assert np.array_equal(r, r0) and np.array_equal(s, s0)
+    u = np.stack(_winding_fields(grid, 0))
+    u0 = u.copy()
+    derivative_bundle(u, grid)
+    evolution_rhs(u, grid, tuple(range(9)))
+    assert np.array_equal(u, u0)
+
+
+# Well-posed points, so that a few RK4 steps from the smooth winding fields
+# stay far below the blow-up bound.
+EVOLVE_KEYS = ["sym1c", "linear-se", "galsub"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=st.sampled_from(GRIDS), make=st.sampled_from(FIELDS),
+       seed=st.integers(0, 2 ** 16), slices=st.integers(1, 6),
+       slab=st.integers(1, 6), key=st.sampled_from(EVOLVE_KEYS),
+       steps=st.integers(1, 5), save_every=st.integers(1, 3))
+def test_stacked_kernel_matches_two_array_reference(grid, make, seed, slices, slab,
+                                                    key, steps, save_every):
+    """evolution_rhs, functionals, evolve and residual on the stacked state
+    equal the two-array reference bit for bit: on 1-D and 2-D grids, both
+    boundary conditions, phases that wind across the periodic seam, and
+    slabs of 1..6 slices."""
+    rng = np.random.default_rng(seed)
+    r, s = (np.array(f) for f in zip(*(make(grid, seed + j) for j in range(slices + 2))))
+    coeffs = tuple(rng.normal(size=9))
+    got = evolution_rhs(np.stack((r[:slices], s[:slices])), grid, coeffs)
+    for half, want in zip(got, two_array_rhs(r[:slices], s[:slices], grid, coeffs)):
+        assert np.array_equal(half, want)
+
+    field = LogPolarField(grid, 0.0, r[0], s[0])
+    for got, want in zip(functionals(field), two_array_functionals(r[0], s[0], grid)):
+        assert np.array_equal(got, want)
+
+    # residual, with the stencil called on slabs of `slab` time slices
+    p = reference_points(grid.n)[key]
+    times = np.cumsum(rng.uniform(0.01, 0.02, slices + 2))
+    traj = Trajectory(grid, times, r, s)
+    with mock.patch.object(pde, "_SLAB_POINTS", slab * np.prod(grid.shape)):
+        got = residual(p, traj)
+    coeffs = pde.rhs_coefficients(p)
+    assert got == _per_slice_report(lambda f: two_array_rhs(f.r, f.s, grid, coeffs), traj)
+
+    # evolve from a smooth winding field, pinned on dirichlet grids
+    f0 = LogPolarField(grid, 0.25, *_winding_fields(grid, seed))
+    bc, calls = _recording(HeldRing(f0)) if grid.bc == "dirichlet" else (None, [])
+    dt = 0.2 * min(grid.spacings) ** 2
+    traj = evolve(p, f0, steps, bc_values=bc, save_every=save_every)
+    _assert_same_trajectory(traj, _reference_evolve(
+        p, f0, steps, dt, bc and _replaying(calls, grid), save_every,
+        rhs=two_array_rhs))
+
+
+class HeldRing:
+    """Boundary values that drift linearly in time from the initial field."""
+
+    def __init__(self, f0):
+        mask = _ring_mask(f0.grid)
+        self.r, self.s = f0.r[mask], f0.s[mask]
+
+    def rs(self, xs, t):
+        return self.r + 0.5 * t, self.s - 0.25 * t
 
 
 @pytest.mark.parametrize("grid", GRIDS[2:], ids=GRID_IDS[2:])
@@ -152,7 +271,7 @@ def test_dirichlet_ring_keeps_one_sided_values(grid):
     """On the ring the outward difference is exactly 0: a point on the low
     edge of axis 0 sees only its forward difference."""
     r, s = _random_fields(grid, 3)
-    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(r, s, grid)
+    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(np.stack((r, s)), grid)
     dx = grid.dx(0)
     if grid.n == 1:
         dp, dm = r[1] - r[0], r[-1] - r[-2]
@@ -212,6 +331,7 @@ def test_evolve_matches_reference_stencil_2d_dirichlet():
     grid = Grid(n=2, npts=17, bounds=((-4.0, 4.0), (-3.0, 3.0)))
     f0 = sample_evaluator(sol, grid, 0.0)
     dt = 0.2 * min(grid.spacings) ** 2
-    traj = evolve(p, f0, 8, bc_values=sol.rs, save_every=3)
+    bc, calls = _recording(sol)
+    traj = evolve(p, f0, 8, bc_values=bc, save_every=3)
     _assert_same_trajectory(traj, _reference_evolve(
-        p, f0, 8, dt, sol.rs, save_every=3, rhs=ref_rhs))
+        p, f0, 8, dt, _replaying(calls, grid), save_every=3, rhs=ref_rhs))

@@ -3,6 +3,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,7 +379,7 @@ def test_residual_equals_per_slice_rhs(key, n, bc):
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
     assert residual(p, traj) == _per_slice_report(
-        lambda f: evolution_rhs(f.r, f.s, g, rhs_coefficients(p)), traj)
+        lambda f: evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p)), traj)
 
 
 def _per_slice_report(rhs_fn, traj):
@@ -434,7 +435,7 @@ def test_residuals_equal_per_slice_reference(g, slices, slabs, monkeypatch):
                           rng.standard_normal(g.shape)) for t in times])
     seen = []
     monkeypatch.setattr(pde, "evolution_rhs",
-                        lambda r, *rest: seen.append(len(r)) or evolution_rhs(r, *rest))
+                        lambda u, *rest: seen.append(u.shape[1]) or evolution_rhs(u, *rest))
     residual(reference_points(g.n)["sym1c"], traj)
     monkeypatch.undo()
     assert seen == slabs
@@ -608,13 +609,14 @@ def test_zero_ring_zeroes_exactly_the_ring(grid):
 
 
 def _reference_evolve(p, f0, steps, dt, bc_values, save_every, rhs=None):
-    """RK4 as evolve runs it, pinning each face from a full-grid evaluation
-    (no pinning when ``bc_values`` is None); ``rhs`` defaults to the library
+    """RK4 on separate r and s arrays, pinning each face from a full-grid
+    evaluation at each stage time (no pinning when ``bc_values`` is None);
+    ``rhs(r, s, grid, coeffs) -> (r_t, s_t)`` defaults to the library
     ``evolution_rhs``."""
-    from dgsym.kernels import evolution_rhs
     from dgsym.pde import rhs_coefficients
 
-    rhs = rhs or evolution_rhs
+    rhs = rhs or (lambda r, s, grid, coeffs:
+                  evolution_rhs(np.stack((r, s)), grid, coeffs))
     grid, coeffs, xs = f0.grid, rhs_coefficients(p), f0.grid.coords()
     faces = []
     for axis in range(grid.n):
@@ -686,37 +688,83 @@ def _heat_pair(n):
     return p, heat_pair_to_dg(fp, fm, p)
 
 
+def _recording(sol):
+    """``bc_values`` answering with ``sol.rs`` and the list of its calls,
+    each ``(xs, t, r, s)``."""
+    calls = []
+
+    def bc(xs, t):
+        r, s = sol.rs(xs, t)
+        calls.append((xs, t, r, s))
+        return r, s
+
+    return bc, calls
+
+
+def _replaying(calls, grid):
+    """``bc_values`` for ``_reference_evolve``: at each recorded stage time,
+    the ring values ``evolve`` received, on an otherwise zero grid."""
+    mask, values = _ring_mask(grid), {}
+    for _, t, r, s in calls:
+        shape = (len(t), np.count_nonzero(mask))
+        for tk, rk, sk in zip(t[:, 0], np.broadcast_to(r, shape),
+                              np.broadcast_to(s, shape)):
+            full = np.zeros((2,) + grid.shape)
+            full[0][mask], full[1][mask] = rk, sk
+            values[tk] = full
+    return lambda xs, t: values[t]
+
+
+def _stage_times(t0, dt, steps):
+    """The distinct stage times of ``steps`` RK4 steps, in order: t + dt/2
+    (stages 2 and 3), t + dt (stage 4) and t0 + step dt (the update), with a
+    time equal to the one before it dropped."""
+    out = []
+    for k in range(steps):
+        t = t0 + k * dt
+        for when in (t + 0.5 * dt, t + dt, t0 + (k + 1) * dt):
+            if not out or when != out[-1]:
+                out.append(when)
+    return out
+
+
 @pytest.mark.parametrize("make", [_gauged_packet_sum, _heat_pair],
                          ids=["gauged-packet-sum", "heat-pair"])
 @pytest.mark.parametrize("n, npts", [(1, 33), (2, 17)])
 def test_evolve_pins_ring_once_per_stage_time(make, n, npts):
+    """bc_values sees the ring only, each distinct stage time once and in
+    order, in (T, 1) time columns of at most _SLAB_POINTS ring values.  The
+    batched values agree with one call per time to rounding, and evolve is
+    RK4 pinned to exactly those values.  Besides the default, columns of 7
+    and of 2 times make several calls, the latter splitting steps."""
     p, sol = make(n)
     grid = Grid.make(n=n, npts=npts, extent=(-4, 4))
+    mask = _ring_mask(grid)
+    ring_xs = tuple(x[mask] for x in grid.coords())
+    size = ring_xs[0].size
+    assert size == npts ** n - (npts - 2) ** n
     f0 = sample_evaluator(sol, grid, 0.0)
-    calls = []
-
-    def recorded(xs, t):
-        calls.append((xs, t))
-        return sol.rs(xs, t)
-
     # sym1b is backward-parabolic: few enough steps that its grid-scale
     # modes stay far below the blow-up bound
     steps, dt = 8, 0.2 * min(grid.spacings) ** 2
-    traj = evolve(p, f0, steps, bc_values=recorded, save_every=3)
-    _assert_same_trajectory(traj, _reference_evolve(p, f0, steps, dt,
-                                                    sol.rs, save_every=3))
 
-    mask = _ring_mask(grid)
-    ring_xs = tuple(x[mask] for x in grid.coords())
-    assert ring_xs[0].size == npts ** n - (npts - 2) ** n
-    for xs, _ in calls:
-        assert len(xs) == n
-        assert all(np.array_equal(a, b) for a, b in zip(xs, ring_xs))
-    times = [t for _, t in calls]
-    assert all(a != b for a, b in zip(times, times[1:]))
-    # stages 2 and 3 share one call; the stage-4 and post-update times of a
-    # step share one only when their floats agree
-    assert 2 * steps <= len(calls) <= 3 * steps
+    for limit in (pde._SLAB_POINTS, 7 * size, 2 * size):
+        bc, calls = _recording(sol)
+        with mock.patch.object(pde, "_SLAB_POINTS", limit):
+            traj = evolve(p, f0, steps, bc_values=bc, save_every=3)
+        for xs, t, r, s in calls:
+            assert len(xs) == n
+            assert all(np.array_equal(a, b) for a, b in zip(xs, ring_xs))
+            assert t.ndim == 2 and t.shape[1] == 1 and len(t) * size <= limit
+            for k, tk in enumerate(t[:, 0]):
+                for got, want in zip((r, s), sol.rs(ring_xs, float(tk))):
+                    got = np.broadcast_to(got, (len(t), size))[k]
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        want = _stage_times(0.0, dt, steps)
+        assert [tk for _, t, _, _ in calls for tk in t[:, 0]] == want
+        assert len(calls) == -(-len(want) // (limit // size))  # full columns
+        _assert_same_trajectory(traj, _reference_evolve(
+            p, f0, steps, dt, _replaying(calls, grid), save_every=3))
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -738,6 +786,13 @@ def test_evolve_broadcasts_scalar_boundary_values(n):
     for fld in traj.fields[1:]:
         assert np.all(fld.r[mask] == 0.1 + fld.t)
         assert np.all(fld.s[mask] == -0.2)
+
+    # ring values that do not depend on t, as simulate holds them
+    held = f0.r[mask], f0.s[mask]
+    traj = evolve(p, f0, 6, bc_values=lambda xs, t: held, save_every=2)
+    for fld in traj.fields:
+        assert np.array_equal(fld.r[mask], held[0])
+        assert np.array_equal(fld.s[mask], held[1])
 
 
 @pytest.mark.parametrize("dt", [0.0, -1e-3, float("nan"), float("inf")])
