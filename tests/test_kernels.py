@@ -214,6 +214,17 @@ def test_bundle_does_not_modify_its_inputs():
 EVOLVE_KEYS = ["sym1c", "linear-se", "galsub"]
 
 
+class HeldRing:
+    """Ring values that drift linearly in time from those of the initial field."""
+
+    def __init__(self, f0):
+        mask = _ring_mask(f0.grid)
+        self.r, self.s = f0.r[mask], f0.s[mask]
+
+    def rs(self, xs, t):
+        return self.r + 0.5 * t, self.s - 0.25 * t
+
+
 @settings(max_examples=60, deadline=None)
 @given(grid=st.sampled_from(GRIDS), make=st.sampled_from(FIELDS),
        seed=st.integers(0, 2 ** 16), slices=st.integers(1, 6),
@@ -253,17 +264,6 @@ def test_stacked_kernel_matches_two_array_reference(grid, make, seed, slices, sl
     _assert_same_trajectory(traj, _reference_evolve(
         p, f0, steps, dt, bc and _replaying(calls, grid), save_every,
         rhs=two_array_rhs))
-
-
-class HeldRing:
-    """Boundary values that drift linearly in time from the initial field."""
-
-    def __init__(self, f0):
-        mask = _ring_mask(f0.grid)
-        self.r, self.s = f0.r[mask], f0.s[mask]
-
-    def rs(self, xs, t):
-        return self.r + 0.5 * t, self.s - 0.25 * t
 
 
 @pytest.mark.parametrize("grid", GRIDS[2:], ids=GRID_IDS[2:])
