@@ -13,15 +13,16 @@ A closed-form solution is an evaluator: ``rs(xs, t) -> (r, s)`` on the
 coordinate tuple ``xs`` of ``grid.coords()``.  ``t`` is a scalar, or an array
 of shape ``(T, 1, ...)`` that broadcasts against ``xs`` with a leading time
 axis; ``sample_trajectory`` samples all T time stamps in one such call.
-A slice holds values on its grid points only, so a flow that moves points
-in x acts on the evaluator, and the result is sampled; nothing here
+A flow acts on the evaluator, and the result is sampled; nothing here
 interpolates between grid points.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,8 @@ __all__ = ["Grid", "LogPolarField", "Trajectory", "sample_evaluator",
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform grid: n in {1,2}, per-axis extent, N points per axis."""
+    """Uniform grid: n in {1,2}, per-axis extent, N points per axis.  |x|² is
+    finite at every point and each spacing squares to a positive normal float."""
 
     n: int
     npts: int
@@ -53,7 +55,14 @@ class Grid:
         for a, b in bounds:
             if not b > a:
                 raise ValueError("extent must have b > a")
+        if not math.isfinite(sum(max(a * a, b * b) for a, b in bounds)):
+            raise ValueError(f"grid extent {bounds}: a bound is not finite, or "
+                             "its square summed over the axes overflows")
         object.__setattr__(self, "bounds", bounds)
+        for h in self.spacings:
+            if not (math.isfinite(h * h) and h * h >= sys.float_info.min):
+                raise ValueError(f"grid spacing {h:g}: its square is not a "
+                                 "finite positive normal float")
 
     @classmethod
     def make(cls, n=1, npts=64, extent=(-4.0, 4.0), bc="dirichlet") -> "Grid":
@@ -83,9 +92,9 @@ class Grid:
     def shape(self) -> tuple:
         return (self.npts,) * self.n
 
-    def refine(self, factor: int = 2) -> "Grid":
-        npts = self.npts * factor if self.bc == "periodic" \
-            else (self.npts - 1) * factor + 1
+    def refine(self) -> "Grid":
+        """The grid with every spacing halved, on the same extent."""
+        npts = 2 * self.npts if self.bc == "periodic" else 2 * self.npts - 1
         return Grid(n=self.n, npts=npts, bounds=self.bounds, bc=self.bc)
 
 
@@ -138,12 +147,6 @@ class Trajectory:
             raise ValueError(f"need times (T,) and stacks (T, *grid.shape); got "
                              f"{self.times.shape}, {self.r.shape}, {self.s.shape} "
                              f"on a grid of shape {self.grid.shape}")
-
-    @classmethod
-    def from_fields(cls, grid: Grid, fields: list) -> "Trajectory":
-        """Stack a list of time-ordered slices on ``grid`` into one trajectory."""
-        return cls(grid, [f.t for f in fields], [f.r for f in fields],
-                   [f.s for f in fields])
 
     def __len__(self):
         return len(self.times)

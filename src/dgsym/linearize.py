@@ -8,9 +8,9 @@ Lambda = sqrt(2 iota1)/|nu1|, gamma = -2 nu2/nu1 connects the family to the
 free linear Schroedinger equation with coefficient nu1*Lambda.
 
 The gauge action on wavefunctions and the one-parameter flows of the
-infinite generators are vertical :class:`dgsym.flows.FlowMap` s, applied to
-field slices and evaluators alike by :func:`dgsym.flows.apply_flow`.  The
-flows are integrated in coordinates where they are linear in the flow
+infinite generators are vertical :class:`dgsym.flows.FlowMap` s composed
+with (r, s) evaluators; the gauge also maps a Trajectory's stacks at once.
+The flows are integrated in coordinates where they are linear in the flow
 parameter:
 
     heat branch:  e^(r + |lam| w) and e^(r - |lam| w) advance linearly,
@@ -31,7 +31,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .flows import apply_flow, vertical_map
+from .fields import Trajectory
+from .flows import FlowMap, TransformedSolution
 from .params import DGParams, GaugeElement, SymmetryClass, classify
 from .pde import HeatGaussian
 
@@ -129,12 +130,17 @@ def _gauge_pair(g) -> tuple:
 def gauge_act_field(g, psi):
     """Nonlinear gauge on wavefunctions: r' = r, s' = gamma r + Lambda s.
 
-    Accepts a GaugeElement or a (Lambda, gamma) pair; acts, as a vertical
-    FlowMap, on a LogPolarField or on an (r, s) evaluator.  |psi| is
-    untouched, so the probability density is invariant by construction.
+    Accepts a GaugeElement or a (Lambda, gamma) pair.  An (r, s) evaluator
+    is composed lazily with the gauge as a vertical FlowMap; a Trajectory
+    is mapped as one array expression on its stacks.  |psi| is untouched,
+    so the probability density is invariant by construction.
     """
     L, c = _gauge_pair(g)
-    return apply_flow(vertical_map(lambda r, s, xs, t: (r, c * r + L * s)), psi)
+    fmap = FlowMap(vertical=lambda r, s, xs, t: (r, c * r + L * s))
+    if isinstance(psi, Trajectory):
+        r, s = fmap.vertical(psi.r, psi.s, None, None)
+        return Trajectory(psi.grid, psi.times, r.copy(), s)
+    return TransformedSolution(fmap, psi)
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +205,8 @@ def _heat_flow_rs(r0, s0, P, M, eps, p: DGParams, al: float):
 
 
 def z_flow_heat(phi_plus, phi_minus, eps: float, psi0, p: DGParams):
-    """One-parameter flow of the heat-pair generator applied to a solution.
-
-    psi0 may be a LogPolarField slice (acted on pointwise, using the pair
-    evaluated at the slice time) or an (r, s) evaluator.
-    """
+    """One-parameter flow of the heat-pair generator applied to an (r, s)
+    solution evaluator psi0."""
     data = linearization_data(p)
     _require_heat_pair(phi_plus, phi_minus, data)
     al = data.abs_lambda
@@ -213,7 +216,7 @@ def z_flow_heat(phi_plus, phi_minus, eps: float, psi0, p: DGParams):
         M = phi_minus.value(xs, t)
         return _heat_flow_rs(r0, s0, P, M, eps, p, al)
 
-    return apply_flow(vertical_map(vertical), psi0)
+    return TransformedSolution(FlowMap(vertical=vertical), psi0)
 
 
 def z_flow_heat_from_zero(phi_plus, phi_minus, eps: float,
@@ -250,24 +253,20 @@ def _se_flow_rs(r0, s0, mlog, theta, eps, p: DGParams, Lam: float):
     return r, w - 2.0 * nu_ratio * r
 
 
-def _se_payload(Psi, xs, t):
-    mlog, theta = Psi.rs(xs, t)
-    return np.asarray(mlog), np.asarray(theta)
-
-
 def z_flow_se(Psi, eps: float, psi0, p: DGParams):
     """Flow of the Schroedinger-branch generator built from a nowhere-zero
-    solution Psi of i Psi_t = nu1 Lambda lap Psi."""
+    solution Psi of i Psi_t = nu1 Lambda lap Psi, applied to an (r, s)
+    solution evaluator psi0."""
     data = linearization_data(p)
     if data.branch != "imaginary":
         raise NotLinearizable("this flow applies to the iota1 > 0 branch only")
     Lam = data.LambdaCap
 
     def vertical(r0, s0, xs, t):
-        mlog, theta = _se_payload(Psi, xs, t)
+        mlog, theta = (np.asarray(v) for v in Psi.rs(xs, t))
         return _se_flow_rs(r0, s0, mlog, theta, eps, p, Lam)
 
-    return apply_flow(vertical_map(vertical), psi0)
+    return TransformedSolution(FlowMap(vertical=vertical), psi0)
 
 
 def z_flow_se_from_zero(Psi, eps: float, p: DGParams, cls: SymmetryClass | None = None):
@@ -286,4 +285,4 @@ def z_flow_se_from_zero(Psi, eps: float, p: DGParams, cls: SymmetryClass | None 
         r = mlog + math.log(2.0 * eps / Lam)
         return r, Lam * (theta + 0.5 * math.pi) - 2.0 * nu_ratio * r
 
-    return apply_flow(vertical_map(vertical), Psi)
+    return TransformedSolution(FlowMap(vertical=vertical), Psi)

@@ -31,13 +31,12 @@ from .kernels import boundary_ring, derivative_bundle, evolution_rhs, zero_ring
 from .params import DGParams, predicate_report
 
 __all__ = [
-    "Functionals", "functionals", "dg_rhs", "default_dt", "evolve",
+    "Functionals", "functionals", "default_dt", "evolve",
     "EvolutionBlowup", "ResidualReport", "residual", "se_residual",
     "Convergence", "convergence",
     "heat_solution", "se_gaussian", "plane_wave_solution",
     "HeatGaussian", "SEPacket", "PlaneWave",
-    "ScaleSimilaritySolution", "HJSimilaritySolution",
-    "heat_residual", "rhs_coefficients",
+    "ScaleSimilaritySolution", "HJSimilaritySolution", "rhs_coefficients",
 ]
 
 
@@ -73,12 +72,6 @@ def rhs_coefficients(p: DGParams) -> tuple:
     )
 
 
-def dg_rhs(p: DGParams, field: LogPolarField) -> np.ndarray:
-    """Stacked (r_t, s_t) of the free evolution system; boundary ring is zero
-    on dirichlet grids (boundary values are imposed, not evolved)."""
-    return evolution_rhs(np.stack((field.r, field.s)), field.grid, rhs_coefficients(p))
-
-
 class EvolutionBlowup(RuntimeError):
     def __init__(self, step, t, norm):
         super().__init__(f"max|r| = {norm:.3g} at step {step} (t={t:.6g}); "
@@ -87,12 +80,8 @@ class EvolutionBlowup(RuntimeError):
 
 
 def default_dt(grid: Grid) -> float:
-    """The stability rule: the largest RK4 step, and the default, on grid;
-    inf where the square of the spacing overflows."""
-    try:
-        return 0.2 * min(grid.spacings) ** 2
-    except OverflowError:
-        return math.inf
+    """The stability rule: the largest RK4 step, and the default, on grid."""
+    return 0.2 * min(grid.spacings) ** 2
 
 
 # A slab of k time slices takes at most this many grid points per stencil
@@ -211,7 +200,8 @@ class ResidualReport:
 
     @property
     def linf(self) -> float:
-        return max(self.r_linf, self.s_linf)
+        """The larger sup norm; NaN if either is NaN."""
+        return float(np.maximum(self.r_linf, self.s_linf))
 
     @property
     def l2(self) -> float:
@@ -317,7 +307,7 @@ class Convergence:
 def convergence(residual_of, solution, grid: Grid, times) -> Convergence:
     """Order-2 refinement study: ``residual_of(traj) -> ResidualReport`` of
     ``solution`` sampled on ``grid`` at ``times``, uniform as ``np.linspace``
-    gives them, and on ``grid.refine(2)`` with every time interval halved.
+    gives them, and on ``grid.refine()`` with every time interval halved.
     A ratio is inf where the fine norm is not > 0."""
     times = np.asarray(times, dtype=float)
     fine_times = np.linspace(times[0], times[-1], 2 * len(times) - 1)
@@ -326,7 +316,7 @@ def convergence(residual_of, solution, grid: Grid, times) -> Convergence:
                          "as np.linspace gives them")
     traj = sample_trajectory(solution, grid, times)
     coarse = residual_of(traj)
-    fine = residual_of(sample_trajectory(solution, grid.refine(2), fine_times))
+    fine = residual_of(sample_trajectory(solution, grid.refine(), fine_times))
 
     def ratio(a, b):
         return a / b if b > 0 else math.inf
@@ -387,9 +377,6 @@ class HeatGaussian:
         return self.offset + self.amplitude * tau ** (-self.n / 2.0) \
             * np.exp(-q / (4.0 * self.D * tau))
 
-    def sign(self) -> float:
-        return 1.0 if self.direction == "forward" else -1.0
-
 
 def heat_solution(D, direction, n=1, amplitude=1.0, center=None,
                   focus_time=None, offset=0.0) -> HeatGaussian:
@@ -398,21 +385,6 @@ def heat_solution(D, direction, n=1, amplitude=1.0, center=None,
     return HeatGaussian(D=float(D), direction=direction, n=n,
                         amplitude=float(amplitude), center=center,
                         focus_time=float(focus_time), offset=float(offset))
-
-
-def heat_residual(sol: HeatGaussian, grid: Grid, times) -> float:
-    """L2 finite-difference residual of d_t phi + sign * D lap phi = 0: the r
-    residual of coefficients (-sign D, 0, ..., 0) on r = phi, s = 0.
-
-    Refuses, like ``residual``, fewer than 3 time stamps or stamps that do
-    not strictly increase, before it evaluates the kernel at them.
-    """
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
-    vals = np.array([sol.value(grid.coords(), t) for t in times])
-    coeffs = (-sol.sign() * sol.D,) + (0.0,) * 8
-    return _residual_report(coeffs, Trajectory(grid, times, vals,
-                                               np.zeros_like(vals))).r_l2
 
 
 @dataclass(frozen=True)

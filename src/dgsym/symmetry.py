@@ -503,11 +503,14 @@ def _poly_vf_bracket(f, g):
     return _poly_add(_poly_mul(f, _poly_diff(g)), _poly_mul(g, _poly_diff(f)), -1)
 
 
-def verify_infinite_relations(p: DGParams, max_degree: int = 4) -> list:
+_MAX_DEGREE = 4  # the Y_f relations are checked on monomials z^0 .. z^4
+
+
+def verify_infinite_relations(p: DGParams) -> list:
     """Bracket relations of the polynomial Y_f family at an InfSub point.
 
     Checks [Y_f, Y_g] = (mu1 - 2 nu2) Y_{fg'-gf'} for monomials up to
-    max_degree, plus [Y_f, R] = -mu1 Y_{f'} and [Y_f, E] = (1/2) Y_{f'}.
+    degree ``_MAX_DEGREE``, plus [Y_f, R] = -mu1 Y_{f'} and [Y_f, E] = (1/2) Y_{f'}.
     When the commutative condition mu1 = 2 nu2 holds, A exists as well and
     [A, Y_f] = Y_{z f'} is checked.
     """
@@ -518,7 +521,7 @@ def verify_infinite_relations(p: DGParams, max_degree: int = 4) -> list:
 
     R = basis_generator("R", p)
     E = basis_generator("E", p)
-    for d1 in range(max_degree + 1):
+    for d1 in range(_MAX_DEGREE + 1):
         f = mono(d1)
         Yf = infsub_poly_generator(p, f)
         fp = _poly_diff(f)
@@ -526,7 +529,7 @@ def verify_infinite_relations(p: DGParams, max_degree: int = 4) -> list:
         rows.append(CheckRow(f"[Y_z^{d1},R]", diff.is_zero))
         diff = lie_bracket(Yf, E) - infsub_poly_generator(p, fp).scale(Fraction(1, 2))
         rows.append(CheckRow(f"[Y_z^{d1},E]", diff.is_zero))
-        for d2 in range(d1, max_degree + 1):
+        for d2 in range(d1, _MAX_DEGREE + 1):
             g = mono(d2)
             Yg = infsub_poly_generator(p, g)
             want = infsub_poly_generator(p, _poly_vf_bracket(f, g)).scale(p.mu1 - 2 * p.nu2)
@@ -535,7 +538,7 @@ def verify_infinite_relations(p: DGParams, max_degree: int = 4) -> list:
 
     if p.mu1 == 2 * p.nu2:
         A = basis_generator("A", p)
-        for d in range(max_degree + 1):
+        for d in range(_MAX_DEGREE + 1):
             f = mono(d)
             zfp = _poly_mul(_Z, _poly_diff(f))
             diff = lie_bracket(A, infsub_poly_generator(p, f)) \

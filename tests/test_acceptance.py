@@ -12,8 +12,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dgsym.fields import Grid, LogPolarField, Trajectory, sample_evaluator
-from dgsym.flows import flow_closed, verify_symmetry_flow
+from dgsym.fields import Grid, Trajectory, sample_evaluator
+from dgsym.flows import TransformedSolution, closed_flow_map, verify_symmetry_flow
 from dgsym.linearize import (gauge_act_field, heat_pair_to_dg,
                              linearization_data, z_flow_se_from_zero)
 from dgsym.params import (DGParams, GaugeElement, classify, compute_invariants,
@@ -117,9 +117,9 @@ def test_criterion_02_group_structure():
         grid = Grid.make(npts=64, extent=(-3, 3))
         nprng = np.random.default_rng(0)
         for _ in range(20):
-            f = LogPolarField(grid, 0.0,
-                              0.5 * nprng.standard_normal(64),
-                              5.0 * nprng.standard_normal(64))
+            f = Trajectory(grid, [0.0],
+                           [0.5 * nprng.standard_normal(64)],
+                           [5.0 * nprng.standard_normal(64)])
             g1, g2 = _rand_gauge(rng), _rand_gauge(rng)
             one = gauge_act_field(g1, gauge_act_field(g2, f))
             two = gauge_act_field(gauge_compose(g1, g2), f)
@@ -135,7 +135,7 @@ def test_criterion_03_commutator_table():
             bad = [r.label for r in rows if not r.passed]
             assert not bad, bad
         for key in ("infsub", "infasub"):
-            rows = verify_infinite_relations(pts[key], max_degree=4)
+            rows = verify_infinite_relations(pts[key])
             bad = [r.label for r in rows if not r.passed]
             assert not bad, bad
 
@@ -232,17 +232,16 @@ def test_criterion_07_se_branch_linearization():
         reps = []
         for npts, slices in ((64, 8), (128, 16)):
             traj = _simulate_dg(p, sol, npts, slices=slices)
-            gauged = Trajectory.from_fields(
-                traj.grid,
-                [gauge_act_field(data.gauge_to_linear(), f) for f in traj.fields])
+            gauged = gauge_act_field(data.gauge_to_linear(), traj)
             reps.append(se_residual(data.se_coefficient, gauged))
         ratio = reps[0].l2 / reps[1].l2
         assert 3.0 <= ratio <= 5.0, ratio
 
         grid = Grid.make(npts=64, extent=(-4, 4))
         f0 = sample_evaluator(sol, grid, 0.05)
-        back = gauge_act_field(data.gauge_from_linear(),
-                               gauge_act_field(data.gauge_to_linear(), f0))
+        back = sample_evaluator(gauge_act_field(
+            data.gauge_from_linear(), gauge_act_field(data.gauge_to_linear(), sol)),
+            grid, 0.05)
         assert np.max(np.abs(back.r - f0.r)) < 1e-13
         assert np.max(np.abs(back.s - f0.s)) < 1e-13
 
@@ -271,13 +270,19 @@ def test_criterion_08_symmetry_flows():
 
         pe = pts["expsub-nu2"]
         g = Grid.make(npts=48, extent=(-3, 3))
-        x = g.coords()[0]
-        fld = LogPolarField(g, 0.0, 0.3 * np.sin(x), 0.2 * np.cos(2 * x))
-        ident = flow_closed("F", 0.0, fld, pe)
+
+        class Wave:
+            def rs(self, xs, t):
+                x = np.asarray(xs[0])
+                return 0.3 * np.sin(x), 0.2 * np.cos(2 * x)
+
+        def flowed(eps, source=Wave()):
+            return TransformedSolution(closed_flow_map("F", eps, pe), source)
+
+        fld, ident = (sample_evaluator(e, g, 0.0) for e in (Wave(), flowed(0.0)))
         assert np.max(np.abs(ident.r - fld.r)) < 1e-8
-        one = flow_closed("F", 0.2, fld, pe)
-        two = flow_closed("F", 0.3, one, pe)
-        tot = flow_closed("F", 0.5, fld, pe)
+        two, tot = (sample_evaluator(e, g, 0.0)
+                    for e in (flowed(0.3, flowed(0.2)), flowed(0.5)))
         err = max(np.max(np.abs(two.r - tot.r)), np.max(np.abs(two.s - tot.s)))
         assert err < 1e-8, err
 

@@ -450,12 +450,65 @@ def test_simulate_refuses_step_count_too_large(capsys, tmp_path, se_file, flags)
 
 def test_simulate_grid_whose_step_overflows_is_input_error(capsys, tmp_path,
                                                           se_file):
-    """dx = 1e300 overflows dx**2: the default step is inf and is refused."""
+    """dx = 1e300 puts the grid bounds at 7.5e300, whose squares overflow:
+    the grid is refused before any step."""
     out = tmp_path / "run"
     code, rows, err = run(capsys, "simulate", "--params", se_file, "--grid",
                           "16,1e300", "--out", str(out))
     assert code == 2 and rows == [] and not out.exists()
-    assert "Traceback" not in err and "dt=inf must be finite" in err
+    assert "Traceback" not in err
+    assert "its square summed over the axes overflows" in err
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("16,inf", "a bound is not finite"),
+    ("16,1e300", "square summed over the axes overflows"),
+    ("16,1e-300", "not a finite positive normal float")])
+@pytest.mark.parametrize("command", ["simulate", "linearize", "verify"])
+def test_degenerate_grid_is_input_error(capsys, tmp_path, sym1b_file, command,
+                                        spec, message):
+    """A grid with an infinite bound, a bound whose square overflows or a
+    spacing whose square underflows is refused: exit 2, one error line, no
+    rows and nothing written."""
+    out = tmp_path / "run"
+    argv = {"simulate": ["simulate", "--params", sym1b_file, "--steps", "2",
+                         "--out", str(out)],
+            "linearize": ["linearize", "--params", sym1b_file, "--out", str(out)],
+            "verify": ["verify", "--suite", "flow", "--class", "sym1b"]}[command]
+    code, rows, err = run(capsys, *argv, "--grid", spec)
+    assert code == 2 and rows == [] and not out.exists()
+    assert err.startswith("error: grid ") and len(err.splitlines()) == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("init", ["bump:w=0", "bump:w=1e-200", "bump:w=nan",
+                                  "bump:w=1e200", "bump:sa=inf"])
+def test_simulate_refuses_bump_before_any_warning(capsys, tmp_path, se_file, init):
+    """A bump width whose square is not a finite positive normal float, or a
+    non-finite amplitude, is an input error raised before numpy computes
+    the profile, so no RuntimeWarning precedes the error line."""
+    import warnings
+
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rows, err = run(capsys, "simulate", "--params", se_file,
+                              "--init", init, "--steps", "2", "--out", str(out))
+    assert code == 2 and rows == [] and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_simulate_narrow_bump_runs_without_warning(capsys, tmp_path, se_file):
+    """w = 1.6e-154 squares to a normal float, but -x²/w² overflows off the
+    centre: the profile is 0 there, with no RuntimeWarning."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rows, _ = run(capsys, "simulate", "--params", se_file, "--init",
+                            "bump:w=1.6e-154", "--steps", "2",
+                            "--out", str(tmp_path / "run"))
+    assert code == 0 and len(rows) == 1
 
 
 @pytest.mark.parametrize("damage", ["missing", "one-row"])

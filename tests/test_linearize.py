@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgsym.fields import Grid, LogPolarField, sample_evaluator, sample_trajectory
+from dgsym.fields import Grid, sample_evaluator, sample_trajectory
 from dgsym.linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
                              linearization_data, z_flow_heat,
                              z_flow_heat_from_zero, z_flow_se,
@@ -28,6 +28,17 @@ def refinement(p, sol, n=1, slices=9):
     return convergence(lambda traj: residual(p, traj), sol,
                        Grid.make(n=n, npts=48, extent=(-4.0, 4.0)),
                        np.linspace(0.0, 0.2, slices))
+
+
+class Profile:
+    """A t-independent (r, s) evaluator with the given profiles of x."""
+
+    def __init__(self, r_of, s_of):
+        self.r_of, self.s_of = r_of, s_of
+
+    def rs(self, xs, t):
+        x = np.asarray(xs[0])
+        return self.r_of(x), self.s_of(x)
 
 
 def make_pair(p, amp_fwd=0.8, amp_bwd=0.6):
@@ -85,38 +96,38 @@ def test_lambda_sq_identity(nu1, nu2, mu2):
 
 
 # ---------------------------------------------------------------------------
-# gauge action on fields
+# gauge action on evaluators, sampled
+
+GAUGE_GRID = Grid.make(npts=32, extent=(-1, 1))
+
 
 def test_gauge_field_identity_and_density(pts):
-    g = Grid.make(npts=32, extent=(-1, 1))
-    x = g.coords()[0]
-    f = LogPolarField(g, 0.0, -x ** 2, 0.4 * x)
-    out = gauge_act_field(GaugeElement(1, 0), f)
+    src = Profile(lambda x: -x ** 2, lambda x: 0.4 * x)
+    f = sample_evaluator(src, GAUGE_GRID, 0.0)
+    out = sample_evaluator(gauge_act_field(GaugeElement(1, 0), src), GAUGE_GRID, 0.0)
     np.testing.assert_array_equal(out.r, f.r)
     np.testing.assert_array_equal(out.s, f.s)
-    out = gauge_act_field(GaugeElement(F(-3, 2), F(5, 7)), f)
+    out = sample_evaluator(gauge_act_field(GaugeElement(F(-3, 2), F(5, 7)), src),
+                           GAUGE_GRID, 0.0)
     np.testing.assert_array_equal(out.r, f.r)  # density untouched
 
 
 def test_gauge_field_composition():
-    g = Grid.make(npts=32, extent=(-1, 1))
-    x = g.coords()[0]
-    f = LogPolarField(g, 0.0, 0.3 * np.sin(x), 10.0 * x)  # unwrapped phase
+    src = Profile(lambda x: 0.3 * np.sin(x), lambda x: 10.0 * x)  # unwrapped phase
     g1, g2 = GaugeElement(2, 1), GaugeElement(F(1, 3), -2)
-    one = gauge_act_field(g2, f)
-    two = gauge_act_field(g1, one)
-    direct = gauge_act_field(gauge_compose(g1, g2), f)
-    np.testing.assert_allclose(two.s, direct.s, atol=1e-12)
+    two = gauge_act_field(g1, gauge_act_field(g2, src))
+    direct = gauge_act_field(gauge_compose(g1, g2), src)
+    np.testing.assert_allclose(sample_evaluator(two, GAUGE_GRID, 0.0).s,
+                               sample_evaluator(direct, GAUGE_GRID, 0.0).s, atol=1e-12)
 
 
 def test_gauge_field_inverse_exact():
-    g = Grid.make(npts=32, extent=(-1, 1))
-    x = g.coords()[0]
-    f = LogPolarField(g, 0.0, 0.2 * np.cos(x), 0.7 * x)
+    src = Profile(lambda x: 0.2 * np.cos(x), lambda x: 0.7 * x)
     L, c = math.sqrt(2.0), -0.5
-    back = gauge_act_field((L, c), gauge_act_field((1 / L, -c / L), f))
-    np.testing.assert_allclose(back.r, f.r, atol=1e-14)
-    np.testing.assert_allclose(back.s, f.s, atol=1e-13)
+    back = gauge_act_field((L, c), gauge_act_field((1 / L, -c / L), src))
+    f, out = (sample_evaluator(e, GAUGE_GRID, 0.0) for e in (src, back))
+    np.testing.assert_allclose(out.r, f.r, atol=1e-14)
+    np.testing.assert_allclose(out.s, f.s, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +203,13 @@ def test_z_flow_heat_identity_and_derivative(pts):
     p = pts["sym1b"]
     fp, fm = make_pair(p)
     g = Grid.make(npts=32, extent=(-2, 2))
-    x = g.coords()[0]
-    f0 = LogPolarField(g, 0.05, 0.2 * np.sin(x), 0.1 * np.cos(x))
+    src = Profile(lambda x: 0.2 * np.sin(x), lambda x: 0.1 * np.cos(x))
+    f0 = sample_evaluator(src, g, 0.05)
 
-    out0 = z_flow_heat(fp, fm, 0.0, f0, p)
+    def flowed(eps):
+        return sample_evaluator(z_flow_heat(fp, fm, eps, src, p), g, f0.t)
+
+    out0 = flowed(0.0)
     np.testing.assert_allclose(out0.r, f0.r, atol=1e-14)
     np.testing.assert_allclose(out0.s, f0.s, atol=1e-14)
 
@@ -203,8 +217,7 @@ def test_z_flow_heat_identity_and_derivative(pts):
     data = linearization_data(p)
     al = data.abs_lambda
     h = 1e-6
-    plus = z_flow_heat(fp, fm, h, f0, p)
-    minus = z_flow_heat(fp, fm, -h, f0, p)
+    plus, minus = flowed(h), flowed(-h)
     druck = (np.exp(2 * plus.r) - np.exp(2 * minus.r)) / (2 * h)
     xs = g.coords()
     P, M = fp.value(xs, f0.t), fm.value(xs, f0.t)
@@ -252,9 +265,9 @@ def test_z_flow_heat_branch_failure(pts):
     p = pts["sym1b"]
     fp, fm = make_pair(p)
     g = Grid.make(npts=32, extent=(-2, 2))
-    f0 = LogPolarField(g, 0.05, np.zeros(32), np.zeros(32))
-    with pytest.raises(ValueError):
-        z_flow_heat(fp, fm, -5.0, f0, p)
+    zero = Profile(np.zeros_like, np.zeros_like)
+    with pytest.raises(ValueError, match="logarithm argument"):
+        sample_evaluator(z_flow_heat(fp, fm, -5.0, zero, p), g, 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +278,13 @@ def test_z_flow_se_identity_and_errors(pts):
     data = linearization_data(p)
     psi = se_gaussian(data.se_coefficient, b0=-0.3)
     g = Grid.make(npts=32, extent=(-2, 2))
-    x = g.coords()[0]
-    f0 = LogPolarField(g, 0.05, 0.1 * np.sin(x), 0.2 * np.cos(x))
-    out0 = z_flow_se(psi, 0.0, f0, p)
+    src = Profile(lambda x: 0.1 * np.sin(x), lambda x: 0.2 * np.cos(x))
+    f0 = sample_evaluator(src, g, 0.05)
+    out0 = sample_evaluator(z_flow_se(psi, 0.0, src, p), g, 0.05)
     np.testing.assert_allclose(out0.r, f0.r, atol=1e-12)
     np.testing.assert_allclose(out0.s, f0.s, atol=1e-12)
     with pytest.raises(NotLinearizable):
-        z_flow_se(psi, 0.1, f0, pts["sym1b"])
+        z_flow_se(psi, 0.1, src, pts["sym1b"])
     with pytest.raises(ValueError):
         z_flow_se_from_zero(psi, -0.5, p)
 
@@ -306,8 +319,7 @@ def test_se_round_trip_gauge(pts):
                        se_side, g1, np.linspace(0, 0.2, 9)).passed
 
     f0 = sample_evaluator(dg_sol, g1, 0.1)
-    back = gauge_act_field(data.gauge_from_linear(),
-                           gauge_act_field(data.gauge_to_linear(), f0))
+    back = sample_evaluator(gauge_act_field(data.gauge_from_linear(), se_side), g1, 0.1)
     np.testing.assert_allclose(back.r, f0.r, atol=1e-14)
     np.testing.assert_allclose(back.s, f0.s, atol=1e-13)
 

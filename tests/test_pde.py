@@ -17,10 +17,9 @@ from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
 from dgsym.kernels import boundary_ring, evolution_rhs
 from dgsym.params import DGParams, reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, convergence,
-                       dg_rhs, evolve, functionals, heat_residual, heat_solution,
-                       plane_wave_solution, residual, rhs_coefficients,
-                       se_gaussian, se_residual)
-from tests.conftest import Junk
+                       evolve, functionals, heat_solution, plane_wave_solution,
+                       residual, rhs_coefficients, se_gaussian, se_residual)
+from tests.conftest import Junk, heat_residual, stack_fields
 
 
 def interior(arr):
@@ -40,6 +39,17 @@ def test_grid_validation():
     g = Grid.make(npts=64, extent=(-2.0, 2.0), bc="periodic")
     assert g.dx() == pytest.approx(4.0 / 64)
     assert Grid.make(npts=64).dx() == pytest.approx(8.0 / 63)
+
+
+def test_grid_refuses_coordinates_whose_square_overflows():
+    """Each bound squares to a finite float on both grids, but on the 2-D
+    one |x|² = x² + y² overflows at the corners, so that grid is refused."""
+    extent = (-1.2e154, 1.2e154)
+    assert Grid.make(n=1, npts=16, extent=extent).bounds == (extent,)
+    with pytest.raises(ValueError, match="summed over the axes overflows"):
+        Grid.make(n=2, npts=16, extent=extent)
+    with pytest.raises(ValueError, match="b > a"):
+        Grid.make(n=1, npts=16, extent=(0.0, float("nan")))
 
 
 def test_field_validation():
@@ -69,7 +79,7 @@ def test_snapshot_round_trip(tmp_path):
 def test_trajectory_round_trip(tmp_path):
     g = Grid.make(npts=32, extent=(-1, 1))
     x = g.coords()[0]
-    traj = Trajectory.from_fields(
+    traj = stack_fields(
         g, [LogPolarField(g, 0.1 * k, -x ** 2 + 0.01 * k, 0.2 * x) for k in range(3)])
     write_trajectory(traj, tmp_path / "run", params_json={"n": 1}, dt=0.1)
     back = read_trajectory(tmp_path / "run")
@@ -81,9 +91,9 @@ def test_trajectory_round_trip(tmp_path):
 def _wavy_trajectory(g, count=5):
     xs = g.coords()
     q = sum(x ** 2 for x in xs)
-    return Trajectory.from_fields(g, [LogPolarField(g, 0.1 * k / 3, -q / 7 + 0.01 * k,
-                                                    np.sin(xs[0]) / 3 + 0.2 * k)
-                                      for k in range(count)])
+    return stack_fields(g, [LogPolarField(g, 0.1 * k / 3, -q / 7 + 0.01 * k,
+                                          np.sin(xs[0]) / 3 + 0.2 * k)
+                            for k in range(count)])
 
 
 @pytest.mark.parametrize("grid", [
@@ -116,11 +126,6 @@ def test_trajectory_refuses_stacks_that_disagree():
         with pytest.raises(ValueError, match=re.escape(
                 f"got {t_shape}, {r_shape}, {s_shape} on a grid of shape {grid.shape}")):
             Trajectory(grid, np.zeros(t_shape), np.zeros(r_shape), np.zeros(s_shape))
-    other = Grid.make(npts=17, extent=(-1, 1))
-    with pytest.raises(ValueError):
-        Trajectory.from_fields(g, [LogPolarField(g, 0.0, stack[0], stack[0]),
-                                   LogPolarField(other, 0.1, np.zeros(17),
-                                                 np.zeros(17))])
 
 
 def test_trajectory_rejects_stack_times_mismatch(tmp_path):
@@ -200,7 +205,7 @@ def test_laplacian_decomposition():
 def test_rhs_constant_field(pts):
     g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
     f = LogPolarField(g, 0.0, np.full(32, 0.5), np.full(32, 1.0))
-    rt, st = dg_rhs(pts["generic"], f)
+    rt, st = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(pts["generic"]))
     assert np.max(np.abs(rt)) == 0.0 and np.max(np.abs(st)) == 0.0
 
 
@@ -209,7 +214,7 @@ def test_rhs_matches_packet_derivative(pts):
     pack = se_gaussian(float(p.nu1), b0=-0.25, k=(0.3,))
     g = Grid.make(npts=64, extent=(-3, 3))
     f = sample_evaluator(pack, g, 0.05)
-    rt, st = dg_rhs(p, f)
+    rt, st = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
     rte, ste = pack.rs_t(g.coords(), 0.05)
     assert np.max(np.abs(interior(rt) - interior(rte))) < 1e-10
     assert np.max(np.abs(interior(st) - interior(ste))) < 1e-10
@@ -219,7 +224,7 @@ def test_rhs_plane_wave_infinite_subfamily(pts):
     p = pts["infsub"]
     g = Grid.make(npts=64, extent=(0, 2 * np.pi), bc="periodic")
     f = sample_evaluator(plane_wave_solution(p, (3.0,)), g, 0.0)
-    rt, st = dg_rhs(p, f)
+    rt, st = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
     assert np.max(np.abs(rt)) < 1e-10
     np.testing.assert_allclose(st, 2.0 * float(p.nu1) * 9.0, atol=1e-10)
 
@@ -240,7 +245,8 @@ def test_rhs_is_functional_combination(pts, key, bc, n):
     want_r = c["nu1"] * F.R1 + c["nu2"] * F.R2
     want_s = -(c["mu1"] * F.R1 + c["mu2"] * F.R2 + c["mu3"] * F.R3
                + c["mu4"] * F.R4 + c["mu5"] * F.R5)
-    for got, want in zip(dg_rhs(p, f), (want_r, want_s)):
+    rhs = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
+    for got, want in zip(rhs, (want_r, want_s)):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
 
@@ -335,7 +341,7 @@ def test_residual_constant_trajectory(pts):
     g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
     fields = [LogPolarField(g, 0.1 * k, np.full(32, 0.3), np.full(32, -0.1))
               for k in range(4)]
-    rep = residual(pts["generic"], Trajectory.from_fields(g, fields))
+    rep = residual(pts["generic"], stack_fields(g, fields))
     assert rep.linf < 1e-14
 
 
@@ -344,7 +350,7 @@ def test_residual_needs_three_slices(pts):
     fields = [LogPolarField(g, 0.1 * k, np.zeros(32), np.zeros(32))
               for k in range(2)]
     with pytest.raises(ValueError):
-        residual(pts["generic"], Trajectory.from_fields(g, fields))
+        residual(pts["generic"], stack_fields(g, fields))
 
 
 def test_residual_detects_perturbation(pts):
@@ -361,8 +367,8 @@ def test_residual_detects_perturbation(pts):
     clean = sample_trajectory(sol, g, times)
     base = residual(p, clean)
     x = g.coords()[0]
-    bent = Trajectory.from_fields(g, [LogPolarField(g, f.t, f.r, f.s + 0.05 * x)
-                                      for f in clean.fields])
+    bent = stack_fields(g, [LogPolarField(g, f.t, f.r, f.s + 0.05 * x)
+                            for f in clean.fields])
     assert residual(p, bent).l2 > 4 * base.l2
 
 
@@ -375,7 +381,7 @@ def test_residual_equals_per_slice_rhs(key, n, bc):
     rng = np.random.default_rng(20260)
     g = Grid.make(n=n, npts=24, extent=(-2, 2), bc=bc)
     times = np.cumsum(rng.uniform(0.01, 0.02, 7))
-    traj = Trajectory.from_fields(
+    traj = stack_fields(
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
     assert residual(p, traj) == _per_slice_report(
@@ -430,7 +436,7 @@ def test_residuals_equal_per_slice_reference(g, slices, slabs, monkeypatch):
     loop bit for bit."""
     rng = np.random.default_rng(g.npts)
     times = np.cumsum(rng.uniform(0.01, 0.02, slices))
-    traj = Trajectory.from_fields(
+    traj = stack_fields(
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
     seen = []
@@ -441,18 +447,20 @@ def test_residuals_equal_per_slice_reference(g, slices, slabs, monkeypatch):
     assert seen == slabs
     for key in ("sym1c", "linear-se", "galsub"):
         p = reference_points(g.n)[key]
-        assert residual(p, traj) == _per_slice_report(lambda f: dg_rhs(p, f), traj)
+        assert residual(p, traj) == _per_slice_report(
+            lambda f: evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p)), traj)
 
     se_point = _linear_se_point(g.n, Fraction(-7, 10))
     assert se_residual(-0.7, traj) == _per_slice_report(
-        lambda f: dg_rhs(se_point, f), traj)
+        lambda f: evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(se_point)),
+        traj)
 
 
 def test_se_residual_is_residual_at_the_linear_point():
     g = Grid.make(n=1, npts=64, extent=(-2, 2))
     rng = np.random.default_rng(5)
     times = np.cumsum(rng.uniform(0.01, 0.02, 7))
-    traj = Trajectory.from_fields(
+    traj = stack_fields(
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
     assert _linear_se_point(1, Fraction(-1)) == reference_points(1)["linear-se"]
@@ -518,7 +526,7 @@ def test_heat_residual_refuses_times_like_residual(pts, times, match):
         heat_residual(sol, g, np.array(times))
     fields = [LogPolarField(g, t, np.zeros(32), np.zeros(32)) for t in times]
     with pytest.raises(ValueError, match=match) as res_err:
-        residual(pts["sym1c"], Trajectory.from_fields(g, fields))
+        residual(pts["sym1c"], stack_fields(g, fields))
     assert str(heat_err.value) == str(res_err.value)
 
 
@@ -544,7 +552,7 @@ def test_se_gaussian_validation_and_plane_wave():
     times = np.linspace(0.0, 0.1, 5)
     fields = [LogPolarField(g, t, np.zeros_like(x), k * x + a * k * k * t)
               for t in times]
-    rep = se_residual(a, Trajectory.from_fields(g, fields))
+    rep = se_residual(a, stack_fields(g, fields))
     assert rep.linf < 1e-10
 
 

@@ -183,7 +183,7 @@ def test_exponential_generator_brackets(pts):
 
 def test_infinite_relations(pts):
     for key in ("infsub", "infasub"):
-        rows = verify_infinite_relations(pts[key], max_degree=4)
+        rows = verify_infinite_relations(pts[key])
         assert all(r.passed for r in rows), [r for r in rows if not r.passed]
     with pytest.raises(GeneratorNotAdmissible):
         verify_infinite_relations(pts["generic"])
