@@ -20,6 +20,7 @@ import argparse
 import json
 import logging
 import os
+import re
 import shutil
 import sys
 from fractions import Fraction
@@ -181,7 +182,7 @@ def _suite_commutators(args, rows):
     if predicate_report(p)["InfSub"]:
         for row in verify_infinite_relations(p):
             rows.append({"suite": "commutators", "check": row.label,
-                         "pass": row.passed})
+                         "pass": row.passed, "detail": row.detail})
 
 
 def _exact_basis(p: DGParams) -> list:
@@ -505,8 +506,19 @@ def cmd_gauge(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An argument that starts with '-' and a digit (or '.' and a digit) is a
+    value, never an option, so negative rationals such as ``--lambda -1/2``
+    pass as separate argv items: argparse's own pattern admits only negative
+    integers and decimals.  No dgsym option starts with a digit."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="dgsym", description=__doc__)
+    ap = _Parser(prog="dgsym", description=__doc__)
     ap.add_argument("--version", action="version", version=f"dgsym {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 

@@ -381,21 +381,63 @@ class VectorFieldSpec:
             sigma=self.sigma * c,
         )
 
-    def apply_to(self, f: SymExpr) -> SymExpr:
-        """Directional derivative X(f)."""
-        terms = {}
-        for name, coeff in zip(var_names(self.n), self.components()):
-            if coeff._terms:
-                _mul_into(terms, coeff._terms, f.differentiate(name)._terms)
-        return SymExpr._make(self.n, _nonzero(terms))
+
+def _derivative_index(comps: list, n: int, wanted: list) -> list:
+    """Per variable v, the terms of d/dv of each component's term dict, as
+    (component, a, b, powers, coeff) tuples: the power step of a term whose
+    power of v is > 0, and the rate step of a term with an exp rate in v.
+    Terms that do not depend on v are left out, and so is every v whose
+    entry in ``wanted`` (the other field's term dicts) is empty."""
+    index = [[] for _ in range(n + 3)]
+    ir, is_ = n + 1, n + 2
+    for w, terms in enumerate(comps):
+        for (a, b, powers), d in terms.items():
+            for v, k in enumerate(powers):
+                if k and wanted[v]:
+                    index[v].append((w, a, b, powers[:v] + (k - 1,) + powers[v + 1:],
+                                     d if k == 1 else d * k))
+            if a and wanted[ir]:
+                index[ir].append((w, a, b, powers, d * a))
+            if b and wanted[is_]:
+                index[is_].append((w, a, b, powers, d * b))
+    return index
+
+
+def _bracket_half(out: list, xs: list, index: list, sign: int) -> None:
+    """Accumulate sign * sum_v X^v d_v Y^w into out[w], with xs the term
+    dicts of X and index the derivative index of Y."""
+    for xterms, dterms in zip(xs, index):
+        if not dterms:
+            continue
+        for (a1, b1, p1), c in xterms.items():
+            if sign < 0:
+                c = -c
+            for w, a2, b2, p2, d in dterms:
+                # a rate sum that cancels is stored as the int 0
+                key = (a2 if not a1 else a1 if not a2 else a1 + a2 or 0,
+                       b2 if not b1 else b1 if not b2 else b1 + b2 or 0,
+                       tuple(map(add, p1, p2)))
+                acc = out[w]
+                old = acc.get(key)
+                acc[key] = c * d if old is None else old + c * d
 
 
 def lie_bracket(X: VectorFieldSpec, Y: VectorFieldSpec) -> VectorFieldSpec:
-    """[X, Y] with component [X,Y]^u = X(Y^u) - Y(X^u), exact."""
+    """[X, Y] with component [X,Y]^w = X(Y^w) - Y(X^w), exact.
+
+    One pass over term pairs: a term c*m of X^v times a term of d/dv Y^w
+    (taken from the derivative index of Y) adds to component w, then the
+    same with X and Y swapped and the sign flipped.  No intermediate
+    expression is built; entries that cancel are dropped at the end.
+    """
     if X.n != Y.n:
         raise ValueError("arity mismatch between vector fields")
-    comps = [X.apply_to(yu) - Y.apply_to(xu)
-             for xu, yu in zip(X.components(), Y.components())]
     n = X.n
+    xs = [comp._terms for comp in X.components()]
+    ys = [comp._terms for comp in Y.components()]
+    out = [{} for _ in range(n + 3)]
+    _bracket_half(out, xs, _derivative_index(ys, n, xs), 1)
+    _bracket_half(out, ys, _derivative_index(xs, n, ys), -1)
+    comps = [SymExpr._make(n, _nonzero(acc)) for acc in out]
     return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
                            phi=comps[n + 1], sigma=comps[n + 2])

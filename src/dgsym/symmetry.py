@@ -281,14 +281,28 @@ def parse_poly(text: str) -> tuple:
     return coeffs
 
 
-def infsub_poly_generator(p: DGParams, coeffs) -> VectorFieldSpec:
-    """Y_f with polynomial f: f(mu1 r + nu1 s) (d/dr - (2 nu2/nu1) d/ds)."""
+def _z_powers(p: DGParams, k: int) -> list:
+    """z^0, ..., z^k with z = mu1 r + nu1 s, each product expanded once."""
     n = p.n
     z = p.mu1 * SymExpr.var(n, "r") + p.nu1 * SymExpr.var(n, "s")
-    f = SymExpr.lincomb(n, ((Fraction(c), z ** k) for k, c in enumerate(coeffs) if c))
+    powers = [SymExpr.const(n, 1)]
+    for _ in range(k):
+        powers.append(powers[-1] * z)
+    return powers
+
+
+def _poly_field(p: DGParams, coeffs, powers: list) -> VectorFieldSpec:
+    """Y_f for f = sum_k coeffs[k] z^k, with z^k read from ``powers``."""
+    n = p.n
+    f = SymExpr.lincomb(n, ((c, powers[k]) for k, c in enumerate(coeffs) if c))
     zero = SymExpr.zero(n)
     return VectorFieldSpec(n=n, xi=(zero,) * n, tau=zero, phi=f,
                            sigma=-(2 * p.nu2 / p.nu1) * f)
+
+
+def infsub_poly_generator(p: DGParams, coeffs) -> VectorFieldSpec:
+    """Y_f with polynomial f: f(mu1 r + nu1 s) (d/dr - (2 nu2/nu1) d/ds)."""
+    return _poly_field(p, coeffs, _z_powers(p, len(coeffs) - 1))
 
 
 def basis_generator(name, p: DGParams, require_admissible: bool = True) -> VectorFieldSpec:
@@ -461,6 +475,15 @@ def _combo_field(terms, fields: dict, n: int) -> VectorFieldSpec:
                            phi=comps[n + 1], sigma=comps[n + 2])
 
 
+def _bracket_row(label: str, got: VectorFieldSpec, want: VectorFieldSpec) -> CheckRow:
+    """A row that passes when got and want have the same normal form; a
+    failing row's detail maps each component where they differ to got - want."""
+    if got == want:
+        return CheckRow(label, True)
+    diff = {u: c for u, c in (got - want).component_map().items() if not c.is_zero}
+    return CheckRow(label, False, f"mismatch: {diff}")
+
+
 def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
     """Check every pairwise bracket of the generators admissible at p.
 
@@ -486,12 +509,7 @@ def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
                 sign = -1
             got = lie_bracket(fields[a], fields[b])
             want = _combo_field([(sign * c, g) for c, g in expected], fields, n)
-            diff = got - want
-            rows.append(CheckRow(
-                label=f"[{a},{b}]",
-                passed=diff.is_zero,
-                detail="" if diff.is_zero else f"mismatch: {diff.component_map()}",
-            ))
+            rows.append(_bracket_row(f"[{a},{b}]", got, want))
     return rows
 
 
@@ -516,34 +534,31 @@ def verify_infinite_relations(p: DGParams) -> list:
     """
     if not predicate_report(p)["InfSub"]:
         raise GeneratorNotAdmissible("Y_f relations require the infinite subfamily")
-    rows = []
-    mono = lambda d: tuple(Fraction(0) for _ in range(d)) + (Fraction(1),)
+    mono = lambda d: (0,) * d + (Fraction(1),)
+    # every Y_f below has degree <= 2 _MAX_DEGREE - 1, the degree of fg' - gf'
+    powers = _z_powers(p, 2 * _MAX_DEGREE - 1)
 
+    def Y(f, c=1):  # c Y_f
+        return _poly_field(p, [c * a for a in f], powers)
+
+    Ys = [Y(mono(d)) for d in range(_MAX_DEGREE + 1)]
     R = basis_generator("R", p)
     E = basis_generator("E", p)
-    for d1 in range(_MAX_DEGREE + 1):
+    rows = []
+    for d1, Yf in enumerate(Ys):
         f = mono(d1)
-        Yf = infsub_poly_generator(p, f)
         fp = _poly_diff(f)
-        diff = lie_bracket(Yf, R) - infsub_poly_generator(p, fp).scale(-p.mu1)
-        rows.append(CheckRow(f"[Y_z^{d1},R]", diff.is_zero))
-        diff = lie_bracket(Yf, E) - infsub_poly_generator(p, fp).scale(Fraction(1, 2))
-        rows.append(CheckRow(f"[Y_z^{d1},E]", diff.is_zero))
+        rows.append(_bracket_row(f"[Y_z^{d1},R]", lie_bracket(Yf, R), Y(fp, -p.mu1)))
+        rows.append(_bracket_row(f"[Y_z^{d1},E]", lie_bracket(Yf, E), Y(fp, Fraction(1, 2))))
         for d2 in range(d1, _MAX_DEGREE + 1):
-            g = mono(d2)
-            Yg = infsub_poly_generator(p, g)
-            want = infsub_poly_generator(p, _poly_vf_bracket(f, g)).scale(p.mu1 - 2 * p.nu2)
-            diff = lie_bracket(Yf, Yg) - want
-            rows.append(CheckRow(f"[Y_z^{d1},Y_z^{d2}]", diff.is_zero))
+            rows.append(_bracket_row(f"[Y_z^{d1},Y_z^{d2}]", lie_bracket(Yf, Ys[d2]),
+                                     Y(_poly_vf_bracket(f, mono(d2)), p.mu1 - 2 * p.nu2)))
 
     if p.mu1 == 2 * p.nu2:
         A = basis_generator("A", p)
-        for d in range(_MAX_DEGREE + 1):
-            f = mono(d)
-            zfp = _poly_mul(_Z, _poly_diff(f))
-            diff = lie_bracket(A, infsub_poly_generator(p, f)) \
-                - infsub_poly_generator(p, zfp)
-            rows.append(CheckRow(f"[A,Y_z^{d}]", diff.is_zero))
+        for d, Yf in enumerate(Ys):
+            zfp = _poly_mul(_Z, _poly_diff(mono(d)))
+            rows.append(_bracket_row(f"[A,Y_z^{d}]", lie_bracket(A, Yf), Y(zfp)))
     return rows
 
 

@@ -48,3 +48,25 @@ def heat_residual(sol, grid, times):
     coeffs = (-sign * sol.D,) + (0.0,) * 8
     return pde._residual_report(coeffs, Trajectory(grid, times, vals,
                                                    np.zeros_like(vals))).r_l2
+
+
+def reference_bracket(X, Y):
+    """[X, Y] through directional derivatives: [X,Y]^u = X(Y^u) - Y(X^u),
+    with V(f) = sum_v V^v d_v f built from SymExpr products and
+    ``differentiate``.  The formula ``lie_bracket`` computed before it became
+    one pass over term pairs, kept to test that pass against."""
+    from dgsym.symexpr import SymExpr, VectorFieldSpec, var_names
+
+    if X.n != Y.n:
+        raise ValueError("arity mismatch between vector fields")
+    n = X.n
+
+    def apply(V, f):
+        return sum((coeff * f.differentiate(name)
+                    for name, coeff in zip(var_names(n), V.components())),
+                   SymExpr.zero(n))
+
+    comps = [apply(X, yu) - apply(Y, xu)
+             for xu, yu in zip(X.components(), Y.components())]
+    return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
+                           phi=comps[n + 1], sigma=comps[n + 2])

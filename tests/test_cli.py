@@ -81,6 +81,24 @@ def test_verify_commutators(capsys):
     assert len(rows) == 55  # full pairwise closure for n=2
 
 
+def test_verify_commutators_names_failing_yf_component(capsys, monkeypatch):
+    """Y_f rows carry a detail like the table rows: empty where they pass,
+    the components of got - want where a wrong polynomial bracket fails."""
+    code, rows, _ = run(capsys, "verify", "--suite", "commutators", "--class", "infsub")
+    assert code == 0
+    yf = [r for r in rows if "Y_z" in r["check"]]
+    assert yf and all(r["pass"] and r["detail"] == "" for r in yf)
+
+    real = symmetry._poly_vf_bracket
+    monkeypatch.setattr(symmetry, "_poly_vf_bracket", lambda f, g: real(g, f))
+    code, rows, _ = run(capsys, "verify", "--suite", "commutators", "--class", "infsub")
+    assert code == 1
+    failed = [r for r in rows if not r["pass"]]
+    assert {r["check"] for r in failed} == {
+        f"[Y_z^{i},Y_z^{j}]" for i in range(5) for j in range(i + 1, 5)}
+    assert all(r["detail"].startswith("mismatch: {'r': ") for r in failed)
+
+
 def test_verify_determining_galsub(capsys):
     code, rows, _ = run(capsys, "verify", "--suite", "determining",
                         "--class", "galsub")
@@ -630,6 +648,20 @@ def test_gauge_rejects_zero_lambda(capsys, tmp_path):
     path = write_params(tmp_path, "p.json", reference_points()["generic"])
     code, _, _ = run(capsys, "gauge", "--params", path, "--lambda", "0")
     assert code == 2
+
+
+def test_gauge_takes_negative_rationals_as_separate_arguments(capsys, tmp_path):
+    """--lambda -1/2 is a value, not an option, and gives the same row as
+    --lambda=-1/2."""
+    path = write_params(tmp_path, "p.json", reference_points()["sym1c"])
+    code, split, _ = run(capsys, "gauge", "--params", path,
+                         "--lambda", "-1/2", "--gamma", "-2/3")
+    assert code == 0
+    code, joined, _ = run(capsys, "gauge", "--params", path,
+                          "--lambda=-1/2", "--gamma=-2/3")
+    assert code == 0
+    assert split == joined
+    assert (split[0]["Lambda"], split[0]["gamma"]) == ("-1/2", "-2/3")
 
 
 def test_gauge_transforms_trajectory(capsys, tmp_path, sym1b_file):

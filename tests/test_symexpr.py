@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from dgsym.symexpr import SymExpr, VectorFieldSpec, lie_bracket
 from dgsym.symmetry import parse_poly
+from tests.conftest import reference_bracket
 
 F = Fraction
 
@@ -183,6 +184,60 @@ def test_jacobi_identity():
         + lie_bracket(Y, lie_bracket(Z, X)) \
         + lie_bracket(Z, lie_bracket(X, Y))
     assert total.is_zero
+
+
+# rates include opposite pairs, so products of exp terms meet rate sums that
+# cancel to 0
+_RATES = st.sampled_from([0, 1, -1, F(1, 2), F(-1, 2), F(3, 2)])
+
+
+@st.composite
+def _fields(draw, n):
+    """A vector field on (x1..xn, t, r, s) whose components are sums of up
+    to two terms coeff * monomial * exp(a r + b s), most of them zero."""
+    def component():
+        terms = {}
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            powers = tuple(draw(st.lists(st.integers(min_value=0, max_value=2),
+                                         min_size=n + 3, max_size=n + 3)))
+            terms[(draw(_RATES), draw(_RATES), powers)] = draw(
+                st.fractions(min_value=-3, max_value=3, max_denominator=4))
+        return SymExpr(n, terms)
+
+    comps = [component() for _ in range(n + 3)]
+    return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
+                           phi=comps[n + 1], sigma=comps[n + 2])
+
+
+def _assert_normal_form(field):
+    """Nonzero Fraction coefficients, and every zero exp rate the int 0."""
+    for comp in field.components():
+        for (a, b, _), coeff in comp._terms.items():
+            assert type(coeff) is F and coeff
+            assert all(rate or type(rate) is int for rate in (a, b))
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(_fields(n), _fields(n))))
+@settings(max_examples=150, deadline=None)
+def test_bracket_matches_reference(pair):
+    """The one-pass bracket equals X(Y^u) - Y(X^u) built from products and
+    derivatives, in the same normal form."""
+    X, Y = pair
+    got = lie_bracket(X, Y)
+    assert got == reference_bracket(X, Y)
+    assert repr(got.component_map()) == repr(reference_bracket(X, Y).component_map())
+    _assert_normal_form(got)
+
+
+def test_bracket_rate_sum_that_cancels_is_int_zero():
+    """exp(r/2 - s) d_r and r exp(-r/2 + s) d_r bracket to (1 - r) d_r."""
+    X = _field(SymExpr.exp_rs(1, F(1, 2), -1), c(0))
+    Y = _field(v("r") * SymExpr.exp_rs(1, F(-1, 2), 1), c(0))
+    got = lie_bracket(X, Y)
+    assert got == reference_bracket(X, Y) == _field(1 - v("r"), c(0))
+    assert {(a, b) for a, b, _ in got.phi._terms} == {(0, 0)}
+    _assert_normal_form(got)
 
 
 def test_bracket_arity_mismatch():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from dgsym import symmetry
+from dgsym.cli import _exact_basis
 from dgsym.params import (DGParams, make_ehr_sub, make_exp_sub, make_fin_sub,
                           make_gal_sub, make_inf_sub, make_infa_sub, make_sym3,
                           reference_points)
@@ -14,6 +16,7 @@ from dgsym.symmetry import (GeneratorName, GeneratorNotAdmissible,
                             exp_rate_coefficients, infsub_poly_generator,
                             is_admissible, parse_generator, residuals_all_zero,
                             verify_commutator_table, verify_infinite_relations)
+from tests.conftest import reference_bracket
 
 F = Fraction
 
@@ -187,6 +190,49 @@ def test_infinite_relations(pts):
         assert all(r.passed for r in rows), [r for r in rows if not r.passed]
     with pytest.raises(GeneratorNotAdmissible):
         verify_infinite_relations(pts["generic"])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bracket_matches_reference_on_basis_generators(n):
+    """Every pair of exact basis generators, F where its rates exist and a
+    Y_f included, at every reference point."""
+    import itertools
+    for key, p in reference_points(n).items():
+        fields = [basis_generator(g, p, require_admissible=False) for g in _exact_basis(p)]
+        for X, Y in itertools.combinations_with_replacement(fields, 2):
+            assert lie_bracket(X, Y) == reference_bracket(X, Y), key
+
+
+def test_wrong_table_entry_fails_exactly_its_row(pts, monkeypatch):
+    """[D, H] = -H in place of -2H: only the [H,D] row fails, and its detail
+    names the one component where got - want is nonzero."""
+    real = symmetry._expected_bracket
+
+    def wrong(a, b, p):
+        if (a.kind, b.kind) == ("D", "H"):
+            return [(-1, GeneratorName("H"))]
+        return real(a, b, p)
+
+    monkeypatch.setattr(symmetry, "_expected_bracket", wrong)
+    rows = verify_commutator_table(pts["sym3-nu2"], n=2)
+    failed = [r for r in rows if not r.passed]
+    assert [(r.label, r.detail) for r in failed] == [("[H,D]", "mismatch: {'t': 1}")]
+    assert all(r.detail == "" for r in rows if r.passed)
+
+
+def test_wrong_poly_bracket_fails_the_yf_rows(pts, monkeypatch):
+    """gf' - fg' in place of fg' - gf' fails every [Y_z^i,Y_z^j] row with
+    i < j, naming the r and s components, and nothing else."""
+    real = symmetry._poly_vf_bracket
+    monkeypatch.setattr(symmetry, "_poly_vf_bracket", lambda f, g: real(g, f))
+    p = pts["infsub"]
+    rows = verify_infinite_relations(p)
+    failed = {r.label: r.detail for r in rows if not r.passed}
+    assert set(failed) == {f"[Y_z^{i},Y_z^{j}]" for i in range(5) for j in range(i + 1, 5)}
+    # got - want = 2 (mu1 - 2 nu2) (j - i) Y_{z^(i+j-1)}
+    c = 2 * (p.mu1 - 2 * p.nu2)
+    want = infsub_poly_generator(p, (F(0),) * 4 + (c * 3,))
+    assert failed["[Y_z^1,Y_z^4]"] == f"mismatch: {{'r': {want.phi}, 's': {want.sigma}}}"
 
 
 # ---------------------------------------------------------------------------
