@@ -224,9 +224,9 @@ def test_bracket_matches_reference(pair):
     """The one-pass bracket equals X(Y^u) - Y(X^u) built from products and
     derivatives, in the same normal form."""
     X, Y = pair
-    got = lie_bracket(X, Y)
-    assert got == reference_bracket(X, Y)
-    assert repr(got.component_map()) == repr(reference_bracket(X, Y).component_map())
+    got, want = lie_bracket(X, Y), reference_bracket(X, Y)
+    assert got == want
+    assert repr(got.component_map()) == repr(want.component_map())
     _assert_normal_form(got)
 
 
