@@ -373,13 +373,22 @@ def cmd_simulate(args) -> int:
     grid = _grid(args.grid, p.n, args.bc)
     field0, closed_form = _make_init(args.init, grid, p)
     dt = default_dt(grid) if args.dt is None else args.dt
+    if not (np.isfinite(dt) and dt > 0):
+        raise InputError(f"--dt must be finite and positive, got {dt:g}")
+    if args.save_every < 1:
+        raise InputError(f"--save-every must be >= 1, got {args.save_every}")
     steps = args.steps
-    if steps is None:  # a dt that is not positive gets 0 steps; evolve refuses it
-        count = np.ceil(args.t_final / dt) if dt > 0 else 0.0
+    if steps is None:
+        count = np.ceil(args.t_final / dt)
         if not np.isfinite(count):
             raise InputError(f"--t-final {args.t_final:g} at dt={dt:g} makes "
                              "a step count too large to represent")
         steps = int(count)
+    slices = 1 + -(-steps // args.save_every)  # field0 and every saved step
+    if slices < 3:
+        raise InputError(f"{steps} step(s) of dt={dt:.3g} saved every "
+                         f"{args.save_every} give {slices} slice(s); the residual "
+                         "needs at least 3")
 
     bc_values = None
     if grid.bc == "dirichlet":
@@ -392,11 +401,10 @@ def cmd_simulate(args) -> int:
 
     traj = evolve(p, field0, steps, dt=dt, bc_values=bc_values,
                   save_every=args.save_every)
-    rep = residual(p, traj) if len(traj) >= 3 else None
+    rep = residual(p, traj)
     write_trajectory(traj, args.out, params_json=p.to_json_dict(), dt=dt)
     row = {"command": "simulate", "class": classify(p).tag, "steps": steps,
-           "dt": dt, "out": args.out,
-           "residual": rep.to_json_dict() if rep else None}
+           "dt": dt, "out": args.out, "residual": rep.to_json_dict()}
     _emit(row)
     _say(f"simulate: {steps} steps of dt={dt:.3g} written to {args.out}")
     return EXIT_OK

@@ -132,13 +132,30 @@ class DGParams:
 
     @classmethod
     def from_json_dict(cls, d) -> "DGParams":
+        """The point a parameter file's JSON holds.  Every malformed input is
+        a ValueError (a ZeroDivisionError for a 'p/0' string): a value that
+        is not an object, an unknown or missing key, an 'n' that is not an
+        integer, and a parameter that is neither an integer nor a string,
+        such as a float or a bool."""
+        if not isinstance(d, dict):
+            raise ValueError("parameter file must hold a JSON object, "
+                             f"got {json.dumps(d, default=str)[:40]}")
         unknown = set(d) - set(PARAM_NAMES) - {"n"}
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         if "n" not in d or "nu1" not in d:
             raise ValueError("parameter file must define at least 'n' and 'nu1'")
-        kw = {name: as_rational(d[name]) for name in PARAM_NAMES if name in d}
-        return cls(n=int(d["n"]), **kw)
+        if type(d["n"]) is not int:
+            raise ValueError(f"'n' must be a JSON integer, got {json.dumps(d['n'], default=str)[:40]}")
+        kw = {}
+        for name in PARAM_NAMES:
+            if name in d:
+                value = d[name]
+                if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+                    raise ValueError(f"{name!r} must be an integer or a 'p/q' string, "
+                                     f"got {json.dumps(value, default=str)[:40]}")
+                kw[name] = as_rational(value)
+        return cls(n=d["n"], **kw)
 
     @classmethod
     def load(cls, path) -> "DGParams":

@@ -28,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from operator import add
 
 import numpy as np
 
-__all__ = ["SymExpr", "VectorFieldSpec", "lie_bracket"]
+__all__ = ["SymExpr", "VectorFieldSpec", "lie_bracket", "field_denominators",
+           "scale_rational", "scale_field", "bracket_scaled", "unscale"]
 
 
 @lru_cache(maxsize=None)
@@ -382,12 +384,36 @@ class VectorFieldSpec:
         )
 
 
-def _derivative_index(comps: list, n: int, wanted: list) -> list:
-    """Per variable v, the terms of d/dv of each component's term dict, as
-    (component, a, b, powers, coeff) tuples: the power step of a term whose
-    power of v is > 0, and the rate step of a term with an exp rate in v.
-    Terms that do not depend on v are left out, and so is every v whose
-    entry in ``wanted`` (the other field's term dicts) is empty."""
+def field_denominators(X: VectorFieldSpec):
+    """Denominators of every coefficient and exp rate of X, e.g. for the
+    lcm that :func:`scale_field` scales by."""
+    return (x.denominator for comp in X.components()
+            for (a, b, _), c in comp._terms.items() for x in (a, b, c))
+
+
+def scale_rational(q, L: int) -> int:
+    """The int q*L, for L a multiple of the denominator of q."""
+    return q.numerator * (L // q.denominator)
+
+
+def scale_field(X: VectorFieldSpec, L: int) -> list:
+    """The components of X as integer term dicts scaled by L: a coefficient
+    c becomes the int c*L and an exp rate a the int a*L, so a rate sum that
+    cancels is the int 0.  L must be a multiple of every denominator in X
+    (see :func:`field_denominators`)."""
+    q = scale_rational
+    return [{(a and q(a, L), b and q(b, L), powers): q(c, L)
+             for (a, b, powers), c in comp._terms.items()}
+            for comp in X.components()]
+
+
+def _derivative_index(comps: list, n: int, wanted: list, L: int) -> list:
+    """Per variable v, the terms of d/dv of each component's scaled term
+    dict, as (component, a, b, powers, coeff) tuples: the power step of a
+    term whose power of v is > 0, times L, and the rate step of a term with
+    an exp rate in v, so both carry L^2.  Terms that do not depend on v are
+    left out, and so is every v whose entry in ``wanted`` (the other
+    field's term dicts) is empty."""
     index = [[] for _ in range(n + 3)]
     ir, is_ = n + 1, n + 2
     for w, terms in enumerate(comps):
@@ -395,7 +421,7 @@ def _derivative_index(comps: list, n: int, wanted: list) -> list:
             for v, k in enumerate(powers):
                 if k and wanted[v]:
                     index[v].append((w, a, b, powers[:v] + (k - 1,) + powers[v + 1:],
-                                     d if k == 1 else d * k))
+                                     d * k * L))
             if a and wanted[ir]:
                 index[ir].append((w, a, b, powers, d * a))
             if b and wanted[is_]:
@@ -413,31 +439,48 @@ def _bracket_half(out: list, xs: list, index: list, sign: int) -> None:
             if sign < 0:
                 c = -c
             for w, a2, b2, p2, d in dterms:
-                # a rate sum that cancels is stored as the int 0
-                key = (a2 if not a1 else a1 if not a2 else a1 + a2 or 0,
-                       b2 if not b1 else b1 if not b2 else b1 + b2 or 0,
-                       tuple(map(add, p1, p2)))
+                key = (a1 + a2, b1 + b2, tuple(map(add, p1, p2)))
                 acc = out[w]
-                old = acc.get(key)
-                acc[key] = c * d if old is None else old + c * d
+                acc[key] = acc.get(key, 0) + c * d
+
+
+def bracket_scaled(xs: list, ys: list, L: int) -> list:
+    """[X, Y] on the integer term dicts ``scale_field`` makes of X and Y
+    with the same L: per component, a dict of the bracket's terms with each
+    exp rate times L and each coefficient times L^3, zero entries dropped.
+
+    One pass over term pairs: a term c*m of X^v times a term of d/dv Y^w
+    (taken from the derivative index of Y) adds to component w, then the
+    same with X and Y swapped and the sign flipped.  No intermediate
+    expression is built, and every product is of Python integers.
+    """
+    n = len(xs) - 3
+    out = [{} for _ in xs]
+    _bracket_half(out, xs, _derivative_index(ys, n, xs, L), 1)
+    _bracket_half(out, ys, _derivative_index(xs, n, ys, L), -1)
+    return [_nonzero(acc) for acc in out]
+
+
+def unscale(n: int, terms: dict, L: int) -> SymExpr:
+    """The expression of a term dict at the scale of :func:`bracket_scaled`:
+    each exp rate divided by L and each coefficient by L^3."""
+    L3 = L ** 3
+    return SymExpr._make(n, {(a and Fraction(a, L), b and Fraction(b, L), powers):
+                             Fraction(c, L3) for (a, b, powers), c in terms.items()})
 
 
 def lie_bracket(X: VectorFieldSpec, Y: VectorFieldSpec) -> VectorFieldSpec:
     """[X, Y] with component [X,Y]^w = X(Y^w) - Y(X^w), exact.
 
-    One pass over term pairs: a term c*m of X^v times a term of d/dv Y^w
-    (taken from the derivative index of Y) adds to component w, then the
-    same with X and Y swapped and the sign flipped.  No intermediate
-    expression is built; entries that cancel are dropped at the end.
+    X and Y are scaled to integers by the lcm L of their denominators,
+    bracketed by :func:`bracket_scaled`, and each output term is divided
+    back once.
     """
     if X.n != Y.n:
         raise ValueError("arity mismatch between vector fields")
     n = X.n
-    xs = [comp._terms for comp in X.components()]
-    ys = [comp._terms for comp in Y.components()]
-    out = [{} for _ in range(n + 3)]
-    _bracket_half(out, xs, _derivative_index(ys, n, xs), 1)
-    _bracket_half(out, ys, _derivative_index(xs, n, ys), -1)
-    comps = [SymExpr._make(n, _nonzero(acc)) for acc in out]
+    L = lcm(*field_denominators(X), *field_denominators(Y))
+    comps = [unscale(n, acc, L)
+             for acc in bracket_scaled(scale_field(X, L), scale_field(Y, L), L)]
     return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
                            phi=comps[n + 1], sigma=comps[n + 2])

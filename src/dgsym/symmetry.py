@@ -22,7 +22,8 @@ from math import lcm
 import numpy as np
 
 from .params import DGParams, SymmetryClass, classify, predicate_report
-from .symexpr import SymExpr, VectorFieldSpec, lie_bracket
+from .symexpr import (SymExpr, VectorFieldSpec, bracket_scaled, field_denominators,
+                      scale_field, scale_rational, unscale, var_names)
 
 __all__ = [
     "GeneratorName", "parse_generator", "parse_poly", "basis_names", "basis_generator",
@@ -467,21 +468,51 @@ def _expected_bracket(a: GeneratorName, b: GeneratorName, p: DGParams):
     return None
 
 
-def _combo_field(terms, fields: dict, n: int) -> VectorFieldSpec:
-    """Sum of coeff * fields[name] over the (coeff, name) terms."""
-    comps = [SymExpr.lincomb(n, ((c, fields[g].components()[u]) for c, g in terms))
-             for u in range(n + 3)]
-    return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
-                           phi=comps[n + 1], sigma=comps[n + 2])
+def _scaled_combo(terms, scaled: dict, L: int, size: int) -> list:
+    """Sum of c * fields[g] over the (c, g) terms, on the integer term dicts
+    ``scaled`` holds per field name, at the scale of ``bracket_scaled``: a
+    scaled coefficient times c L times L carries L^3."""
+    out = [{} for _ in range(size)]
+    for c, g in terms:
+        m = scale_rational(c, L) * L
+        if not m:
+            continue
+        for acc, comp in zip(out, scaled[g]):
+            get = acc.get
+            for key, v in comp.items():
+                acc[key] = get(key, 0) + m * v
+    return [{key: v for key, v in acc.items() if v} for acc in out]
 
 
-def _bracket_row(label: str, got: VectorFieldSpec, want: VectorFieldSpec) -> CheckRow:
-    """A row that passes when got and want have the same normal form; a
-    failing row's detail maps each component where they differ to got - want."""
-    if got == want:
-        return CheckRow(label, True)
-    diff = {u: c for u, c in (got - want).component_map().items() if not c.is_zero}
-    return CheckRow(label, False, f"mismatch: {diff}")
+def _bracket_rows(checks, fields: dict, n: int) -> list:
+    """One row per (label, x, y, terms) check: it passes when [fields[x],
+    fields[y]] equals the sum of c * fields[g] over the (c, g) terms.
+
+    Both sides are integer term dicts at one scale: L is the lcm of every
+    denominator of the fields and of the coefficients c, and each field is
+    scaled once.  A failing row's detail maps each component where the sides
+    differ to the difference as an expression.
+    """
+    L = lcm(*(d for X in fields.values() for d in field_denominators(X)),
+            *(c.denominator for *_, terms in checks for c, _ in terms))
+    scaled = {g: scale_field(X, L) for g, X in fields.items()}
+    rows = []
+    for label, x, y, terms in checks:
+        got = bracket_scaled(scaled[x], scaled[y], L)
+        want = _scaled_combo(terms, scaled, L, n + 3)
+        if got == want:
+            rows.append(CheckRow(label, True))
+            continue
+        diff = {}
+        for name, g, w in zip(var_names(n), got, want):
+            d = dict(g)
+            for key, v in w.items():
+                d[key] = d.get(key, 0) - v
+            d = {key: v for key, v in d.items() if v}
+            if d:
+                diff[name] = unscale(n, d, L)
+        rows.append(CheckRow(label, False, f"mismatch: {diff}"))
+    return rows
 
 
 def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
@@ -489,7 +520,7 @@ def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
 
     F, Zheat and Zse, which the table does not cover, are left out.  All
     listed nontrivial brackets plus closure (unlisted pairs commute) are
-    verified as exact symbolic identities.
+    verified as exact identities, in Python integers.
     """
     if n is not None:
         p = p.replace(n=n)
@@ -498,7 +529,7 @@ def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
              if g not in ("F", "Zheat", "Zse")]
     # admissible by construction: no second classify per generator
     fields = {g: basis_generator(g, p, require_admissible=False) for g in names}
-    rows = []
+    checks = []
     for ia, a in enumerate(names):
         for b in names[ia + 1:]:
             expected = _expected_bracket(a, b, p)
@@ -507,10 +538,8 @@ def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
                 flipped = _expected_bracket(b, a, p)
                 expected = [] if flipped is None else flipped
                 sign = -1
-            got = lie_bracket(fields[a], fields[b])
-            want = _combo_field([(sign * c, g) for c, g in expected], fields, n)
-            rows.append(_bracket_row(f"[{a},{b}]", got, want))
-    return rows
+            checks.append((f"[{a},{b}]", a, b, [(sign * c, g) for c, g in expected]))
+    return _bracket_rows(checks, fields, n)
 
 
 # ---------------------------------------------------------------------------
@@ -530,36 +559,37 @@ def verify_infinite_relations(p: DGParams) -> list:
     Checks [Y_f, Y_g] = (mu1 - 2 nu2) Y_{fg'-gf'} for monomials up to
     degree ``_MAX_DEGREE``, plus [Y_f, R] = -mu1 Y_{f'} and [Y_f, E] = (1/2) Y_{f'}.
     When the commutative condition mu1 = 2 nu2 holds, A exists as well and
-    [A, Y_f] = Y_{z f'} is checked.
+    [A, Y_f] = Y_{z f'} is checked.  Y_f is linear in f, so c Y_f is the
+    combination of the monomial fields Y_{z^k} with coefficients c f_k.
     """
     if not predicate_report(p)["InfSub"]:
         raise GeneratorNotAdmissible("Y_f relations require the infinite subfamily")
     mono = lambda d: (0,) * d + (Fraction(1),)
     # every Y_f below has degree <= 2 _MAX_DEGREE - 1, the degree of fg' - gf'
-    powers = _z_powers(p, 2 * _MAX_DEGREE - 1)
+    top = 2 * _MAX_DEGREE - 1
+    powers = _z_powers(p, top)
+    fields = {d: _poly_field(p, mono(d), powers) for d in range(top + 1)}
+    fields["R"] = basis_generator("R", p)
+    fields["E"] = basis_generator("E", p)
 
-    def Y(f, c=1):  # c Y_f
-        return _poly_field(p, [c * a for a in f], powers)
+    def Y(f, c=1):  # c Y_f as (coefficient, monomial degree) terms
+        return [(c * a, k) for k, a in enumerate(f) if a]
 
-    Ys = [Y(mono(d)) for d in range(_MAX_DEGREE + 1)]
-    R = basis_generator("R", p)
-    E = basis_generator("E", p)
-    rows = []
-    for d1, Yf in enumerate(Ys):
+    checks = []
+    for d1 in range(_MAX_DEGREE + 1):
         f = mono(d1)
         fp = _poly_diff(f)
-        rows.append(_bracket_row(f"[Y_z^{d1},R]", lie_bracket(Yf, R), Y(fp, -p.mu1)))
-        rows.append(_bracket_row(f"[Y_z^{d1},E]", lie_bracket(Yf, E), Y(fp, Fraction(1, 2))))
+        checks.append((f"[Y_z^{d1},R]", d1, "R", Y(fp, -p.mu1)))
+        checks.append((f"[Y_z^{d1},E]", d1, "E", Y(fp, Fraction(1, 2))))
         for d2 in range(d1, _MAX_DEGREE + 1):
-            rows.append(_bracket_row(f"[Y_z^{d1},Y_z^{d2}]", lie_bracket(Yf, Ys[d2]),
-                                     Y(_poly_vf_bracket(f, mono(d2)), p.mu1 - 2 * p.nu2)))
+            checks.append((f"[Y_z^{d1},Y_z^{d2}]", d1, d2,
+                           Y(_poly_vf_bracket(f, mono(d2)), p.mu1 - 2 * p.nu2)))
 
     if p.mu1 == 2 * p.nu2:
-        A = basis_generator("A", p)
-        for d, Yf in enumerate(Ys):
-            zfp = _poly_mul(_Z, _poly_diff(mono(d)))
-            rows.append(_bracket_row(f"[A,Y_z^{d}]", lie_bracket(A, Yf), Y(zfp)))
-    return rows
+        fields["A"] = basis_generator("A", p)
+        for d in range(_MAX_DEGREE + 1):
+            checks.append((f"[A,Y_z^{d}]", "A", d, Y(_poly_mul(_Z, _poly_diff(mono(d))))))
+    return _bracket_rows(checks, fields, p.n)
 
 
 # ---------------------------------------------------------------------------
@@ -690,12 +720,10 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
     labels, vecs, index = _determining_index(n)
     comps = [comp._terms for comp in X.components()]
     qs = (p.nu1, p.nu2, p.mu1, p.mu2, p.mu3, p.mu4, p.mu5)
-    L = lcm(*(q.denominator for q in qs),
-            *(x.denominator for terms in comps for (a, b, _), c in terms.items()
-              for x in (a, b, c)))
+    L = lcm(*(q.denominator for q in qs), *field_denominators(X))
 
     def scale(q):  # q * L, an int
-        return q.numerator * (L // q.denominator)
+        return scale_rational(q, L)
 
     scaled = (L, *map(scale, qs))
     coef = [None] * len(vecs)  # scaled family coefficients, filled on first use

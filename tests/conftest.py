@@ -70,3 +70,92 @@ def reference_bracket(X, Y):
              for xu, yu in zip(X.components(), Y.components())]
     return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
                            phi=comps[n + 1], sigma=comps[n + 2])
+
+
+def _reference_row(label, got, want):
+    """A row that passes when got and want have the same normal form; a
+    failing row's detail maps each component where they differ to got - want."""
+    from dgsym.symmetry import CheckRow
+
+    if got == want:
+        return CheckRow(label, True)
+    diff = {u: c for u, c in (got - want).component_map().items() if not c.is_zero}
+    return CheckRow(label, False, f"mismatch: {diff}")
+
+
+def _reference_combo(terms, fields, n):
+    """Sum of c * fields[g] over the (c, g) terms, by ``SymExpr.lincomb``."""
+    from dgsym.symexpr import SymExpr, VectorFieldSpec
+
+    comps = [SymExpr.lincomb(n, ((c, fields[g].components()[u]) for c, g in terms))
+             for u in range(n + 3)]
+    return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
+                           phi=comps[n + 1], sigma=comps[n + 2])
+
+
+def reference_commutator_table(p, n=None):
+    """``verify_commutator_table`` in SymExpr arithmetic: each bracket by
+    ``reference_bracket``, each expected side by ``lincomb``, and rows
+    compared by normal form.  The table is read from the module at call
+    time, so a patched ``_expected_bracket`` reaches both."""
+    from dgsym import symmetry
+
+    if n is not None:
+        p = p.replace(n=n)
+    n = p.n
+    names = [symmetry.parse_generator(g) for g in symmetry.admissible_generators(p)
+             if g not in ("F", "Zheat", "Zse")]
+    fields = {g: symmetry.basis_generator(g, p) for g in names}
+    rows = []
+    for ia, a in enumerate(names):
+        for b in names[ia + 1:]:
+            expected = symmetry._expected_bracket(a, b, p)
+            sign = 1
+            if expected is None:
+                flipped = symmetry._expected_bracket(b, a, p)
+                expected = [] if flipped is None else flipped
+                sign = -1
+            want = _reference_combo([(sign * c, g) for c, g in expected], fields, n)
+            rows.append(_reference_row(f"[{a},{b}]",
+                                       reference_bracket(fields[a], fields[b]), want))
+    return rows
+
+
+def reference_infinite_relations(p):
+    """``verify_infinite_relations`` in SymExpr arithmetic: every expected
+    side c Y_h built as its own field from the polynomial c h, brackets by
+    ``reference_bracket`` and rows compared by normal form."""
+    from fractions import Fraction
+
+    from dgsym import symmetry
+
+    if not symmetry.predicate_report(p)["InfSub"]:
+        raise symmetry.GeneratorNotAdmissible("Y_f relations require the infinite subfamily")
+    top = symmetry._MAX_DEGREE
+    mono = lambda d: (0,) * d + (Fraction(1),)
+
+    def Y(f, c=1):
+        return symmetry.infsub_poly_generator(p, [c * a for a in f])
+
+    Ys = [Y(mono(d)) for d in range(top + 1)]
+    R = symmetry.basis_generator("R", p)
+    E = symmetry.basis_generator("E", p)
+    diff = symmetry._poly_diff
+    rows = []
+    for d1, Yf in enumerate(Ys):
+        fp = diff(mono(d1))
+        rows.append(_reference_row(f"[Y_z^{d1},R]", reference_bracket(Yf, R),
+                                   Y(fp, -p.mu1)))
+        rows.append(_reference_row(f"[Y_z^{d1},E]", reference_bracket(Yf, E),
+                                   Y(fp, Fraction(1, 2))))
+        for d2 in range(d1, top + 1):
+            h = symmetry._poly_vf_bracket(mono(d1), mono(d2))
+            rows.append(_reference_row(f"[Y_z^{d1},Y_z^{d2}]",
+                                       reference_bracket(Yf, Ys[d2]),
+                                       Y(h, p.mu1 - 2 * p.nu2)))
+    if p.mu1 == 2 * p.nu2:
+        A = symmetry.basis_generator("A", p)
+        for d, Yf in enumerate(Ys):
+            zfp = symmetry._poly_mul(symmetry._Z, diff(mono(d)))
+            rows.append(_reference_row(f"[A,Y_z^{d}]", reference_bracket(A, Yf), Y(zfp)))
+    return rows

@@ -59,6 +59,54 @@ def test_classify_invalid_file(capsys, tmp_path):
     assert "nu1" in rows[0]["error"]
 
 
+# Parameter files that are valid JSON but no parameter point: (file text,
+# the key the error names, or None where the text is not an object at all).
+MALFORMED_PARAMS = {
+    "number": ("5", None), "null": ("null", None),
+    "float-value": ('{"n": 1, "nu1": 1.5}', "'nu1'"),
+    "bool-value": ('{"n": 1, "nu1": "1", "mu2": true}', "'mu2'"),
+    "float-n": ('{"n": 1.7, "nu1": "1"}', "'n'"),
+    "bool-n": ('{"n": true, "nu1": "1"}', "'n'"),
+}
+
+
+@pytest.mark.parametrize("command", ["classify", "linearize", "verify", "simulate"])
+@pytest.mark.parametrize("case", sorted(MALFORMED_PARAMS))
+def test_malformed_params_file_is_input_error(capsys, tmp_path, command, case):
+    text, key = MALFORMED_PARAMS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(text)
+    out = tmp_path / "out"
+    extra = {"linearize": ["--out", str(out)], "simulate": ["--out", str(out)],
+             "verify": ["--suite", "determining"]}.get(command, [])
+    code, rows, err = run(capsys, command, "--params", str(path), *extra)
+    assert code == 2 and not out.exists()
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert "error: " in err and str(path) in err
+    assert (key or "JSON object") in err
+    if command == "classify":
+        assert rows == [{"file": str(path), "error": err.split("error: ", 1)[1].strip()}]
+    else:
+        assert rows == []
+
+
+def test_classify_batch_with_malformed_files(capsys, tmp_path):
+    """Bad files get an error row each; the good ones are still classified,
+    in order, and the run exits 2."""
+    for key in ("linear-se", "sym3"):
+        write_params(tmp_path, f"{key}.json", reference_points()[key])
+    for case in ("float-n", "number"):
+        (tmp_path / f"{case}.json").write_text(MALFORMED_PARAMS[case][0])
+    code, rows, err = run(capsys, "classify", "--params", str(tmp_path))
+    assert code == 2
+    assert [os.path.basename(r["file"]) for r in rows] == \
+        ["float-n.json", "linear-se.json", "number.json", "sym3.json"]
+    assert [r.get("class") for r in rows] == [None, "Sym1c", None, "Sym3"]
+    assert "'n' must be a JSON integer" in rows[0]["error"]
+    assert "JSON object" in rows[2]["error"]
+    assert "Traceback" not in err
+
+
 def test_classify_batch_directory(capsys, tmp_path):
     for key in ("linear-se", "sym3", "generic"):
         write_params(tmp_path, f"{key}.json", reference_points()[key])
@@ -784,13 +832,20 @@ def test_out_of_range_option_names_itself(capsys, se_file, command, option, valu
     assert f"argument {option}: must be" in err
 
 
-def test_simulate_zero_steps_runs_none(capsys, tmp_path, se_file):
-    out = str(tmp_path / "zero")
-    code, rows, _ = run(capsys, "simulate", "--params", se_file, "--grid", "32,0.2",
-                        "--steps", "0", "--out", out)
-    assert code == 0
-    assert rows[0]["steps"] == 0
-    assert len(read_trajectory(out)) == 1
+@pytest.mark.parametrize("flags,slices", [
+    (["--t-final", "0.01"], 2), (["--steps", "0"], 1),
+    (["--t-final", "0.1", "--save-every", "100"], 2)],
+    ids=["one-step", "steps-0", "save-every-100"])
+def test_simulate_refuses_fewer_than_three_slices(capsys, tmp_path, se_file,
+                                                  flags, slices):
+    """A run that would save fewer than three slices has no residual: it is
+    refused before any step, and nothing is written."""
+    out = tmp_path / "short"
+    code, rows, err = run(capsys, "simulate", "--params", se_file, "--grid", "32,0.25",
+                          "--bc", "periodic", *flags, "--out", str(out))
+    assert code == 2 and rows == [] and not out.exists()
+    assert err.splitlines() == [err.splitlines()[-1]]
+    assert err.startswith("error: ") and f"give {slices} slice(s)" in err
 
 
 # -- points and grids of the point's own dimension ------------------------------
@@ -850,7 +905,8 @@ _GRIDS = (["16,0.5", "33,0.25", "64,0.125"],
            "16,1e300", "64", "x,y", ""])
 _PARAMS = (["sym1b.json", "sym1c.json", "linear-se.json", "generic.json",
             "sym1b-n2.json"],
-           ["sym1c-n3.json", "malformed.json", "missing.json", "plain"])
+           ["sym1c-n3.json", "malformed.json", "missing.json", "plain",
+            *(f"{case}.json" for case in sorted(MALFORMED_PARAMS))])
 _OUTS = (["out", "nested/out"], ["plain/out"])
 CONTRACT = {
     "verify": {
@@ -926,6 +982,8 @@ def test_cli_contract_on_drawn_arguments(capsys, tmp_path, monkeypatch):
                     ("sym1b-n2", pts2["sym1b"]), ("sym1c-n3", pts3["sym1c"])):
         p.dump(tmp_path / f"{name}.json")
     (tmp_path / "malformed.json").write_text("{")
+    for case, (text, _) in MALFORMED_PARAMS.items():
+        (tmp_path / f"{case}.json").write_text(text)
     (tmp_path / "plain").write_text("a regular file")
     assert main(["simulate", "--params", "sym1b.json", "--grid", "16,0.5",
                  "--steps", "3", "--out", "traj"]) == 0

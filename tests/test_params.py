@@ -97,6 +97,19 @@ def test_json_round_trip(tmp_path):
         DGParams.from_json_dict({"nu1": "1"})
 
 
+@pytest.mark.parametrize("d,key", [
+    (5, "JSON object"), (None, "JSON object"), (["n", "nu1"], "JSON object"),
+    ({"n": 1, "nu1": 1.5}, "'nu1'"), ({"n": 1, "nu1": True}, "'nu1'"),
+    ({"n": 1, "nu1": "1", "mu3": None}, "'mu3'"),
+    ({"n": 1.7, "nu1": "1"}, "'n'"), ({"n": True, "nu1": "1"}, "'n'"),
+    ({"n": "2", "nu1": "1"}, "'n'")])
+def test_from_json_dict_refuses_malformed_values(d, key):
+    """Each is a ValueError naming the key: no TypeError, and no float or
+    bool n truncated to an integer."""
+    with pytest.raises(ValueError, match=key):
+        DGParams.from_json_dict(d)
+
+
 def load_value(text):
     """The mu2 that from_json_dict reads from ``text``, or the exception type."""
     try:

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from dgsym import symmetry
 from dgsym.cli import _exact_basis
-from dgsym.params import (DGParams, make_ehr_sub, make_exp_sub, make_fin_sub,
-                          make_gal_sub, make_inf_sub, make_infa_sub, make_sym3,
-                          reference_points)
+from dgsym.params import (DGParams, GaugeElement, gauge_act_params, make_ehr_sub,
+                          make_exp_sub, make_fin_sub, make_gal_sub, make_inf_sub,
+                          make_infa_sub, make_sym3, reference_points)
 from dgsym.symexpr import SymExpr, VectorFieldSpec, lie_bracket
 from dgsym.symmetry import (GeneratorName, GeneratorNotAdmissible,
                             admissible_generators, basis_generator, basis_names,
@@ -16,7 +16,8 @@ from dgsym.symmetry import (GeneratorName, GeneratorNotAdmissible,
                             exp_rate_coefficients, infsub_poly_generator,
                             is_admissible, parse_generator, residuals_all_zero,
                             verify_commutator_table, verify_infinite_relations)
-from tests.conftest import reference_bracket
+from tests.conftest import (reference_bracket, reference_commutator_table,
+                            reference_infinite_relations)
 
 F = Fraction
 
@@ -598,3 +599,92 @@ def test_determining_residuals_of_mixed_derivative_fields(pts, field):
     got = dict(determining_residuals(p, X))
     for label, e in got.items():
         assert e == want.get(label, z), label
+
+
+# ---------------------------------------------------------------------------
+# commutator table and Y_f relations against a SymExpr reference
+
+def _gauged(points):
+    """Points of ``points`` and, half the time, their image under a drawn
+    gauge element; the subfamily predicates are gauge invariant."""
+    @st.composite
+    def draw_point(draw):
+        p = draw(points)
+        if draw(st.booleans()):
+            g = GaugeElement(draw(nonzero_rationals), draw(rationals))
+            p = gauge_act_params(g, p)
+        return p
+    return draw_point()
+
+
+@st.composite
+def _infsub_points(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    nu1, nu2 = draw(nonzero_rationals), draw(rationals)
+    if draw(st.booleans()):
+        return make_infa_sub(n, nu1, nu2)
+    return make_inf_sub(n, nu1, nu2, draw(rationals))
+
+
+# Perturbations of the expected sides, as (factor, extra): every expected
+# coefficient times factor, plus 1/3 E (table) or the constant 1/5 (Y_f
+# polynomial) when extra is set, so the rows fail and their details count.
+_PERTURBATIONS = st.sampled_from([None, None, (F(3, 2), False), (1, True),
+                                  (F(-1, 3), True)])
+
+
+def _rows(rows):
+    return [(r.label, r.passed, r.detail) for r in rows]
+
+
+@given(_gauged(det_points()), _PERTURBATIONS)
+@example(make_sym3(1, F(2), F(1, 3)), None)  # [A, R] = 4 nu2 E = (4/3) E
+@example(make_fin_sub(2, F(3, 2), F(-3, 4), F(1, 2)), None)
+@example(make_sym3(3, F(-1, 2), F(5, 6)), (F(3, 2), True))
+@settings(max_examples=25, deadline=None)
+def test_commutator_table_matches_reference(p, wrong):
+    """The integer rows equal the SymExpr reference's labels, pass flags and
+    details, also where a perturbed table makes rows fail."""
+    from unittest import mock
+
+    real = symmetry._expected_bracket
+
+    def perturbed(a, b, q):
+        terms = real(a, b, q)
+        if terms is None or wrong is None:
+            return terms
+        factor, extra = wrong
+        return [(factor * c, g) for c, g in terms] + \
+            ([(F(1, 3), GeneratorName("E"))] if extra else [])
+
+    with mock.patch.object(symmetry, "_expected_bracket", perturbed):
+        got = verify_commutator_table(p)
+        want = reference_commutator_table(p)
+    assert _rows(got) == _rows(want)
+    assert wrong is not None or all(r.passed for r in got)
+
+
+@given(_gauged(_infsub_points()), _PERTURBATIONS)
+@example(make_infa_sub(1, F(2, 3), F(-5, 4)), None)
+@example(make_inf_sub(3, F(-3, 2), F(1, 2), F(2, 5)), (F(-1, 3), True))
+@settings(max_examples=25, deadline=None)
+def test_infinite_relations_match_reference(p, wrong):
+    """The integer Y_f rows equal the SymExpr reference's labels, pass
+    flags and details, also where a perturbed fg' - gf' makes rows fail."""
+    from unittest import mock
+
+    real = symmetry._poly_vf_bracket
+
+    def perturbed(f, g):
+        h = real(f, g)
+        if wrong is None:
+            return h
+        factor, extra = wrong
+        h = symmetry._poly_trim(tuple(factor * c for c in h))
+        return symmetry._poly_add(h, (F(1, 5),)) if extra else h
+
+    with mock.patch.object(symmetry, "_poly_vf_bracket", perturbed):
+        got = verify_infinite_relations(p)
+        want = reference_infinite_relations(p)
+    assert _rows(got) == _rows(want)
+    assert wrong is not None or all(r.passed for r in got)
