@@ -82,6 +82,11 @@ def rational_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def _shown(value) -> str:
+    """A JSON value as a file writes it, cut to 40 characters for a message."""
+    return json.dumps(value, default=str)[:40]
+
+
 @dataclass(frozen=True)
 class DGParams:
     """One point of the family: dimension n and the eight model parameters."""
@@ -137,24 +142,22 @@ class DGParams:
         is not an object, an unknown or missing key, an 'n' that is not an
         integer, and a parameter that is neither an integer nor a string,
         such as a float or a bool."""
-        if not isinstance(d, dict):
-            raise ValueError("parameter file must hold a JSON object, "
-                             f"got {json.dumps(d, default=str)[:40]}")
+        if type(d) is not dict:
+            raise ValueError(f"parameter file must hold a JSON object, got {_shown(d)}")
         unknown = set(d) - set(PARAM_NAMES) - {"n"}
         if unknown:
             raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
         if "n" not in d or "nu1" not in d:
             raise ValueError("parameter file must define at least 'n' and 'nu1'")
         if type(d["n"]) is not int:
-            raise ValueError(f"'n' must be a JSON integer, got {json.dumps(d['n'], default=str)[:40]}")
+            raise ValueError(f"'n' must be a JSON integer, got {_shown(d['n'])}")
         kw = {}
         for name in PARAM_NAMES:
             if name in d:
-                value = d[name]
-                if isinstance(value, bool) or not isinstance(value, (int, str, Fraction)):
+                if type(d[name]) not in (int, str):
                     raise ValueError(f"{name!r} must be an integer or a 'p/q' string, "
-                                     f"got {json.dumps(value, default=str)[:40]}")
-                kw[name] = as_rational(value)
+                                     f"got {_shown(d[name])}")
+                kw[name] = as_rational(d[name])
         return cls(n=d["n"], **kw)
 
     @classmethod

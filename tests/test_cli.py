@@ -844,7 +844,7 @@ def test_simulate_refuses_fewer_than_three_slices(capsys, tmp_path, se_file,
     code, rows, err = run(capsys, "simulate", "--params", se_file, "--grid", "32,0.25",
                           "--bc", "periodic", *flags, "--out", str(out))
     assert code == 2 and rows == [] and not out.exists()
-    assert err.splitlines() == [err.splitlines()[-1]]
+    assert len(err.splitlines()) == 1
     assert err.startswith("error: ") and f"give {slices} slice(s)" in err
 
 
