@@ -33,8 +33,8 @@ from operator import add
 
 import numpy as np
 
-__all__ = ["SymExpr", "VectorFieldSpec", "lie_bracket", "field_denominators",
-           "scale_rational", "scale_field", "bracket_scaled", "unscale"]
+__all__ = ["SymExpr", "VectorFieldSpec", "ScaledField", "lie_bracket",
+           "field_denominators", "scale_rational"]
 
 
 @lru_cache(maxsize=None)
@@ -386,7 +386,7 @@ class VectorFieldSpec:
 
 def field_denominators(X: VectorFieldSpec):
     """Denominators of every coefficient and exp rate of X, e.g. for the
-    lcm that :func:`scale_field` scales by."""
+    rate scale of :meth:`ScaledField.of`."""
     return (x.denominator for comp in X.components()
             for (a, b, _), c in comp._terms.items() for x in (a, b, c))
 
@@ -396,24 +396,51 @@ def scale_rational(q, L: int) -> int:
     return q.numerator * (L // q.denominator)
 
 
-def scale_field(X: VectorFieldSpec, L: int) -> list:
-    """The components of X as integer term dicts scaled by L: a coefficient
-    c becomes the int c*L and an exp rate a the int a*L, so a rate sum that
-    cancels is the int 0.  L must be a multiple of every denominator in X
-    (see :func:`field_denominators`)."""
-    q = scale_rational
-    return [{(a and q(a, L), b and q(b, L), powers): q(c, L)
+@dataclass(frozen=True)
+class ScaledField:
+    """A vector field as integer term dicts, one per component.
+
+    An entry ``(a, b, powers): c`` of a component stands for the term
+    ``(c / coeff_scale) * x^powers * exp((a r + b s) / rate_scale)``; a rate
+    sum that cancels is the int 0 and zero entries are dropped, so two
+    ScaledFields at the same scales are the same field iff they are equal.
+    :func:`lie_bracket` brackets two of them without leaving the integers.
+    """
+
+    n: int
+    rate_scale: int
+    coeff_scale: int
+    comps: tuple
+
+    @classmethod
+    def of(cls, X: VectorFieldSpec, L: int) -> "ScaledField":
+        """X with every coefficient and exp rate times L, both scales L.  L
+        must be a multiple of every denominator in X (see
+        :func:`field_denominators`)."""
+        q = scale_rational
+        return cls(X.n, L, L, tuple(
+            {(a and q(a, L), b and q(b, L), powers): q(c, L)
              for (a, b, powers), c in comp._terms.items()}
-            for comp in X.components()]
+            for comp in X.components()))
+
+    def field(self) -> VectorFieldSpec:
+        """The field as exact expressions: each rate and coefficient divided
+        back by its scale."""
+        L, C, n = self.rate_scale, self.coeff_scale, self.n
+        comps = [SymExpr._make(n, {(a and Fraction(a, L), b and Fraction(b, L), powers):
+                                   Fraction(c, C) for (a, b, powers), c in terms.items()})
+                 for terms in self.comps]
+        return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
+                               phi=comps[n + 1], sigma=comps[n + 2])
 
 
-def _derivative_index(comps: list, n: int, wanted: list, L: int) -> list:
+def _derivative_index(comps: tuple, n: int, wanted: tuple, L: int) -> list:
     """Per variable v, the terms of d/dv of each component's scaled term
     dict, as (component, a, b, powers, coeff) tuples: the power step of a
     term whose power of v is > 0, times L, and the rate step of a term with
-    an exp rate in v, so both carry L^2.  Terms that do not depend on v are
-    left out, and so is every v whose entry in ``wanted`` (the other
-    field's term dicts) is empty."""
+    an exp rate in v, so both carry one more factor L.  Terms that do not
+    depend on v are left out, and so is every v whose entry in ``wanted``
+    (the other field's term dicts) is empty."""
     index = [[] for _ in range(n + 3)]
     ir, is_ = n + 1, n + 2
     for w, terms in enumerate(comps):
@@ -429,7 +456,7 @@ def _derivative_index(comps: list, n: int, wanted: list, L: int) -> list:
     return index
 
 
-def _bracket_half(out: list, xs: list, index: list, sign: int) -> None:
+def _bracket_half(out: list, xs: tuple, index: list, sign: int) -> None:
     """Accumulate sign * sum_v X^v d_v Y^w into out[w], with xs the term
     dicts of X and index the derivative index of Y."""
     for xterms, dterms in zip(xs, index):
@@ -444,43 +471,39 @@ def _bracket_half(out: list, xs: list, index: list, sign: int) -> None:
                 acc[key] = acc.get(key, 0) + c * d
 
 
-def bracket_scaled(xs: list, ys: list, L: int) -> list:
-    """[X, Y] on the integer term dicts ``scale_field`` makes of X and Y
-    with the same L: per component, a dict of the bracket's terms with each
-    exp rate times L and each coefficient times L^3, zero entries dropped.
+def _bracket_scaled(X: ScaledField, Y: ScaledField) -> ScaledField:
+    """[X, Y] at rate scale L and coefficient scale X.coeff_scale *
+    Y.coeff_scale * L, for X and Y at the one rate scale L."""
+    L = X.rate_scale
+    out = [{} for _ in X.comps]
+    _bracket_half(out, X.comps, _derivative_index(Y.comps, X.n, X.comps, L), 1)
+    _bracket_half(out, Y.comps, _derivative_index(X.comps, X.n, Y.comps, L), -1)
+    return ScaledField(X.n, L, X.coeff_scale * Y.coeff_scale * L,
+                       tuple(_nonzero(acc) for acc in out))
+
+
+def lie_bracket(X, Y):
+    """[X, Y] with component [X,Y]^w = X(Y^w) - Y(X^w), exact.
+
+    X and Y are both VectorFieldSpec or both ScaledField, and the bracket
+    comes back in the same form.  Two ScaledFields must share their rate
+    scale L; their bracket has rate scale L and coefficient scale
+    X.coeff_scale * Y.coeff_scale * L.  Two VectorFieldSpecs are scaled by
+    the lcm of their denominators, bracketed as ScaledFields, and each
+    output term is divided back once.
 
     One pass over term pairs: a term c*m of X^v times a term of d/dv Y^w
     (taken from the derivative index of Y) adds to component w, then the
     same with X and Y swapped and the sign flipped.  No intermediate
     expression is built, and every product is of Python integers.
     """
-    n = len(xs) - 3
-    out = [{} for _ in xs]
-    _bracket_half(out, xs, _derivative_index(ys, n, xs, L), 1)
-    _bracket_half(out, ys, _derivative_index(xs, n, ys, L), -1)
-    return [_nonzero(acc) for acc in out]
-
-
-def unscale(n: int, terms: dict, L: int) -> SymExpr:
-    """The expression of a term dict at the scale of :func:`bracket_scaled`:
-    each exp rate divided by L and each coefficient by L^3."""
-    L3 = L ** 3
-    return SymExpr._make(n, {(a and Fraction(a, L), b and Fraction(b, L), powers):
-                             Fraction(c, L3) for (a, b, powers), c in terms.items()})
-
-
-def lie_bracket(X: VectorFieldSpec, Y: VectorFieldSpec) -> VectorFieldSpec:
-    """[X, Y] with component [X,Y]^w = X(Y^w) - Y(X^w), exact.
-
-    X and Y are scaled to integers by the lcm L of their denominators,
-    bracketed by :func:`bracket_scaled`, and each output term is divided
-    back once.
-    """
+    if type(X) is not type(Y):
+        raise TypeError("lie_bracket needs two VectorFieldSpecs or two ScaledFields")
     if X.n != Y.n:
         raise ValueError("arity mismatch between vector fields")
-    n = X.n
+    if isinstance(X, ScaledField):
+        if X.rate_scale != Y.rate_scale:
+            raise ValueError("ScaledFields at different rate scales")
+        return _bracket_scaled(X, Y)
     L = lcm(*field_denominators(X), *field_denominators(Y))
-    comps = [unscale(n, acc, L)
-             for acc in bracket_scaled(scale_field(X, L), scale_field(Y, L), L)]
-    return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
-                           phi=comps[n + 1], sigma=comps[n + 2])
+    return _bracket_scaled(ScaledField.of(X, L), ScaledField.of(Y, L)).field()

@@ -22,8 +22,8 @@ from math import lcm
 import numpy as np
 
 from .params import DGParams, SymmetryClass, classify, predicate_report
-from .symexpr import (SymExpr, VectorFieldSpec, bracket_scaled, field_denominators,
-                      scale_field, scale_rational, unscale, var_names)
+from .symexpr import (ScaledField, SymExpr, VectorFieldSpec, field_denominators,
+                      lie_bracket, scale_rational)
 
 __all__ = [
     "GeneratorName", "parse_generator", "parse_poly", "basis_names", "basis_generator",
@@ -468,49 +468,44 @@ def _expected_bracket(a: GeneratorName, b: GeneratorName, p: DGParams):
     return None
 
 
-def _scaled_combo(terms, scaled: dict, L: int, size: int) -> list:
-    """Sum of c * fields[g] over the (c, g) terms, on the integer term dicts
-    ``scaled`` holds per field name, at the scale of ``bracket_scaled``: a
-    scaled coefficient times c L times L carries L^3."""
-    out = [{} for _ in range(size)]
+def _scaled_combo(terms, scaled: dict, n: int, L: int) -> ScaledField:
+    """Sum of c * fields[g] over the (c, g) terms, from the fields ``scaled``
+    holds per name at both scales L, with coefficient scale L^3 like a
+    bracket of two of them: a scaled coefficient times c L times L."""
+    out = [{} for _ in range(n + 3)]
     for c, g in terms:
         m = scale_rational(c, L) * L
         if not m:
             continue
-        for acc, comp in zip(out, scaled[g]):
+        for acc, comp in zip(out, scaled[g].comps):
             get = acc.get
             for key, v in comp.items():
                 acc[key] = get(key, 0) + m * v
-    return [{key: v for key, v in acc.items() if v} for acc in out]
+    return ScaledField(n, L, L ** 3, tuple({key: v for key, v in acc.items() if v}
+                                           for acc in out))
 
 
 def _bracket_rows(checks, fields: dict, n: int) -> list:
     """One row per (label, x, y, terms) check: it passes when [fields[x],
     fields[y]] equals the sum of c * fields[g] over the (c, g) terms.
 
-    Both sides are integer term dicts at one scale: L is the lcm of every
+    Both sides are ScaledFields at one scale: L is the lcm of every
     denominator of the fields and of the coefficients c, and each field is
     scaled once.  A failing row's detail maps each component where the sides
     differ to the difference as an expression.
     """
     L = lcm(*(d for X in fields.values() for d in field_denominators(X)),
             *(c.denominator for *_, terms in checks for c, _ in terms))
-    scaled = {g: scale_field(X, L) for g, X in fields.items()}
+    scaled = {g: ScaledField.of(X, L) for g, X in fields.items()}
     rows = []
     for label, x, y, terms in checks:
-        got = bracket_scaled(scaled[x], scaled[y], L)
-        want = _scaled_combo(terms, scaled, L, n + 3)
+        got = lie_bracket(scaled[x], scaled[y])
+        want = _scaled_combo(terms, scaled, n, L)
         if got == want:
             rows.append(CheckRow(label, True))
             continue
-        diff = {}
-        for name, g, w in zip(var_names(n), got, want):
-            d = dict(g)
-            for key, v in w.items():
-                d[key] = d.get(key, 0) - v
-            d = {key: v for key, v in d.items() if v}
-            if d:
-                diff[name] = unscale(n, d, L)
+        diff = {u: c for u, c in (got.field() - want.field()).component_map().items()
+                if not c.is_zero}
         rows.append(CheckRow(label, False, f"mismatch: {diff}"))
     return rows
 

@@ -1,11 +1,13 @@
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dgsym.symexpr import SymExpr, VectorFieldSpec, lie_bracket
+from dgsym.symexpr import (ScaledField, SymExpr, VectorFieldSpec, field_denominators,
+                           lie_bracket)
 from dgsym.symmetry import parse_poly
 from tests.conftest import reference_bracket
 
@@ -243,6 +245,34 @@ def test_bracket_rate_sum_that_cancels_is_int_zero():
 def test_bracket_arity_mismatch():
     with pytest.raises(ValueError):
         lie_bracket(_field(c(1), c(1)), _field(c(1, 2), c(1, 2), n=2))
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(_fields(n), _fields(n))), st.integers(min_value=1, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_bracket_of_scaled_fields_matches_reference(pair, k):
+    """At any common multiple L of the denominators, ScaledField.of keeps a
+    field exactly, and the bracket of two ScaledFields stays in integers, at
+    coefficient scale L^3, and is the reference bracket once divided back."""
+    X, Y = pair
+    L = k * lcm(*field_denominators(X), *field_denominators(Y))
+    SX, SY = ScaledField.of(X, L), ScaledField.of(Y, L)
+    assert SX.field() == X and SY.field() == Y
+    got = lie_bracket(SX, SY)
+    assert (got.rate_scale, got.coeff_scale) == (L, L ** 3)
+    for comp in got.comps:
+        for (a, b, _), coeff in comp.items():
+            assert type(a) is type(b) is type(coeff) is int and coeff
+    assert got.field() == reference_bracket(X, Y)
+    _assert_normal_form(got.field())
+
+
+def test_bracket_refuses_mixed_forms_and_scales():
+    X, Y = _field(c(1), v("r")), _field(v("t"), c(F(1, 2)))
+    with pytest.raises(TypeError):
+        lie_bracket(X, ScaledField.of(Y, 2))
+    with pytest.raises(ValueError):
+        lie_bracket(ScaledField.of(X, 2), ScaledField.of(Y, 4))
 
 
 def test_normalization_exact_at_rational_points():
