@@ -32,8 +32,8 @@ from .fields import (Grid, LogPolarField, read_snapshot, read_trajectory,
                      write_trajectory)
 from .flows import verify_symmetry_flow
 from .kernels import boundary_ring
-from .linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
-                        linearization_data, z_flow_se_from_zero)
+from .linearize import (NotLinearizable, gauge_act_field, heat_pair_directions,
+                        heat_pair_to_dg, linearization_data, z_flow_se_from_zero)
 from .params import (DGParams, GaugeElement, canonical_gauge, classify,
                      gauge_act_params, predicate_report, rational_str,
                      reference_points)
@@ -48,6 +48,10 @@ from .symmetry import (GeneratorNotAdmissible, basis_generator, basis_names,
 log = logging.getLogger("dgsym")
 
 EXIT_OK, EXIT_CHECK, EXIT_INPUT, EXIT_INAPPLICABLE = 0, 1, 2, 3
+
+# linearize passes only when gauging the first slice to the linear side and
+# back restores (r, s) to within this bound
+ROUNDTRIP_TOL = 1e-10
 
 
 def _emit(obj):
@@ -148,7 +152,7 @@ def cmd_classify(args) -> int:
         except InputError as exc:
             bad += 1
             _emit({"file": str(path), "error": str(exc)})
-            _say(f"{path}: error: {exc}")
+            _say(f"error: {exc}")  # the message starts with the path
             continue
         report = _classify_report(path, p)
         _emit(report)
@@ -215,11 +219,10 @@ def _linearized_solution(p: DGParams, cls, after: float, before: float):
     """Sym1c: the Zse flow of a Gaussian packet.  Sym1b: a heat pair valid
     for before < t < after.  Both of the point's dimension.
 
-    phi+ solves the forward heat equation when nu1 > 0 and the backward one
-    when nu1 < 0, phi- the other.  A forward kernel sharpens toward its focus
-    time and a backward one spreads from it, so each kernel's focus is chosen
-    by its direction: ``after`` for a forward kernel, ``before`` for a
-    backward one.
+    The pair's directions come from :func:`heat_pair_directions`.  A forward
+    kernel sharpens toward its focus time and a backward one spreads from
+    it, so each kernel's focus is chosen by its direction: ``after`` for a
+    forward kernel, ``before`` for a backward one.
     """
     data = linearization_data(p, cls)
     if data.branch != "real":
@@ -231,7 +234,7 @@ def _linearized_solution(p: DGParams, cls, after: float, before: float):
         return heat_solution(data.diffusion, direction, n=p.n, amplitude=amplitude,
                              focus_time=focus, offset=offset)
 
-    plus, minus = ("forward", "backward") if p.nu1 > 0 else ("backward", "forward")
+    plus, minus = heat_pair_directions(p)
     return heat_pair_to_dg(kernel(plus, 0.8, 0.5), kernel(minus, 0.6, 0.4), p, cls)
 
 
@@ -265,8 +268,7 @@ def _suite_flow(args, rows):
             rows.append({"suite": "flow", "generator": str(name), "skipped": True,
                          "detail": f"{why} at {cls.tag}"})
             continue
-        rep = verify_symmetry_flow(p, name, args.eps, sol, grid, (0.02, 0.18),
-                                   baseline_tol=args.tol)
+        rep = verify_symmetry_flow(p, name, args.eps, sol, grid, (0.02, 0.18))
         rows.append({"suite": "flow", "generator": str(name), "pass": rep.passed,
                      **rep.to_json_dict()})
 
@@ -362,7 +364,7 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
         return LogPolarField(grid, 0.0, r, s), pack
     if kind == "file":
         try:
-            return read_snapshot(payload, grid), None
+            return read_snapshot(payload, grid).validate(), None
         except (OSError, ValueError, IndexError) as exc:
             raise InputError(f"--init file:{payload}: {exc}") from exc
     raise InputError(f"unknown initial condition {spec!r}")
@@ -443,7 +445,7 @@ def cmd_linearize(args) -> int:
                                gauge_act_field(data.gauge_to_linear(), traj))
         rt_err = float(max(np.max(np.abs(back.r[0] - traj.r[0])),
                            np.max(np.abs(back.s[0] - traj.s[0]))))
-        ok = se.passed and dg.passed and rt_err < args.tol
+        ok = se.passed and dg.passed and rt_err < ROUNDTRIP_TOL
         report = {"branch": "schroedinger", "dg_residual": dg.coarse.to_json_dict(),
                   "dg_residual_fine": dg.fine.to_json_dict(),
                   "dg_convergence_ratio": dg.ratio_l2,
@@ -540,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--gen", nargs="*", help="generator names, e.g. B:1 Yf:z^2")
     sp.add_argument("--eps", type=_finite, default=0.3, help="flow parameter")
     sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--tol", type=_positive, default=0.05,
-                    help="flow suite baseline residual tolerance")
     sp.add_argument("--n", type=int, help="spatial dimension of the point")
     sp.add_argument("--class", dest="point_class",
                     help="reference class name, e.g. sym3-nu2")
@@ -565,8 +565,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", help="grid as 'N,dx' per axis")
     sp.add_argument("--out", default="dgsym-linearize", help="output directory")
     sp.add_argument("--t-final", dest="t_final", type=_positive, default=0.2)
-    sp.add_argument("--tol", type=_positive, default=1e-10,
-                    help="gauge round-trip tolerance")
 
     sp = sub.add_parser("gauge", help="act on parameters (and trajectories)")
     sp.add_argument("--params", help="parameter JSON file")

@@ -38,7 +38,7 @@ from .pde import HeatGaussian
 
 __all__ = [
     "NotLinearizable", "LinearizationData", "linearization_data",
-    "gauge_act_field", "heat_pair_to_dg", "HeatPairSolution",
+    "gauge_act_field", "heat_pair_directions", "heat_pair_to_dg", "HeatPairSolution",
     "z_flow_heat", "z_flow_heat_from_zero", "z_flow_se", "z_flow_se_from_zero",
 ]
 
@@ -146,12 +146,17 @@ def gauge_act_field(g, psi):
 # ---------------------------------------------------------------------------
 # Heat branch.
 
+def heat_pair_directions(p: DGParams) -> tuple:
+    """Directions of (phi+, phi-): phi+ solves the forward heat equation
+    when nu1 > 0 and the backward one when nu1 < 0, phi- the other."""
+    return ("forward", "backward") if p.nu1 > 0 else ("backward", "forward")
+
+
 def _require_heat_pair(phi_plus: HeatGaussian, phi_minus: HeatGaussian,
                        data: LinearizationData):
     if data.branch != "real":
         raise NotLinearizable("heat pair applies to the iota1 < 0 branch only")
-    want_plus = "forward" if data.p.nu1 > 0 else "backward"
-    want_minus = "backward" if data.p.nu1 > 0 else "forward"
+    want_plus, want_minus = heat_pair_directions(data.p)
     if phi_plus.direction != want_plus or phi_minus.direction != want_minus:
         raise ValueError(
             f"for sign(nu1)={'+' if data.p.nu1 > 0 else '-'} the pair must be "

@@ -328,7 +328,7 @@ def convergence(residual_of, solution, grid: Grid, times) -> Convergence:
 # ---------------------------------------------------------------------------
 # Closed-form reference solutions.
 
-def _sum_sq(xs, center, shift=0.0):
+def _sum_sq(xs, center, shift):
     total = 0.0
     for i, x in enumerate(xs):
         c = center[i] if center is not None else 0.0
@@ -449,10 +449,6 @@ class SEPacket:
         s_t = dlogA.imag + dB.imag * q + B.imag * dq + self.a * float(k @ k)
         return np.asarray(r_t, dtype=float), np.asarray(s_t, dtype=float)
 
-    def psi(self, xs, t):
-        r, s = self.rs(xs, t)
-        return np.exp(r + 1j * s)
-
 
 def se_gaussian(a, n=1, b0=-0.25, center=None, k=None, amplitude=1.0) -> SEPacket:
     return SEPacket(a=float(a), n=n, b0=float(b0), center=center, k=k,
@@ -478,36 +474,16 @@ class SEPacketSum:
         if len({pk.a for pk in self.packets}) != 1:
             raise ValueError("all packets must share the dispersion coefficient")
 
-    def _ratio(self, xs, t):
-        lead = self.packets[0]
-        r1, s1 = lead.rs(xs, t)
+    def rs(self, xs, t):
+        r1, s1 = self.packets[0].rs(xs, t)
         total = 0.0
         for pk in self.packets[1:]:
             rj, sj = pk.rs(xs, t)
             total = total + np.exp(rj - r1 + 1j * (sj - s1))
-        mag = np.abs(1.0 + total)
-        if np.any(mag <= 0.1):
-            raise ValueError("leading packet no longer dominates; psi may vanish")
-        return r1, s1, total
-
-    def rs(self, xs, t):
-        r1, s1, total = self._ratio(xs, t)
         w = 1.0 + total
+        if np.any(np.abs(w) <= 0.1):
+            raise ValueError("leading packet no longer dominates; psi may vanish")
         return r1 + np.log(np.abs(w)), s1 + np.angle(w)
-
-    def rs_t(self, xs, t):
-        """d/dt of (r, s) from psi_t / psi = sum_j (psi_j/psi)(r_j + i s_j)_t."""
-        r1, s1, _ = self._ratio(xs, t)
-        num = 0.0
-        den = 0.0
-        for pk in self.packets:
-            rj, sj = pk.rs(xs, t)
-            rjt, sjt = pk.rs_t(xs, t)
-            w = np.exp(rj - r1 + 1j * (sj - s1))
-            num = num + w * (rjt + 1j * sjt)
-            den = den + w
-        ratio = num / den
-        return ratio.real, ratio.imag
 
 
 @dataclass(frozen=True)

@@ -34,7 +34,7 @@ from operator import add
 import numpy as np
 
 __all__ = ["SymExpr", "VectorFieldSpec", "ScaledField", "lie_bracket",
-           "field_denominators", "scale_rational"]
+           "field_denominators", "scale_rational", "scaled_derivatives", "unscale"]
 
 
 @lru_cache(maxsize=None)
@@ -277,17 +277,6 @@ class SymExpr:
                 terms[key] = dc if old is None else old + dc
         return SymExpr._make(self.n, _nonzero(terms))
 
-    def depends_on(self, name: str) -> bool:
-        idx = var_index(self.n)[name]
-        for (a, b, powers) in self._terms:
-            if powers[idx]:
-                return True
-            if name == "r" and a:
-                return True
-            if name == "s" and b:
-                return True
-        return False
-
     def evaluate(self, values: dict):
         """Numeric value at a point; accepts floats or numpy arrays."""
         names = var_names(self.n)
@@ -396,15 +385,58 @@ def scale_rational(q, L: int) -> int:
     return q.numerator * (L // q.denominator)
 
 
+# ---------------------------------------------------------------------------
+# Scaled term dicts: the integer form of an expression.  An entry
+# ``(a, b, powers): c`` stands for ``(c / C) * x^powers * exp((a r + b s) / L)``
+# at rate scale L and coefficient scale C.  The bracket and the determining
+# residuals compute in this form, with the derivative rule and the unscaling
+# below.
+
+def scaled_derivatives(terms, wanted, n: int, L: int) -> list:
+    """Per variable v, the terms of d/dv of scaled terms at rate scale L,
+    with one more factor L in the coefficient scale.
+
+    ``terms`` are (w, a, b, powers, coeff) tuples, a scaled term dict's
+    entries tagged with their component w (see :meth:`ScaledField.terms`);
+    v indexes ``var_names(n)``.  A term whose power k of v is > 0 gives its
+    power step, the power lowered and the coefficient times k L; a term with
+    an exp rate in v (v is r or s) gives its rate step, the coefficient
+    times that scaled rate.  Terms that do not depend on v are left out,
+    and so is every v whose entry in ``wanted`` is false.  Each derivative
+    is a list of tuples of the same form, one pass and no merging (a key may
+    occur twice in a component), so the rule applies to it again for a
+    second derivative.
+    """
+    index = [[] for _ in range(n + 3)]
+    ir, is_ = n + 1, n + 2
+    for w, a, b, powers, d in terms:
+        for v, k in enumerate(powers):
+            if k and wanted[v]:
+                index[v].append((w, a, b, powers[:v] + (k - 1,) + powers[v + 1:], d * k * L))
+        if a and wanted[ir]:
+            index[ir].append((w, a, b, powers, d * a))
+        if b and wanted[is_]:
+            index[is_].append((w, a, b, powers, d * b))
+    return index
+
+
+def unscale(n: int, terms: dict, rate_scale: int, coeff_scale: int) -> SymExpr:
+    """The expression of a scaled term dict: each exp rate divided by
+    rate_scale and each coefficient by coeff_scale; zero entries dropped."""
+    L, C = rate_scale, coeff_scale
+    return SymExpr._make(n, {(a and Fraction(a, L), b and Fraction(b, L), powers):
+                             Fraction(c, C) for (a, b, powers), c in terms.items() if c})
+
+
 @dataclass(frozen=True)
 class ScaledField:
-    """A vector field as integer term dicts, one per component.
+    """A vector field as scaled term dicts, one per component.
 
-    An entry ``(a, b, powers): c`` of a component stands for the term
-    ``(c / coeff_scale) * x^powers * exp((a r + b s) / rate_scale)``; a rate
-    sum that cancels is the int 0 and zero entries are dropped, so two
-    ScaledFields at the same scales are the same field iff they are equal.
-    :func:`lie_bracket` brackets two of them without leaving the integers.
+    Each component is a scaled term dict at rate scale ``rate_scale`` and
+    coefficient scale ``coeff_scale``; a rate sum that cancels is the int 0
+    and zero entries are dropped, so two ScaledFields at the same scales are
+    the same field iff they are equal.  :func:`lie_bracket` brackets two of
+    them without leaving the integers.
     """
 
     n: int
@@ -423,42 +455,24 @@ class ScaledField:
              for (a, b, powers), c in comp._terms.items()}
             for comp in X.components()))
 
+    def terms(self):
+        """Every entry as a (component, a, b, powers, coeff) tuple, the form
+        :func:`scaled_derivatives` takes."""
+        return ((w, a, b, powers, c) for w, comp in enumerate(self.comps)
+                for (a, b, powers), c in comp.items())
+
     def field(self) -> VectorFieldSpec:
-        """The field as exact expressions: each rate and coefficient divided
-        back by its scale."""
-        L, C, n = self.rate_scale, self.coeff_scale, self.n
-        comps = [SymExpr._make(n, {(a and Fraction(a, L), b and Fraction(b, L), powers):
-                                   Fraction(c, C) for (a, b, powers), c in terms.items()})
+        """The field as exact expressions, each component unscaled."""
+        n = self.n
+        comps = [unscale(n, terms, self.rate_scale, self.coeff_scale)
                  for terms in self.comps]
         return VectorFieldSpec(n=n, xi=tuple(comps[:n]), tau=comps[n],
                                phi=comps[n + 1], sigma=comps[n + 2])
 
 
-def _derivative_index(comps: tuple, n: int, wanted: tuple, L: int) -> list:
-    """Per variable v, the terms of d/dv of each component's scaled term
-    dict, as (component, a, b, powers, coeff) tuples: the power step of a
-    term whose power of v is > 0, times L, and the rate step of a term with
-    an exp rate in v, so both carry one more factor L.  Terms that do not
-    depend on v are left out, and so is every v whose entry in ``wanted``
-    (the other field's term dicts) is empty."""
-    index = [[] for _ in range(n + 3)]
-    ir, is_ = n + 1, n + 2
-    for w, terms in enumerate(comps):
-        for (a, b, powers), d in terms.items():
-            for v, k in enumerate(powers):
-                if k and wanted[v]:
-                    index[v].append((w, a, b, powers[:v] + (k - 1,) + powers[v + 1:],
-                                     d * k * L))
-            if a and wanted[ir]:
-                index[ir].append((w, a, b, powers, d * a))
-            if b and wanted[is_]:
-                index[is_].append((w, a, b, powers, d * b))
-    return index
-
-
 def _bracket_half(out: list, xs: tuple, index: list, sign: int) -> None:
     """Accumulate sign * sum_v X^v d_v Y^w into out[w], with xs the term
-    dicts of X and index the derivative index of Y."""
+    dicts of X and index the derivatives of Y per variable."""
     for xterms, dterms in zip(xs, index):
         if not dterms:
             continue
@@ -476,8 +490,9 @@ def _bracket_scaled(X: ScaledField, Y: ScaledField) -> ScaledField:
     Y.coeff_scale * L, for X and Y at the one rate scale L."""
     L = X.rate_scale
     out = [{} for _ in X.comps]
-    _bracket_half(out, X.comps, _derivative_index(Y.comps, X.n, X.comps, L), 1)
-    _bracket_half(out, Y.comps, _derivative_index(X.comps, X.n, Y.comps, L), -1)
+    # the derivatives in the variables where the other field has terms
+    _bracket_half(out, X.comps, scaled_derivatives(Y.terms(), X.comps, X.n, L), 1)
+    _bracket_half(out, Y.comps, scaled_derivatives(X.terms(), Y.comps, X.n, L), -1)
     return ScaledField(X.n, L, X.coeff_scale * Y.coeff_scale * L,
                        tuple(_nonzero(acc) for acc in out))
 
@@ -493,7 +508,7 @@ def lie_bracket(X, Y):
     output term is divided back once.
 
     One pass over term pairs: a term c*m of X^v times a term of d/dv Y^w
-    (taken from the derivative index of Y) adds to component w, then the
+    (from :func:`scaled_derivatives` of Y) adds to component w, then the
     same with X and Y swapped and the sign flipped.  No intermediate
     expression is built, and every product is of Python integers.
     """

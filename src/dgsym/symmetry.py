@@ -23,7 +23,7 @@ import numpy as np
 
 from .params import DGParams, SymmetryClass, classify, predicate_report
 from .symexpr import (ScaledField, SymExpr, VectorFieldSpec, field_denominators,
-                      lie_bracket, scale_rational)
+                      lie_bracket, scale_rational, scaled_derivatives, unscale)
 
 __all__ = [
     "GeneratorName", "parse_generator", "parse_poly", "basis_names", "basis_generator",
@@ -653,14 +653,16 @@ def _derivative_targets(name: str, j: int, n: int) -> list:
 @lru_cache(maxsize=None)
 def _determining_index(n: int) -> tuple:
     """Row labels; the distinct coefficient vectors, sparse as (basis index,
-    int) pairs; and, per component of X, the derivatives it enters by, as
-    (variable indices, ((row, vector number), ...)) pairs."""
+    int) pairs; and, per derivative as a tuple of variable indices, the rows
+    each component of X enters by it, as ((row, vector number), ...) per
+    component in the order of X.components()."""
     labels, vecs = [], {}
-    index = [{} for _ in range(n + 3)]
+    index = {}
 
     def enter(vec, u, wrt):
         sparse = tuple((i, int(c)) for i, c in enumerate(vec) if c)
-        index[u].setdefault(wrt, []).append((len(labels), vecs.setdefault(sparse, len(vecs))))
+        rows = index.setdefault(wrt, [[] for _ in range(n + 3)])[u]
+        rows.append((len(labels), vecs.setdefault(sparse, len(vecs))))
 
     for j in range(1, n + 1):
         for label, row in _AXIS_FAMILIES:
@@ -679,8 +681,7 @@ def _determining_index(n: int) -> tuple:
             enter(_ONE, k - 1, (j - 1,))
             labels.append(f"rot[{j},{k}]")
     return (tuple(labels), tuple(vecs),
-            tuple(tuple((wrt, tuple(entries)) for wrt, entries in comp.items())
-                  for comp in index))
+            tuple((wrt, tuple(map(tuple, comps))) for wrt, comps in index.items()))
 
 
 def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
@@ -697,72 +698,57 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
 
     One pass in Python integers: L is the lcm of the denominators of the
     seven parameters, of every coefficient of X and of every exp rate in X.
-    Scaled by L, family coefficients, term coefficients and rates are
-    integers; a power step of a derivative multiplies by the power and L, a
-    rate step by the scaled rate, and a first derivative by one more L, so
-    every contribution is an integer numerator over L^4.
+    X is scaled by L (:meth:`ScaledField.of`) and differentiated by
+    :func:`~dgsym.symexpr.scaled_derivatives`, once for the first
+    derivatives in every variable and once more, per variable, for the
+    second, so a second derivative has coefficient scale L^3 and a first
+    one, times one more L, too.  With the family coefficients scaled by L
+    every contribution is an integer numerator over L^4, which
+    :func:`~dgsym.symexpr.unscale` divides back.
     """
     n = X.n
     if n != p.n:
         raise ValueError("vector field arity differs from parameter dimension")
-    for j, comp in enumerate(X.xi, start=1):
-        if comp.depends_on("r") or comp.depends_on("s"):
-            raise ValueError(f"xi{j} must not depend on (r, s)")
-    for name in ("r", "s") + tuple(f"x{j}" for j in range(1, n + 1)):
-        if X.tau.depends_on(name):
-            raise ValueError("tau must depend on t only")
-
-    labels, vecs, index = _determining_index(n)
-    comps = [comp._terms for comp in X.components()]
     qs = (p.nu1, p.nu2, p.mu1, p.mu2, p.mu3, p.mu4, p.mu5)
     L = lcm(*(q.denominator for q in qs), *field_denominators(X))
-
-    def scale(q):  # q * L, an int
-        return scale_rational(q, L)
-
-    scaled = (L, *map(scale, qs))
-    coef = [None] * len(vecs)  # scaled family coefficients, filled on first use
+    scaled_X = ScaledField.of(X, L)
     ir, is_ = n + 1, n + 2
+    for j, terms in enumerate(scaled_X.comps[:n], start=1):
+        if any(a or b or powers[ir] or powers[is_] for a, b, powers in terms):
+            raise ValueError(f"xi{j} must not depend on (r, s)")
+    if any(a or b or any(powers[:n]) or powers[ir] or powers[is_]
+           for a, b, powers in scaled_X.comps[n]):
+        raise ValueError("tau must depend on t only")
 
+    labels, vecs, index = _determining_index(n)
+    every = (True,) * (n + 3)
+    first = scaled_derivatives(scaled_X.terms(), every, n, L)
+    second = {}  # v -> the derivatives of first[v], each v taken once
+    scaled = (L, *(scale_rational(q, L) for q in qs))
+    coef = [None] * len(vecs)  # scaled family coefficients, filled on first use
     sums = [{} for _ in labels]
-    for terms, derivs in zip(comps, index):
-        if not terms:
-            continue
-        terms = [(key, scale(c), scale(key[0]), scale(key[1])) for key, c in terms.items()]
-        for wrt, entries in derivs:
-            pad = L if len(wrt) == 1 else 1
-            parts = {}
-            for (a, b, powers), c, ra, rb in terms:
-                cur = [(powers, c * pad)]
-                for v in wrt:
-                    nxt = []
-                    for pw, m in cur:
-                        k = pw[v]
-                        if k:
-                            nxt.append((pw[:v] + (k - 1,) + pw[v + 1:], m * k * L))
-                        rate = ra if v == ir else rb if v == is_ else 0
-                        if rate:
-                            nxt.append((pw, m * rate))
-                    cur = nxt
-                for pw, m in cur:
-                    key = (a, b, pw)
-                    parts[key] = parts.get(key, 0) + m
-            if not parts:
-                continue
-            for row, vid in entries:
+    for wrt, comp_rows in index:
+        v = wrt[0]
+        if len(wrt) == 1:
+            terms, pad = first[v], L  # one more L, to the second derivatives' L^3
+        else:
+            if v not in second:
+                second[v] = scaled_derivatives(first[v], every, n, L)
+            terms, pad = second[v][wrt[1]], 1
+        for u, a, b, powers, m in terms:
+            key = (a, b, powers)
+            for row, vid in comp_rows[u]:
                 f = coef[vid]
                 if f is None:
                     f = coef[vid] = sum(c * scaled[i] for i, c in vecs[vid])
                 if f:
                     acc = sums[row]
-                    get = acc.get
-                    for key, m in parts.items():
-                        acc[key] = get(key, 0) + f * m
+                    acc[key] = acc.get(key, 0) + f * pad * m
 
     L4 = L ** 4
     zero = SymExpr.zero(n)  # immutable, so shared by the rows that vanish
-    return [(label, SymExpr._make(n, {key: Fraction(v, L4) for key, v in acc.items() if v})
-             if acc else zero) for label, acc in zip(labels, sums)]
+    return [(label, unscale(n, acc, L, L4) if acc else zero)
+            for label, acc in zip(labels, sums)]
 
 
 def residuals_all_zero(residuals) -> bool:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgsym.symexpr import (ScaledField, SymExpr, VectorFieldSpec, field_denominators,
-                           lie_bracket)
+                           lie_bracket, scaled_derivatives, unscale, var_names)
 from dgsym.symmetry import parse_poly
 from tests.conftest import reference_bracket
 
@@ -273,6 +273,39 @@ def test_bracket_refuses_mixed_forms_and_scales():
         lie_bracket(X, ScaledField.of(Y, 2))
     with pytest.raises(ValueError):
         lie_bracket(ScaledField.of(X, 2), ScaledField.of(Y, 4))
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(_fields(n), st.lists(st.booleans(), min_size=n + 3,
+                                             max_size=n + 3))),
+       st.integers(min_value=1, max_value=6))
+@settings(max_examples=100, deadline=None)
+def test_scaled_derivatives_match_differentiate(drawn, k):
+    """The derivative rule on scaled terms, divided back, is
+    SymExpr.differentiate in every variable, exp rates included: at
+    coefficient scale L^2 once and L^3 applied twice.  A variable that is
+    not wanted gets no terms."""
+    X, wanted = drawn
+    n = X.n
+    L = k * lcm(*field_denominators(X))
+    every = (True,) * (n + 3)
+
+    def unscaled(terms, scale):  # merged per component, then divided back
+        comps = [{} for _ in range(n + 3)]
+        for w, a, b, powers, coeff in terms:
+            assert type(a) is type(b) is type(coeff) is int
+            comps[w][(a, b, powers)] = comps[w].get((a, b, powers), 0) + coeff
+        return [unscale(n, acc, L, scale) for acc in comps]
+
+    some = scaled_derivatives(ScaledField.of(X, L).terms(), wanted, n, L)
+    first = scaled_derivatives(ScaledField.of(X, L).terms(), every, n, L)
+    for v, name in enumerate(var_names(n)):
+        assert some[v] == (first[v] if wanted[v] else [])
+        want = [comp.differentiate(name) for comp in X.components()]
+        assert unscaled(first[v], L ** 2) == want
+        second = scaled_derivatives(first[v], every, n, L)
+        for v2, name2 in enumerate(var_names(n)):
+            assert unscaled(second[v2], L ** 3) == [e.differentiate(name2) for e in want]
 
 
 def test_normalization_exact_at_rational_points():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -535,6 +536,26 @@ def test_determining_residuals_match_reference(p, data):
     assert [lbl for lbl, _ in got] == [lbl for lbl, _ in want]
     for (lbl, e), (_, w) in zip(got, want):
         assert e == w and repr(e) == repr(w), lbl
+
+
+@pytest.mark.parametrize("comp,expr,message", [
+    ("xi", SymExpr.var(2, "r"), "xi2 must not depend on (r, s)"),
+    ("xi", SymExpr.var(2, "t") * SymExpr.exp_rs(2, 0, Fraction(1, 3)),
+     "xi2 must not depend on (r, s)"),
+    ("tau", SymExpr.var(2, "x1"), "tau must depend on t only"),
+    ("tau", SymExpr.exp_rs(2, Fraction(-1, 2), 0), "tau must depend on t only")])
+def test_determining_residuals_refuse_fields_outside_the_reduction(comp, expr, message):
+    """xi free of (r, s) and tau = tau(t) are read off the scaled terms,
+    powers and exp rates alike."""
+    p = reference_points(2)["generic"]
+    X = basis_generator("C", p, require_admissible=False)
+    if comp == "xi":
+        X = VectorFieldSpec(n=2, xi=(X.xi[0], X.xi[1] + expr), tau=X.tau,
+                            phi=X.phi, sigma=X.sigma)
+    else:
+        X = VectorFieldSpec(n=2, xi=X.xi, tau=X.tau + expr, phi=X.phi, sigma=X.sigma)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        determining_residuals(p, X)
 
 
 @pytest.mark.parametrize("key,n", [
