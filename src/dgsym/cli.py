@@ -29,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .fields import (Grid, LogPolarField, read_snapshot, read_trajectory,
-                     write_trajectory)
+                     trajectory_params, write_trajectory)
 from .flows import verify_symmetry_flow
 from .kernels import boundary_ring
 from .linearize import (NotLinearizable, gauge_act_field, heat_pair_directions,
@@ -129,7 +129,7 @@ def _classify_report(path, p: DGParams) -> dict:
                             "gamma": rational_str(g.gamma)},
     }
     if cls.tag in ("Sym1b", "Sym1c"):
-        data = linearization_data(p, cls)
+        data = linearization_data(p)
         out.update(data.to_json_dict())
     return out
 
@@ -204,18 +204,18 @@ def _suite_determining(args, rows):
     """A row passes when its residuals vanish exactly where the generator is
     admissible, so each point checks its symmetries and its non-symmetries."""
     p = _point_for(args, "sym3-nu2")
-    cls = classify(p)
+    tag = classify(p).tag
     for gname in args.gen or _exact_basis(p):
         name = parse_generator(gname)
-        res = determining_residuals(p, basis_generator(name, p, require_admissible=False))
-        admissible = is_admissible(name, p, cls)
-        rows.append({"suite": "determining", "class": cls.tag, "generator": str(name),
+        res = determining_residuals(p, basis_generator(name, p))
+        admissible = is_admissible(name, p)
+        rows.append({"suite": "determining", "class": tag, "generator": str(name),
                      "admissible": admissible,
                      "pass": residuals_all_zero(res) == admissible,
                      "nonzero": [lbl for lbl, e in res if not e.is_zero]})
 
 
-def _linearized_solution(p: DGParams, cls, after: float, before: float):
+def _linearized_solution(p: DGParams, after: float, before: float):
     """Sym1c: the Zse flow of a Gaussian packet.  Sym1b: a heat pair valid
     for before < t < after.  Both of the point's dimension.
 
@@ -224,10 +224,10 @@ def _linearized_solution(p: DGParams, cls, after: float, before: float):
     it, so each kernel's focus is chosen by its direction: ``after`` for a
     forward kernel, ``before`` for a backward one.
     """
-    data = linearization_data(p, cls)
+    data = linearization_data(p)
     if data.branch != "real":
         pack = se_gaussian(data.se_coefficient, n=p.n, b0=-0.3)
-        return z_flow_se_from_zero(pack, 0.5, p, cls)
+        return z_flow_se_from_zero(pack, 0.5, p)
 
     def kernel(direction, amplitude, offset):
         focus = after if direction == "forward" else before
@@ -235,14 +235,13 @@ def _linearized_solution(p: DGParams, cls, after: float, before: float):
                              focus_time=focus, offset=offset)
 
     plus, minus = heat_pair_directions(p)
-    return heat_pair_to_dg(kernel(plus, 0.8, 0.5), kernel(minus, 0.6, 0.4), p, cls)
+    return heat_pair_to_dg(kernel(plus, 0.8, 0.5), kernel(minus, 0.6, 0.4), p)
 
 
-def _bundled_solution(p: DGParams, cls):
-    """A closed-form solution at p of class cls, or None where there is none."""
-    tag = cls.tag
+def _bundled_solution(p: DGParams, tag: str):
+    """A closed-form solution at p of class tag, or None where there is none."""
     if tag in ("Sym1b", "Sym1c"):
-        return _linearized_solution(p, cls, after=1.5, before=-0.75)
+        return _linearized_solution(p, after=1.5, before=-0.75)
     if tag == "Sym3" and p.nu2 == 0:
         return ScaleSimilaritySolution(p)
     if tag == "Sym2a":
@@ -255,18 +254,18 @@ def _suite_flow(args, rows):
     point's class; with no such solution, or at a dimension the dynamics do
     not support, every generator is skipped."""
     p = _point_for(args, "sym1b")
-    cls = classify(p)
+    tag = classify(p).tag
     dynamic = p.n in (1, 2)  # the dimensions a Grid takes
-    sol = _bundled_solution(p, cls) if dynamic else None
+    sol = _bundled_solution(p, tag) if dynamic else None
     grid = _grid(args.grid, p.n) if dynamic else None
     for gname in args.gen or ["P:1", "B:1", "H", "D", "C"]:
         name = parse_generator(gname)
-        if not is_admissible(name, p, cls) or sol is None:  # refuses a bad index first
+        if not is_admissible(name, p) or sol is None:  # refuses a bad index first
             why = ("dynamics support n in {1, 2}" if not dynamic
                    else "no bundled closed-form solution" if sol is None
                    else "not admissible")
             rows.append({"suite": "flow", "generator": str(name), "skipped": True,
-                         "detail": f"{why} at {cls.tag}"})
+                         "detail": f"{why} at {tag}"})
             continue
         rep = verify_symmetry_flow(p, name, args.eps, sol, grid, (0.02, 0.18))
         rows.append({"suite": "flow", "generator": str(name), "pass": rep.passed,
@@ -417,16 +416,15 @@ def cmd_simulate(args) -> int:
 
 def cmd_linearize(args) -> int:
     p = _load_params(args.params)
-    cls = classify(p)
     try:
-        data = linearization_data(p, cls)
+        data = linearization_data(p)
     except NotLinearizable as exc:
         _say(f"linearize: {exc}")
         return EXIT_INAPPLICABLE
 
     grid = _grid(args.grid, p.n)
     times = np.linspace(0.0, args.t_final, 9)
-    sol = _linearized_solution(p, cls, after=args.t_final + 1.0, before=-0.3)
+    sol = _linearized_solution(p, after=args.t_final + 1.0, before=-0.3)
     dg = convergence(lambda tr: residual(p, tr), sol, grid, times)
     traj = dg.trajectory
 
@@ -477,7 +475,11 @@ def cmd_gauge(args) -> int:
     if args.traj:
         try:
             traj = read_trajectory(args.traj)
-        except (ValueError, OSError) as exc:
+            written = trajectory_params(args.traj)
+            if written is None or DGParams.from_json_dict(written) != p:
+                raise ValueError(f"not a trajectory of --params {args.params}: its "
+                                 f"manifest records params {json.dumps(written)}")
+        except (ValueError, OSError, ZeroDivisionError) as exc:
             raise InputError(f"--traj {args.traj}: {exc}") from exc
     g = GaugeElement(lam, gam)
     q = gauge_act_params(g, p)

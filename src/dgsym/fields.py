@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = ["Grid", "LogPolarField", "Trajectory", "sample_evaluator",
            "write_snapshot", "read_snapshot", "write_trajectory",
-           "read_trajectory"]
+           "read_trajectory", "trajectory_params"]
 
 
 @dataclass(frozen=True)
@@ -197,7 +197,14 @@ def write_snapshot(f: LogPolarField, path) -> None:
 
 
 def read_snapshot(path, grid: Grid) -> LogPolarField:
+    """Read a ``write_snapshot`` CSV onto ``grid``; a ValueError where its
+    shape or x[,y] columns differ from ``grid.coords()`` beyond rounding."""
     data = np.loadtxt(path, delimiter=",", skiprows=1)
+    xs = np.column_stack([c.ravel() for c in grid.coords()])
+    if data.shape != (len(xs), grid.n + 3) or not np.all(
+            np.abs(data[:, :grid.n] - xs) <= 1e-9 * np.array(grid.spacings)):
+        raise ValueError(f"snapshot of shape {data.shape} does not match the grid "
+                         f"of {len(xs)} points on {grid.bounds} (rows of x[,y],t,r,s)")
     t = float(data[0, grid.n])
     r = data[:, grid.n + 1].reshape(grid.shape)
     s = data[:, grid.n + 2].reshape(grid.shape)
@@ -268,6 +275,13 @@ def _read_manifest(outdir) -> tuple:
             isinstance(t, (int, float)) and not isinstance(t, bool) for t in times)):
         raise ValueError(f"{mpath}: key 'times' is missing or not a list of numbers")
     return grid, [float(t) for t in times]
+
+
+def trajectory_params(outdir):
+    """The ``params`` a trajectory directory's manifest records, or None."""
+    with open(os.path.join(outdir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    return manifest.get("params") if type(manifest) is dict else None
 
 
 def read_trajectory(outdir) -> Trajectory:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .fields import Trajectory
 from .flows import FlowMap, TransformedSolution
-from .params import DGParams, GaugeElement, SymmetryClass, classify
+from .params import DGParams, GaugeElement, classify
 from .pde import HeatGaussian
 
 __all__ = [
@@ -90,13 +90,9 @@ class LinearizationData:
         return d
 
 
-def linearization_data(p: DGParams, cls: SymmetryClass | None = None) -> LinearizationData:
-    """Branch and constants of the linearization at p.
-
-    ``cls`` is ``classify(p)`` when the caller already has it.
-    """
-    if cls is None:
-        cls = classify(p)
+def linearization_data(p: DGParams) -> LinearizationData:
+    """Branch and constants of the linearization at p."""
+    cls = classify(p)
     if cls.tag not in ("Sym1b", "Sym1c"):
         raise NotLinearizable(
             f"point classifies as {cls.tag}; linearization needs the subfamily "
@@ -187,10 +183,9 @@ class HeatPairSolution:
 
 
 def heat_pair_to_dg(phi_plus: HeatGaussian, phi_minus: HeatGaussian,
-                    p: DGParams, cls: SymmetryClass | None = None) -> HeatPairSolution:
-    """Map a positive forward/backward heat pair to a solution evaluator.
-    ``cls`` is ``classify(p)`` when the caller already has it."""
-    data = linearization_data(p, cls)
+                    p: DGParams) -> HeatPairSolution:
+    """Map a positive forward/backward heat pair to a solution evaluator."""
+    data = linearization_data(p)
     _require_heat_pair(phi_plus, phi_minus, data)
     return HeatPairSolution(phi_plus, phi_minus, p, data)
 
@@ -274,13 +269,12 @@ def z_flow_se(Psi, eps: float, psi0, p: DGParams):
     return TransformedSolution(FlowMap(vertical=vertical), psi0)
 
 
-def z_flow_se_from_zero(Psi, eps: float, p: DGParams, cls: SymmetryClass | None = None):
+def z_flow_se_from_zero(Psi, eps: float, p: DGParams):
     """Flow started from the trivial solution: gauge of Psi up to constant
-    modulus and phase shifts, r = ln(2 |Psi| eps / Lambda).  ``cls`` is
-    ``classify(p)`` when the caller already has it."""
+    modulus and phase shifts, r = ln(2 |Psi| eps / Lambda)."""
     if eps <= 0:
         raise ValueError("the zero-initial entry point needs eps > 0")
-    data = linearization_data(p, cls)
+    data = linearization_data(p)
     if data.branch != "imaginary":
         raise NotLinearizable("this flow applies to the iota1 > 0 branch only")
     Lam = data.LambdaCap

@@ -32,10 +32,6 @@ RationalLike = Union[Fraction, int, str]
 
 PARAM_NAMES = ("nu1", "nu2", "mu0", "mu1", "mu2", "mu3", "mu4", "mu5")
 
-CLASS_TAGS = (
-    "Sym0", "Sym1", "Sym2", "Sym3", "Sym4", "Sym0a", "Sym2a", "Sym1b", "Sym1c",
-)
-
 # Structure of the maximal symmetry algebra carried by each class tag.
 ALGEBRA_STRUCTURE = {
     "Sym0": "(aff(1) |x e(n)) (+) t(2)",

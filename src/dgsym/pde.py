@@ -92,6 +92,8 @@ def default_dt(grid: Grid) -> float:
 # stack; 2-D 64² x 9 takes 2.6 ms per slice and 3.3 ms as one stack.
 _SLAB_POINTS = 4096
 
+BLOWUP = 100.0  # the max|r| bound of evolve
+
 
 def _ring_values(bc_values, xs, t0, dt, steps):
     """The (2, ring) values ``evolve`` pins at RK4 stages 2, 3, 4 and the update
@@ -112,8 +114,7 @@ def _ring_values(bc_values, xs, t0, dt, steps):
 
 
 def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = None,
-           bc_values: Callable | None = None, blowup: float = 100.0,
-           save_every: int = 1) -> Trajectory:
+           bc_values: Callable | None = None, save_every: int = 1) -> Trajectory:
     """Method-of-lines RK4 on the evolution system, one stacked (r, s) state.
 
     dt defaults to ``default_dt(grid)`` and may not exceed it; it must be finite
@@ -126,7 +127,7 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
     values per call.  RK4 stages 2 and 3 share t + dt/2; a value is reused only
     when the float time is exactly equal.  Results broadcast to (T, ring), so
     scalars and ring values that ignore t do.  ``field0`` must be finite with
-    max|r| <= ``blowup``; a step past it raises ``EvolutionBlowup``.  The rows
+    max|r| <= ``BLOWUP``; a step past it raises ``EvolutionBlowup``.  The rows
     are ``field0``, every ``save_every``-th step and the last step.
     """
     grid = field0.grid
@@ -160,8 +161,8 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
         return u
 
     norm = float(np.max(np.abs(field0.r)))
-    if not (math.isfinite(norm) and norm <= blowup and np.all(np.isfinite(field0.s))):
-        raise ValueError(f"initial field must be finite with max|r| <= {blowup:g} "
+    if not (math.isfinite(norm) and norm <= BLOWUP and np.all(np.isfinite(field0.s))):
+        raise ValueError(f"initial field must be finite with max|r| <= {BLOWUP:g} "
                          f"(the blow-up bound); it has max|r| = {norm:.3g}")
 
     rows = 1 + -(-steps // save_every)  # field0 and every saved step
@@ -180,7 +181,7 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
         u = pin(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
         t = field0.t + step * dt
         norm = float(np.max(np.abs(u[0])))
-        if not math.isfinite(norm) or norm > blowup:
+        if not math.isfinite(norm) or norm > BLOWUP:
             raise EvolutionBlowup(step, t, norm)
         if step % save_every == 0 or step == steps:
             times[row], saved[:, row] = t, u

@@ -118,13 +118,12 @@ def _admissibility(name: GeneratorName, cls: SymmetryClass) -> bool:
     raise ValueError(f"unknown generator kind {kind!r}")
 
 
-def is_admissible(name, p: DGParams, cls: SymmetryClass | None = None) -> bool:
+def is_admissible(name, p: DGParams) -> bool:
     """Whether name generates a symmetry at p; an index outside 1..n is a
-    ValueError, as in basis_generator.  A caller that holds ``classify(p)``
-    passes it as ``cls`` to skip classifying p again."""
+    ValueError, as in basis_generator."""
     name = parse_generator(name)
     check_indices(name, p.n)
-    return _admissibility(name, classify(p) if cls is None else cls)
+    return _admissibility(name, classify(p))
 
 
 def basis_names(n: int) -> list:
@@ -306,20 +305,13 @@ def infsub_poly_generator(p: DGParams, coeffs) -> VectorFieldSpec:
     return _poly_field(p, coeffs, _z_powers(p, len(coeffs) - 1))
 
 
-def basis_generator(name, p: DGParams, require_admissible: bool = True) -> VectorFieldSpec:
+def basis_generator(name, p: DGParams) -> VectorFieldSpec:
     """Exact vector field of a named basis generator at parameter point p.
 
-    With ``require_admissible`` the subfamily predicates gate construction;
-    pass False to build the field anyway, e.g. to inspect its nonzero
-    determining residuals outside its subfamily.
+    The field is built whether or not it is a symmetry at p (ask
+    :func:`is_admissible`); F needs its exponent rates, Zheat and Zse raise.
     """
     name = parse_generator(name)
-    if require_admissible:
-        cls = classify(p)
-        if not _admissibility(name, cls):
-            raise GeneratorNotAdmissible(
-                f"{name} is not a symmetry generator at a {cls.tag} point")
-
     n = p.n
     check_indices(name, n)
     zero = SymExpr.zero(n)
@@ -522,8 +514,7 @@ def verify_commutator_table(p: DGParams, n: int | None = None) -> list:
     n = p.n
     names = [parse_generator(g) for g in admissible_generators(p)
              if g not in ("F", "Zheat", "Zse")]
-    # admissible by construction: no second classify per generator
-    fields = {g: basis_generator(g, p, require_admissible=False) for g in names}
+    fields = {g: basis_generator(g, p) for g in names}
     checks = []
     for ia, a in enumerate(names):
         for b in names[ia + 1:]:

@@ -164,7 +164,7 @@ def test_criterion_04_determining_equations():
                 assert residuals_all_zero(res), (key, gname)
         p = reference_points()["generic"]
         for gname in ("C", "B:1"):
-            X = basis_generator(gname, p, require_admissible=False)
+            X = basis_generator(gname, p)
             res = determining_residuals(p, X)
             assert any(not expr.is_zero for _, expr in res), gname
 

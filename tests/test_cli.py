@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dgsym import cli, linearize, params, symmetry
+from dgsym import symmetry
 from dgsym.cli import build_parser, main
 from dgsym.fields import Grid, LogPolarField, read_trajectory, write_snapshot
 from dgsym.params import (PARAM_NAMES, DGParams, GaugeElement, gauge_act_params,
@@ -500,6 +500,36 @@ def test_gauge_traj_bad_manifest_is_input_error(capsys, tmp_path, sym1b_file,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("case", ["other-point", "null-params", "no-params"])
+def test_gauge_traj_of_another_point_is_input_error(capsys, tmp_path, case):
+    """--traj must be a trajectory of --params: one whose manifest records
+    another point, or none, is refused before anything is written."""
+    pts = reference_points()
+    sym1c = write_params(tmp_path, "sym1c.json", pts["sym1c"])
+    generic = write_params(tmp_path, "generic.json", pts["generic"])
+    simdir = tmp_path / "run1"
+    assert main(["simulate", "--params", sym1c, "--grid", "32,0.2",
+                 "--steps", "4", "--out", str(simdir)]) == 0
+    capsys.readouterr()
+    params = sym1c
+    if case == "other-point":
+        params = generic
+    else:
+        mpath = simdir / "manifest.json"
+        manifest = json.loads(mpath.read_text())
+        if case == "null-params":
+            manifest["params"] = None
+        else:
+            del manifest["params"]
+        mpath.write_text(json.dumps(manifest))
+    out = tmp_path / "g.json"
+    code, rows, err = run(capsys, "gauge", "--params", params, "--lambda", "2",
+                          "--out", str(out), "--traj", str(simdir))
+    assert code == 2 and rows == []
+    assert len(err.splitlines()) == 1 and err.startswith(f"error: --traj {simdir}")
+    assert not out.exists() and not (tmp_path / "run1-gauged").exists()
+
+
 @pytest.mark.parametrize("flags", [["--t-final", "1e12"],
                                    ["--t-final", "1e300", "--dt", "1e-10"]])
 def test_simulate_refuses_step_count_too_large(capsys, tmp_path, se_file, flags):
@@ -577,11 +607,13 @@ def test_simulate_narrow_bump_runs_without_warning(capsys, tmp_path, se_file):
     assert code == 0 and len(rows) == 1
 
 
-@pytest.mark.parametrize("damage", ["missing", "one-row", "wrapped-phase"])
+@pytest.mark.parametrize("damage", ["missing", "one-row", "wrapped-phase",
+                                    "other-grid"])
 def test_simulate_bad_init_file_is_input_error(capsys, tmp_path, se_file, damage):
-    """A snapshot that cannot be read, or whose phase jumps by about 2 pi
-    between neighbours (kept in (-pi, pi] instead of unwrapped), is refused
-    with one error line before any step, and nothing is written."""
+    """A snapshot that cannot be read, whose phase jumps by about 2 pi
+    between neighbours (kept in (-pi, pi] instead of unwrapped), or that was
+    sampled on another grid than --grid, is refused with one error line
+    before any step, and nothing is written."""
     snap = tmp_path / "snap.csv"
     if damage == "one-row":
         snap.write_text("x,t,r,s\n0.0,0.0,0.1,0.2\n")
@@ -590,6 +622,11 @@ def test_simulate_bad_init_file_is_input_error(capsys, tmp_path, se_file, damage
         x = grid.coords()[0]
         write_snapshot(LogPolarField(grid, 0.0, np.zeros(64), np.angle(np.exp(3j * x))),
                        snap)
+    elif damage == "other-grid":  # 64 points, as --grid, but on (-40, 40)
+        grid = Grid.make(npts=64, extent=(-40.0, 40.0))
+        x = grid.coords()[0]
+        write_snapshot(LogPolarField(grid, 0.0, 0.2 * np.exp(-x * x),
+                                     0.1 * np.exp(-x * x)), snap)
     out = str(tmp_path / "run")
     code, rows, err = run(capsys, "simulate", "--params", se_file,
                           "--grid", "64,0.125", "--bc", "dirichlet",
@@ -660,22 +697,6 @@ def test_linearize_refuses_times_that_overflow_the_derivative(capsys, tmp_path):
                           "--t-final", "1e300", "--out", str(out))
     assert code == 2 and rows == [] and not out.exists()
     assert err.startswith("error: ") and len(err.splitlines()) == 1
-
-
-def test_verify_classifies_once_per_point(monkeypatch):
-    calls, real = [], params.classify
-    for mod in (cli, linearize, symmetry):  # every dgsym caller of classify
-        monkeypatch.setattr(mod, "classify", lambda p: calls.append(p) or real(p))
-
-    def count(*argv):
-        calls.clear()
-        assert main(["verify", *argv]) == 0
-        return len(calls)
-
-    assert count("--suite", "determining", "--class", "galsub", "--n", "3") == 1
-    for key in ("sym1b", "sym1c"):  # the bundled solution needs the class too
-        flow = ("--suite", "flow", "--class", key, "--gen")
-        assert count(*flow, "P:1") == count(*flow, "P:1", "B:1", "H", "D", "C") == 1
 
 
 def test_linearize_inapplicable(capsys, tmp_path):

@@ -184,7 +184,7 @@ def test_numeric_matches_closed(pts, key, gen, eps):
     """Both flows act on one evaluator; they agree at a scalar t and on a
     (T, 1) time column."""
     p = pts[key]
-    X = basis_generator(gen, p, require_admissible=False)
+    X = basis_generator(gen, p)
     fc = flow(gen, eps, Smooth(), p)
     fn = flow_numeric(X, eps, Smooth(), steps=128)
     assert max_diff(sampled(fc), sampled(fn)) < 1e-8

@@ -115,11 +115,9 @@ def test_exp_rate_identity(nu1, nu2, mu1, mu3):
 
 
 def test_admissibility_gate(pts):
-    with pytest.raises(GeneratorNotAdmissible):
-        basis_generator("C", pts["generic"])
-    with pytest.raises(GeneratorNotAdmissible):
-        basis_generator("A", pts["galsub"])
-    X = basis_generator("C", pts["generic"], require_admissible=False)
+    assert not is_admissible("C", pts["generic"])
+    assert not is_admissible("A", pts["galsub"])
+    X = basis_generator("C", pts["generic"])
     assert not X.tau.is_zero
     assert is_admissible("C", pts["galsub"])
     assert not is_admissible("F", pts["galsub"])
@@ -127,7 +125,7 @@ def test_admissibility_gate(pts):
 
 def test_z_generators_have_no_exact_coefficients(pts):
     with pytest.raises(ValueError):
-        basis_generator("Zheat", pts["sym1b"], require_admissible=False)
+        basis_generator("Zheat", pts["sym1b"])
 
 
 def test_index_validation(pts):
@@ -200,7 +198,7 @@ def test_bracket_matches_reference_on_basis_generators(n):
     Y_f included, at every reference point."""
     import itertools
     for key, p in reference_points(n).items():
-        fields = [basis_generator(g, p, require_admissible=False) for g in _exact_basis(p)]
+        fields = [basis_generator(g, p) for g in _exact_basis(p)]
         for X, Y in itertools.combinations_with_replacement(fields, 2):
             assert lie_bracket(X, Y) == reference_bracket(X, Y), key
 
@@ -274,7 +272,7 @@ def test_determining_zero_n2(pts):
 def test_determining_nonzero_generic(pts):
     p = pts["generic"]
     for gname in ("C", "B:1", "A", "F"):
-        X = basis_generator(gname, p, require_admissible=False)
+        X = basis_generator(gname, p)
         res = determining_residuals(p, X)
         assert not residuals_all_zero(res), gname
 
@@ -292,7 +290,7 @@ def test_expansion_residual_identifies_conditions(pts):
     """Outside the Galilei subfamily the expansion generator leaves the
     residual -x (1 + mu3/nu1) in the first equation family."""
     p = pts["generic"]
-    X = basis_generator("C", p, require_admissible=False)
+    X = basis_generator("C", p)
     res = dict(determining_residuals(p, X))
     want = SymExpr.var(1, "x1") * (-(1 + p.mu3 / p.nu1))
     assert res["det01[1]"] == want
@@ -361,7 +359,7 @@ def test_jacobi_identity_on_basis_generators(pts):
     import itertools
     p = pts["expsub-nu2"]
     names = ["H", "D", "P:1", "E", "R", "F"]
-    fields = [basis_generator(g, p, require_admissible=False) for g in names]
+    fields = [basis_generator(g, p) for g in names]
     for X, Y, Z in itertools.combinations(fields, 3):
         total = lie_bracket(X, lie_bracket(Y, Z)) \
             + lie_bracket(Y, lie_bracket(Z, X)) \
@@ -528,7 +526,7 @@ def test_determining_residuals_match_reference(p, data):
     F included wherever its exponent rates exist (at ExpSub points it is a
     symmetry): the integer pass equals the SymExpr reference exactly."""
     gens = _exact_generators(p)
-    X, Y = (basis_generator(data.draw(gens), p, require_admissible=False)
+    X, Y = (basis_generator(data.draw(gens), p)
             for _ in range(2))
     field = X + Y.scale(data.draw(rationals))
     got = determining_residuals(p, field)
@@ -548,7 +546,7 @@ def test_determining_residuals_refuse_fields_outside_the_reduction(comp, expr, m
     """xi free of (r, s) and tau = tau(t) are read off the scaled terms,
     powers and exp rates alike."""
     p = reference_points(2)["generic"]
-    X = basis_generator("C", p, require_admissible=False)
+    X = basis_generator("C", p)
     if comp == "xi":
         X = VectorFieldSpec(n=2, xi=(X.xi[0], X.xi[1] + expr), tau=X.tau,
                             phi=X.phi, sigma=X.sigma)
@@ -568,8 +566,8 @@ def test_determining_residuals_linear_in_field(key, n):
     pairs = [("A", "C"), ("Yf:1+z^2", "B:1"), ("A", "Yf:z^3"), ("F", "A")]
     for gx, gy in pairs:
         try:
-            X = basis_generator(gx, p, require_admissible=False)
-            Y = basis_generator(gy, p, require_admissible=False)
+            X = basis_generator(gx, p)
+            Y = basis_generator(gy, p)
         except GeneratorNotAdmissible:
             continue  # F has no exponent rates at this point
         res_x = determining_residuals(p, X)
