@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -198,8 +199,12 @@ def write_snapshot(f: LogPolarField, path) -> None:
 
 def read_snapshot(path, grid: Grid) -> LogPolarField:
     """Read a ``write_snapshot`` CSV onto ``grid``; a ValueError where its
-    shape or x[,y] columns differ from ``grid.coords()`` beyond rounding."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
+    shape or x[,y] columns differ from ``grid.coords()`` beyond rounding.
+    A file with no rows below its header is refused the same way, without
+    numpy's empty-input warning."""
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
     xs = np.column_stack([c.ravel() for c in grid.coords()])
     if data.shape != (len(xs), grid.n + 3) or not np.all(
             np.abs(data[:, :grid.n] - xs) <= 1e-9 * np.array(grid.spacings)):

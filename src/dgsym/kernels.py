@@ -35,10 +35,21 @@ The stencil acts on the trailing ``grid.n`` axes.  The ``lead`` axes of ``u``
 are empty for one slice and ``(k,)`` for a slab of k time slices; every
 operation is elementwise along them, so a slab gives each slice bit for bit
 what a call on that slice alone gives.
+
+A call computes only array operations; what does not depend on the state is
+built once and cached.  ``_axis_plans``, keyed on the grid and the rank of
+``u`` like ``boundary_ring`` on the grid, holds each axis's index tuples and
+its ``2 dx`` and ``dx²``.  ``_columns``, keyed on the rank and the bit pattern
+of the first eight coefficients packed as doubles, holds their read-only
+columns: -0.0 and +0.0 are different keys, since ``rhs_coefficients`` yields
+-0.0 for a zero mu and ``se_residual`` passes +0.0, and a product with either
+keeps its sign.  ``pde.evolve`` sums its RK4 update in place in the first
+stage's array, in the order of ``u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 
 import numpy as np
@@ -46,23 +57,51 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
-def _axis_diffs(u, axis, dx, periodic):
+@lru_cache(maxsize=32)
+def _axis_plans(grid, ndim):
+    """One plan per grid axis for a state of ``ndim`` axes: the array axis,
+    the index tuples of its first point, its last point, all but its last
+    and all but its first point, then ``2 dx`` and ``dx²``."""
+    plans = []
+    for axis in range(grid.n):
+        at = ndim - grid.n + axis
+        ax = (slice(None),) * at
+        dx = grid.dx(axis)
+        plans.append((at, ax + (slice(None, 1),), ax + (slice(-1, None),),
+                      ax + (slice(None, -1),), ax + (slice(1, None),), 2.0 * dx, dx * dx))
+    return tuple(plans)
+
+
+def _axis_diffs(u, plan, periodic):
     """Centered first and second derivative of the stacked state ``u`` along
-    ``axis``.
+    the axis of ``plan`` (one entry of ``_axis_plans``).
 
     One padded difference per axis: ``u`` gains one point at each end (see
     the module docstring), ``d`` is the difference of the padded array, and
     ``d[:-1]`` and ``d[1:]`` are the backward and forward differences.  On
     periodic grids the phase half ``d[1]`` is wrapped.
     """
-    ax = (slice(None),) * axis
-    lo, hi = u[ax + (slice(None, 1),)], u[ax + (slice(-1, None),)]
+    axis, first, last, head, tail, two_dx, dx2 = plan
+    lo, hi = u[first], u[last]
     up = np.concatenate((hi, u, lo) if periodic else (lo, u, hi), axis=axis)
-    d = up[ax + (slice(1, None),)] - up[ax + (slice(None, -1),)]
+    d = up[tail] - up[head]
     if periodic:
         d[1] -= TWO_PI * np.rint(d[1] / TWO_PI)
-    dm, dp = d[ax + (slice(None, -1),)], d[ax + (slice(1, None),)]
-    return (dp + dm) / (2.0 * dx), (dp - dm) / (dx * dx)
+    dm, dp = d[head], d[tail]
+    return (dp + dm) / two_dx, (dp - dm) / dx2
+
+
+@lru_cache(maxsize=64)
+def _columns(bits, ndim):
+    """The read-only ``(2, 1, ...)`` columns, one per term, of the eight
+    coefficients packed as doubles in ``bits``, for a state of ``ndim`` axes.
+
+    Keyed on the bits, not the values: -0.0 == 0.0, so a value-keyed cache
+    would hand the columns of one sign of zero to a call with the other.
+    """
+    cols = np.array(struct.unpack("8d", bits)).reshape((2, 4) + (1,) * (ndim - 1))
+    cols.setflags(write=False)
+    return tuple(cols[:, j] for j in range(4))
 
 
 @lru_cache(maxsize=32)
@@ -102,9 +141,8 @@ def derivative_bundle(u, grid):
     use ``zero_ring``.  The first four are views into two stacked arrays.
     """
     periodic = grid.bc == "periodic"
-    lead = u.ndim - grid.n
-    for axis in range(grid.n):
-        d1, d2 = _axis_diffs(u, lead + axis, grid.dx(axis), periodic)
+    for axis, plan in enumerate(_axis_plans(grid, u.ndim)):
+        d1, d2 = _axis_diffs(u, plan, periodic)
         if axis == 0:
             lap, sq, cross = d2, d1 * d1, d1[0] * d1[1]
         else:
@@ -118,9 +156,9 @@ def evolution_rhs(u, grid, coeffs):
     """Stacked ``(r_t, s_t)``: the nine-coefficient combination of the
     derivative bundle of the stacked state ``u``, zero on the boundary ring."""
     lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(u, grid)
-    cols = np.array(coeffs[:8]).reshape((2, 4) + (1,) * (u.ndim - 1))
-    rhs = cols[:, 0] * lap_r
-    for j, term in enumerate((lap_s, gr2, grgs), 1):
-        rhs += cols[:, j] * term
+    cols = _columns(struct.pack("8d", *coeffs[:8]), u.ndim)
+    rhs = cols[0] * lap_r
+    for col, term in zip(cols[1:], (lap_s, gr2, grgs)):
+        rhs += col * term
     rhs[1] += coeffs[8] * gs2
     return zero_ring(grid, rhs)[0]

@@ -127,8 +127,14 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
     values per call.  RK4 stages 2 and 3 share t + dt/2; a value is reused only
     when the float time is exactly equal.  Results broadcast to (T, ring), so
     scalars and ring values that ignore t do.  ``field0`` must be finite with
-    max|r| <= ``BLOWUP``; a step past it raises ``EvolutionBlowup``.  The rows
-    are ``field0``, every ``save_every``-th step and the last step.
+    max|r| <= ``BLOWUP``; a step past it raises ``EvolutionBlowup``, and so
+    does a NaN or inf in r.  The rows are ``field0``, every ``save_every``-th
+    step and the last step.
+
+    Each stage calls ``evolution_rhs`` once on ``u + (dt/2) k`` (``u + dt k3``
+    for the last).  The update ``u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` is
+    summed left to right in place in ``k1``, scaled, and added to ``u`` in
+    place: the same operations in the same order as the expression.
     """
     grid = field0.grid
     dt_max = default_dt(grid)
@@ -173,14 +179,21 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
                          "trajectory too large to hold in memory") from exc
     u = np.stack((field0.r, field0.s))
     times[0], saved[:, 0], row = field0.t, u, 1
+    half, sixth = 0.5 * dt, dt / 6.0
     for step in range(1, steps + 1):
         k1 = evolution_rhs(u, grid, coeffs)
-        k2 = evolution_rhs(pin(u + 0.5 * dt * k1), grid, coeffs)
-        k3 = evolution_rhs(pin(u + 0.5 * dt * k2), grid, coeffs)
+        k2 = evolution_rhs(pin(u + half * k1), grid, coeffs)
+        k3 = evolution_rhs(pin(u + half * k2), grid, coeffs)
         k4 = evolution_rhs(pin(u + dt * k3), grid, coeffs)
-        u = pin(u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+        k2 *= 2.0
+        k1 += k2
+        k3 *= 2.0
+        k1 += k3
+        k1 += k4
+        k1 *= sixth
+        u = pin(np.add(u, k1, out=u))
         t = field0.t + step * dt
-        norm = float(np.max(np.abs(u[0])))
+        norm = float(np.abs(u[0]).max())
         if not math.isfinite(norm) or norm > BLOWUP:
             raise EvolutionBlowup(step, t, norm)
         if step % save_every == 0 or step == steps:

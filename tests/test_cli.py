@@ -638,6 +638,26 @@ def test_simulate_bad_init_file_is_input_error(capsys, tmp_path, se_file, damage
     assert not os.path.exists(out)
 
 
+def test_simulate_header_only_snapshot_is_input_error(capsys, tmp_path, se_file):
+    """A snapshot with its header line and no rows is refused with one error
+    line and no numpy warning before it, and nothing is written."""
+    import warnings
+
+    snap = tmp_path / "snap.csv"
+    snap.write_text("x,t,r,s\n")
+    out = tmp_path / "run"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rows, err = run(capsys, "simulate", "--params", se_file,
+                              "--grid", "64,0.125", "--bc", "dirichlet",
+                              "--init", f"file:{snap}", "--t-final", "0.05",
+                              "--out", str(out))
+    assert [str(w.message) for w in caught] == []
+    assert code == 2 and rows == [] and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "snap.csv" in err
+
+
 def test_linearize_heat_branch(capsys, tmp_path, sym1b_file):
     out = str(tmp_path / "lin")
     code, rows, _ = run(capsys, "linearize", "--params", sym1b_file,

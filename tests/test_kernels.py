@@ -209,6 +209,25 @@ def test_bundle_does_not_modify_its_inputs():
     assert np.array_equal(u, u0)
 
 
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_rhs_keeps_the_sign_of_zero_coefficients(grid):
+    """Two coefficient sets equal as values, differing only in the sign of
+    their zeros, give s_t of different zero signs on a constant field.  Each
+    call, in either order, matches the two-array reference bit for bit."""
+    r, s = np.full(grid.shape, 0.3), np.full(grid.shape, -1.2)
+    u = np.stack((r, s))
+    minus = (0, 1, 0, 2, -1, -0.0, -1, -0.0, -1)
+    plus = (0, 1, 0, 2, -1, 0.0, -1, 0.0, -1)
+    for order in ((minus, plus), (plus, minus)):
+        for coeffs in order:
+            got = evolution_rhs(u, grid, coeffs)
+            for half, want in zip(got, two_array_rhs(r, s, grid, coeffs)):
+                assert np.array_equal(half.view(np.uint64), want.view(np.uint64))
+    inner = (slice(1, -1),) * grid.n if grid.bc == "dirichlet" else ()
+    signs = [np.signbit(evolution_rhs(u, grid, c)[1][inner]) for c in (minus, plus)]
+    assert signs[0].all() and not signs[1].any()
+
+
 # Well-posed points, so that a few RK4 steps from the smooth winding fields
 # stay far below the blow-up bound.
 EVOLVE_KEYS = ["sym1c", "linear-se", "galsub"]

@@ -3,6 +3,7 @@ runs and checks one op, so a signature the benchmark calls cannot change
 without a tier-1 failure."""
 
 import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,3 +18,27 @@ def test_workload_op_passes_its_check(name, monkeypatch, tmp_path):
     wl = workloads.WORKLOADS[name](0, str(tmp_path))
     inp = wl.stage(0)
     wl.check(inp, wl.op(inp))
+
+
+@pytest.mark.parametrize("name, rhs_calls", [("simulate", 260), ("evolve", 131)])
+def test_tracer_sees_every_rhs_call(name, rhs_calls, monkeypatch, tmp_path):
+    """The benchmark's tracer, installed around one op, records a span for
+    every right-hand side the op evaluates and for its one evolve, and
+    restores the library's functions afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    wl = workloads.WORKLOADS[name](0, str(tmp_path))
+    inp = wl.stage(0)
+    tracer = spans.Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        out = wl.op(inp, tracer)
+    finally:
+        tracer.uninstall()
+    assert tracer.originals_restored()
+    wl.check(inp, out)
+    counts = Counter(span[0] for span in tracer.spans)
+    assert counts["kernels.evolution_rhs"] == rhs_calls
+    assert counts["pde.evolve"] == 1
