@@ -2,7 +2,7 @@
 the Doebner-Goldin family of nonlinear Schroedinger equations."""
 
 from .params import (DGParams, GaugeElement, GaugeInvariants, SymmetryClass,
-                     classify, compute_invariants, canonical_gauge,
+                     classify, compute_invariants, canonical_gauge, dg_system,
                      gauge_act_params, gauge_compose, gauge_identity,
                      gauge_inverse, predicate_report, reference_points)
 from .symexpr import SymExpr, VectorFieldSpec, lie_bracket

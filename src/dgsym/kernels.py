@@ -41,8 +41,8 @@ built once and cached.  ``_axis_plans``, keyed on the grid and the rank of
 ``u`` like ``boundary_ring`` on the grid, holds each axis's index tuples and
 its ``2 dx`` and ``dx²``.  ``_columns``, keyed on the rank and the bit pattern
 of the first eight coefficients packed as doubles, holds their read-only
-columns: -0.0 and +0.0 are different keys, since ``rhs_coefficients`` yields
--0.0 for a zero mu and ``se_residual`` passes +0.0, and a product with either
+columns: -0.0 and +0.0 are different keys, since ``evolution_rhs`` is public
+and takes either sign of zero from its caller, and a product with either
 keeps its sign.  ``pde.evolve`` sums its RK4 update in place in the first
 stage's array, in the order of ``u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``.
 """

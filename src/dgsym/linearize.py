@@ -62,7 +62,6 @@ class LinearizationData:
     branch: str
     lambda_sq: Fraction
     gamma: float
-    gamma_exact: Fraction
     abs_lambda: float | None = None
     diffusion: float | None = None
     LambdaCap: float | None = None
@@ -99,19 +98,17 @@ def linearization_data(p: DGParams) -> LinearizationData:
             "iota2=iota3=iota4=iota5=0 with iota1 != 0")
     denom = 4 * p.nu2 ** 2 - 2 * p.nu1 * p.mu2
     lambda_sq = p.nu1 ** 2 / denom
-    gamma_exact = -2 * p.nu2 / p.nu1
+    gamma = float(-2 * p.nu2 / p.nu1)
     iota1 = cls.invariants.iota1
     if iota1 < 0:
         diffusion = math.sqrt(float(-2 * iota1))
         return LinearizationData(
             p=p, branch="real", lambda_sq=lambda_sq,
-            gamma=float(gamma_exact), gamma_exact=gamma_exact,
-            abs_lambda=math.sqrt(float(lambda_sq)), diffusion=diffusion)
+            gamma=gamma, abs_lambda=math.sqrt(float(lambda_sq)), diffusion=diffusion)
     LambdaCap = math.sqrt(float(2 * iota1)) / abs(float(p.nu1))
     return LinearizationData(
         p=p, branch="imaginary", lambda_sq=lambda_sq,
-        gamma=float(gamma_exact), gamma_exact=gamma_exact,
-        LambdaCap=LambdaCap, se_coefficient=float(p.nu1) * LambdaCap)
+        gamma=gamma, LambdaCap=LambdaCap, se_coefficient=float(p.nu1) * LambdaCap)
 
 
 def _gauge_pair(g) -> tuple:

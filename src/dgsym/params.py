@@ -123,9 +123,6 @@ class DGParams:
                 A * M4 - M1 * M3,
                 A * (A * (M2 + 2 * M5) - B * (M1 + 2 * M4)) + 2 * B * B * M3)
 
-    def as_float_dict(self) -> dict:
-        return {name: float(getattr(self, name)) for name in PARAM_NAMES}
-
     def to_json_dict(self) -> dict:
         d = {"n": self.n}
         d.update({name: rational_str(getattr(self, name)) for name in PARAM_NAMES})
@@ -153,7 +150,7 @@ class DGParams:
                 if type(d[name]) not in (int, str):
                     raise ValueError(f"{name!r} must be an integer or a 'p/q' string, "
                                      f"got {_shown(d[name])}")
-                kw[name] = as_rational(d[name])
+                kw[name] = d[name]
         return cls(n=d["n"], **kw)
 
     @classmethod
@@ -239,6 +236,16 @@ def gauge_act_params(g: GaugeElement, p: DGParams) -> DGParams:
         mu4=-c / L * p.mu3 + p.mu4,
         mu5=c * c / (4 * L) * p.mu3 - c / 2 * p.mu4 + L * p.mu5,
     )
+
+
+def dg_system(p: DGParams) -> tuple:
+    """The evolution system of p, exact: the Fractions (a1..a4, b1..b5) of
+    r_t = a . (lap r, lap s, |grad r|^2, grad r . grad s) and
+    s_t = b . (lap r, lap s, |grad r|^2, grad r . grad s, |grad s|^2),
+    psi = exp(r + i s), in the order ``kernels.evolution_rhs`` takes.  The
+    Laplacian block M = [[a1, a2], [b1, b2]] has det 2 iota1, trace -iota2."""
+    return (2 * p.nu2, p.nu1, 4 * p.nu2, 2 * p.nu1,
+            -2 * p.mu2, -p.mu1, -4 * (p.mu2 + p.mu5), -2 * (p.mu1 + p.mu4), -p.mu3)
 
 
 def compute_invariants(p: DGParams) -> GaugeInvariants:

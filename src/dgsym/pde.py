@@ -10,11 +10,9 @@ homogeneous functionals are polynomial in derivatives:
     R3 = |grad s|^2                       R4 = 2 grad r . grad s
     R5 = 4 |grad r|^2
 
-and the free evolution system reads
-
-    r_t = 2 nu2 lap r + nu1 lap s + 4 nu2 |grad r|^2 + 2 nu1 grad r . grad s
-    s_t = -(2 mu2 lap r + mu1 lap s + 4 (mu2+mu5) |grad r|^2
-            + 2 (mu1+mu4) grad r . grad s + mu3 |grad s|^2)
+and the free evolution system is r_t = nu1 R1 + nu2 R2,
+s_t = -(mu1 R1 + ... + mu5 R5), written out once, exactly, by
+``params.dg_system``; ``rhs_coefficients`` is its floats.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ import numpy as np
 
 from .fields import Grid, LogPolarField, Trajectory, sample_trajectory
 from .kernels import boundary_ring, derivative_bundle, evolution_rhs, zero_ring
-from .params import DGParams, predicate_report
+from .params import DGParams, dg_system, predicate_report
 
 __all__ = [
     "Functionals", "functionals", "default_dt", "evolve",
@@ -63,13 +61,9 @@ def functionals(field: LogPolarField) -> Functionals:
 
 
 def rhs_coefficients(p: DGParams) -> tuple:
-    """Nine stencil-combination coefficients of the evolution right-hand side."""
-    f = p.as_float_dict()
-    return (
-        2.0 * f["nu2"], f["nu1"], 4.0 * f["nu2"], 2.0 * f["nu1"],
-        -2.0 * f["mu2"], -f["mu1"], -4.0 * (f["mu2"] + f["mu5"]),
-        -2.0 * (f["mu1"] + f["mu4"]), -f["mu3"],
-    )
+    """The nine coefficients of ``dg_system(p)`` as floats, each rounded once,
+    for ``kernels.evolution_rhs``."""
+    return tuple(map(float, dg_system(p)))
 
 
 class EvolutionBlowup(RuntimeError):

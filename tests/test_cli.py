@@ -723,7 +723,8 @@ def test_linearize_inapplicable(capsys, tmp_path):
     path = write_params(tmp_path, "sym0.json", reference_points()["generic"])
     code, rows, err = run(capsys, "linearize", "--params", path)
     assert code == 3
-    assert "Sym0" in err
+    assert err == ("inapplicable: point classifies as Sym0; linearization needs "
+                   "the subfamily iota2=iota3=iota4=iota5=0 with iota1 != 0\n")
 
 
 def test_gauge_command(capsys, tmp_path):

@@ -15,7 +15,7 @@ from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
                           read_trajectory, sample_evaluator, sample_trajectory,
                           write_snapshot, write_trajectory)
 from dgsym.kernels import boundary_ring, evolution_rhs
-from dgsym.params import DGParams, reference_points
+from dgsym.params import PARAM_NAMES, DGParams, reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, convergence,
                        evolve, functionals, heat_solution, plane_wave_solution,
                        residual, rhs_coefficients, se_gaussian, se_residual)
@@ -240,7 +240,7 @@ def test_rhs_is_functional_combination(pts, key, bc, n):
     rng = np.random.default_rng(11)
     f = LogPolarField(g, 0.0, 0.3 * rng.standard_normal(g.shape),
                       0.3 * rng.standard_normal(g.shape))
-    c = p.as_float_dict()
+    c = {name: float(getattr(p, name)) for name in PARAM_NAMES}
     F = functionals(f)
     want_r = c["nu1"] * F.R1 + c["nu2"] * F.R2
     want_s = -(c["mu1"] * F.R1 + c["mu2"] * F.R2 + c["mu3"] * F.R3
