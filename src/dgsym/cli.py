@@ -7,18 +7,18 @@ reference point, at dimension --n if given; simulate, linearize and the flow
 suite run on a grid of the point's dimension, n in {1, 2}.  The commutator
 and determining suites take their generators from the point's class: a
 determining row passes when its residuals vanish exactly where the
-generator is admissible.  Reports are JSON lines on stdout (one object per
-check or per input file); a human-readable summary goes to stderr.  Exit
-codes: 0 all checks pass, 1 check failure, 2 input error (an unusable path
-too), 3 command inapplicable to the parameter point, or no check ran.
-DGSYM_LOG sets the logging level.
+generator is admissible.  A command returns its report rows (one per check
+or per input file); main writes each as a JSON line on stdout, and a summary
+goes to stderr.  Exit code: 2 if a row has "error", else 1 if a row has
+"pass": false, else 3 if no row ran (all "skipped", or none), else 0.  A
+command that stops early exits 3 if inapplicable to the point, 1 on a
+blow-up and 2 on an input error (an unusable path too).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import os
 import re
 import shutil
@@ -45,17 +45,11 @@ from .symmetry import (GeneratorNotAdmissible, basis_generator, basis_names,
                        is_admissible, parse_generator, residuals_all_zero,
                        verify_commutator_table, verify_infinite_relations)
 
-log = logging.getLogger("dgsym")
-
 EXIT_OK, EXIT_CHECK, EXIT_INPUT, EXIT_INAPPLICABLE = 0, 1, 2, 3
 
 # linearize passes only when gauging the first slice to the linear side and
 # back restores (r, s) to within this bound
 ROUNDTRIP_TOL = 1e-10
-
-
-def _emit(obj):
-    sys.stdout.write(json.dumps(obj) + "\n")
 
 
 def _say(msg):
@@ -134,7 +128,7 @@ def _classify_report(path, p: DGParams) -> dict:
     return out
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> list:
     paths = []
     for entry in args.params:
         if os.path.isdir(entry):
@@ -145,19 +139,17 @@ def cmd_classify(args) -> int:
             paths.append(entry)
     if not paths:
         raise InputError("no parameter files given")
-    bad = 0
+    rows = []
     for path in paths:
         try:
             p = _load_params(path)
         except InputError as exc:
-            bad += 1
-            _emit({"file": str(path), "error": str(exc)})
+            rows.append({"file": str(path), "error": str(exc)})
             _say(f"error: {exc}")  # the message starts with the path
             continue
-        report = _classify_report(path, p)
-        _emit(report)
-        _say(f"{path}: {report['class']}  ({report['algebra']})")
-    return EXIT_INPUT if bad else EXIT_OK
+        rows.append(_classify_report(path, p))
+        _say(f"{path}: {rows[-1]['class']}  ({rows[-1]['algebra']})")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -178,15 +170,13 @@ def _point_for(args, default_key: str) -> DGParams:
     return p if args.n is None else p.replace(n=args.n)
 
 
-def _suite_commutators(args, rows):
+def _suite_commutators(args) -> list:
     p = _point_for(args, "sym3-nu2")
-    for row in verify_commutator_table(p):
-        rows.append({"suite": "commutators", "check": row.label,
-                     "pass": row.passed, "detail": row.detail})
+    checks = verify_commutator_table(p)
     if predicate_report(p)["InfSub"]:
-        for row in verify_infinite_relations(p):
-            rows.append({"suite": "commutators", "check": row.label,
-                         "pass": row.passed, "detail": row.detail})
+        checks += verify_infinite_relations(p)
+    return [{"suite": "commutators", "check": row.label, "pass": row.passed,
+             "detail": row.detail} for row in checks]
 
 
 def _exact_basis(p: DGParams) -> list:
@@ -200,11 +190,12 @@ def _exact_basis(p: DGParams) -> list:
     return names + ["Yf:1+z^2+z^3"]
 
 
-def _suite_determining(args, rows):
+def _suite_determining(args) -> list:
     """A row passes when its residuals vanish exactly where the generator is
     admissible, so each point checks its symmetries and its non-symmetries."""
     p = _point_for(args, "sym3-nu2")
     tag = classify(p).tag
+    rows = []
     for gname in args.gen or _exact_basis(p):
         name = parse_generator(gname)
         res = determining_residuals(p, basis_generator(name, p))
@@ -213,6 +204,7 @@ def _suite_determining(args, rows):
                      "admissible": admissible,
                      "pass": residuals_all_zero(res) == admissible,
                      "nonzero": [lbl for lbl, e in res if not e.is_zero]})
+    return rows
 
 
 def _linearized_solution(p: DGParams, after: float, before: float):
@@ -249,7 +241,7 @@ def _bundled_solution(p: DGParams, tag: str):
     return None
 
 
-def _suite_flow(args, rows):
+def _suite_flow(args) -> list:
     """Each generator's flow is checked on the bundled solution of the
     point's class; with no such solution, or at a dimension the dynamics do
     not support, every generator is skipped."""
@@ -258,6 +250,7 @@ def _suite_flow(args, rows):
     dynamic = p.n in (1, 2)  # the dimensions a Grid takes
     sol = _bundled_solution(p, tag) if dynamic else None
     grid = _grid(args.grid, p.n) if dynamic else None
+    rows = []
     for gname in args.gen or ["P:1", "B:1", "H", "D", "C"]:
         name = parse_generator(gname)
         if not is_admissible(name, p) or sol is None:  # refuses a bad index first
@@ -270,9 +263,10 @@ def _suite_flow(args, rows):
         rep = verify_symmetry_flow(p, name, args.eps, sol, grid, (0.02, 0.18))
         rows.append({"suite": "flow", "generator": str(name), "pass": rep.passed,
                      **rep.to_json_dict()})
+    return rows
 
 
-def _suite_gauge(args, rows):
+def _suite_gauge(args) -> list:
     import random
 
     rng = random.Random(args.seed)
@@ -295,31 +289,23 @@ def _suite_gauge(args, rows):
         cp, cq = classify(p), classify(gauge_act_params(g, p))
         if cq.invariants != cp.invariants or cq.tag != cp.tag:
             bad += 1
-    rows.append({"suite": "gauge", "check": "invariance-sample",
-                 "samples": count, "violations": bad, "pass": bad == 0})
+    return [{"suite": "gauge", "check": "invariance-sample",
+             "samples": count, "violations": bad, "pass": bad == 0}]
 
 
 _SUITES = {"commutators": _suite_commutators, "determining": _suite_determining,
            "flow": _suite_flow, "gauge": _suite_gauge}
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> list:
     rows = []
     for suite in _SUITES if args.suite == "all" else [args.suite]:
-        _SUITES[suite](args, rows)
+        rows += _SUITES[suite](args)
     rows.sort(key=lambda r: (r.get("suite", ""), str(r.get("check", r.get("generator", "")))))
-    failures = skipped = 0
-    for row in rows:
-        _emit(row)
-        if row.get("skipped"):
-            skipped += 1
-        elif not row.get("pass", False):
-            failures += 1
-    ran = len(rows) - skipped
-    _say(f"verify: {ran - failures}/{ran} checks passed, {skipped} skipped")
-    if failures:
-        return EXIT_CHECK
-    return EXIT_OK if ran else EXIT_INAPPLICABLE
+    skipped = sum(1 for row in rows if row.get("skipped"))
+    passed = sum(1 for row in rows if row.get("pass"))
+    _say(f"verify: {passed}/{len(rows) - skipped} checks passed, {skipped} skipped")
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -349,7 +335,10 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
         if grid.bc != "periodic":
             raise InputError("plane-wave initial data needs a periodic grid")
         a, b = grid.bounds[0]
-        mode = max(1, int(round(opts.get("k", 1.0) * (b - a) / (2 * np.pi))))
+        periods = opts.get("k", 1.0) * (b - a) / (2 * np.pi)
+        if not np.isfinite(periods):
+            raise InputError(f"planewave k={opts['k']:g}: period count not finite")
+        mode = max(1, int(round(periods)))
         k = 2 * np.pi * mode / (b - a)
         s = k * xs[0]
         return LogPolarField(grid, 0.0, np.zeros(grid.shape), s), None
@@ -369,7 +358,7 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
     raise InputError(f"unknown initial condition {spec!r}")
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> list:
     p = _load_params(args.params)
     grid = _grid(args.grid, p.n, args.bc)
     field0, closed_form = _make_init(args.init, grid, p)
@@ -404,17 +393,15 @@ def cmd_simulate(args) -> int:
                   save_every=args.save_every)
     rep = residual(p, traj)
     write_trajectory(traj, args.out, params_json=p.to_json_dict(), dt=dt)
-    row = {"command": "simulate", "class": classify(p).tag, "steps": steps,
-           "dt": dt, "out": args.out, "residual": rep.to_json_dict()}
-    _emit(row)
     _say(f"simulate: {steps} steps of dt={dt:.3g} written to {args.out}")
-    return EXIT_OK
+    return [{"command": "simulate", "class": classify(p).tag, "steps": steps,
+             "dt": dt, "out": args.out, "residual": rep.to_json_dict()}]
 
 
 # ---------------------------------------------------------------------------
 # linearize
 
-def cmd_linearize(args) -> int:
+def cmd_linearize(args) -> list:
     p = _load_params(args.params)
     data = linearization_data(p)
 
@@ -450,16 +437,15 @@ def cmd_linearize(args) -> int:
                    f"ratio={se.ratio_l2:.2f}, dg-ratio={dg.ratio_l2:.2f}, "
                    f"roundtrip={rt_err:.2e}")
     write_trajectory(traj, args.out, params_json=p.to_json_dict())
-    _emit({"command": "linearize", **data.to_json_dict(), **report,
-           "pass": ok, "out": args.out})
     _say(summary)
-    return EXIT_OK if ok else EXIT_CHECK
+    return [{"command": "linearize", **data.to_json_dict(), **report,
+             "pass": ok, "out": args.out}]
 
 
 # ---------------------------------------------------------------------------
 # gauge
 
-def cmd_gauge(args) -> int:
+def cmd_gauge(args) -> list:
     p = _load_params(args.params)
     if args.lam is None:
         raise InputError("gauge needs --lambda")
@@ -485,8 +471,8 @@ def cmd_gauge(args) -> int:
            "params": q.to_json_dict(),
            "class_before": classify(p).tag, "class_after": after.tag,
            "invariants": after.invariants.to_json_dict()}
-    # the row is printed only once every write has succeeded; a failed write
-    # removes the outputs this call created
+    # the row is returned only once every write has succeeded; a failed
+    # write removes the outputs this call created
     traj_out = moved = None
     if traj is not None:
         traj_out = args.traj_out or (args.traj.rstrip("/") + "-gauged")
@@ -508,8 +494,7 @@ def cmd_gauge(args) -> int:
     for path in (args.out, traj_out):
         if path:
             _say(f"gauge: wrote {path}")
-    _emit(row)
-    return EXIT_OK
+    return [row]
 
 
 # ---------------------------------------------------------------------------
@@ -575,8 +560,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+def _exit_code(rows) -> int:
+    """The exit code the module docstring gives for a command's rows."""
+    if any("error" in row for row in rows):
+        return EXIT_INPUT
+    if any(not row.get("pass", True) for row in rows):
+        return EXIT_CHECK
+    return EXIT_OK if any(not row.get("skipped") for row in rows) else EXIT_INAPPLICABLE
+
+
 def main(argv=None) -> int:
-    logging.basicConfig(level=os.environ.get("DGSYM_LOG", "WARNING").upper())
     args = build_parser().parse_args(argv)
     handlers = {"classify": cmd_classify, "verify": cmd_verify,
                 "simulate": cmd_simulate, "linearize": cmd_linearize,
@@ -584,7 +577,8 @@ def main(argv=None) -> int:
     try:
         if args.command != "verify" and not args.params:
             raise InputError(f"{args.command} needs --params")
-        return handlers[args.command](args)
+        rows = handlers[args.command](args)
+        sys.stdout.writelines(json.dumps(row) + "\n" for row in rows)
     except (GeneratorNotAdmissible, NotLinearizable) as exc:
         _say(f"inapplicable: {exc}")
         return EXIT_INAPPLICABLE
@@ -594,6 +588,7 @@ def main(argv=None) -> int:
     except (InputError, ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return EXIT_INPUT
+    return _exit_code(rows)
 
 
 if __name__ == "__main__":

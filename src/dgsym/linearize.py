@@ -112,11 +112,14 @@ def linearization_data(p: DGParams) -> LinearizationData:
 
 
 def _gauge_pair(g) -> tuple:
-    if isinstance(g, GaugeElement):
-        return float(g.Lambda), float(g.gamma)
-    L, c = g
-    if L == 0:
-        raise ValueError("Lambda must be nonzero")
+    """(Lambda, gamma) as floats, both in the float range and Lambda's float
+    nonzero: a Lambda that rounds to 0.0 would erase the phase."""
+    L, c = (g.Lambda, g.gamma) if isinstance(g, GaugeElement) else g
+    for name, v in (("Lambda", L), ("gamma", c)):
+        if not abs(v) <= np.finfo(float).max:  # refuses nan and inf too
+            raise ValueError(f"{name} must be finite and within the float range")
+    if float(L) == 0:
+        raise ValueError("Lambda must be nonzero as a float")
     return float(L), float(c)
 
 

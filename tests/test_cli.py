@@ -121,6 +121,25 @@ def test_classify_no_input(capsys):
     assert code == 2
 
 
+def test_classify_ignores_a_bogus_dgsym_log(monkeypatch, se_file):
+    """DGSYM_LOG is no setting of dgsym: a fresh interpreter given a level
+    name that logging does not know classifies as usual."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import dgsym
+
+    monkeypatch.setenv("DGSYM_LOG", "bogus")
+    monkeypatch.setenv("PYTHONPATH", str(Path(dgsym.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "dgsym.cli", "classify",
+                           "--params", se_file], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["class"] == "Sym1c"
+
+
 def test_verify_commutators(capsys):
     code, rows, err = run(capsys, "verify", "--suite", "commutators",
                           "--class", "sym3-nu2", "--n", "2")
@@ -411,6 +430,19 @@ def test_simulate_refuses_bad_initial_data(capsys, tmp_path, init):
     assert code == 2 and rows == []
     assert err.startswith("error: initial field must be finite")
     assert len(err.splitlines()) == 1
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("k", ["inf", "-inf", "1e308", "nan"])
+def test_simulate_refuses_planewave_without_finite_period_count(capsys, tmp_path, k):
+    """A wave number whose count of periods over the grid is not finite is
+    an input error that names k, with nothing written."""
+    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+    out = str(tmp_path / "run")
+    code, rows, err = run(capsys, "simulate", "--params", path,
+                          "--init", f"planewave:k={k}", "--steps", "4", "--out", out)
+    assert code == 2 and rows == []
+    assert err.startswith("error: planewave k=") and len(err.splitlines()) == 1
     assert not os.path.exists(out)
 
 
@@ -797,6 +829,29 @@ def test_gauge_traj_bad_stack_is_input_error(capsys, tmp_path, sym1b_file, damag
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("flags", [["--lambda", "1e-400"], ["--lambda", "1e400"],
+                                   ["--lambda", "2", "--gamma", "1e400"]],
+                         ids=["lambda-1e-400", "lambda-1e400", "gamma-1e400"])
+def test_gauge_traj_refuses_gauge_without_float_value(capsys, tmp_path, sym1b_file,
+                                                      flags):
+    """A Lambda whose float is 0.0 (it would erase the phase) or a Lambda or
+    gamma past the float range cannot act on a trajectory: exit 2, one error
+    line and nothing written.  The exact gauge on the parameters alone still
+    runs."""
+    simdir = str(tmp_path / "sim")
+    assert main(["simulate", "--params", sym1b_file, "--grid", "16,0.5",
+                 "--steps", "3", "--out", simdir]) == 0
+    capsys.readouterr()
+    code, rows, err = run(capsys, "gauge", "--params", sym1b_file, *flags,
+                          "--traj", simdir)
+    assert code == 2 and rows == []
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert not os.path.exists(simdir + "-gauged")
+    code, rows, _ = run(capsys, "gauge", "--params", sym1b_file, *flags)
+    assert code == 0 and len(rows) == 1
+
+
 def test_verify_all_suites(capsys):
     code, rows, err = run(capsys, "verify", "--seed", "3")
     assert code == 0
@@ -978,7 +1033,8 @@ CONTRACT = {
         "--init": (["bump", "bump:ra=0.2,sa=0.1,w=1.0", "planewave:k=1",
                     "se-packet"],
                    ["bump:ra=nan", "bump:ra=1e300", "bump:w=0", "bump:ra",
-                    "file:missing.csv", "x"]),
+                    "file:missing.csv", "x", "planewave:k=inf",
+                    "planewave:k=nan"]),
         "--t-final": (["0.002", "0.01"], ["0", "-1", "nan", "inf", "1e300", "x"]),
         "--steps": (["0", "3"], ["-1", "nan", "x"]),
         "--save-every": (["1", "2"], ["0", "-1", "1000000000000", "x"]),
@@ -990,8 +1046,9 @@ CONTRACT = {
     "gauge": {
         "--params": _PARAMS,
         "--out": (["g.json", "nested/g.json"], ["plain/g.json"]),
-        "--lambda": (["2", "-1/2"], ["0", "nan", "inf", "1e300", "1/0", "x"]),
-        "--gamma": (["0", "-2/3"], ["nan", "1e300", "1/0", "x"]),
+        "--lambda": (["2", "-1/2"], ["0", "nan", "inf", "1e300", "1/0", "x",
+                                     "1e400", "1e-400"]),
+        "--gamma": (["0", "-2/3"], ["nan", "1e300", "1/0", "x", "1e400"]),
         "--traj": (["traj"], ["missing-traj", "plain"]),
         "--traj-out": (["traj-out", "nested/t"], ["plain/t"]),
     },
@@ -1017,8 +1074,10 @@ def _outputs(command, opts):
 
 
 def test_cli_contract_on_drawn_arguments(capsys, tmp_path, monkeypatch):
-    """Every drawn argument vector exits 0, 1, 2 or 3 with no traceback, and
-    an input error (exit 2) leaves no output behind."""
+    """Every drawn argument vector exits 0, 1, 2 or 3 with no traceback, an
+    input error (exit 2) leaves no output behind, and the code agrees with the
+    rows: exit 0 has no failed or error row, and exit 1 has a failed row or a
+    'failed:' line."""
     import shutil
 
     from hypothesis import given, settings
@@ -1065,11 +1124,18 @@ def test_cli_contract_on_drawn_arguments(capsys, tmp_path, monkeypatch):
             code = main(args)
         except SystemExit as exc:  # argparse refuses the vector
             code = exc.code
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code in (0, 1, 2, 3), (args, code, err)
         assert "Traceback" not in err, (args, err)
         if code == 2:
             left = [path for path in outputs if os.path.exists(path)]
             assert not left, (args, left)
+        # argparse's refusal exits 2 with no rows: the checks below are main's
+        rows = [json.loads(line) for line in out.splitlines() if line.strip()]
+        failed = any(row.get("pass") is False for row in rows)
+        if code == 0:
+            assert not failed and not any("error" in row for row in rows), (args, rows)
+        if code == 1:
+            assert failed or "failed: " in err, (args, rows, err)
 
     check()

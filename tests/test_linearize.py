@@ -130,6 +130,20 @@ def test_gauge_field_inverse_exact():
     np.testing.assert_allclose(out.s, f.s, atol=1e-13)
 
 
+@pytest.mark.parametrize("g", [GaugeElement(F(1, 10 ** 400)), GaugeElement(10 ** 400),
+                               GaugeElement(2, 10 ** 400), (math.inf, 0.0),
+                               (1.0, math.nan)],
+                         ids=["lambda-1e-400", "lambda-1e400", "gamma-1e400",
+                              "pair-lambda-inf", "pair-gamma-nan"])
+def test_gauge_field_refuses_a_pair_without_finite_nonzero_floats(g):
+    """A Lambda whose float is 0.0 would erase the phase, and one past the
+    float range has no float at all; both input forms are refused."""
+    traj = sample_trajectory(Profile(lambda x: -x ** 2, lambda x: 0.4 * x),
+                             GAUGE_GRID, [0.0, 0.1])
+    with pytest.raises(ValueError, match="Lambda|gamma"):
+        gauge_act_field(g, traj)
+
+
 # ---------------------------------------------------------------------------
 # heat branch
 
