@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .fields import (Grid, LogPolarField, read_snapshot, read_trajectory,
-                     trajectory_params, write_trajectory)
+from .fields import (Grid, LogPolarField, read_trajectory, trajectory_params,
+                     write_trajectory)
 from .flows import verify_symmetry_flow
 from .kernels import boundary_ring
 from .linearize import (NotLinearizable, gauge_act_field, heat_pair_directions,
@@ -311,13 +311,33 @@ def cmd_verify(args) -> list:
 # ---------------------------------------------------------------------------
 # simulate
 
+_INIT_KEYS = {"bump": ("ra", "sa", "w"), "planewave": ("k",), "se-packet": ("k", "b0")}
+
+
 def _make_init(spec: str, grid: Grid, p: DGParams):
     kind, _, payload = spec.partition(":")
+    if kind == "file":
+        try:
+            traj = read_trajectory(payload)
+            if traj.grid != grid:
+                raise ValueError(f"its grid {traj.grid} is not the grid of --grid "
+                                 f"and --bc, {grid}")
+            return traj[-1].validate(), None
+        except (OSError, ValueError, IndexError) as exc:
+            raise InputError(f"--init file:{payload}: {exc}") from exc
+    if kind not in _INIT_KEYS:
+        raise InputError(f"unknown initial condition {spec!r}")
     opts = {}
-    if payload and kind != "file":
-        for item in payload.split(","):
-            key, _, val = item.partition("=")
+    for item in payload.split(",") if payload else ():
+        key, _, val = item.partition("=")
+        try:
+            if key not in _INIT_KEYS[kind] or key in opts:
+                raise ValueError
             opts[key] = float(val)
+        except ValueError:
+            keys = ", ".join(_INIT_KEYS[kind])
+            raise InputError(f"--init {kind}: item {item!r} is not key=float with "
+                             f"each key in {keys} at most once") from None
     xs = grid.coords()
     if kind == "bump":
         ra, sa, w = opts.get("ra", 0.3), opts.get("sa", 0.2), opts.get("w", 1.0)
@@ -346,16 +366,14 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
         if grid.bc != "dirichlet":
             raise InputError("se-packet initial data needs a dirichlet grid; "
                              "its log-amplitude and phase are not periodic")
-        pack = se_gaussian(float(p.nu1), n=grid.n, b0=opts.get("b0", -0.25),
-                           k=(opts["k"],) * grid.n if "k" in opts else None)
-        r, s = pack.rs(xs, 0.0)
+        k, b0 = opts.get("k", 0.0), opts.get("b0", -0.25)
+        pack = se_gaussian(float(p.nu1), n=grid.n, b0=b0,
+                           k=(k,) * grid.n if "k" in opts else None)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            r, s = pack.rs(xs, 0.0)
+        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
+            raise InputError(f"se-packet k={k:g}, b0={b0:g}: not finite on the grid")
         return LogPolarField(grid, 0.0, r, s), pack
-    if kind == "file":
-        try:
-            return read_snapshot(payload, grid).validate(), None
-        except (OSError, ValueError, IndexError) as exc:
-            raise InputError(f"--init file:{payload}: {exc}") from exc
-    raise InputError(f"unknown initial condition {spec!r}")
 
 
 def cmd_simulate(args) -> list:
@@ -538,7 +556,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bc", default="periodic", choices=["periodic", "dirichlet"])
     sp.add_argument("--init", default="bump",
                     help="bump[:ra=..,sa=..,w=..] | planewave[:k=..] | "
-                         "se-packet[:k=..] | file:PATH")
+                         "se-packet[:k=..,b0=..] | file:DIR (the last slice "
+                         "of a trajectory directory on the same grid)")
     sp.add_argument("--t-final", dest="t_final", type=_positive, default=0.1)
     sp.add_argument("--steps", type=_count)
     sp.add_argument("--save-every", dest="save_every", type=int, default=1)

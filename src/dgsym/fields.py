@@ -1,4 +1,4 @@
-"""Grids, discretized log-polar wavefunctions, trajectories, and file formats.
+"""Grids, discretized log-polar wavefunctions, trajectories, and their files.
 
 A wavefunction is stored as the pair (r, s) = (ln|psi|, unwrapped arg psi) on
 a uniform grid in one or two spatial dimensions.  Nowhere-vanishing psi is a
@@ -7,7 +7,8 @@ structural assumption: r must be finite everywhere and s must have no jump of
 
 A trajectory is T such slices on one grid: a ``times`` array and float64
 stacks ``r`` and ``s`` of shape ``(T, *grid.shape)``, as a trajectory
-directory's ``r.npy`` and ``s.npy`` store them.
+directory's ``r.npy`` and ``s.npy`` store them.  That directory is the one
+file format; ``simulate --init file:DIR`` starts from its last slice.
 
 A closed-form solution is an evaluator: ``rs(xs, t) -> (r, s)`` on the
 coordinate tuple ``xs`` of ``grid.coords()``.  ``t`` is a scalar, or an array
@@ -23,14 +24,12 @@ import json
 import math
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = ["Grid", "LogPolarField", "Trajectory", "sample_evaluator",
-           "write_snapshot", "read_snapshot", "write_trajectory",
-           "read_trajectory", "trajectory_params"]
+           "write_trajectory", "read_trajectory", "trajectory_params"]
 
 
 @dataclass(frozen=True)
@@ -182,38 +181,9 @@ def sample_trajectory(evaluator, grid: Grid, times) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot / trajectory files.
+# Trajectory directories.
 
 _STACKS = ("r", "s")
-
-
-def write_snapshot(f: LogPolarField, path) -> None:
-    """CSV with header x[,y],t,r,s: one snapshot, as ``--init file:PATH`` reads."""
-    coords = f.grid.coords()
-    cols = [c.ravel() for c in coords]
-    header = ["x", "y"][: f.grid.n] + ["t", "r", "s"]
-    data = np.column_stack(cols + [np.full(cols[0].size, f.t),
-                                   f.r.ravel(), f.s.ravel()])
-    np.savetxt(path, data, delimiter=",", header=",".join(header), comments="")
-
-
-def read_snapshot(path, grid: Grid) -> LogPolarField:
-    """Read a ``write_snapshot`` CSV onto ``grid``; a ValueError where its
-    shape or x[,y] columns differ from ``grid.coords()`` beyond rounding.
-    A file with no rows below its header is refused the same way, without
-    numpy's empty-input warning."""
-    with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
-    xs = np.column_stack([c.ravel() for c in grid.coords()])
-    if data.shape != (len(xs), grid.n + 3) or not np.all(
-            np.abs(data[:, :grid.n] - xs) <= 1e-9 * np.array(grid.spacings)):
-        raise ValueError(f"snapshot of shape {data.shape} does not match the grid "
-                         f"of {len(xs)} points on {grid.bounds} (rows of x[,y],t,r,s)")
-    t = float(data[0, grid.n])
-    r = data[:, grid.n + 1].reshape(grid.shape)
-    s = data[:, grid.n + 2].reshape(grid.shape)
-    return LogPolarField(grid, t, r, s)
 
 
 def _grid_to_json(grid: Grid) -> dict:
@@ -295,8 +265,7 @@ def read_trajectory(outdir) -> Trajectory:
     ``grid`` and ``times`` list is refused with a ``ValueError`` naming the
     file and the key.  A stack that is unreadable, not float64, or not of
     shape ``(T, *grid.shape)`` for the manifest's T time stamps is refused
-    with a ``ValueError`` naming its file.  Per-snapshot CSV directories, the
-    layout written before the stacks, do not load.
+    with a ``ValueError`` naming its file.
     """
     grid, times = _read_manifest(outdir)
     shape = (len(times),) + grid.shape

@@ -309,7 +309,8 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     is checked first at its own (remapped) times: a baseline residual that
     is not <= ``BASELINE_TOL``, NaN included, is refused with a message that
     names the generator, ``eps`` and that source window.  An ``eps`` whose
-    source times are not finite and strictly increasing is refused.
+    source times are not finite and strictly increasing is refused, and so
+    is one that moves a sample, or its residual, out of float range.
     """
     name = parse_generator(name)
     times = np.linspace(t_window[0], t_window[1], 9)
@@ -332,8 +333,18 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
             f"[{t_window[0]:g}, {t_window[1]:g}] to: the solution does not "
             "solve the system there on this grid, or eps is too large")
 
-    study = convergence(lambda traj: residual(p, traj),
-                        TransformedSolution(fmap, solution), grid, times)
+    def moved_residual(traj):
+        if not (np.isfinite(traj.r).all() and np.isfinite(traj.s).all()):
+            raise FloatingPointError("a sample is not finite")
+        return residual(p, traj)
+
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            study = convergence(moved_residual, TransformedSolution(fmap, solution),
+                                grid, times)
+    except FloatingPointError as exc:
+        raise ValueError(f"{name} at eps={eps:g} moves the solution out of float "
+                         f"range on the grid: {exc}") from None
     return FlowReport(generator=str(name), epsilon=float(eps), baseline=baseline,
                       after=study.coarse, after_fine=study.fine,
                       ratio_l2=study.ratio_l2, ratio_linf=study.ratio_linf,

@@ -8,7 +8,7 @@ import pytest
 
 from dgsym import symmetry
 from dgsym.cli import build_parser, main
-from dgsym.fields import Grid, LogPolarField, read_trajectory, write_snapshot
+from dgsym.fields import Grid, Trajectory, read_trajectory, write_trajectory
 from dgsym.params import (PARAM_NAMES, DGParams, GaugeElement, gauge_act_params,
                           reference_points)
 
@@ -242,6 +242,23 @@ def test_verify_flow_names_eps_that_collapses_the_window(capsys, eps):
     assert "Traceback" not in err and len(err.splitlines()) == 1
     assert f"flow parameter eps={float(eps):g}" in err
     assert "not finite and strictly increasing" in err
+
+
+@pytest.mark.parametrize("gen", ["B:1", "P:1"])
+def test_verify_flow_refuses_moved_solution_out_of_float_range(capsys, gen):
+    """B:1 and P:1 are symmetries of sym1b; at eps = 1e300 the moved packet's
+    |x - x0|² overflows on the grid.  That is an input error naming the
+    generator and eps, with no numpy warning and no failed row."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rows, err = run(capsys, "verify", "--suite", "flow", "--gen", gen,
+                              "--eps", "1e300")
+    assert code == 2 and rows == []
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: {gen} at eps=1e+300 moves the solution out of "
+                          "float range")
 
 
 def test_verify_flow_baseline_failure_names_generator_and_eps(capsys):
@@ -639,55 +656,137 @@ def test_simulate_narrow_bump_runs_without_warning(capsys, tmp_path, se_file):
     assert code == 0 and len(rows) == 1
 
 
+# the grid of --grid 64,0.125 --bc dirichlet
+INIT_GRID = Grid.make(npts=64, extent=(-3.9375, 3.9375))
+
+
+def _bump_trajectory(grid, count=3):
+    """``count`` slices of a small bump on ``grid``, at times 0, 0.1, ..."""
+    x = grid.coords()[0]
+    bump = np.exp(-x * x)
+    return Trajectory(grid, 0.1 * np.arange(count),
+                      np.stack([0.2 * bump] * count), np.stack([0.1 * bump] * count))
+
+
 @pytest.mark.parametrize("damage", ["missing", "one-row", "wrapped-phase",
-                                    "other-grid"])
+                                    "other-grid", "other-bc"])
 def test_simulate_bad_init_file_is_input_error(capsys, tmp_path, se_file, damage):
-    """A snapshot that cannot be read, whose phase jumps by about 2 pi
-    between neighbours (kept in (-pi, pi] instead of unwrapped), or that was
-    sampled on another grid than --grid, is refused with one error line
-    before any step, and nothing is written."""
-    snap = tmp_path / "snap.csv"
-    if damage == "one-row":
-        snap.write_text("x,t,r,s\n0.0,0.0,0.1,0.2\n")
+    """A trajectory directory that is missing, whose stack has another shape
+    than its manifest's time stamps and grid, whose last slice has a phase
+    jumping by about 2 pi between neighbours (kept in (-pi, pi] instead of
+    unwrapped), or that was written on another grid or boundary rule than
+    --grid and --bc, is refused with one error line before any step, and
+    nothing is written."""
+    init = tmp_path / "init-traj"
+    if damage == "one-row":  # the manifest lists 3 time stamps
+        write_trajectory(_bump_trajectory(INIT_GRID), init)
+        np.save(init / "r.npy", np.zeros((1, 64)))
     elif damage == "wrapped-phase":
-        grid = Grid.make(npts=64, extent=(-3.9375, 3.9375))
-        x = grid.coords()[0]
-        write_snapshot(LogPolarField(grid, 0.0, np.zeros(64), np.angle(np.exp(3j * x))),
-                       snap)
+        traj = _bump_trajectory(INIT_GRID)
+        traj.s[-1] = np.angle(np.exp(3j * INIT_GRID.coords()[0]))
+        write_trajectory(traj, init)
     elif damage == "other-grid":  # 64 points, as --grid, but on (-40, 40)
-        grid = Grid.make(npts=64, extent=(-40.0, 40.0))
-        x = grid.coords()[0]
-        write_snapshot(LogPolarField(grid, 0.0, 0.2 * np.exp(-x * x),
-                                     0.1 * np.exp(-x * x)), snap)
+        write_trajectory(_bump_trajectory(Grid.make(npts=64, extent=(-40.0, 40.0))),
+                         init)
+    elif damage == "other-bc":
+        assert run(capsys, "simulate", "--params", se_file, "--grid", "64,0.125",
+                   "--bc", "periodic", "--steps", "2", "--out", str(init))[0] == 0
     out = str(tmp_path / "run")
     code, rows, err = run(capsys, "simulate", "--params", se_file,
                           "--grid", "64,0.125", "--bc", "dirichlet",
-                          "--init", f"file:{snap}", "--t-final", "0.05", "--out", out)
+                          "--init", f"file:{init}", "--t-final", "0.05", "--out", out)
     assert code == 2
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "snap.csv" in err
+    assert "init-traj" in err
     assert rows == []
     assert not os.path.exists(out)
+    if damage.startswith("other"):
+        assert repr(INIT_GRID) in err and repr(read_trajectory(init).grid) in err
 
 
-def test_simulate_header_only_snapshot_is_input_error(capsys, tmp_path, se_file):
-    """A snapshot with its header line and no rows is refused with one error
-    line and no numpy warning before it, and nothing is written."""
+def test_simulate_init_dir_without_stack_is_input_error(capsys, tmp_path, se_file):
+    """A directory with a manifest but no r.npy is refused with one error
+    line naming the stack, no warning before it, and nothing is written."""
     import warnings
 
-    snap = tmp_path / "snap.csv"
-    snap.write_text("x,t,r,s\n")
+    init = tmp_path / "init-traj"
+    write_trajectory(_bump_trajectory(INIT_GRID), init)
+    (init / "r.npy").unlink()
     out = tmp_path / "run"
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, rows, err = run(capsys, "simulate", "--params", se_file,
                               "--grid", "64,0.125", "--bc", "dirichlet",
-                              "--init", f"file:{snap}", "--t-final", "0.05",
+                              "--init", f"file:{init}", "--t-final", "0.05",
                               "--out", str(out))
     assert [str(w.message) for w in caught] == []
     assert code == 2 and rows == [] and not out.exists()
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert "snap.csv" in err
+    assert "r.npy" in err
+
+
+def test_simulate_continues_from_a_trajectory_directory(capsys, tmp_path, sym1b_file):
+    """A run started with --init file:DIR begins at the last slice of DIR,
+    bit for bit and at its time stamp, and a gauge --traj output, whose
+    manifest records the gauged point, starts a run as well."""
+    grid = ["--grid", "32,0.2", "--bc", "periodic"]
+    first, second = tmp_path / "r1", tmp_path / "r2"
+    assert run(capsys, "simulate", "--params", sym1b_file, *grid, "--init", "bump",
+               "--steps", "4", "--out", str(first))[0] == 0
+    code, rows, _ = run(capsys, "simulate", "--params", sym1b_file, *grid,
+                        "--init", f"file:{first}", "--steps", "4",
+                        "--out", str(second))
+    assert code == 0 and len(rows) == 1
+    last, start = read_trajectory(first)[-1], read_trajectory(second)[0]
+    assert start.t == last.t > 0
+    assert np.array_equal(start.r, last.r) and np.array_equal(start.s, last.s)
+
+    gauged, image = tmp_path / "r1-g", str(tmp_path / "image.json")
+    assert run(capsys, "gauge", "--params", sym1b_file, "--lambda", "2", "--gamma",
+               "1", "--out", image, "--traj", str(first),
+               "--traj-out", str(gauged))[0] == 0
+    code, rows, _ = run(capsys, "simulate", "--params", image, *grid,
+                        "--init", f"file:{gauged}", "--steps", "4",
+                        "--out", str(tmp_path / "r3"))
+    assert code == 0 and len(rows) == 1
+    assert np.array_equal(read_trajectory(tmp_path / "r3")[0].s,
+                          read_trajectory(gauged)[-1].s)
+
+
+@pytest.mark.parametrize("init,item", [
+    ("bump:ra=0.2,sb=0.1", "'sb=0.1'"), ("planewave:kk=3", "'kk=3'"),
+    ("se-packet:w=1", "'w=1'"), ("bump:ra=0.2,ra=0.5", "'ra=0.5'"),
+    ("bump:ra=0.2,", "''"), ("bump:ra", "'ra'"), ("planewave:k=x", "'k=x'")])
+def test_simulate_refuses_init_items_it_would_ignore(capsys, tmp_path, se_file,
+                                                     init, item):
+    """An --init item whose key the kind does not take, that repeats a key or
+    that has no float value is an input error naming the item."""
+    out = tmp_path / "run"
+    code, rows, err = run(capsys, "simulate", "--params", se_file, "--init", init,
+                          "--steps", "2", "--out", str(out))
+    assert code == 2 and rows == [] and not out.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: --init {init.partition(':')[0]}: item {item} "
+                          "is not key=float")
+
+
+@pytest.mark.parametrize("init", [
+    "se-packet:k=inf", "se-packet:k=-inf", "se-packet:k=1e308", "se-packet:k=nan",
+    "se-packet:b0=-inf", "se-packet:b0=nan", "se-packet:b0=-1e308"])
+def test_simulate_refuses_se_packet_not_finite(capsys, tmp_path, se_file, init):
+    """A packet that is not finite on the grid is refused with a message that
+    names k and b0, and no numpy warning before it."""
+    import warnings
+
+    out = tmp_path / "run"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, rows, err = run(capsys, "simulate", "--params", se_file,
+                              "--bc", "dirichlet", "--init", init, "--steps", "2",
+                              "--out", str(out))
+    assert code == 2 and rows == [] and not out.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: se-packet k=") and ", b0=" in err
 
 
 def test_linearize_heat_branch(capsys, tmp_path, sym1b_file):
@@ -1031,10 +1130,10 @@ CONTRACT = {
         "--dt": (["0.0005"], ["0", "-0.001", "nan", "inf", "1e300", "x"]),
         "--bc": (["periodic", "dirichlet"], ["x"]),
         "--init": (["bump", "bump:ra=0.2,sa=0.1,w=1.0", "planewave:k=1",
-                    "se-packet"],
+                    "se-packet", "file:traj"],
                    ["bump:ra=nan", "bump:ra=1e300", "bump:w=0", "bump:ra",
-                    "file:missing.csv", "x", "planewave:k=inf",
-                    "planewave:k=nan"]),
+                    "file:missing-traj", "file:plain", "x", "planewave:k=inf",
+                    "planewave:k=nan", "se-packet:k=inf", "bump:sb=1"]),
         "--t-final": (["0.002", "0.01"], ["0", "-1", "nan", "inf", "1e300", "x"]),
         "--steps": (["0", "3"], ["-1", "nan", "x"]),
         "--save-every": (["1", "2"], ["0", "-1", "1000000000000", "x"]),

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dgsym import pde
-from dgsym.fields import (Grid, LogPolarField, Trajectory, read_snapshot,
-                          read_trajectory, sample_evaluator, sample_trajectory,
-                          write_snapshot, write_trajectory)
+from dgsym.fields import (Grid, LogPolarField, Trajectory, read_trajectory,
+                          sample_evaluator, sample_trajectory, write_trajectory)
 from dgsym.kernels import boundary_ring, evolution_rhs
 from dgsym.params import PARAM_NAMES, DGParams, reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, convergence,
@@ -62,18 +61,6 @@ def test_field_validation():
     with pytest.raises(ValueError):
         LogPolarField(g, 0.0, np.zeros(32), jumpy).validate()
     LogPolarField(g, 0.0, -x ** 2, 0.1 * x).validate()
-
-
-def test_snapshot_round_trip(tmp_path):
-    g = Grid.make(npts=32, extent=(-1, 1))
-    x = g.coords()[0]
-    f = LogPolarField(g, 0.25, -x ** 2, 0.3 * x)
-    path = tmp_path / "snap.csv"
-    write_snapshot(f, path)
-    f2 = read_snapshot(path, g)
-    assert f2.t == pytest.approx(0.25)
-    np.testing.assert_allclose(f2.r, f.r, atol=1e-12)
-    np.testing.assert_allclose(f2.s, f.s, atol=1e-12)
 
 
 def test_trajectory_round_trip(tmp_path):
