@@ -10,11 +10,11 @@ from .symmetry import (basis_generator, determining_residuals, parse_generator,
                        residuals_all_zero, verify_commutator_table,
                        verify_infinite_relations, GeneratorNotAdmissible)
 from .fields import Grid, LogPolarField, Trajectory
-from .pde import (evolve, functionals, heat_solution, plane_wave_solution,
-                  residual, se_gaussian, se_residual)
+from .pde import (evolve, heat_solution, plane_wave_solution, residual,
+                  se_gaussian, se_residual)
 from .flows import flow_numeric, verify_symmetry_flow
 from .linearize import (LinearizationData, NotLinearizable, gauge_act_field,
                         heat_pair_to_dg, linearization_data, z_flow_heat,
-                        z_flow_heat_from_zero, z_flow_se, z_flow_se_from_zero)
+                        z_flow_se, z_flow_se_from_zero)
 
 __version__ = "0.1.0"

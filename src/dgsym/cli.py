@@ -28,8 +28,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .fields import (Grid, LogPolarField, read_trajectory, trajectory_params,
-                     write_trajectory)
+from .fields import (Grid, LogPolarField, read_trajectory, sample_evaluator,
+                     trajectory_params, write_trajectory)
 from .flows import verify_symmetry_flow
 from .kernels import boundary_ring
 from .linearize import (NotLinearizable, gauge_act_field, heat_pair_directions,
@@ -38,8 +38,8 @@ from .params import (DGParams, GaugeElement, canonical_gauge, classify,
                      gauge_act_params, predicate_report, rational_str,
                      reference_points)
 from .pde import (EvolutionBlowup, HJSimilaritySolution, ScaleSimilaritySolution,
-                  convergence, default_dt, evolve, heat_solution, residual,
-                  se_gaussian, se_residual)
+                  convergence, default_dt, evolve, heat_solution,
+                  plane_wave_solution, residual, se_gaussian, se_residual)
 from .symmetry import (GeneratorNotAdmissible, basis_generator, basis_names,
                        determining_residuals, exp_rate_coefficients,
                        is_admissible, parse_generator, residuals_all_zero,
@@ -179,30 +179,44 @@ def _suite_commutators(args) -> list:
              "detail": row.detail} for row in checks]
 
 
+def _inexact(name, p: DGParams) -> str | None:
+    """Why generator ``name`` has no exact coefficients at p, or None."""
+    if name.kind in ("Zheat", "Zse"):
+        return (f"{name} has no exact coefficients: its field carries a "
+                "solution of the linear equation")
+    if name.kind == "F":
+        try:
+            exp_rate_coefficients(p)
+        except GeneratorNotAdmissible as exc:
+            return str(exc)
+    return None
+
+
 def _exact_basis(p: DGParams) -> list:
-    """Every basis generator with exact coefficients at p's n, F only where
-    its exponent rates exist, plus one Y_f with a nonconstant f."""
-    names = [g for g in basis_names(p.n) if g not in ("Zheat", "Zse")]
-    try:
-        exp_rate_coefficients(p)
-    except GeneratorNotAdmissible:
-        names.remove("F")
-    return names + ["Yf:1+z^2+z^3"]
+    """Every basis generator with exact coefficients at p's n, plus one Y_f
+    with a nonconstant f."""
+    return [g for g in basis_names(p.n)
+            if _inexact(parse_generator(g), p) is None] + ["Yf:1+z^2+z^3"]
 
 
 def _suite_determining(args) -> list:
     """A row passes when its residuals vanish exactly where the generator is
-    admissible, so each point checks its symmetries and its non-symmetries."""
+    admissible, so each point checks its symmetries and its non-symmetries.
+    A generator with no exact coefficients at the point is skipped."""
     p = _point_for(args, "sym3-nu2")
     tag = classify(p).tag
     rows = []
     for gname in args.gen or _exact_basis(p):
         name = parse_generator(gname)
-        res = determining_residuals(p, basis_generator(name, p))
         admissible = is_admissible(name, p)
-        rows.append({"suite": "determining", "class": tag, "generator": str(name),
-                     "admissible": admissible,
-                     "pass": residuals_all_zero(res) == admissible,
+        row = {"suite": "determining", "class": tag, "generator": str(name),
+               "admissible": admissible}
+        why = _inexact(name, p)
+        if why:
+            rows.append({**row, "skipped": True, "detail": why})
+            continue
+        res = determining_residuals(p, basis_generator(name, p))
+        rows.append({**row, "pass": residuals_all_zero(res) == admissible,
                      "nonzero": [lbl for lbl, e in res if not e.is_zero]})
     return rows
 
@@ -244,7 +258,8 @@ def _bundled_solution(p: DGParams, tag: str):
 def _suite_flow(args) -> list:
     """Each generator's flow is checked on the bundled solution of the
     point's class; with no such solution, or at a dimension the dynamics do
-    not support, every generator is skipped."""
+    not support, every generator is skipped, and so are Zheat and Zse,
+    which have no closed-form flow map."""
     p = _point_for(args, "sym1b")
     tag = classify(p).tag
     dynamic = p.n in (1, 2)  # the dimensions a Grid takes
@@ -253,10 +268,14 @@ def _suite_flow(args) -> list:
     rows = []
     for gname in args.gen or ["P:1", "B:1", "H", "D", "C"]:
         name = parse_generator(gname)
-        if not is_admissible(name, p) or sol is None:  # refuses a bad index first
-            why = ("dynamics support n in {1, 2}" if not dynamic
-                   else "no bundled closed-form solution" if sol is None
-                   else "not admissible")
+        admissible = is_admissible(name, p)  # refuses a bad index first
+        why = ("dynamics support n in {1, 2}" if not dynamic
+               else "no bundled closed-form solution" if sol is None
+               else "not admissible" if not admissible
+               else "no closed-form flow map: its flow carries a solution of "
+                    "the linear equation" if name.kind in ("Zheat", "Zse")
+               else None)
+        if why:
             rows.append({"suite": "flow", "generator": str(name), "skipped": True,
                          "detail": f"{why} at {tag}"})
             continue
@@ -317,6 +336,9 @@ _INIT_KEYS = {"bump": ("ra", "sa", "w"), "planewave": ("k",), "se-packet": ("k",
 def _make_init(spec: str, grid: Grid, p: DGParams):
     kind, _, payload = spec.partition(":")
     if kind == "file":
+        if not payload:
+            raise InputError("--init file: needs a trajectory directory; the "
+                             "path is empty")
         try:
             traj = read_trajectory(payload)
             if traj.grid != grid:
@@ -338,7 +360,6 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
             keys = ", ".join(_INIT_KEYS[kind])
             raise InputError(f"--init {kind}: item {item!r} is not key=float with "
                              f"each key in {keys} at most once") from None
-    xs = grid.coords()
     if kind == "bump":
         ra, sa, w = opts.get("ra", 0.3), opts.get("sa", 0.2), opts.get("w", 1.0)
         if not (np.isfinite(ra) and np.isfinite(sa)):
@@ -347,7 +368,7 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
         if not (np.isfinite(w * w) and w * w >= sys.float_info.min):
             raise InputError(f"bump width w={w:g}: its square is not a finite "
                              "positive normal float")
-        q = sum(np.asarray(x) ** 2 for x in xs)
+        q = sum(np.asarray(x) ** 2 for x in grid.coords())
         with np.errstate(over="ignore"):  # a narrow bump is 0 off its centre
             profile = np.exp(-q / w ** 2)
         return LogPolarField(grid, 0.0, ra * profile, sa * profile), None
@@ -360,20 +381,22 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
             raise InputError(f"planewave k={opts['k']:g}: period count not finite")
         mode = max(1, int(round(periods)))
         k = 2 * np.pi * mode / (b - a)
-        s = k * xs[0]
-        return LogPolarField(grid, 0.0, np.zeros(grid.shape), s), None
-    if kind == "se-packet":
+        with np.errstate(over="ignore"):  # an infinite frequency is refused below
+            sol = plane_wave_solution(p, (k,) + (0.0,) * (grid.n - 1))
+        named = f"planewave k={opts.get('k', 1.0):g}"
+    else:
         if grid.bc != "dirichlet":
             raise InputError("se-packet initial data needs a dirichlet grid; "
                              "its log-amplitude and phase are not periodic")
         k, b0 = opts.get("k", 0.0), opts.get("b0", -0.25)
-        pack = se_gaussian(float(p.nu1), n=grid.n, b0=b0,
-                           k=(k,) * grid.n if "k" in opts else None)
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            r, s = pack.rs(xs, 0.0)
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
-            raise InputError(f"se-packet k={k:g}, b0={b0:g}: not finite on the grid")
-        return LogPolarField(grid, 0.0, r, s), pack
+        sol = se_gaussian(float(p.nu1), n=grid.n, b0=b0,
+                          k=(k,) * grid.n if "k" in opts else None)
+        named = f"se-packet k={k:g}, b0={b0:g}"
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        field = sample_evaluator(sol, grid, 0.0)
+    if not (np.all(np.isfinite(field.r)) and np.all(np.isfinite(field.s))):
+        raise InputError(f"{named}: not finite on the grid")
+    return field, sol
 
 
 def cmd_simulate(args) -> list:

@@ -13,7 +13,8 @@ file format; ``simulate --init file:DIR`` starts from its last slice.
 A closed-form solution is an evaluator: ``rs(xs, t) -> (r, s)`` on the
 coordinate tuple ``xs`` of ``grid.coords()``.  ``t`` is a scalar, or an array
 of shape ``(T, 1, ...)`` that broadcasts against ``xs`` with a leading time
-axis; ``sample_trajectory`` samples all T time stamps in one such call.
+axis; ``sample_trajectory`` samples all T time stamps in one such call, and
+``sample_evaluator`` is its case of one time stamp.
 A flow acts on the evaluator, and the result is sampled; nothing here
 interpolates between grid points.
 """
@@ -124,9 +125,6 @@ class LogPolarField:
                 raise ValueError("s has a neighbor jump above pi; unwrap the phase")
         return self
 
-    def psi(self) -> np.ndarray:
-        return np.exp(self.r + 1j * self.s)
-
 
 @dataclass(eq=False)
 class Trajectory:
@@ -160,19 +158,15 @@ class Trajectory:
 
 
 def sample_evaluator(evaluator, grid: Grid, t: float) -> LogPolarField:
-    """Sample an (r, s) evaluator on a grid at one time stamp ``t``."""
-    r, s = evaluator.rs(grid.coords(), t)
-    return LogPolarField(grid, float(t),
-                         np.broadcast_to(r, grid.shape).copy(),
-                         np.broadcast_to(s, grid.shape).copy())
+    """Sample an (r, s) evaluator on a grid at one time stamp ``t``: slice 0
+    of ``sample_trajectory`` at the times ``[t]``."""
+    return sample_trajectory(evaluator, grid, [t])[0]
 
 
 def sample_trajectory(evaluator, grid: Grid, times) -> Trajectory:
     """Sample an (r, s) evaluator on a grid at every time stamp in one call,
     ``evaluator.rs(grid.coords(), t)`` with ``t`` the times as a (T, 1, ...)
-    column.  The slices agree with ``sample_evaluator`` at each time to
-    rounding: numpy may round a power or a complex quotient of an array
-    differently from the same operation on a scalar."""
+    column."""
     times = np.asarray(times, dtype=np.float64)
     shape = times.shape + grid.shape
     r, s = evaluator.rs(grid.coords(), times.reshape((-1,) + (1,) * grid.n))

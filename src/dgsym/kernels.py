@@ -26,7 +26,8 @@ Each element sees the operations, in the order, of a separate r and s pass.
 
 On dirichlet grids the outermost layer of points along each axis is the
 boundary ring: its values are imposed, not evolved, so every right-hand side
-is zero there and residuals are taken over the points inside it.
+is zero there and residuals are taken over the points inside it;
+``zero_ring`` zeroes one array on it in place.
 ``boundary_ring`` gives the ring as one integer index tuple (``np.nonzero``
 of the ring mask, so ``arr[ring]`` is the flat run of ring values) next to
 the ``inner`` slices; on a periodic grid the ring is empty.
@@ -122,14 +123,12 @@ def boundary_ring(grid):
     return ring, inner
 
 
-def zero_ring(grid, *arrays):
-    """Zero each array (any leading axes, then the grid's) in place on the
-    boundary ring; return them."""
+def zero_ring(grid, arr):
+    """Zero ``arr`` (any leading axes, then the grid's) in place on the
+    boundary ring; return it."""
     if grid.bc == "dirichlet":
-        ring = (Ellipsis,) + boundary_ring(grid)[0]
-        for arr in arrays:
-            arr[ring] = 0.0
-    return arrays
+        arr[(Ellipsis,) + boundary_ring(grid)[0]] = 0.0
+    return arr
 
 
 def derivative_bundle(u, grid):
@@ -161,4 +160,4 @@ def evolution_rhs(u, grid, coeffs):
     for col, term in zip(cols[1:], (lap_s, gr2, grgs)):
         rhs += col * term
     rhs[1] += coeffs[8] * gs2
-    return zero_ring(grid, rhs)[0]
+    return zero_ring(grid, rhs)

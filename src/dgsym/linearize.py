@@ -21,12 +21,14 @@ parameter:
 In these coordinates the square-root/arcsine branch of the printed solutions
 is automatically the one continuous in the flow parameter; the flow aborts if
 a logarithm argument reaches zero.
+Started from psi = 0, the heat-branch flow is ``heat_pair_to_dg`` on both
+kernels scaled by 2 |lam| eps, so it needs no entry point of its own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -39,7 +41,7 @@ from .pde import HeatGaussian
 __all__ = [
     "NotLinearizable", "LinearizationData", "linearization_data",
     "gauge_act_field", "heat_pair_directions", "heat_pair_to_dg", "HeatPairSolution",
-    "z_flow_heat", "z_flow_heat_from_zero", "z_flow_se", "z_flow_se_from_zero",
+    "z_flow_heat", "z_flow_se", "z_flow_se_from_zero",
 ]
 
 
@@ -170,13 +172,12 @@ class HeatPairSolution:
 
     phi_plus: HeatGaussian
     phi_minus: HeatGaussian
-    p: DGParams
     data: LinearizationData
 
     def rs(self, xs, t):
         a = np.log(self.phi_plus.value(xs, t))
         b = np.log(self.phi_minus.value(xs, t))
-        nu_ratio = float(self.p.nu2) / float(self.p.nu1)
+        nu_ratio = float(self.data.p.nu2) / float(self.data.p.nu1)
         r = 0.5 * (a + b)
         s = -nu_ratio * (a + b) + (b - a) / (2.0 * self.data.abs_lambda)
         return r, s
@@ -187,7 +188,7 @@ def heat_pair_to_dg(phi_plus: HeatGaussian, phi_minus: HeatGaussian,
     """Map a positive forward/backward heat pair to a solution evaluator."""
     data = linearization_data(p)
     _require_heat_pair(phi_plus, phi_minus, data)
-    return HeatPairSolution(phi_plus, phi_minus, p, data)
+    return HeatPairSolution(phi_plus, phi_minus, data)
 
 
 def _heat_flow_rs(r0, s0, P, M, eps, p: DGParams, al: float):
@@ -217,20 +218,6 @@ def z_flow_heat(phi_plus, phi_minus, eps: float, psi0, p: DGParams):
         return _heat_flow_rs(r0, s0, P, M, eps, p, al)
 
     return TransformedSolution(FlowMap(vertical=vertical), psi0)
-
-
-def z_flow_heat_from_zero(phi_plus, phi_minus, eps: float,
-                          p: DGParams) -> HeatPairSolution:
-    """Flow started from the trivial solution: the heat pair map with both
-    kernels rescaled by 2 |lam| eps."""
-    if eps <= 0:
-        raise ValueError("the zero-initial entry point needs eps > 0")
-    data = linearization_data(p)
-    _require_heat_pair(phi_plus, phi_minus, data)
-    scale = 2.0 * data.abs_lambda * eps
-    return HeatPairSolution(*(replace(phi, amplitude=scale * phi.amplitude,
-                                      offset=scale * phi.offset)
-                              for phi in (phi_plus, phi_minus)), p, data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,17 @@
-"""Discretized dynamics: homogeneous functionals, the two-field evolution
-system, an RK4 stepper, residual evaluation, and closed-form reference
-solutions (heat kernels, free-Schroedinger packets, and similarity solutions
-used by the symmetry tests).
+"""Discretized dynamics: the two-field evolution system, an RK4 stepper,
+residual evaluation, and closed-form reference solutions (heat kernels,
+free-Schroedinger packets, and similarity solutions used by the symmetry
+tests).
 
-State is log-polar, psi = exp(r + i s).  In these variables the five
-homogeneous functionals are polynomial in derivatives:
+State is log-polar, psi = exp(r + i s).  The free evolution system is
+r_t = nu1 R1 + nu2 R2, s_t = -(mu1 R1 + ... + mu5 R5) over the five
+homogeneous functionals of Doebner and Goldin,
 
     R1 = lap s + 2 grad r . grad s        R2 = 2 lap r + 4 |grad r|^2
     R3 = |grad s|^2                       R4 = 2 grad r . grad s
-    R5 = 4 |grad r|^2
+    R5 = 4 |grad r|^2,
 
-and the free evolution system is r_t = nu1 R1 + nu2 R2,
-s_t = -(mu1 R1 + ... + mu5 R5), written out once, exactly, by
+written out once, exactly, over the derivative bundle of ``kernels`` by
 ``params.dg_system``; ``rhs_coefficients`` is its floats.
 """
 
@@ -20,44 +20,22 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .fields import Grid, LogPolarField, Trajectory, sample_trajectory
-from .kernels import boundary_ring, derivative_bundle, evolution_rhs, zero_ring
+from .kernels import boundary_ring, evolution_rhs
 from .params import DGParams, dg_system, predicate_report
 
 __all__ = [
-    "Functionals", "functionals", "default_dt", "evolve",
+    "default_dt", "evolve",
     "EvolutionBlowup", "ResidualReport", "residual", "se_residual",
     "Convergence", "convergence",
     "heat_solution", "se_gaussian", "plane_wave_solution",
     "HeatGaussian", "SEPacket", "PlaneWave",
     "ScaleSimilaritySolution", "HJSimilaritySolution", "rhs_coefficients",
 ]
-
-
-class Functionals(NamedTuple):
-    R1: np.ndarray
-    R2: np.ndarray
-    R3: np.ndarray
-    R4: np.ndarray
-    R5: np.ndarray
-
-
-def functionals(field: LogPolarField) -> Functionals:
-    """R1..R5 via centered second-order stencils (boundary ring zeroed)."""
-    u, grid = np.stack((field.r, field.s)), field.grid
-    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(u, grid)
-    return Functionals(*zero_ring(
-        grid,
-        lap_s + 2.0 * grgs,
-        2.0 * lap_r + 4.0 * gr2,
-        gs2,
-        2.0 * grgs,
-        4.0 * gr2,
-    ))
 
 
 def rhs_coefficients(p: DGParams) -> tuple:

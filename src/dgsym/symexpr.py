@@ -33,6 +33,8 @@ from operator import add
 
 import numpy as np
 
+from .params import as_rational
+
 __all__ = ["SymExpr", "VectorFieldSpec", "ScaledField", "lie_bracket",
            "field_denominators", "scale_rational", "scaled_derivatives", "unscale"]
 
@@ -47,16 +49,6 @@ def var_index(n: int) -> dict:
     return {name: i for i, name in enumerate(var_names(n))}
 
 
-def _q(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected exact rational, got {type(x).__name__}")
-
-
 def _is_scalar(x) -> bool:
     t = type(x)
     return t is Fraction or t is int or isinstance(x, (int, Fraction))
@@ -64,7 +56,7 @@ def _is_scalar(x) -> bool:
 
 def _rate(a):
     """Exp rate in normal form: exact, with zero stored as the int 0."""
-    a = _q(a)
+    a = as_rational(a)
     return a if a else 0
 
 
@@ -125,7 +117,7 @@ class SymExpr:
 
     @classmethod
     def const(cls, n: int, value) -> "SymExpr":
-        value = _q(value)
+        value = as_rational(value)
         if not value:
             return cls._make(n, {})
         return cls._make(n, {(0, 0, (0,) * (n + 3)): value})
@@ -155,7 +147,7 @@ class SymExpr:
             if e.n != n:
                 raise ValueError("arity mismatch between expressions")
             if type(c) is not int and type(c) is not Fraction:
-                c = _q(c)
+                c = as_rational(c)
             if not c or not e._terms:
                 continue
             items = e._terms.items()

@@ -224,6 +224,40 @@ def test_verify_flow_skips_inadmissible(capsys, tmp_path):
     assert ran[0]["generator"] == "A" and ran[0]["pass"]
 
 
+@pytest.mark.parametrize("key, gen, why", [
+    ("sym1b", "F", "exponent rates"), ("sym3-nu2", "Zheat", "no exact coefficients"),
+    ("sym3-nu2", "Zse", "no exact coefficients")])
+def test_verify_determining_skips_generators_without_exact_coefficients(
+        capsys, key, gen, why):
+    """A generator whose field the suite cannot build at the point (F without
+    exponent rates, Zheat and Zse anywhere) gets a skipped row naming the
+    reason; the P:1 row beside it still runs and decides the exit code, and
+    alone it leaves no row that ran (exit 3)."""
+    code, rows, err = run(capsys, "verify", "--suite", "determining",
+                          "--class", key, "--gen", "P:1", gen)
+    assert code == 0 and "1/1 checks passed, 1 skipped" in err
+    by_name = {row["generator"]: row for row in rows}
+    assert by_name["P:1"]["pass"] and not by_name["P:1"]["nonzero"]
+    assert by_name[gen]["skipped"] and "pass" not in by_name[gen]
+    assert why in by_name[gen]["detail"]
+    code, rows, _ = run(capsys, "verify", "--suite", "determining",
+                        "--class", key, "--gen", gen)
+    assert code == 3 and len(rows) == 1 and rows[0]["skipped"]
+
+
+def test_verify_flow_skips_generators_without_closed_flow(capsys):
+    """Zse is admissible at sym1c but has no closed-form flow map: its row is
+    skipped with the reason, and the P:1 row still runs."""
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--class", "sym1c",
+                          "--gen", "P:1", "Zse")
+    assert code == 0
+    p1, zse = rows
+    assert p1["generator"] == "P:1" and p1["pass"]
+    assert zse["generator"] == "Zse" and zse["skipped"] and "pass" not in zse
+    assert zse["detail"].startswith("no closed-form flow map")
+    assert "1/1 checks passed, 1 skipped" in err
+
+
 def test_verify_flow_with_no_check_run_is_inapplicable(capsys):
     code, rows, err = run(capsys, "verify", "--suite", "flow",
                           "--class", "sym1b", "--gen", "Yf:z")
@@ -450,10 +484,11 @@ def test_simulate_refuses_bad_initial_data(capsys, tmp_path, init):
     assert not os.path.exists(out)
 
 
-@pytest.mark.parametrize("k", ["inf", "-inf", "1e308", "nan"])
+@pytest.mark.parametrize("k", ["inf", "-inf", "1e308", "nan", "1e200"])
 def test_simulate_refuses_planewave_without_finite_period_count(capsys, tmp_path, k):
     """A wave number whose count of periods over the grid is not finite is
-    an input error that names k, with nothing written."""
+    an input error that names k, with nothing written.  So is k = 1e200,
+    whose period count is finite but whose frequency mu3 k² is not."""
     path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
     out = str(tmp_path / "run")
     code, rows, err = run(capsys, "simulate", "--params", path,
@@ -723,6 +758,22 @@ def test_simulate_init_dir_without_stack_is_input_error(capsys, tmp_path, se_fil
     assert code == 2 and rows == [] and not out.exists()
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "r.npy" in err
+
+
+def test_simulate_refuses_init_file_with_empty_path(capsys, tmp_path, monkeypatch,
+                                                   se_file):
+    """``--init file:`` names no directory: it is refused with one error line
+    before anything is read, even in a working directory that holds a
+    trajectory on the same grid, and nothing is written."""
+    monkeypatch.chdir(tmp_path)
+    write_trajectory(_bump_trajectory(INIT_GRID), tmp_path)
+    out = tmp_path / "run"
+    code, rows, err = run(capsys, "simulate", "--params", se_file,
+                          "--grid", "64,0.125", "--bc", "dirichlet",
+                          "--init", "file:", "--t-final", "0.05", "--out", str(out))
+    assert code == 2 and rows == [] and not out.exists()
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: --init file: needs a trajectory directory")
 
 
 def test_simulate_continues_from_a_trajectory_directory(capsys, tmp_path, sym1b_file):

@@ -20,10 +20,10 @@ from dgsym import pde
 from dgsym.fields import Grid, LogPolarField, Trajectory, sample_evaluator
 from dgsym.kernels import derivative_bundle, evolution_rhs, zero_ring
 from dgsym.params import reference_points
-from dgsym.pde import evolve, functionals, residual
+from dgsym.pde import evolve, residual
 
 from test_pde import (_assert_same_trajectory, _per_slice_report, _recording,
-                      _reference_evolve, _replaying, _ring_mask)
+                      _reference_evolve, _replaying, _ring_mask, functionals)
 
 TWO_PI = 2.0 * np.pi
 
@@ -127,13 +127,13 @@ def two_array_rhs(r, s, grid, coeffs):
         rt += a * term
         st += b * term
     st += b5 * gs2
-    return zero_ring(grid, rt, st)
+    return zero_ring(grid, rt), zero_ring(grid, st)
 
 
 def two_array_functionals(r, s, grid):
     lap_r, lap_s, gr2, gs2, grgs = two_array_bundle(r, s, grid)
-    return zero_ring(grid, lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2,
-                     gs2, 2.0 * grgs, 4.0 * gr2)
+    return tuple(zero_ring(grid, R) for R in (
+        lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2, gs2, 2.0 * grgs, 4.0 * gr2))
 
 
 def ref_functionals(r, s, grid):
@@ -195,8 +195,7 @@ def test_bundle_rhs_and_functionals_match_reference(grid, make):
         assert got.shape == u.shape
         for half, want in zip(got, ref_rhs(r, s, grid, coeffs)):
             assert np.array_equal(half, want)
-        field = LogPolarField(grid, 0.0, r, s)
-        for got, want in zip(functionals(field), ref_functionals(r, s, grid)):
+        for got, want in zip(functionals(r, s, grid), ref_functionals(r, s, grid)):
             assert np.array_equal(got, want)
 
 
@@ -262,8 +261,8 @@ def test_stacked_kernel_matches_two_array_reference(grid, make, seed, slices, sl
     for half, want in zip(got, two_array_rhs(r[:slices], s[:slices], grid, coeffs)):
         assert np.array_equal(half, want)
 
-    field = LogPolarField(grid, 0.0, r[0], s[0])
-    for got, want in zip(functionals(field), two_array_functionals(r[0], s[0], grid)):
+    for got, want in zip(functionals(r[0], s[0], grid),
+                         two_array_functionals(r[0], s[0], grid)):
         assert np.array_equal(got, want)
 
     # residual, with the stencil called on slabs of `slab` time slices

@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from dgsym.fields import Grid, sample_evaluator, sample_trajectory
 from dgsym.linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
-                             linearization_data, z_flow_heat,
-                             z_flow_heat_from_zero, z_flow_se,
+                             linearization_data, z_flow_heat, z_flow_se,
                              z_flow_se_from_zero)
 from dgsym.params import (GaugeElement, gauge_act_params, gauge_compose,
                           make_ehr_sub, reference_points)
@@ -255,15 +254,18 @@ def test_z_flow_heat_from_constant_solution(pts):
 
 
 def test_z_flow_heat_zero_limit_matches_rescaled_pair(pts):
+    """Started from psi = 0 (r so low that e^r is 0.0, s = 0; nu2 = 0 at
+    sym1b), the flow is the heat pair map on both kernels scaled by
+    2 |lam| eps; at eps = 0 it stays at psi = 0, which has no logarithm."""
     p = pts["sym1b"]
     fp, fm = make_pair(p)
     eps = 0.5
-    zl = z_flow_heat_from_zero(fp, fm, eps, p)
+    zero = Profile(lambda x: np.full_like(x, -1000.0), np.zeros_like)
     data = linearization_data(p)
     c = 2 * data.abs_lambda * eps
     g = Grid.make(npts=32, extent=(-2, 2))
     xs = g.coords()
-    r1, s1 = zl.rs(xs, 0.1)
+    r1, s1 = z_flow_heat(fp, fm, eps, zero, p).rs(xs, 0.1)
     scaled_p = heat_solution(data.diffusion, "forward", amplitude=c * 0.8,
                              focus_time=1.0, offset=c * 0.5)
     scaled_m = heat_solution(data.diffusion, "backward", amplitude=c * 0.6,
@@ -271,8 +273,8 @@ def test_z_flow_heat_zero_limit_matches_rescaled_pair(pts):
     r2, s2 = heat_pair_to_dg(scaled_p, scaled_m, p).rs(xs, 0.1)
     np.testing.assert_allclose(r1, r2, atol=1e-13)
     np.testing.assert_allclose(s1, s2, atol=1e-13)
-    with pytest.raises(ValueError):
-        z_flow_heat_from_zero(fp, fm, 0.0, p)
+    with pytest.raises(ValueError, match="logarithm argument"):
+        z_flow_heat(fp, fm, 0.0, zero, p).rs(xs, 0.1)
 
 
 def test_z_flow_heat_branch_failure(pts):

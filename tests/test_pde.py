@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from dgsym import pde
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_trajectory,
                           sample_evaluator, sample_trajectory, write_trajectory)
-from dgsym.kernels import boundary_ring, evolution_rhs
+from dgsym.kernels import boundary_ring, derivative_bundle, evolution_rhs, zero_ring
 from dgsym.params import PARAM_NAMES, DGParams, reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, convergence,
-                       evolve, functionals, heat_solution, plane_wave_solution,
+                       evolve, heat_solution, plane_wave_solution,
                        residual, rhs_coefficients, se_gaussian, se_residual)
 from tests.conftest import Junk, heat_residual, stack_fields
 
@@ -128,10 +128,17 @@ def test_trajectory_rejects_stack_times_mismatch(tmp_path):
 # ---------------------------------------------------------------------------
 # functionals
 
+def functionals(r, s, grid):
+    """(R1, ..., R5) of Doebner and Goldin from the stencil's derivative
+    bundle, zero on the boundary ring as every right-hand side is."""
+    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(np.stack((r, s)), grid)
+    return tuple(zero_ring(grid, R) for R in (
+        lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2, gs2, 2.0 * grgs, 4.0 * gr2))
+
+
 def test_functionals_constant_field():
     g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
-    f = LogPolarField(g, 0.0, np.full(32, 0.7), np.full(32, -0.2))
-    F = functionals(f)
+    F = functionals(np.full(32, 0.7), np.full(32, -0.2), g)
     for arr in F:
         assert np.max(np.abs(arr)) == 0.0
 
@@ -140,20 +147,20 @@ def test_functionals_plane_wave_periodic_winding():
     g = Grid.make(npts=64, extent=(0, 2 * np.pi), bc="periodic")
     x = g.coords()[0]
     k = 3.0
-    F = functionals(LogPolarField(g, 0.0, np.zeros_like(x), k * x))
-    np.testing.assert_allclose(F.R3, k * k, atol=1e-10)
-    for arr in (F.R1, F.R2, F.R4, F.R5):
+    R1, R2, R3, R4, R5 = functionals(np.zeros_like(x), k * x, g)
+    np.testing.assert_allclose(R3, k * k, atol=1e-10)
+    for arr in (R1, R2, R4, R5):
         assert np.max(np.abs(arr)) < 1e-10
 
 
 def test_functionals_gaussian_profile():
     g = Grid.make(npts=64, extent=(-2, 2))
     x = g.coords()[0]
-    F = functionals(LogPolarField(g, 0.0, -x ** 2, np.zeros_like(x)))
-    np.testing.assert_allclose(interior(F.R5), 16 * interior(x) ** 2, atol=1e-10)
-    np.testing.assert_allclose(interior(F.R2), -4 + 16 * interior(x) ** 2,
+    R1, R2, R3, R4, R5 = functionals(-x ** 2, np.zeros_like(x), g)
+    np.testing.assert_allclose(interior(R5), 16 * interior(x) ** 2, atol=1e-10)
+    np.testing.assert_allclose(interior(R2), -4 + 16 * interior(x) ** 2,
                                atol=1e-10)
-    for arr in (F.R1, F.R3, F.R4):
+    for arr in (R1, R3, R4):
         assert np.max(np.abs(arr)) < 1e-12
 
 
@@ -161,10 +168,8 @@ def test_functionals_scale_invariance():
     """Homogeneity of degree zero: r -> r + const changes nothing."""
     g = Grid.make(npts=48, extent=(-2, 2), bc="periodic")
     x = g.coords()[0]
-    f1 = LogPolarField(g, 0.0, 0.3 * np.sin(np.pi * x / 2), 0.2 * np.cos(np.pi * x))
-    f2 = LogPolarField(g, 0.0, f1.r + 3.7, f1.s + 1.1)
-    F1, F2 = functionals(f1), functionals(f2)
-    for a, b in zip(F1, F2):
+    r, s = 0.3 * np.sin(np.pi * x / 2), 0.2 * np.cos(np.pi * x)
+    for a, b in zip(functionals(r, s, g), functionals(r + 3.7, s + 1.1, g)):
         np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -173,10 +178,10 @@ def test_laplacian_decomposition():
     def err(npts):
         g = Grid.make(npts=npts, extent=(0, 2 * np.pi), bc="periodic")
         x = g.coords()[0]
-        f = LogPolarField(g, 0.0, 0.3 * np.sin(x), 0.4 * np.cos(x))
-        F = functionals(f)
-        combo = 1j * F.R1 + 0.5 * F.R2 - F.R3 - 0.25 * F.R5
-        psi = f.psi()
+        r, s = 0.3 * np.sin(x), 0.4 * np.cos(x)
+        R1, R2, R3, _, R5 = functionals(r, s, g)
+        combo = 1j * R1 + 0.5 * R2 - R3 - 0.25 * R5
+        psi = np.exp(r + 1j * s)
         dx = g.dx()
         lap = (np.roll(psi, -1) - 2 * psi + np.roll(psi, 1)) / dx ** 2
         return np.max(np.abs(combo - lap / psi))
@@ -228,10 +233,10 @@ def test_rhs_is_functional_combination(pts, key, bc, n):
     f = LogPolarField(g, 0.0, 0.3 * rng.standard_normal(g.shape),
                       0.3 * rng.standard_normal(g.shape))
     c = {name: float(getattr(p, name)) for name in PARAM_NAMES}
-    F = functionals(f)
-    want_r = c["nu1"] * F.R1 + c["nu2"] * F.R2
-    want_s = -(c["mu1"] * F.R1 + c["mu2"] * F.R2 + c["mu3"] * F.R3
-               + c["mu4"] * F.R4 + c["mu5"] * F.R5)
+    R1, R2, R3, R4, R5 = functionals(f.r, f.s, g)
+    want_r = c["nu1"] * R1 + c["nu2"] * R2
+    want_s = -(c["mu1"] * R1 + c["mu2"] * R2 + c["mu3"] * R3
+               + c["mu4"] * R4 + c["mu5"] * R5)
     rhs = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
     for got, want in zip(rhs, (want_r, want_s)):
         np.testing.assert_allclose(got, want, rtol=1e-12,

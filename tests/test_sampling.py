@@ -7,8 +7,7 @@ import pytest
 from dgsym.fields import Grid, sample_evaluator, sample_trajectory
 from dgsym.flows import TransformedSolution, closed_flow_map
 from dgsym.linearize import (gauge_act_field, heat_pair_to_dg, linearization_data,
-                             z_flow_heat, z_flow_heat_from_zero, z_flow_se,
-                             z_flow_se_from_zero)
+                             z_flow_heat, z_flow_se, z_flow_se_from_zero)
 from dgsym.params import reference_points
 from dgsym.pde import (HJSimilaritySolution, ScaleSimilaritySolution, SEPacketSum,
                        heat_solution, plane_wave_solution, se_gaussian)
@@ -49,7 +48,6 @@ def evaluators(n):
         "ScaleSimilaritySolution": ScaleSimilaritySolution(pts["sym3"]),
         "HJSimilaritySolution": HJSimilaritySolution(pts["infasub"]),
         "z_flow_heat": z_flow_heat(plus, minus, 0.3, heat_pair, sym1b),
-        "z_flow_heat_from_zero": z_flow_heat_from_zero(plus, minus, 0.4, sym1b),
         "z_flow_se": z_flow_se(Psi, 0.3, se_side, sym1c),
         "z_flow_se_from_zero": se_side,
         "gauge": gauge_act_field((2.0, -0.5), packs),

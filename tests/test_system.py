@@ -1,5 +1,6 @@
-"""The evolution system as exact data: ``params.dg_system`` against the gauge
-action, the invariants, both linearizations and the stencil coefficients.
+"""The evolution system as exact data: ``params.dg_system`` against the
+paper's functionals R1..R5, the gauge action, the invariants, both
+linearizations and the stencil coefficients.
 
 Every identity here is checked on Fractions with zero tolerance.  The
 linearizations are polynomial identities in lambda (heat branch) or Lambda
@@ -92,6 +93,30 @@ def test_pushforwards_compose_by_the_group_law(g1, g2, p):
     twice = pushforward(gauge_matrix(g1), pushforward(gauge_matrix(g2), eqs))
     assert twice == pushforward(gauge_matrix(g12), eqs) == \
         equations(dg_system(gauge_act_params(g12, p)))
+
+
+# The homogeneous functionals R1..R5 of Doebner and Goldin (J. Phys. A 27
+# (1994) 1771) over the terms of ``equations``:
+# R1 = lap s + 2 grad r . grad s, R2 = 2 lap r + 4 |grad r|^2,
+# R3 = |grad s|^2, R4 = 2 grad r . grad s and R5 = 4 |grad r|^2.
+FUNCTIONALS = ((0, 1, 0, 2, 0), (2, 0, 4, 0, 0), (0, 0, 0, 0, 1),
+               (0, 0, 0, 2, 0), (0, 0, 4, 0, 0))
+
+
+def combination(weights):
+    """sum_k weights[k] R_{k+1}, term by term."""
+    return tuple(sum(w * R[j] for w, R in zip(weights, FUNCTIONALS))
+                 for j in range(5))
+
+
+@given(points)
+@settings(max_examples=200, deadline=None)
+def test_system_is_the_papers_combination_of_the_functionals(p):
+    """r_t = nu1 R1 + nu2 R2 and s_t = -(mu1 R1 + ... + mu5 R5), exactly."""
+    r_eq, s_eq = equations(dg_system(p))
+    assert r_eq == combination((p.nu1, p.nu2, 0, 0, 0))
+    assert s_eq == tuple(-c for c in combination(
+        (p.mu1, p.mu2, p.mu3, p.mu4, p.mu5)))
 
 
 def laplacian_block(p):
