@@ -40,8 +40,8 @@ from .params import (DGParams, GaugeElement, canonical_gauge, classify,
 from .pde import (EvolutionBlowup, HJSimilaritySolution, ScaleSimilaritySolution,
                   convergence, default_dt, evolve, heat_solution,
                   plane_wave_solution, residual, se_gaussian, se_residual)
-from .symmetry import (GeneratorNotAdmissible, basis_generator, basis_names,
-                       determining_residuals, exp_rate_coefficients,
+from .symmetry import (GeneratorNotAdmissible, NoClosedForm, basis_generator,
+                       basis_names, determining_residuals, exp_rate_coefficients,
                        is_admissible, parse_generator, residuals_all_zero,
                        verify_commutator_table, verify_infinite_relations)
 
@@ -179,24 +179,15 @@ def _suite_commutators(args) -> list:
              "detail": row.detail} for row in checks]
 
 
-def _inexact(name, p: DGParams) -> str | None:
-    """Why generator ``name`` has no exact coefficients at p, or None."""
-    if name.kind in ("Zheat", "Zse"):
-        return (f"{name} has no exact coefficients: its field carries a "
-                "solution of the linear equation")
-    if name.kind == "F":
-        try:
-            exp_rate_coefficients(p)
-        except GeneratorNotAdmissible as exc:
-            return str(exc)
-    return None
-
-
 def _exact_basis(p: DGParams) -> list:
-    """Every basis generator with exact coefficients at p's n, plus one Y_f
-    with a nonconstant f."""
-    return [g for g in basis_names(p.n)
-            if _inexact(parse_generator(g), p) is None] + ["Yf:1+z^2+z^3"]
+    """Every basis generator with exact coefficients at p's n, F only where
+    its exponent rates exist, plus one Y_f with a nonconstant f."""
+    names = [g for g in basis_names(p.n) if g not in ("Zheat", "Zse")]
+    try:
+        exp_rate_coefficients(p)
+    except GeneratorNotAdmissible:
+        names.remove("F")
+    return names + ["Yf:1+z^2+z^3"]
 
 
 def _suite_determining(args) -> list:
@@ -211,11 +202,12 @@ def _suite_determining(args) -> list:
         admissible = is_admissible(name, p)
         row = {"suite": "determining", "class": tag, "generator": str(name),
                "admissible": admissible}
-        why = _inexact(name, p)
-        if why:
-            rows.append({**row, "skipped": True, "detail": why})
+        try:
+            field = basis_generator(name, p)
+        except GeneratorNotAdmissible as exc:
+            rows.append({**row, "skipped": True, "detail": str(exc)})
             continue
-        res = determining_residuals(p, basis_generator(name, p))
+        res = determining_residuals(p, field)
         rows.append({**row, "pass": residuals_all_zero(res) == admissible,
                      "nonzero": [lbl for lbl, e in res if not e.is_zero]})
     return rows
@@ -258,8 +250,8 @@ def _bundled_solution(p: DGParams, tag: str):
 def _suite_flow(args) -> list:
     """Each generator's flow is checked on the bundled solution of the
     point's class; with no such solution, or at a dimension the dynamics do
-    not support, every generator is skipped, and so are Zheat and Zse,
-    which have no closed-form flow map."""
+    not support, every generator is skipped, and so is one with no
+    closed-form flow map."""
     p = _point_for(args, "sym1b")
     tag = classify(p).tag
     dynamic = p.n in (1, 2)  # the dimensions a Grid takes
@@ -268,18 +260,18 @@ def _suite_flow(args) -> list:
     rows = []
     for gname in args.gen or ["P:1", "B:1", "H", "D", "C"]:
         name = parse_generator(gname)
-        admissible = is_admissible(name, p)  # refuses a bad index first
-        why = ("dynamics support n in {1, 2}" if not dynamic
-               else "no bundled closed-form solution" if sol is None
-               else "not admissible" if not admissible
-               else "no closed-form flow map: its flow carries a solution of "
-                    "the linear equation" if name.kind in ("Zheat", "Zse")
-               else None)
-        if why:
-            rows.append({"suite": "flow", "generator": str(name), "skipped": True,
-                         "detail": f"{why} at {tag}"})
+        skip = {"suite": "flow", "generator": str(name), "skipped": True}
+        if not is_admissible(name, p) or sol is None:  # refuses a bad index first
+            why = ("dynamics support n in {1, 2}" if not dynamic
+                   else "no bundled closed-form solution" if sol is None
+                   else "not admissible")
+            rows.append({**skip, "detail": f"{why} at {tag}"})
             continue
-        rep = verify_symmetry_flow(p, name, args.eps, sol, grid, (0.02, 0.18))
+        try:
+            rep = verify_symmetry_flow(p, name, args.eps, sol, grid, (0.02, 0.18))
+        except NoClosedForm as exc:
+            rows.append({**skip, "detail": str(exc)})
+            continue
         rows.append({"suite": "flow", "generator": str(name), "pass": rep.passed,
                      **rep.to_json_dict()})
     return rows

@@ -29,7 +29,7 @@ from .fields import Grid, sample_trajectory
 from .params import DGParams
 from .pde import ResidualReport, convergence, residual
 from .symexpr import VectorFieldSpec, var_names
-from .symmetry import check_indices, exp_rate_coefficients, parse_generator
+from .symmetry import NoClosedForm, check_indices, exp_rate_coefficients, parse_generator
 
 __all__ = ["FlowMap", "closed_flow_map", "flow_numeric",
            "FlowReport", "verify_symmetry_flow", "TransformedSolution"]
@@ -181,8 +181,9 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
         return FlowMap(vertical=vertical)
 
     if kind in ("Zheat", "Zse"):
-        raise ValueError(
-            f"the {kind} flow is built from a solution of the linear equation: "
+        raise NoClosedForm(
+            f"no closed-form flow map for {kind}: its flow is built from a "
+            "solution of the linear equation; "
             "call dgsym.linearize.z_flow_heat(phi_plus, phi_minus, ...) or "
             "z_flow_se(Psi, ...)")
     raise ValueError(f"no closed-form flow for generator kind {kind!r}")

@@ -30,12 +30,17 @@ __all__ = [
     "is_admissible", "admissible_generators", "check_indices", "exp_rate_coefficients",
     "infsub_poly_generator", "verify_commutator_table", "verify_infinite_relations",
     "determining_residuals", "residuals_all_zero",
-    "GeneratorNotAdmissible", "CheckRow",
+    "GeneratorNotAdmissible", "NoClosedForm", "CheckRow",
 ]
 
 
 class GeneratorNotAdmissible(ValueError):
     """Requested generator does not generate a symmetry at this point."""
+
+
+class NoClosedForm(GeneratorNotAdmissible):
+    """Zheat and Zse: the field and the flow carry a solution of the linear
+    equation, so neither has a closed form in the exact expression class."""
 
 
 @dataclass(frozen=True)
@@ -369,7 +374,7 @@ def basis_generator(name, p: DGParams) -> VectorFieldSpec:
             raise ValueError("Yf needs a polynomial payload, e.g. 'Yf:z^2'")
         return infsub_poly_generator(p, name.poly)
     if kind in ("Zheat", "Zse"):
-        raise ValueError(
+        raise NoClosedForm(
             f"{kind} has no exact coefficients in this expression class; "
             "use the flow entry points in dgsym.linearize")
     raise ValueError(f"unknown generator kind {kind!r}")

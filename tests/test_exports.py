@@ -180,7 +180,8 @@ def test_every_public_name_has_a_caller_outside_tests():
     outside its own definition, or in perfbench; tests alone do not count.
     ``UNCALLED`` lists the exceptions."""
     src = Path(dgsym.__file__).resolve().parent
-    bench = src.parents[1] / "perfbench"
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    assert bench.is_dir(), bench
     trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
     loads = {module: loaded_names(tree) for module, tree in trees.items()}
     bench_loads = set().union(*(loaded_names(ast.parse(path.read_text()))

@@ -130,18 +130,6 @@ def two_array_rhs(r, s, grid, coeffs):
     return zero_ring(grid, rt), zero_ring(grid, st)
 
 
-def two_array_functionals(r, s, grid):
-    lap_r, lap_s, gr2, gs2, grgs = two_array_bundle(r, s, grid)
-    return tuple(zero_ring(grid, R) for R in (
-        lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2, gs2, 2.0 * grgs, 4.0 * gr2))
-
-
-def ref_functionals(r, s, grid):
-    lap_r, lap_s, gr2, gs2, grgs = ref_bundle(r, s, grid)
-    return _ref_zero_ring(grid, lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2,
-                          gs2, 2.0 * grgs, 4.0 * gr2)
-
-
 GRIDS = [
     Grid.make(n=1, npts=37, bc="periodic"),
     Grid(n=2, npts=19, bounds=((-4.0, 4.0), (-1.5, 2.5)), bc="periodic"),
@@ -195,7 +183,7 @@ def test_bundle_rhs_and_functionals_match_reference(grid, make):
         assert got.shape == u.shape
         for half, want in zip(got, ref_rhs(r, s, grid, coeffs)):
             assert np.array_equal(half, want)
-        for got, want in zip(functionals(r, s, grid), ref_functionals(r, s, grid)):
+        for got, want in zip(functionals(r, s, grid), functionals(r, s, grid, ref_bundle)):
             assert np.array_equal(got, want)
 
 
@@ -262,7 +250,7 @@ def test_stacked_kernel_matches_two_array_reference(grid, make, seed, slices, sl
         assert np.array_equal(half, want)
 
     for got, want in zip(functionals(r[0], s[0], grid),
-                         two_array_functionals(r[0], s[0], grid)):
+                         functionals(r[0], s[0], grid, two_array_bundle)):
         assert np.array_equal(got, want)
 
     # residual, with the stencil called on slabs of `slab` time slices

@@ -128,10 +128,12 @@ def test_trajectory_rejects_stack_times_mismatch(tmp_path):
 # ---------------------------------------------------------------------------
 # functionals
 
-def functionals(r, s, grid):
-    """(R1, ..., R5) of Doebner and Goldin from the stencil's derivative
-    bundle, zero on the boundary ring as every right-hand side is."""
-    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(np.stack((r, s)), grid)
+def functionals(r, s, grid, bundle=None):
+    """(R1, ..., R5) of Doebner and Goldin from a derivative bundle
+    ``bundle(r, s, grid)``, the stencil's by default, zero on the boundary
+    ring as every right-hand side is."""
+    lap_r, lap_s, gr2, gs2, grgs = (bundle(r, s, grid) if bundle
+                                    else derivative_bundle(np.stack((r, s)), grid))
     return tuple(zero_ring(grid, R) for R in (
         lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2, gs2, 2.0 * grgs, 4.0 * gr2))
 

@@ -4,7 +4,7 @@ gives, slice by slice, what one call per time stamp gives."""
 import numpy as np
 import pytest
 
-from dgsym.fields import Grid, sample_evaluator, sample_trajectory
+from dgsym.fields import Grid, sample_trajectory
 from dgsym.flows import TransformedSolution, closed_flow_map
 from dgsym.linearize import (gauge_act_field, heat_pair_to_dg, linearization_data,
                              z_flow_heat, z_flow_se, z_flow_se_from_zero)
@@ -67,9 +67,9 @@ def test_sample_trajectory_equals_per_time_loop(n, npts):
         traj = sample_trajectory(ev, grid, times)
         assert traj.r.shape == traj.s.shape == (len(times),) + grid.shape, name
         np.testing.assert_array_equal(traj.times, times)
-        ref = [sample_evaluator(ev, grid, t) for t in times]
-        for field in ("r", "s"):
-            want = np.array([getattr(f, field) for f in ref])
+        ref = [ev.rs(grid.coords(), float(t)) for t in times]  # scalar t
+        for k, field in enumerate(("r", "s")):
+            want = np.array([np.broadcast_to(f[k], grid.shape) for f in ref])
             got = getattr(traj, field)
             tol = 1e-12 * np.max(np.abs(want))
             assert np.max(np.abs(got - want)) <= tol, (name, field)
