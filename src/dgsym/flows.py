@@ -291,6 +291,7 @@ class FlowReport:
     ratio_l2: float
     ratio_linf: float
     passed: bool
+    floor: float
 
     def to_json_dict(self):
         return {"generator": self.generator, "epsilon": self.epsilon,
@@ -349,4 +350,4 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     return FlowReport(generator=str(name), epsilon=float(eps), baseline=baseline,
                       after=study.coarse, after_fine=study.fine,
                       ratio_l2=study.ratio_l2, ratio_linf=study.ratio_linf,
-                      passed=study.passed)
+                      passed=study.passed, floor=study.floor)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -46,32 +45,43 @@ ALGEBRA_STRUCTURE = {
 }
 
 
-# 'p' or 'p/q' in plain ASCII digits: parsed with int(), which is faster
-# than Fraction's own parser; any other string goes to Fraction(), so every
-# string is accepted or refused exactly as Fraction(value.strip()) would.
-_PLAIN_RATIO = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
-
-
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce an int, Fraction or 'p/q' string to an exact Fraction.
 
     Floats are rejected on purpose: the gauge algebra must stay exact.
+
+    The exact type is tested first: a Fraction is returned as it is, and a
+    str whose stripped text is 'p' or 'p/q' in decimal digits (p with an
+    optional '-', q nonzero) is parsed with int(), which is faster than
+    Fraction's own parser.  Any other string goes to Fraction(), so every
+    string is accepted or refused exactly as Fraction(value.strip()) would.
+    Every other type takes the isinstance chain: bool is refused, a
+    Fraction subclass is returned as it is, and int and str subclasses
+    coerce as int and str do.
     """
-    if isinstance(value, Fraction):
+    kind = type(value)
+    if kind is Fraction:
         return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational parameter")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if _PLAIN_RATIO.fullmatch(text):
-            num, _, den = text.partition("/")
-            num, den = int(num), int(den or 1)
-            if den:
-                return Fraction(num, den)
-        return Fraction(text)
-    raise TypeError(f"expected int, Fraction or 'p/q' string, got {type(value).__name__}")
+    if kind is not str:
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, bool):
+            raise TypeError("bool is not a rational parameter")
+        if isinstance(value, int):
+            return Fraction(value)
+        if not isinstance(value, str):
+            raise TypeError(f"expected int, Fraction or 'p/q' string, "
+                            f"got {type(value).__name__}")
+    text = value.strip()
+    num, slash, den = text.partition("/")
+    if num.removeprefix("-").isdecimal():
+        if not slash:
+            return Fraction(int(num))
+        if den.isdecimal():
+            q = int(den)
+            if q:
+                return Fraction(int(num), q)
+    return Fraction(text)
 
 
 def rational_str(q: Fraction) -> str:
@@ -155,8 +165,12 @@ class DGParams:
 
     @classmethod
     def load(cls, path) -> "DGParams":
-        with open(path) as fh:
-            return cls.from_json_dict(json.load(fh))
+        """The point of a parameter file, read as bytes and decoded as strict
+        UTF-8: undecodable bytes are a UnicodeDecodeError and a leading BOM
+        a JSONDecodeError, both ValueErrors."""
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return cls.from_json_dict(json.loads(raw.decode("utf-8")))
 
     def dump(self, path) -> None:
         with open(path, "w") as fh:

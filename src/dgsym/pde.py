@@ -276,25 +276,50 @@ def se_residual(a: float, traj: Trajectory) -> ResidualReport:
 
 @dataclass(frozen=True)
 class Convergence:
-    """Coarse and fine residuals, their ratios, and the coarse trajectory."""
+    """Coarse and fine residuals, their ratios, the coarse trajectory and
+    the rounding floor of the study (``_rounding_floor`` of the fine one)."""
 
     coarse: ResidualReport
     fine: ResidualReport
     ratio_l2: float
     ratio_linf: float
     trajectory: Trajectory
+    floor: float
 
     @property
     def passed(self) -> bool:
-        """Second order: halving dx and dt divides the L2 residual by 3 to 5."""
-        return 3.0 <= self.ratio_l2 <= 5.0
+        """Second order: halving dx and dt divides the L2 residual by 3 to 5.
+        A residual at rounding level passes too: coarse and fine L2 both at
+        or below ``floor``, where no ratio is meaningful."""
+        return (3.0 <= self.ratio_l2 <= 5.0
+                or self.coarse.l2 <= self.floor and self.fine.l2 <= self.floor)
+
+
+def _rounding_floor(traj: Trajectory) -> float:
+    """The largest residual that rounding alone leaves on ``traj``:
+    eps U (1/dt + 4n/dx^2), with eps the float64 machine epsilon, U the
+    largest |r| or |s| sampled, dt the smallest time step, dx the smallest
+    grid spacing and n the dimension.  Each sample carries a rounding error
+    of at most eps U; the three-point time derivative amplifies it by at
+    most the l1 norm of its weights, 1/dt on uniform steps, and the
+    Laplacian by 4n/dx^2.  The gradient products add no more than the
+    Laplacian on a field the grid resolves (|grad u| dx <= 2), and the
+    coefficients are taken as of order one.  0 when a sample is not finite."""
+    size = max(float(np.max(np.abs(traj.r))), float(np.max(np.abs(traj.s))))
+    if not math.isfinite(size):
+        return 0.0
+    dt = float(np.min(np.diff(traj.times)))
+    dx = min(traj.grid.spacings)
+    eps = float(np.finfo(float).eps)
+    return eps * size * (1.0 / dt + 4.0 * traj.grid.n / dx ** 2)
 
 
 def convergence(residual_of, solution, grid: Grid, times) -> Convergence:
     """Order-2 refinement study: ``residual_of(traj) -> ResidualReport`` of
     ``solution`` sampled on ``grid`` at ``times``, uniform as ``np.linspace``
     gives them, and on ``grid.refine()`` with every time interval halved.
-    A ratio is inf where the fine norm is not > 0."""
+    A ratio is inf where the fine norm is not > 0.  The floor is the
+    ``_rounding_floor`` of the fine sampling, the larger of the two."""
     times = np.asarray(times, dtype=float)
     fine_times = np.linspace(times[0], times[-1], 2 * len(times) - 1)
     if not np.array_equal(fine_times[::2], times):
@@ -302,13 +327,15 @@ def convergence(residual_of, solution, grid: Grid, times) -> Convergence:
                          "as np.linspace gives them")
     traj = sample_trajectory(solution, grid, times)
     coarse = residual_of(traj)
-    fine = residual_of(sample_trajectory(solution, grid.refine(), fine_times))
+    fine_traj = sample_trajectory(solution, grid.refine(), fine_times)
+    fine = residual_of(fine_traj)
 
     def ratio(a, b):
         return a / b if b > 0 else math.inf
 
     return Convergence(coarse, fine, ratio(coarse.l2, fine.l2),
-                       ratio(coarse.linf, fine.linf), traj)
+                       ratio(coarse.linf, fine.linf), traj,
+                       _rounding_floor(fine_traj))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,42 @@ def test_malformed_params_file_is_input_error(capsys, tmp_path, command, case):
         assert rows == []
 
 
+# Parameter files that are no UTF-8 JSON text, as bytes, and the message
+# each is refused with: a parameter file is decoded as strict UTF-8.
+_POINT_JSON = b'{"n": 1, "nu1": "1", "mu2": "-1/2"}'
+UNDECODABLE_PARAMS = {
+    "utf8-bom": (b"\xef\xbb\xbf" + _POINT_JSON,
+                 "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    "utf16": (b"\xff\xfe" + _POINT_JSON.decode().encode("utf-16-le"),
+              "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    "invalid-utf8": (b'{"n": 1, "nu1": "\xff1"}',
+                     "'utf-8' codec can't decode byte 0xff in position 17: "
+                     "invalid start byte"),
+    "empty": (b"", "Expecting value: line 1 column 1 (char 0)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNDECODABLE_PARAMS))
+def test_classify_refuses_file_that_is_not_utf8_json(capsys, tmp_path, case):
+    data, message = UNDECODABLE_PARAMS[case]
+    path = tmp_path / f"{case}.json"
+    path.write_bytes(data)
+    code, rows, err = run(capsys, "classify", "--params", str(path))
+    assert code == 2
+    assert rows == [{"file": str(path), "error": f"{path}: {message}"}]
+    assert err == f"error: {path}: {message}\n"
+
+
+def test_classify_reads_crlf_file_as_its_lf_twin(capsys, tmp_path):
+    text = json.dumps(reference_points()["generic"].to_json_dict(), indent=2) + "\n"
+    lf, crlf = tmp_path / "lf.json", tmp_path / "crlf.json"
+    lf.write_bytes(text.encode())
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    code, rows, _ = run(capsys, "classify", "--params", str(lf), str(crlf))
+    assert code == 0 and b"\r\n" in crlf.read_bytes()
+    assert rows[1] == {**rows[0], "file": str(crlf)}
+
+
 def test_classify_batch_with_malformed_files(capsys, tmp_path):
     """Bad files get an error row each; the good ones are still classified,
     in order, and the run exits 2."""
@@ -211,6 +247,19 @@ def test_verify_flow_boost(capsys):
     assert code == 0
     row = rows[0]
     assert row["pass"] and 3.0 <= row["ratio_l2"] <= 5.0
+
+
+@pytest.mark.parametrize("eps", ["30", "100"])
+def test_verify_flow_passes_translation_off_the_grid(capsys, eps):
+    """P:1 is a symmetry at the default sym1b point; at these eps the
+    translated packets leave the grid and the residual is rounding on both
+    grids, where the l2 ratio means nothing and the rounding floor decides."""
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--gen", "P:1",
+                          "--eps", eps)
+    assert code == 0 and "1/1 checks passed" in err
+    row, = rows
+    assert row["pass"] and not 3.0 <= row["ratio_l2"] <= 5.0
+    assert max(row["after"]["l2"], row["after_fine"]["l2"]) < 1e-14
 
 
 def test_verify_flow_skips_inadmissible(capsys, tmp_path):

@@ -247,6 +247,32 @@ def test_flow_verification_gates_admissibility(pts, heat_sol):
     rep = verify_symmetry_flow(p, "A", 0.3, heat_sol, grid, (0.02, 0.18))
     assert good.passed and rep.baseline.linf <= 0.05
     assert not rep.passed, rep.ratio_l2
+    assert rep.after.l2 >= 1e6 * rep.floor
+
+
+@pytest.mark.parametrize("name", ["nu1", "nu2", "mu1", "mu2", "mu3", "mu4", "mu5"])
+def test_order_two_verdict_fails_mutated_coefficients(pts, heat_sol, name):
+    """The heat pair solves the system at sym1b and no system with one model
+    parameter moved by 1/10 (mu0 does not enter the dynamics): the verdict
+    fails each, with the residual far above the rounding floor."""
+    p = pts["sym1b"]
+    q = p.replace(**{name: getattr(p, name) + Fraction(1, 10)})
+    grid, times = Grid.make(npts=64, extent=(-4, 4)), np.linspace(0.02, 0.18, 9)
+    assert convergence(lambda traj: residual(p, traj), heat_sol, grid, times).passed
+    study = convergence(lambda traj: residual(q, traj), heat_sol, grid, times)
+    assert not study.passed, study.ratio_l2
+    assert study.coarse.l2 >= 1e6 * study.floor
+
+
+def test_flow_verification_passes_a_residual_at_rounding_level(pts, heat_sol):
+    """P:1 at eps = 30 moves the heat pair's packets off the grid: the
+    moved field is the constant offset, its residual is rounding on both
+    grids, and no l2 ratio is meaningful, so the floor decides."""
+    p = pts["sym1b"]
+    rep = verify_symmetry_flow(p, "P:1", 30.0, heat_sol,
+                               Grid.make(npts=64, extent=(-4, 4)), (0.02, 0.18))
+    assert max(rep.after.l2, rep.after_fine.l2) <= rep.floor < 1e-12
+    assert not 3.0 <= rep.ratio_l2 <= 5.0 and rep.passed
 
 
 @pytest.mark.parametrize("half", ["r", "s-first-slice"])

@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dgsym.params import (DGParams, GaugeElement, as_rational, canonical_gauge,
@@ -71,8 +71,9 @@ def test_as_rational():
     assert as_rational("3/4") == F(3, 4)
     assert as_rational(-2) == F(-2)
     assert as_rational(F(1, 3)) == F(1, 3)
-    with pytest.raises(TypeError):
-        as_rational(0.5)
+    for value in (0.5, True, False, None, b"1/2"):
+        with pytest.raises(TypeError):
+            as_rational(value)
     assert rational_str(F(-3, 7)) == "-3/7"
     assert rational_str(F(4)) == "4"
 
@@ -127,7 +128,7 @@ def fraction_value(text):
 
 def small_exponent(text):
     """At most three exponent digits: Fraction('1e99999999') builds 10**99999999."""
-    return sum(c.isdigit() for c in text.partition("e")[2]) <= 3
+    return sum(c.isdigit() for c in text.lower().partition("e")[2]) <= 3
 
 
 @given(st.text(alphabet="0123456789-+/ ._e", max_size=12).filter(small_exponent))
@@ -147,6 +148,65 @@ def test_loader_agrees_with_fraction(text):
 ])
 def test_loader_edge_strings(text, want):
     assert load_value(text) == want == fraction_value(text)
+
+
+def outcome(parse, value):
+    """``parse(value)`` with its type, or the type of the exception it raises."""
+    try:
+        got = parse(value)
+    except (ValueError, ZeroDivisionError, TypeError) as exc:
+        return type(exc)
+    return got, type(got)
+
+
+class IntSub(int):
+    pass
+
+
+class FractionSub(F):
+    pass
+
+
+class StrSub(str):
+    pass
+
+
+# ASCII digits, Arabic-Indic three and zero (decimal digits int() reads),
+# the signs, separators and exponent letters Fraction knows, space and tab
+RATIO_CHARS = "0123456789\u0663\u0660-+/_.eE \t"
+
+
+@given(st.text(alphabet=RATIO_CHARS, max_size=12).filter(small_exponent))
+@example("-\u0663/\u0663\u0660")
+@example("\t-12/8 ")
+@example("--1")
+@example("-+1")
+@example("1/-2")
+@example("1__0")
+@example("_1")
+@example("1/2_0")
+@example("-/2")
+@example("3/\u0660")
+@example("1e3")
+@settings(max_examples=600, deadline=None)
+def test_as_rational_str_path_equals_fraction(text):
+    """Every string is accepted with Fraction(text.strip())'s value, or
+    refused with the exception type Fraction raises."""
+    assert outcome(as_rational, text) == outcome(F, text.strip())
+    assert outcome(as_rational, StrSub(text)) == outcome(F, text.strip())
+
+
+@given(st.fractions())
+def test_as_rational_returns_a_fraction_itself(q):
+    assert as_rational(q) is q
+    sub = FractionSub(q)
+    assert as_rational(sub) is sub
+
+
+@given(st.integers())
+def test_as_rational_coerces_int_and_int_subclass(k):
+    assert outcome(as_rational, k) == (F(k), F)
+    assert outcome(as_rational, IntSub(k)) == (F(k), F)
 
 
 def test_loader_keeps_the_error_message():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import os
@@ -473,18 +474,28 @@ def test_se_residual_is_residual_at_the_linear_point():
 
 def test_convergence_is_order_two_only(pts):
     """The refinement verdict fails a non-solution, whose residual does not
-    shrink, and a residual that is exactly 0 on the fine grid (a plane wave
-    on dyadic grid points and times), whose ratio is inf."""
+    shrink, far above the rounding floor.  A residual that is exactly 0 on
+    both grids (a plane wave on dyadic grid points and times) has ratio
+    inf and passes as a residual at rounding level.  The floor is
+    eps U (1/dt + 4n/dx^2) of the fine sampling."""
     p = pts["linear-se"]
     dg = functools.partial(residual, p)
     grid, times = Grid.make(npts=64, extent=(-4, 4)), np.linspace(0.02, 0.18, 9)
     junk = convergence(dg, Junk(), grid, times)
     assert not junk.passed and 0.9 < junk.ratio_l2 < 1.1
+    assert junk.coarse.l2 >= 1e6 * junk.floor
     assert junk.coarse == dg(sample_trajectory(Junk(), grid, times))
-    wave = convergence(dg, plane_wave_solution(p, 0.5),
-                       Grid.make(npts=65, extent=(-4, 4)), np.linspace(0.0, 0.25, 5))
-    assert wave.fine.l2 == wave.fine.linf == 0.0
-    assert wave.ratio_l2 == wave.ratio_linf == np.inf and not wave.passed
+    wave_grid, wave_times = Grid.make(npts=65, extent=(-4, 4)), np.linspace(0.0, 0.25, 5)
+    wave = convergence(dg, plane_wave_solution(p, 0.5), wave_grid, wave_times)
+    assert wave.coarse.l2 == wave.fine.l2 == wave.fine.linf == 0.0
+    assert wave.ratio_l2 == wave.ratio_linf == np.inf and wave.passed
+    nan_fine = dataclasses.replace(wave, fine=ResidualReport(np.nan, np.nan, 0.0, 0.0))
+    assert not nan_fine.passed
+    fine = sample_trajectory(plane_wave_solution(p, 0.5), wave_grid.refine(),
+                             np.linspace(0.0, 0.25, 9))
+    size = max(np.max(np.abs(fine.r)), np.max(np.abs(fine.s)))
+    assert wave.floor == pytest.approx(
+        np.finfo(float).eps * size * (1 / (0.25 / 8) + 4 / (8 / 128) ** 2), rel=1e-12)
     with pytest.raises(ValueError, match="uniform time stamps"):
         convergence(dg, Junk(), grid, [0.0, 0.1, 0.3])
 
