@@ -448,7 +448,7 @@ def cmd_linearize(args) -> list:
         ok = dg.passed
         report = {"branch": "heat", "residual": dg.coarse.to_json_dict(),
                   "residual_fine": dg.fine.to_json_dict(),
-                  "convergence_ratio": dg.ratio_l2}
+                  "convergence_ratio": dg.ratio_l2, "dg_floor": dg.floor}
         summary = (f"linearize(heat): residual l2={dg.coarse.l2:.3e}, "
                    f"ratio={dg.ratio_l2:.2f}")
     else:
@@ -462,10 +462,11 @@ def cmd_linearize(args) -> list:
         ok = se.passed and dg.passed and rt_err < ROUNDTRIP_TOL
         report = {"branch": "schroedinger", "dg_residual": dg.coarse.to_json_dict(),
                   "dg_residual_fine": dg.fine.to_json_dict(),
-                  "dg_convergence_ratio": dg.ratio_l2,
+                  "dg_convergence_ratio": dg.ratio_l2, "dg_floor": dg.floor,
                   "se_residual": se.coarse.to_json_dict(),
                   "se_residual_fine": se.fine.to_json_dict(),
-                  "convergence_ratio": se.ratio_l2, "roundtrip_error": rt_err}
+                  "convergence_ratio": se.ratio_l2, "se_floor": se.floor,
+                  "roundtrip_error": rt_err}
         summary = (f"linearize(se): se-residual l2={se.coarse.l2:.3e}, "
                    f"ratio={se.ratio_l2:.2f}, dg-ratio={dg.ratio_l2:.2f}, "
                    f"roundtrip={rt_err:.2e}")

@@ -298,7 +298,8 @@ class FlowReport:
                 "baseline": self.baseline.to_json_dict(),
                 "after": self.after.to_json_dict(),
                 "after_fine": self.after_fine.to_json_dict(),
-                "ratio_l2": self.ratio_l2, "ratio_linf": self.ratio_linf}
+                "ratio_l2": self.ratio_l2, "ratio_linf": self.ratio_linf,
+                "floor": self.floor}
 
 
 def verify_symmetry_flow(p: DGParams, name, eps: float, solution,

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .fields import Grid, LogPolarField, Trajectory, sample_trajectory
-from .kernels import boundary_ring, evolution_rhs
+from .kernels import boundary_ring, evolution_rhs, padded_layout
 from .params import DGParams, dg_system, predicate_report
 
 __all__ = [
@@ -59,9 +59,10 @@ def default_dt(grid: Grid) -> float:
 # A slab of k time slices takes at most this many grid points per stencil
 # call: 1-D grids batch many slices, and 2-D grids of 64² points and up keep
 # one slice per call, where a larger slab loses more to memory traffic than
-# it saves in calls.  One `residual` on a 2-vCPU host: 1-D 256 x 65 slices
-# takes 4.7 ms per slice, 1.1 ms in slabs of 4096 points and 1.3 ms as one
-# stack; 2-D 64² x 9 takes 2.6 ms per slice and 3.3 ms as one stack.
+# it saves in calls.  One `residual` on a 2-vCPU host, best of 40: 1-D
+# 256 x 65 slices takes 1.9 ms per slice, 0.7 ms in slabs of 4096 points and
+# 1.1 ms as one stack; 2-D 64² x 9 takes 2.1 ms per slice and 3.2 ms as one
+# stack.
 _SLAB_POINTS = 4096
 
 BLOWUP = 100.0  # the max|r| bound of evolve
@@ -103,10 +104,16 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
     does a NaN or inf in r.  The rows are ``field0``, every ``save_every``-th
     step and the last step.
 
-    Each stage calls ``evolution_rhs`` once on ``u + (dt/2) k`` (``u + dt k3``
-    for the last).  The update ``u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` is
-    summed left to right in place in ``k1``, scaled, and added to ``u`` in
-    place: the same operations in the same order as the expression.
+    The state ``u`` and the RK4 stage state are ghost-padded arrays (the
+    layout of ``kernels.padded_layout``) for the whole run.  Each stage
+    calls ``evolution_rhs`` once, on ``u`` and then on the stage state
+    ``u + (dt/2) k`` (``u + dt k3`` for the last), formed in place; the call
+    fills the state's ghost layer and returns ``k`` padded, its ghost layer
+    zero.  The update ``u + (dt/6) (k1 + 2 k2 + 2 k3 + k4)`` is summed left
+    to right in place in ``k1``, scaled, and added to ``u`` in place: the
+    same operations in the same order as the expression.  The ring is
+    pinned, the blow-up bound checked and the rows copied on the grid inside
+    the padded arrays; ``field0`` is not written to.
     """
     grid = field0.grid
     dt_max = default_dt(grid)
@@ -127,9 +134,10 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
         raise ValueError("dirichlet evolution needs bc_values pinned to a "
                          "reference solution")
     ring, _ = boundary_ring(grid)
+    shape, padded_ring, inner = padded_layout(grid)
     coeffs = rhs_coefficients(p)
     if dirichlet:
-        edge = (slice(None),) + ring
+        edge = (slice(None),) + padded_ring
         pins = _ring_values(bc_values, tuple(c[ring] for c in grid.coords()),
                             field0.t, dt, steps)
 
@@ -149,27 +157,33 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
     except (MemoryError, ValueError) as exc:
         raise ValueError(f"steps={steps} saved every {save_every} make a "
                          "trajectory too large to hold in memory") from exc
-    u = np.stack((field0.r, field0.s))
-    times[0], saved[:, 0], row = field0.t, u, 1
+    times[0], saved[0, 0], saved[1, 0], row = field0.t, field0.r, field0.s, 1
+    u, stage = np.zeros((2,) + shape), np.empty((2,) + shape)
+    u[inner] = saved[:, 0]
     half, sixth = 0.5 * dt, dt / 6.0
+
+    def staged(scale, k):
+        np.multiply(scale, k, out=stage)
+        return pin(np.add(u, stage, out=stage))
+
     for step in range(1, steps + 1):
         k1 = evolution_rhs(u, grid, coeffs)
-        k2 = evolution_rhs(pin(u + half * k1), grid, coeffs)
-        k3 = evolution_rhs(pin(u + half * k2), grid, coeffs)
-        k4 = evolution_rhs(pin(u + dt * k3), grid, coeffs)
+        k2 = evolution_rhs(staged(half, k1), grid, coeffs)
+        k3 = evolution_rhs(staged(half, k2), grid, coeffs)
+        k4 = evolution_rhs(staged(dt, k3), grid, coeffs)
         k2 *= 2.0
         k1 += k2
         k3 *= 2.0
         k1 += k3
         k1 += k4
         k1 *= sixth
-        u = pin(np.add(u, k1, out=u))
+        pin(np.add(u, k1, out=u))
         t = field0.t + step * dt
-        norm = float(np.abs(u[0]).max())
+        norm = float(np.abs(u[0][inner]).max())
         if not math.isfinite(norm) or norm > BLOWUP:
             raise EvolutionBlowup(step, t, norm)
         if step % save_every == 0 or step == steps:
-            times[row], saved[:, row] = t, u
+            times[row], saved[:, row] = t, u[inner]
             row += 1
     return Trajectory(grid, times, *saved)
 

@@ -260,6 +260,8 @@ def test_verify_flow_passes_translation_off_the_grid(capsys, eps):
     row, = rows
     assert row["pass"] and not 3.0 <= row["ratio_l2"] <= 5.0
     assert max(row["after"]["l2"], row["after_fine"]["l2"]) < 1e-14
+    # the row names the floor that passed it
+    assert max(row["after"]["l2"], row["after_fine"]["l2"]) <= row["floor"]
 
 
 def test_verify_flow_skips_inadmissible(capsys, tmp_path):
@@ -897,6 +899,7 @@ def test_linearize_heat_branch(capsys, tmp_path, sym1b_file):
     row = rows[0]
     assert row["branch"] == "heat" and row["pass"]
     assert 3.0 <= row["convergence_ratio"] <= 5.0
+    assert 0.0 < row["dg_floor"] < row["residual"]["l2"]
     assert os.path.exists(os.path.join(out, "manifest.json"))
 
 
@@ -938,6 +941,8 @@ def test_linearize_se_branch(capsys, tmp_path, n, key, gauge):
     assert code == 0 and row["branch"] == "schroedinger" and row["pass"]
     assert 3.0 <= row["convergence_ratio"] <= 5.0
     assert 3.0 <= row["dg_convergence_ratio"] <= 5.0
+    assert 0.0 < row["se_floor"] < row["se_residual"]["l2"]
+    assert 0.0 < row["dg_floor"] < row["dg_residual"]["l2"]
     assert row["roundtrip_error"] < 1e-10
 
 

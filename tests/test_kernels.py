@@ -9,6 +9,7 @@ reproduce both bit for bit: every trajectory, residual and functional is
 built on it, so any change of rounding would show in all of them.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from dgsym import pde
 from dgsym.fields import Grid, LogPolarField, Trajectory, sample_evaluator
-from dgsym.kernels import derivative_bundle, evolution_rhs, zero_ring
+from dgsym.kernels import derivative_bundle, evolution_rhs, padded_layout, zero_ring
 from dgsym.params import reference_points
 from dgsym.pde import evolve, residual
 
@@ -215,6 +216,96 @@ def test_rhs_keeps_the_sign_of_zero_coefficients(grid):
     assert signs[0].all() and not signs[1].any()
 
 
+def _padded(u, grid, fill):
+    """``u`` inside a padded state whose ghost layer holds ``fill``."""
+    shape, _, inner = padded_layout(grid)
+    out = np.full(u.shape[:u.ndim - grid.n] + shape, fill)
+    out[inner] = u
+    return out
+
+
+def _raised(call):
+    """Whether ``call()`` raises FloatingPointError under errstate(all="raise")."""
+    with np.errstate(all="raise"):
+        try:
+            call()
+        except FloatingPointError:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-slice", "slab-of-3"])
+@pytest.mark.parametrize("make", FIELDS, ids=FIELD_IDS)
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_padded_state_gives_the_grid_result(grid, make, lead):
+    """On the padded state evolution_rhs equals the grid-layout call bit for
+    bit, with its ghost layer zero.  It fills the state's ghost layer in
+    place by the boundary rule, corners along both axes (NaN ghosts before
+    the call), and leaves the state's grid untouched."""
+    pairs = [make(grid, seed) for seed in range(math.prod(lead))]
+    r, s = (np.reshape([pair[j] for pair in pairs], lead + grid.shape) for j in (0, 1))
+    u = np.stack((r, s))
+    coeffs = tuple(np.random.default_rng(11).normal(size=9))
+    want = evolution_rhs(u, grid, coeffs)
+    padded = _padded(u, grid, np.nan)
+    got = evolution_rhs(padded, grid, coeffs)
+    _, _, inner = padded_layout(grid)
+    assert got.shape == padded.shape
+    assert np.array_equal(got[inner].view(np.uint64), want.view(np.uint64))
+    ghost = np.ones(got.shape, dtype=bool)
+    ghost[inner] = False
+    assert not got[ghost].view(np.uint64).any()  # +0.0 everywhere
+    rule = "wrap" if grid.bc == "periodic" else "edge"
+    width = ((0, 0),) * (u.ndim - grid.n) + ((1, 1),) * grid.n
+    assert np.array_equal(padded.view(np.uint64), np.pad(u, width, mode=rule).view(np.uint64))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_rhs_refuses_a_state_of_another_shape(grid):
+    m = grid.npts
+    bad = [(2,) + (m + 1,) * grid.n, (2,) + (m + 3,) * grid.n, (3,) + grid.shape,
+           grid.shape]
+    if grid.n == 2:
+        bad += [(2, m + 2, m), (2, m, m + 2)]
+    for shape in bad:
+        with pytest.raises(ValueError, match="neither"):
+            evolution_rhs(np.zeros(shape), grid, tuple(range(9)))
+
+
+def _steep(grid, scale):
+    """A phase rising by ``scale`` per point along the last axis."""
+    r = 0.1 * np.random.default_rng(5).normal(size=grid.shape)
+    return r, scale * np.broadcast_to(np.arange(grid.npts, dtype=float), grid.shape)
+
+
+def _alternating(grid, scale):
+    """A log-amplitude of alternating sign along the last axis: every centered
+    first difference inside the grid is 0, but a one-sided one across the
+    periodic seam is 2 ``scale``."""
+    r = scale * np.broadcast_to((-1.0) ** np.arange(grid.npts), grid.shape)
+    return np.array(r), 0.1 * np.random.default_rng(6).normal(size=grid.shape)
+
+
+GRIDS_2D = [g for g in GRIDS if g.n == 2] + [
+    Grid(n=2, npts=20, bounds=((-4.0, 4.0), (-1.5, 2.5)), bc="periodic")]
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e152, 3e152, 1e153, 1e154],
+                         ids=lambda v: f"{v:g}")
+@pytest.mark.parametrize("make", [_steep, _alternating], ids=["steep", "alternating"])
+@pytest.mark.parametrize("grid", GRIDS_2D, ids=["2d-periodic", "2d-dirichlet", "2d-periodic-even"])
+def test_ghost_lanes_raise_no_floating_point_error(grid, make, scale):
+    """The flat range of a 2-D padded state also covers the ghost columns;
+    under errstate(all="raise") both layouts raise exactly when the
+    two-array reference does, so no error comes from a ghost lane."""
+    r, s = make(grid, scale)
+    coeffs = (1.0, -0.5, 0.25, 0.5, 0.75, 1.0, -0.5, 0.25, 1.5)
+    want = _raised(lambda: two_array_rhs(r, s, grid, coeffs))
+    u = np.stack((r, s))
+    assert _raised(lambda: evolution_rhs(u, grid, coeffs)) == want
+    assert _raised(lambda: evolution_rhs(_padded(u, grid, 0.0), grid, coeffs)) == want
+
+
 # Well-posed points, so that a few RK4 steps from the smooth winding fields
 # stay far below the blow-up bound.
 EVOLVE_KEYS = ["sym1c", "linear-se", "galsub"]
@@ -342,3 +433,46 @@ def test_evolve_matches_reference_stencil_2d_dirichlet():
     traj = evolve(p, f0, 8, bc_values=bc, save_every=3)
     _assert_same_trajectory(traj, _reference_evolve(
         p, f0, 8, dt, _replaying(calls, grid), save_every=3, rhs=ref_rhs))
+
+
+def test_evolve_matches_reference_stencil_2d_periodic():
+    p = reference_points(2)["sym1c"]
+    grid = Grid(n=2, npts=24, bounds=((-4.0, 4.0), (-1.5, 2.5)), bc="periodic")
+    x, y = grid.coords()
+    # the phase winds twice across the seam of axis 0 and once across that
+    # of axis 1
+    f0 = LogPolarField(grid, 0.0, 0.2 * np.cos(np.pi * x / 4) * np.cos(np.pi * y / 2),
+                       np.pi * x / 2 + np.pi * y / 2 + 0.1 * np.sin(np.pi * x / 4))
+    dt = 0.2 * min(grid.spacings) ** 2
+    traj = evolve(p, f0, 12, save_every=4)
+    _assert_same_trajectory(traj, _reference_evolve(
+        p, f0, 12, dt, None, save_every=4, rhs=ref_rhs))
+
+
+@pytest.mark.parametrize("grid", [Grid.make(n=1, npts=33, bc="periodic"),
+                                  Grid.make(n=2, npts=17)], ids=["1d-periodic", "2d-dirichlet"])
+def test_evolve_keeps_its_buffers_to_itself(grid, monkeypatch):
+    """evolve leaves field0 as it was; no saved slice shares memory with
+    another or with a buffer evolve stepped in, and a second run from the
+    same field0 gives the same trajectory."""
+    p = reference_points(grid.n)["sym1c"]
+    f0 = LogPolarField(grid, 0.1, *_winding_fields(grid, 4))
+    r0, s0 = f0.r.copy(), f0.s.copy()
+    bc = HeldRing(f0).rs if grid.bc == "dirichlet" else None
+    live = []
+
+    def spy(u, *rest):
+        k = evolution_rhs(u, *rest)
+        live.extend((u, k))
+        return k
+
+    monkeypatch.setattr(pde, "evolution_rhs", spy)
+    traj = evolve(p, f0, 5, bc_values=bc, save_every=2)
+    monkeypatch.undo()
+    assert np.array_equal(f0.r, r0) and np.array_equal(f0.s, s0)
+    saved = [a for fld in traj.fields for a in (fld.r, fld.s)]
+    for i, a in enumerate(saved):
+        assert not any(np.shares_memory(a, b) for b in saved[i + 1:])
+        assert not any(np.shares_memory(a, b) for b in live + [f0.r, f0.s])
+    _assert_same_trajectory(evolve(p, f0, 5, bc_values=bc, save_every=2),
+                            [(fld.t, fld.r, fld.s) for fld in traj.fields])
