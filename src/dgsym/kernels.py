@@ -49,9 +49,10 @@ the lanes that zero a result's ring and ghost columns, and the dirichlet
 ring's indices in the padded layout.
 
 The combination runs on ``(2, 1, ...)`` columns of the coefficients, so r_t
-and s_t come out as one stacked array; its last sum is written straight into
-the flat range of a padded result.  Each element sees the operations, in the
-order, of a separate r and s pass.
+and s_t come out as one stacked array.  For a padded result, r_t is copied
+into the flat range and the last sum of s_t is written straight into it, one
+half at a time.  Each element sees the operations, in the order,
+of a separate r and s pass.
 
 On dirichlet grids the outermost layer of points along each axis is the
 boundary ring: its values are imposed, not evolved, so every right-hand side
