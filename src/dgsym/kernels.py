@@ -6,8 +6,8 @@ family is a linear combination of five derivative fields of that state:
 
     lap r,  lap s,  |grad r|^2,  |grad s|^2,  grad r . grad s
 
-``derivative_bundle`` computes them with one centered second-order stencil,
-and ``evolution_rhs`` combines them with nine coefficients:
+``evolution_rhs`` computes them with one centered second-order stencil and
+combines them with nine coefficients:
 
     r_t = a1 lap(r) + a2 lap(s) + a3 |grad r|^2 + a4 grad r . grad s
     s_t = b1 lap(r) + b2 lap(s) + b3 |grad r|^2 + b4 grad r . grad s + b5 |grad s|^2
@@ -16,16 +16,17 @@ Layouts.  The stencil takes the state in one of two layouts, told apart by
 the trailing ``grid.n`` axes: the grid layout ``(2, *lead, *grid.shape)``,
 or the ghost-padded layout ``(2, *lead, *(m + 2 for m in grid.shape))``, the
 grid plus one ghost cell at each end of every axis.  ``evolution_rhs``
-returns its result in the layout it was given; the ghost layer of a padded
-result is zero.  ``pde.evolve`` keeps its state padded for the whole run.
+copies a grid-layout state into a new padded array and runs the padded
+path on it; it returns its result in the layout it was given, a grid-layout
+result as the grid view of a padded one.  The ghost layer of a padded result
+is zero.  ``pde.evolve`` keeps its state padded for the whole run.
 
 Ghost rule.  ``fill_ghosts`` fills the ghost layer in place, one axis after
 the other over the whole extent of the others, so a corner gets the rule
 along both axes.  On periodic grids a ghost holds the wrapped neighbour; on
 dirichlet grids it copies the edge value, so the outward difference there is
 f - f = 0 exactly and the ring holds one-sided values.  ``evolution_rhs``
-fills a padded state's ghosts itself, and pads a grid-layout state by the
-same rule with one ``np.concatenate`` per axis; both then run one body.
+fills the ghosts of the padded state it runs on.
 
 Flat plan.  On the padded grid flattened, every difference is a contiguous
 shift: stride 1 along the last axis and ``npts + 2`` along the first.  The
@@ -43,21 +44,20 @@ last-axis first derivative is zeroed on the ghost lanes before it is
 squared: there it is one-sided, and its square can overflow where no
 interior point's does (r = ±1e154 alternating along a periodic axis of even
 length).  ``_flat_plan``, cached per grid, holds the padded shape, the ghost
-rule's index tuples for ``fill_ghosts`` and for the concatenates, the flat
-range, each axis's stride, ``2 dx`` and ``dx²``, the seams and ghost lanes,
-the lanes that zero a result's ring and ghost columns, and the dirichlet
-ring's indices in the padded layout.
+rule's index tuples for ``fill_ghosts``, the flat range, each axis's
+stride, ``2 dx`` and ``dx²``, the seams and ghost lanes, the lanes that zero
+a result's ring and ghost columns, and the dirichlet ring's indices in the
+padded layout.
 
 The combination runs on ``(2, 1, ...)`` columns of the coefficients, so r_t
-and s_t come out as one stacked array.  For a padded result, r_t is copied
-into the flat range and the last sum of s_t is written straight into it, one
-half at a time.  Each element sees the operations, in the order,
-of a separate r and s pass.
+and s_t come out as one stacked array.  r_t is copied into the flat range
+of the padded result and the last sum of s_t is written straight into it,
+one half at a time.  Each element sees the operations, in the order, of a
+separate r and s pass.
 
 On dirichlet grids the outermost layer of points along each axis is the
 boundary ring: its values are imposed, not evolved, so every right-hand side
-is zero there and residuals are taken over the points inside it;
-``zero_ring`` zeroes one grid-layout array on it in place.
+is zero there and residuals are taken over the points inside it.
 ``boundary_ring`` gives the ring as one integer index tuple (``np.nonzero``
 of the ring mask, so ``arr[ring]`` is the flat run of ring values) next to
 the ``inner`` slices; on a periodic grid the ring is empty.
@@ -90,7 +90,6 @@ class _Plan(NamedTuple):
     grid: tuple      # the grid shape
     shape: tuple     # the padded grid shape
     periodic: bool
-    pad: tuple       # per axis: the array axis and the cells its ghosts copy
     fill: tuple      # per axis: index tuples of the two ghosts and their cells
     lo: int          # flat index of the first interior point
     hi: int          # one past the flat index of the last
@@ -112,19 +111,17 @@ def _flat_plan(grid):
     lanes = tuple(math.prod(shape[axis + 1:]) for axis in range(grid.n))
     lo = sum(lanes)
     hi = lo + sum((m - 1) * s for m, s in zip(grid.shape, lanes)) + 1
-    # the cells the low and high ghosts copy, in the grid layout and, as one
-    # strided slice, in the padded layout: cells m, 1 (periodic) or 1, m
-    (glo, ghi), cells = (((-1, 0), slice(grid.npts, 0, 1 - grid.npts)) if periodic
-                         else ((0, -1), slice(1, None, grid.npts - 1)))
-    pad, fill, axes, zero = [], [], [], []
+    # the cells the low and high ghosts copy, as one strided slice of the
+    # padded layout: cells m, 1 (periodic) or 1, m
+    cells = (slice(grid.npts, 0, 1 - grid.npts) if periodic
+             else slice(1, None, grid.npts - 1))
+    fill, axes, zero = [], [], []
     for axis, stride in enumerate(lanes):
         rest = (slice(None),) * (grid.n - 1 - axis)
 
         def at(i):
             return (Ellipsis, i) + rest
 
-        pad.append((axis - grid.n, at(slice(glo, glo + 1 or None)),
-                    at(slice(ghi, ghi + 1 or None))))
         fill.append((at(slice(0, None, grid.npts + 1)), at(cells)))
         seams = ghosts = ()
         if stride == 1 and grid.n == 2:
@@ -141,7 +138,7 @@ def _flat_plan(grid):
     for idx in ring:
         idx.setflags(write=False)
     inner = (Ellipsis,) + (slice(1, -1),) * grid.n
-    return _Plan(grid.shape, shape, periodic, tuple(pad), tuple(fill), lo, hi,
+    return _Plan(grid.shape, shape, periodic, tuple(fill), lo, hi,
                  tuple(axes), lanes, tuple(zero), ring, inner)
 
 
@@ -161,13 +158,6 @@ def fill_ghosts(u, grid):
     return u
 
 
-def _pad(u, plan):
-    """A padded copy of the grid-layout state ``u``, one concatenate per axis."""
-    for axis, lo, hi in plan.pad:
-        u = np.concatenate((u[lo], u, u[hi]), axis=axis)
-    return u
-
-
 def _flat(u, plan):
     """``u`` with its trailing grid axes flattened, a view of a padded state."""
     return u if len(plan.lanes) == 1 else u.reshape(u.shape[:-2] + (-1,))
@@ -184,8 +174,9 @@ def _grid_view(a, plan):
 
 
 def _flat_bundle(flat, plan):
-    """Stacked ``lap``, ``|grad|^2`` and ``grad r . grad s`` over the flat
-    range of the padded state ``flat``, its grid axes flattened."""
+    """``(lap r, lap s, |grad r|^2, |grad s|^2, grad r . grad s)`` over the
+    flat range of the padded state ``flat``, its grid axes flattened; the
+    first four are views into two stacked arrays."""
     lo, hi = plan.lo, plan.hi
     for axis, (stride, two_dx, dx2, seams, ghosts) in enumerate(plan.axes):
         d = flat[..., lo:hi + stride] - flat[..., lo - stride:hi]
@@ -210,7 +201,7 @@ def _flat_bundle(flat, plan):
             lap += d2
             cross += d1[0] * d1[1]
             sq += np.multiply(d1, d1, out=d1)
-    return lap, sq, cross
+    return lap[0], lap[1], sq[0], sq[1], cross
 
 
 @lru_cache(maxsize=64)
@@ -244,42 +235,40 @@ def boundary_ring(grid):
     return ring, inner
 
 
-def zero_ring(grid, arr):
-    """Zero ``arr`` (any leading axes, then the grid's) in place on the
-    boundary ring; return it."""
-    if grid.bc == "dirichlet":
-        arr[(Ellipsis,) + boundary_ring(grid)[0]] = 0.0
-    return arr
+def _padded_copy(u, plan):
+    """A new padded array holding the grid-layout state ``u`` on its grid,
+    its ghost layer not yet filled."""
+    padded = np.empty(u.shape[:-len(plan.grid)] + plan.shape)
+    padded[plan.inner] = u
+    return padded
 
 
-def derivative_bundle(u, grid):
+def _derivative_bundle(u, grid):
     """``(lap r, lap s, |grad r|^2, |grad s|^2, grad r . grad s)`` of the
-    stacked grid-layout state ``u``, each in the grid layout.
+    stacked grid-layout state ``u``, each a grid-layout view of the flat
+    body's arrays, for the reference tests that pin the terms one by one.
 
     The phase is differenced modulo 2 pi on periodic grids.  On dirichlet
-    grids the boundary ring holds one-sided values; callers that need it zero
-    use ``zero_ring``.
+    grids the boundary ring holds one-sided values.
     """
     plan = _flat_plan(grid)
-    lap, sq, cross = _flat_bundle(_flat(_pad(u, plan), plan), plan)
-    return tuple(_grid_view(a, plan) for a in (lap[0], lap[1], sq[0], sq[1], cross))
+    terms = _flat_bundle(_flat(fill_ghosts(_padded_copy(u, plan), grid), plan), plan)
+    return tuple(_grid_view(a, plan) for a in terms)
 
 
-def _combine(lap, sq, cross, coeffs, out=None):
-    """The stacked nine-coefficient combination of the stacked bundle terms
-    ``lap`` and ``sq`` and of ``cross``, summed in a new array and written
-    into ``out`` (that array when None), which is returned."""
-    cols = _columns(struct.pack("8d", *coeffs[:8]), lap.ndim)
-    rhs = cols[0] * lap[0]
-    term = cols[1] * lap[1]
+def _combine(terms, coeffs, out):
+    """The stacked nine-coefficient combination of the five bundle
+    ``terms`` over the flat range, summed in a new array and written into
+    ``out``, which is returned."""
+    lap_r, lap_s, sq_r, sq_s, cross = terms
+    cols = _columns(struct.pack("8d", *coeffs[:8]), out.ndim)
+    rhs = cols[0] * lap_r
+    term = cols[1] * lap_s
     rhs += term
-    rhs += np.multiply(cols[2], sq[0], term)
+    rhs += np.multiply(cols[2], sq_r, term)
     rhs += np.multiply(cols[3], cross, term)
-    if out is None:
-        out = rhs
-    else:
-        out[0] = rhs[0]
-    np.add(rhs[1], np.multiply(coeffs[8], sq[1], term[1]), out[1])
+    out[0] = rhs[0]
+    np.add(rhs[1], np.multiply(coeffs[8], sq_s, term[1]), out[1])
     return out
 
 
@@ -290,8 +279,10 @@ def evolution_rhs(u, grid, coeffs):
     ``u`` is in the grid layout or the padded layout (see the module
     docstring), told apart by its trailing shape; any other shape raises
     ``ValueError``.  A padded ``u`` has its ghost layer filled in place by
-    ``fill_ghosts`` and its grid left untouched; the result is in the
-    layout of ``u``, with a padded result's ghost layer zero.
+    ``fill_ghosts`` and its grid left untouched; a grid-layout ``u`` is
+    copied into a new padded array first.  The result is in the layout of
+    ``u``: a new padded array with its ghost layer zero, or the grid view of
+    one.
     """
     plan = _flat_plan(grid)
     shape = u.shape
@@ -300,12 +291,11 @@ def evolution_rhs(u, grid, coeffs):
     if not (padded or trailing == plan.grid) or len(shape) <= grid.n or shape[0] != 2:
         raise ValueError(f"a state of shape {shape} is neither (2, ..., "
                          f"*{plan.grid}) nor padded (2, ..., *{plan.shape})")
-    if not padded:
-        bundle = _flat_bundle(_flat(_pad(u, plan), plan), plan)
-        return zero_ring(grid, _grid_view(_combine(*bundle, coeffs), plan))
-    bundle = _flat_bundle(_flat(fill_ghosts(u, grid), plan), plan)
-    out = np.zeros(shape)
-    _combine(*bundle, coeffs, _flat(out, plan)[..., plan.lo:plan.hi])
+    state = u if padded else _padded_copy(u, plan)
+    terms = _flat_bundle(_flat(fill_ghosts(state, grid), plan), plan)
+    # the grid view of a result covers only lanes that are written
+    out = (np.zeros if padded else np.empty)(state.shape)
+    _combine(terms, coeffs, _flat(out, plan)[..., plan.lo:plan.hi])
     for lanes in plan.zero:
         out[lanes] = 0.0
-    return out
+    return out if padded else out[plan.inner]

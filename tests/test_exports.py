@@ -139,9 +139,6 @@ UNCALLED = {
     # the exact group law of the gauge group, stated beside gauge_act_params
     ("params", "gauge_identity"), ("params", "gauge_inverse"),
     ("params", "gauge_compose"),
-    # the bundle in the grid layout, which the reference tests pin term by
-    # term; evolution_rhs runs the same body on the flat padded range
-    ("kernels", "derivative_bundle"),
 }
 
 

@@ -19,12 +19,13 @@ from hypothesis import strategies as st
 
 from dgsym import pde
 from dgsym.fields import Grid, LogPolarField, Trajectory, sample_evaluator
-from dgsym.kernels import derivative_bundle, evolution_rhs, padded_layout, zero_ring
+from dgsym.kernels import _derivative_bundle, evolution_rhs, padded_layout
 from dgsym.params import reference_points
 from dgsym.pde import evolve, residual
 
 from test_pde import (_assert_same_trajectory, _per_slice_report, _recording,
-                      _reference_evolve, _replaying, _ring_mask, functionals)
+                      _reference_evolve, _replaying, _ring_mask, functionals,
+                      zero_ring)
 
 TWO_PI = 2.0 * np.pi
 
@@ -177,7 +178,7 @@ def test_bundle_rhs_and_functionals_match_reference(grid, make):
     for seed in range(3):
         r, s = make(grid, seed)
         u = np.stack((r, s))
-        for got, want in zip(derivative_bundle(u, grid), ref_bundle(r, s, grid)):
+        for got, want in zip(_derivative_bundle(u, grid), ref_bundle(r, s, grid)):
             assert np.array_equal(got, want)
         coeffs = tuple(np.random.default_rng(seed + 10).normal(size=9))
         got = evolution_rhs(u, grid, coeffs)
@@ -192,7 +193,7 @@ def test_bundle_does_not_modify_its_inputs():
     grid = GRIDS[1]
     u = np.stack(_winding_fields(grid, 0))
     u0 = u.copy()
-    derivative_bundle(u, grid)
+    _derivative_bundle(u, grid)
     evolution_rhs(u, grid, tuple(range(9)))
     assert np.array_equal(u, u0)
 
@@ -368,7 +369,7 @@ def test_dirichlet_ring_keeps_one_sided_values(grid):
     """On the ring the outward difference is exactly 0: a point on the low
     edge of axis 0 sees only its forward difference."""
     r, s = _random_fields(grid, 3)
-    lap_r, lap_s, gr2, gs2, grgs = derivative_bundle(np.stack((r, s)), grid)
+    lap_r, lap_s, gr2, gs2, grgs = _derivative_bundle(np.stack((r, s)), grid)
     dx = grid.dx(0)
     if grid.n == 1:
         dp, dm = r[1] - r[0], r[-1] - r[-2]

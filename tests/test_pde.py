@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from dgsym import pde
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_trajectory,
                           sample_evaluator, sample_trajectory, write_trajectory)
-from dgsym.kernels import boundary_ring, derivative_bundle, evolution_rhs, zero_ring
+from dgsym.kernels import _derivative_bundle, boundary_ring, evolution_rhs
 from dgsym.params import PARAM_NAMES, DGParams, reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, convergence,
                        evolve, heat_solution, plane_wave_solution,
@@ -129,12 +129,19 @@ def test_trajectory_rejects_stack_times_mismatch(tmp_path):
 # ---------------------------------------------------------------------------
 # functionals
 
+def zero_ring(grid, arr):
+    """Zero ``arr`` (any leading axes, then the grid's) in place on the
+    boundary ring that ``boundary_ring`` indexes; return it."""
+    arr[(Ellipsis,) + boundary_ring(grid)[0]] = 0.0
+    return arr
+
+
 def functionals(r, s, grid, bundle=None):
     """(R1, ..., R5) of Doebner and Goldin from a derivative bundle
     ``bundle(r, s, grid)``, the stencil's by default, zero on the boundary
     ring as every right-hand side is."""
     lap_r, lap_s, gr2, gs2, grgs = (bundle(r, s, grid) if bundle
-                                    else derivative_bundle(np.stack((r, s)), grid))
+                                    else _derivative_bundle(np.stack((r, s)), grid))
     return tuple(zero_ring(grid, R) for R in (
         lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2, gs2, 2.0 * grgs, 4.0 * gr2))
 
@@ -611,8 +618,6 @@ def _ring_mask(grid):
     Grid.make(n=1, npts=32, bc="periodic"), Grid.make(n=2, npts=16, bc="periodic"),
     Grid.make(n=1, npts=32), Grid.make(n=2, npts=16)])
 def test_zero_ring_zeroes_exactly_the_ring(grid):
-    from dgsym.kernels import boundary_ring, zero_ring
-
     ring, inner = boundary_ring(grid)
     mask = _ring_mask(grid) if grid.bc == "dirichlet" else np.zeros(grid.shape, bool)
     arr = np.ones(grid.shape)
