@@ -59,10 +59,10 @@ def default_dt(grid: Grid) -> float:
 # A slab of k time slices takes at most this many grid points per stencil
 # call: 1-D grids batch many slices, and 2-D grids of 64² points and up keep
 # one slice per call, where a larger slab loses more to memory traffic than
-# it saves in calls.  One `residual` on a 2-vCPU host, best of 40: 1-D
-# 256 x 65 slices takes 1.9 ms per slice, 0.7 ms in slabs of 4096 points and
-# 1.1 ms as one stack; 2-D 64² x 9 takes 2.1 ms per slice and 3.2 ms as one
-# stack.
+# it saves in calls.  One `residual` on a shared 2-vCPU host, best of 40:
+# 1-D 256 x 65 slices takes 2.3 ms per slice, 0.8 ms in slabs of 4096 points
+# and 1.3 ms as one stack; 2-D 64² x 9 takes 2.2 ms per slice and 3.4 ms as
+# one stack.
 _SLAB_POINTS = 4096
 
 BLOWUP = 100.0  # the max|r| bound of evolve
