@@ -32,7 +32,8 @@ from .symexpr import VectorFieldSpec, var_names
 from .symmetry import NoClosedForm, check_indices, exp_rate_coefficients, parse_generator
 
 __all__ = ["FlowMap", "closed_flow_map", "flow_numeric",
-           "FlowReport", "verify_symmetry_flow", "TransformedSolution"]
+           "FlowReport", "verify_symmetry_flow", "SourceNotASolution",
+           "TransformedSolution"]
 
 
 def _identity_time(t):
@@ -281,6 +282,16 @@ class _CharacteristicFlow:
 BASELINE_TOL = 0.05
 
 
+class SourceNotASolution(ValueError):
+    """The source solution fails the baseline check on the unmoved window
+    too, so it is no solution on the grid whatever eps is; ``linf`` is its
+    baseline residual there."""
+
+    def __init__(self, message, linf):
+        super().__init__(message)
+        self.linf = linf
+
+
 @dataclass(frozen=True)
 class FlowReport:
     generator: str
@@ -311,7 +322,9 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     a generator that is not a symmetry at p fails it.  The source solution
     is checked first at its own (remapped) times: a baseline residual that
     is not <= ``BASELINE_TOL``, NaN included, is refused with a message that
-    names the generator, ``eps`` and that source window.  An ``eps`` whose
+    names the generator, ``eps`` and that source window.  The refusal is
+    ``SourceNotASolution`` when the source fails on ``t_window`` itself too
+    (checked only then), else a ``ValueError`` that blames eps.  An ``eps`` whose
     source times are not finite and strictly increasing is refused, and so
     is one that moves a sample, or its residual, out of float range.
     """
@@ -329,12 +342,18 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
 
     baseline = residual(p, sample_trajectory(solution, grid, src_times))
     if not baseline.linf <= BASELINE_TOL:
-        raise ValueError(
+        unmoved = baseline if np.array_equal(src_times, times) else residual(
+            p, sample_trajectory(solution, grid, times))
+        message = (
             f"baseline residual {baseline.linf:.3g} is not within threshold "
             f"{BASELINE_TOL:.3g} on the source times [{src_times[0]:.3g}, "
             f"{src_times[-1]:.3g}] that {name} at eps={eps:g} maps the window "
-            f"[{t_window[0]:g}, {t_window[1]:g}] to: the solution does not "
-            "solve the system there on this grid, or eps is too large")
+            f"[{t_window[0]:g}, {t_window[1]:g}] to, and {unmoved.linf:.3g} on "
+            "that window itself")
+        if not unmoved.linf <= BASELINE_TOL:
+            raise SourceNotASolution(f"{message}: the solution does not solve "
+                                     "the system on this grid", unmoved.linf)
+        raise ValueError(f"{message}: eps is too large")
 
     def moved_residual(traj):
         if not (np.isfinite(traj.r).all() and np.isfinite(traj.s).all()):

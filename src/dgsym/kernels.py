@@ -12,14 +12,11 @@ combines them with nine coefficients:
     r_t = a1 lap(r) + a2 lap(s) + a3 |grad r|^2 + a4 grad r . grad s
     s_t = b1 lap(r) + b2 lap(s) + b3 |grad r|^2 + b4 grad r . grad s + b5 |grad s|^2
 
-Layouts.  The stencil takes the state in one of two layouts, told apart by
-the trailing ``grid.n`` axes: the grid layout ``(2, *lead, *grid.shape)``,
-or the ghost-padded layout ``(2, *lead, *(m + 2 for m in grid.shape))``, the
-grid plus one ghost cell at each end of every axis.  ``evolution_rhs``
-copies a grid-layout state into a new padded array and runs the padded
-path on it; it returns its result in the layout it was given, a grid-layout
-result as the grid view of a padded one.  The ghost layer of a padded result
-is zero.  ``pde.evolve`` keeps its state padded for the whole run.
+Layout.  The stencil takes the state ghost-padded: ``(2, *lead, *(m + 2
+for m in grid.shape))``, the grid plus one ghost cell at each end of every
+axis (``padded_layout``).  Its result comes in the same layout, with its
+ghost layer zero.  ``pde.evolve`` keeps its state padded for the whole run,
+and ``pde.residual`` copies a trajectory once into a padded stack.
 
 Ghost rule.  ``fill_ghosts`` fills the ghost layer in place, one axis after
 the other over the whole extent of the others, so a corner gets the rule
@@ -87,7 +84,6 @@ TWO_PI = 2.0 * np.pi
 
 
 class _Plan(NamedTuple):
-    grid: tuple      # the grid shape
     shape: tuple     # the padded grid shape
     periodic: bool
     fill: tuple      # per axis: index tuples of the two ghosts and their cells
@@ -138,7 +134,7 @@ def _flat_plan(grid):
     for idx in ring:
         idx.setflags(write=False)
     inner = (Ellipsis,) + (slice(1, -1),) * grid.n
-    return _Plan(grid.shape, shape, periodic, tuple(fill), lo, hi,
+    return _Plan(shape, periodic, tuple(fill), lo, hi,
                  tuple(axes), lanes, tuple(zero), ring, inner)
 
 
@@ -235,24 +231,17 @@ def boundary_ring(grid):
     return ring, inner
 
 
-def _padded_copy(u, plan):
-    """A new padded array holding the grid-layout state ``u`` on its grid,
-    its ghost layer not yet filled."""
-    padded = np.empty(u.shape[:-len(plan.grid)] + plan.shape)
-    padded[plan.inner] = u
-    return padded
-
-
 def _derivative_bundle(u, grid):
     """``(lap r, lap s, |grad r|^2, |grad s|^2, grad r . grad s)`` of the
-    stacked grid-layout state ``u``, each a grid-layout view of the flat
-    body's arrays, for the reference tests that pin the terms one by one.
+    padded state ``u``, its ghost layer filled in place, each a grid-layout
+    view of the flat body's arrays, for the reference tests that pin the
+    terms one by one.
 
     The phase is differenced modulo 2 pi on periodic grids.  On dirichlet
     grids the boundary ring holds one-sided values.
     """
     plan = _flat_plan(grid)
-    terms = _flat_bundle(_flat(fill_ghosts(_padded_copy(u, plan), grid), plan), plan)
+    terms = _flat_bundle(_flat(fill_ghosts(u, grid), plan), plan)
     return tuple(_grid_view(a, plan) for a in terms)
 
 
@@ -274,28 +263,22 @@ def _combine(terms, coeffs, out):
 
 def evolution_rhs(u, grid, coeffs):
     """Stacked ``(r_t, s_t)``: the nine-coefficient combination of the
-    derivative bundle of the stacked state ``u``, zero on the boundary ring.
+    derivative bundle of the stacked padded state ``u``, zero on the
+    boundary ring.
 
-    ``u`` is in the grid layout or the padded layout (see the module
-    docstring), told apart by its trailing shape; any other shape raises
-    ``ValueError``.  A padded ``u`` has its ghost layer filled in place by
-    ``fill_ghosts`` and its grid left untouched; a grid-layout ``u`` is
-    copied into a new padded array first.  The result is in the layout of
-    ``u``: a new padded array with its ghost layer zero, or the grid view of
-    one.
+    ``u`` has the shape ``(2, *lead, *padded)`` of ``padded_layout``; any
+    other shape, the grid layout included, raises ``ValueError``.  Its ghost
+    layer is filled in place by ``fill_ghosts`` and its grid left untouched.
+    The result is a new padded array, its ghost layer zero.
     """
     plan = _flat_plan(grid)
     shape = u.shape
-    trailing = shape[-grid.n:]
-    padded = trailing == plan.shape
-    if not (padded or trailing == plan.grid) or len(shape) <= grid.n or shape[0] != 2:
-        raise ValueError(f"a state of shape {shape} is neither (2, ..., "
-                         f"*{plan.grid}) nor padded (2, ..., *{plan.shape})")
-    state = u if padded else _padded_copy(u, plan)
-    terms = _flat_bundle(_flat(fill_ghosts(state, grid), plan), plan)
-    # the grid view of a result covers only lanes that are written
-    out = (np.zeros if padded else np.empty)(state.shape)
+    if shape[-grid.n:] != plan.shape or len(shape) <= grid.n or shape[0] != 2:
+        raise ValueError(f"a state of shape {shape} is not in the padded layout "
+                         f"(2, ..., *{plan.shape}) of padded_layout(grid)")
+    terms = _flat_bundle(_flat(fill_ghosts(u, grid), plan), plan)
+    out = np.zeros(shape)
     _combine(terms, coeffs, _flat(out, plan)[..., plan.lo:plan.hi])
     for lanes in plan.zero:
         out[lanes] = 0.0
-    return out if padded else out[plan.inner]
+    return out

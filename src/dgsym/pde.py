@@ -29,7 +29,7 @@ from .kernels import boundary_ring, evolution_rhs, padded_layout
 from .params import DGParams, dg_system, predicate_report
 
 __all__ = [
-    "default_dt", "evolve",
+    "default_dt", "evolve", "check_saved_times",
     "EvolutionBlowup", "ResidualReport", "residual", "se_residual",
     "Convergence", "convergence",
     "heat_solution", "se_gaussian", "plane_wave_solution",
@@ -84,6 +84,32 @@ def _ring_values(bc_values, xs, t0, dt, steps):
                            for v in bc_values(xs, col)], axis=1)
         for held, (_, count) in zip(values, batch):
             yield from (held,) * count
+
+
+def _trajectory_buffers(t0, dt, steps, save_every, shape):
+    """``(times, saved)`` of a run of ``evolve``: the time stamps of the rows
+    it saves (``t0``, then ``t0 + k dt`` for every ``save_every``-th step k
+    and the last) and an empty ``(2, rows, *shape)`` stack for the rows; a
+    trajectory too large to index or to hold in memory is refused."""
+    every = min(save_every, max(steps, 1))  # a longer stride saves the ends only
+    try:
+        saved = np.empty((2, 1 + -(-steps // save_every)) + shape)
+        times = t0 + np.append(np.arange(0, steps, every, dtype=np.int64), steps) * dt
+    except (MemoryError, ValueError, OverflowError) as exc:
+        raise ValueError(f"steps={steps} saved every {save_every} make a "
+                         "trajectory too large to index or to hold in memory") from exc
+    times[0] = t0
+    return times, saved
+
+
+def check_saved_times(field0: LogPolarField, dt: float, steps: int,
+                      save_every: int = 1):
+    """Refuse, before any step, a run of ``evolve`` from ``field0`` whose saved
+    time stamps ``residual`` would refuse, or whose trajectory is too large
+    to hold in memory.  It allocates the trajectory's stack, to size it, but
+    writes only the time stamps."""
+    _check_times(_trajectory_buffers(field0.t, dt, steps, save_every,
+                                     field0.grid.shape)[0])
 
 
 def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = None,
@@ -151,13 +177,8 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
         raise ValueError(f"initial field must be finite with max|r| <= {BLOWUP:g} "
                          f"(the blow-up bound); it has max|r| = {norm:.3g}")
 
-    rows = 1 + -(-steps // save_every)  # field0 and every saved step
-    try:
-        times, saved = np.empty(rows), np.empty((2, rows) + grid.shape)
-    except (MemoryError, ValueError) as exc:
-        raise ValueError(f"steps={steps} saved every {save_every} make a "
-                         "trajectory too large to hold in memory") from exc
-    times[0], saved[0, 0], saved[1, 0], row = field0.t, field0.r, field0.s, 1
+    times, saved = _trajectory_buffers(field0.t, dt, steps, save_every, grid.shape)
+    saved[0, 0], saved[1, 0], row = field0.r, field0.s, 1
     u, stage = np.zeros((2,) + shape), np.empty((2,) + shape)
     u[inner] = saved[:, 0]
     half, sixth = 0.5 * dt, dt / 6.0
@@ -178,12 +199,11 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
         k1 += k4
         k1 *= sixth
         pin(np.add(u, k1, out=u))
-        t = field0.t + step * dt
         norm = float(np.abs(u[0][inner]).max())
         if not math.isfinite(norm) or norm > BLOWUP:
-            raise EvolutionBlowup(step, t, norm)
+            raise EvolutionBlowup(step, field0.t + step * dt, norm)
         if step % save_every == 0 or step == steps:
-            times[row], saved[:, row] = t, u[inner]
+            saved[:, row] = u[inner]
             row += 1
     return Trajectory(grid, times, *saved)
 
@@ -247,21 +267,25 @@ def _residual_report(coeffs, traj: Trajectory) -> ResidualReport:
     """Norms of (rhs - d/dt) of the nine-coefficient system ``evolution_rhs``
     over the inner time slices 1..T-2 and the inner grid points.
 
-    The r and s stacks become one (2, T, *grid) state; ``_time_derivative``
-    is taken in one call over it, and ``evolution_rhs`` once per slab of
-    ``max(1, _SLAB_POINTS // points)`` slices, its output written over the
-    d/dt stack.
+    The r and s stacks are copied once into a zeroed padded (2, T, *padded)
+    stack (the layout of ``kernels.padded_layout``).  ``_time_derivative`` is
+    taken in one call over its grid view, and ``evolution_rhs`` once per
+    padded slab view of ``max(1, _SLAB_POINTS // points)`` inner slices,
+    the grid view of each result written over the d/dt stack.
     """
     grid, times = traj.grid, traj.times
     _check_times(times)
-    u = np.stack((traj.r, traj.s))
+    shape, _, on_grid = padded_layout(grid)
+    w = np.zeros((2, len(times)) + shape)
+    u, mid = w[on_grid], w[:, 1:-1]
+    u[0], u[1] = traj.r, traj.s
     h = np.diff(times).reshape((-1,) + (1,) * grid.n)
-    mid = u[:, 1:-1]
-    res = _time_derivative(u[:, :-2], mid, u[:, 2:], h[:-1], h[1:])
+    res = _time_derivative(u[:, :-2], u[:, 1:-1], u[:, 2:], h[:-1], h[1:])
     step = max(1, _SLAB_POINTS // math.prod(grid.shape))
     for lo in range(0, len(times) - 2, step):
         rows = (slice(None), slice(lo, lo + step))
-        np.subtract(evolution_rhs(mid[rows], grid, coeffs), res[rows], out=res[rows])
+        rhs = evolution_rhs(mid[rows], grid, coeffs)
+        np.subtract(rhs[on_grid], res[rows], out=res[rows])
     inner = (slice(None),) + boundary_ring(grid)[1]
     (r_linf, r_l2), (s_linf, s_l2) = (_norms(half[inner]) for half in res)
     return ResidualReport(r_linf, r_l2, s_linf, s_l2)

@@ -33,6 +33,26 @@ def stack_fields(grid, fields):
                       [f.s for f in fields])
 
 
+def padded(u, grid, fill=0.0):
+    """The grid-layout state ``u``, ``(2, *lead, *grid.shape)``, inside a new
+    ghost-padded state whose ghost layer holds ``fill``: the one layout
+    ``kernels.evolution_rhs`` and ``kernels._derivative_bundle`` take."""
+    from dgsym.kernels import padded_layout
+
+    shape, _, inner = padded_layout(grid)
+    out = np.full(u.shape[:u.ndim - grid.n] + shape, fill)
+    out[inner] = u
+    return out
+
+
+def grid_rhs(u, grid, coeffs):
+    """``evolution_rhs`` of the grid-layout state ``u`` through ``padded``,
+    as the grid view of its padded result."""
+    from dgsym.kernels import evolution_rhs, padded_layout
+
+    return evolution_rhs(padded(u, grid), grid, coeffs)[padded_layout(grid)[2]]
+
+
 def heat_residual(sol, grid, times):
     """L2 finite-difference residual of d_t phi + sign D lap phi = 0, sign +1
     for a forward kernel: the r residual of coefficients (-sign D, 0, ..., 0)

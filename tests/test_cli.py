@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from dgsym import symmetry
+from dgsym import cli, symmetry
 from dgsym.cli import build_parser, main
 from dgsym.fields import Grid, Trajectory, read_trajectory, write_trajectory
 from dgsym.params import (PARAM_NAMES, DGParams, GaugeElement, gauge_act_params,
@@ -358,6 +358,35 @@ def test_verify_flow_baseline_failure_names_generator_and_eps(capsys):
     assert "source times [" in err
 
 
+@pytest.mark.parametrize("key, n, linf", [("sym1c-nu2", 1, "0.0515"),
+                                          ("sym1c-nu2", 2, "0.103"),
+                                          ("sym1c", 2, "0.0777")])
+def test_verify_flow_skips_where_the_bundled_solution_is_no_solution(
+        capsys, tmp_path, key, n, linf):
+    """At the (Lambda, gamma) = (3, -2) images of these valid points the
+    bundled solution fails its baseline on the unmoved window [0.02, 0.18]:
+    every generator is skipped with a row naming that residual, the window
+    and the class, and the suite exits 3, not 2."""
+    image = gauge_act_params(GaugeElement(3, -2), reference_points(n)[key])
+    path = write_params(tmp_path, "image.json", image)
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--params", path)
+    assert code == 3 and "Traceback" not in err
+    assert sorted(row["generator"] for row in rows) == ["B:1", "C", "D", "H", "P:1"]
+    for row in rows:
+        assert row["skipped"] is True and "pass" not in row
+        assert (f"baseline residual linf {linf} > 0.05 on the unmoved window "
+                "[0.02, 0.18] at Sym1c") in row["detail"]
+
+
+def test_verify_flow_eps_out_of_range_stays_an_input_error(capsys):
+    """H at eps = 1 moves the window of the bundled sym1b solution out of its
+    range, while the solution passes on the unmoved window: exit 2."""
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--class", "sym1b",
+                          "--gen", "H", "--eps", "1")
+    assert code == 2 and rows == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 @pytest.mark.parametrize("gen, n, message", [
     ("L:1,2", 1, "out of range for n=1"), ("P:2", 1, "out of range for n=1"),
     ("P:0", 1, "out of range for n=1"), ("B:2", 1, "out of range for n=1"),
@@ -677,6 +706,33 @@ def test_simulate_refuses_step_count_too_large(capsys, tmp_path, se_file, flags)
     assert "Traceback" not in err
     assert err.splitlines()[-1].startswith("error: ")
     assert "too large" in err
+
+
+@pytest.mark.parametrize("case", ["stamps-underflow", "out-is-a-file", "out-under-a-file"])
+def test_simulate_refuses_before_any_step(capsys, tmp_path, monkeypatch, case):
+    """A run whose saved time stamps the residual would refuse (dt = 1e-110
+    underflows h1*h2*(h1+h2)), or whose --out names an existing file or a
+    path under one, is an input error before evolve is called, and nothing
+    is written."""
+    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve was called")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    blocker = tmp_path / "o"
+    blocker.write_text("kept")
+    out = {"stamps-underflow": tmp_path / "run", "out-is-a-file": blocker,
+           "out-under-a-file": blocker / "run"}[case]
+    steps = ["--dt", "1e-110", "--steps", "100000"] if case == "stamps-underflow" \
+        else ["--steps", "10"]
+    before = sorted(os.listdir(tmp_path))
+    code, rows, err = run(capsys, "simulate", "--params", path, "--grid", "64,0.125",
+                          *steps, "--out", str(out))
+    assert code == 2 and rows == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert ("h1*h2*(h1+h2)" if case == "stamps-underflow" else str(out)) in err
+    assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == "kept"
 
 
 def test_simulate_grid_whose_step_overflows_is_input_error(capsys, tmp_path,

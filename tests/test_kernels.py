@@ -23,6 +23,7 @@ from dgsym.kernels import _derivative_bundle, evolution_rhs, padded_layout
 from dgsym.params import reference_points
 from dgsym.pde import evolve, residual
 
+from tests.conftest import grid_rhs, padded
 from test_pde import (_assert_same_trajectory, _per_slice_report, _recording,
                       _reference_evolve, _replaying, _ring_mask, functionals,
                       zero_ring)
@@ -178,10 +179,11 @@ def test_bundle_rhs_and_functionals_match_reference(grid, make):
     for seed in range(3):
         r, s = make(grid, seed)
         u = np.stack((r, s))
-        for got, want in zip(_derivative_bundle(u, grid), ref_bundle(r, s, grid)):
+        for got, want in zip(_derivative_bundle(padded(u, grid), grid),
+                             ref_bundle(r, s, grid)):
             assert np.array_equal(got, want)
         coeffs = tuple(np.random.default_rng(seed + 10).normal(size=9))
-        got = evolution_rhs(u, grid, coeffs)
+        got = grid_rhs(u, grid, coeffs)
         assert got.shape == u.shape
         for half, want in zip(got, ref_rhs(r, s, grid, coeffs)):
             assert np.array_equal(half, want)
@@ -190,12 +192,16 @@ def test_bundle_rhs_and_functionals_match_reference(grid, make):
 
 
 def test_bundle_does_not_modify_its_inputs():
+    """The bundle and the stencil fill the ghost layer of their padded input
+    and leave its grid as it was."""
     grid = GRIDS[1]
     u = np.stack(_winding_fields(grid, 0))
-    u0 = u.copy()
-    _derivative_bundle(u, grid)
-    evolution_rhs(u, grid, tuple(range(9)))
-    assert np.array_equal(u, u0)
+    w = padded(u, grid)
+    inner = padded_layout(grid)[2]
+    _derivative_bundle(w, grid)
+    assert np.array_equal(w[inner], u)
+    evolution_rhs(w, grid, tuple(range(9)))
+    assert np.array_equal(w[inner], u)
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -209,20 +215,12 @@ def test_rhs_keeps_the_sign_of_zero_coefficients(grid):
     plus = (0, 1, 0, 2, -1, 0.0, -1, 0.0, -1)
     for order in ((minus, plus), (plus, minus)):
         for coeffs in order:
-            got = evolution_rhs(u, grid, coeffs)
+            got = grid_rhs(u, grid, coeffs)
             for half, want in zip(got, two_array_rhs(r, s, grid, coeffs)):
                 assert np.array_equal(half.view(np.uint64), want.view(np.uint64))
     inner = (slice(1, -1),) * grid.n if grid.bc == "dirichlet" else ()
-    signs = [np.signbit(evolution_rhs(u, grid, c)[1][inner]) for c in (minus, plus)]
+    signs = [np.signbit(grid_rhs(u, grid, c)[1][inner]) for c in (minus, plus)]
     assert signs[0].all() and not signs[1].any()
-
-
-def _padded(u, grid, fill):
-    """``u`` inside a padded state whose ghost layer holds ``fill``."""
-    shape, _, inner = padded_layout(grid)
-    out = np.full(u.shape[:u.ndim - grid.n] + shape, fill)
-    out[inner] = u
-    return out
 
 
 def _raised(call):
@@ -239,26 +237,26 @@ def _raised(call):
 @pytest.mark.parametrize("make", FIELDS, ids=FIELD_IDS)
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
 def test_padded_state_gives_the_grid_result(grid, make, lead):
-    """On the padded state evolution_rhs equals the grid-layout call bit for
-    bit, with its ghost layer zero.  It fills the state's ghost layer in
-    place by the boundary rule, corners along both axes (NaN ghosts before
-    the call), and leaves the state's grid untouched."""
+    """On a padded state whose ghosts hold NaN evolution_rhs equals the call
+    on zero ghosts bit for bit, with its ghost layer zero.  It fills the
+    state's ghost layer in place by the boundary rule, corners along both
+    axes, and leaves the state's grid untouched."""
     pairs = [make(grid, seed) for seed in range(math.prod(lead))]
     r, s = (np.reshape([pair[j] for pair in pairs], lead + grid.shape) for j in (0, 1))
     u = np.stack((r, s))
     coeffs = tuple(np.random.default_rng(11).normal(size=9))
-    want = evolution_rhs(u, grid, coeffs)
-    padded = _padded(u, grid, np.nan)
-    got = evolution_rhs(padded, grid, coeffs)
+    want = grid_rhs(u, grid, coeffs)
+    w = padded(u, grid, np.nan)
+    got = evolution_rhs(w, grid, coeffs)
     _, _, inner = padded_layout(grid)
-    assert got.shape == padded.shape
+    assert got.shape == w.shape
     assert np.array_equal(got[inner].view(np.uint64), want.view(np.uint64))
     ghost = np.ones(got.shape, dtype=bool)
     ghost[inner] = False
     assert not got[ghost].view(np.uint64).any()  # +0.0 everywhere
     rule = "wrap" if grid.bc == "periodic" else "edge"
     width = ((0, 0),) * (u.ndim - grid.n) + ((1, 1),) * grid.n
-    assert np.array_equal(padded.view(np.uint64), np.pad(u, width, mode=rule).view(np.uint64))
+    assert np.array_equal(w.view(np.uint64), np.pad(u, width, mode=rule).view(np.uint64))
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
@@ -269,8 +267,42 @@ def test_rhs_refuses_a_state_of_another_shape(grid):
     if grid.n == 2:
         bad += [(2, m + 2, m), (2, m, m + 2)]
     for shape in bad:
-        with pytest.raises(ValueError, match="neither"):
+        with pytest.raises(ValueError, match="padded_layout"):
             evolution_rhs(np.zeros(shape), grid, tuple(range(9)))
+
+
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["one-slice", "slab-of-3"])
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_rhs_refuses_the_grid_layout(grid, lead):
+    """The padded layout is the one layout the stencil takes: a grid-layout
+    state is refused with a message that names ``padded_layout``."""
+    u = np.stack([np.zeros(lead + grid.shape)] * 2)
+    with pytest.raises(ValueError, match="padded_layout"):
+        evolution_rhs(u, grid, tuple(range(9)))
+
+
+@pytest.mark.parametrize("grid", GRIDS, ids=GRID_IDS)
+def test_rhs_on_a_slab_view_fills_only_its_ghosts(grid):
+    """On a padded slab view ``w[:, a:b]`` of a larger stack the call fills
+    that slab's ghosts by the boundary rule and gives the slab's result; every
+    other slice, NaN ghosts included, and the stack's grid stay bit for bit
+    as they were."""
+    pairs = [_winding_fields(grid, seed) for seed in range(6)]
+    u = np.stack([np.array([pair[j] for pair in pairs]) for j in (0, 1)])
+    coeffs = tuple(np.random.default_rng(12).normal(size=9))
+    w = padded(u, grid, np.nan)
+    before = w.copy()
+    got = evolution_rhs(w[:, 2:4], grid, coeffs)
+    _, _, inner = padded_layout(grid)
+    assert np.array_equal(got[inner].view(np.uint64),
+                          grid_rhs(u[:, 2:4], grid, coeffs).view(np.uint64))
+    bits, was = w.view(np.uint64), before.view(np.uint64)
+    assert np.array_equal(bits[:, :2], was[:, :2])
+    assert np.array_equal(bits[:, 4:], was[:, 4:])
+    assert np.array_equal(bits[inner], was[inner])
+    rule = "wrap" if grid.bc == "periodic" else "edge"
+    width = ((0, 0), (0, 0)) + ((1, 1),) * grid.n
+    assert np.array_equal(w[:, 2:4], np.pad(u[:, 2:4], width, mode=rule))
 
 
 def _steep(grid, scale):
@@ -303,8 +335,8 @@ def test_ghost_lanes_raise_no_floating_point_error(grid, make, scale):
     coeffs = (1.0, -0.5, 0.25, 0.5, 0.75, 1.0, -0.5, 0.25, 1.5)
     want = _raised(lambda: two_array_rhs(r, s, grid, coeffs))
     u = np.stack((r, s))
-    assert _raised(lambda: evolution_rhs(u, grid, coeffs)) == want
-    assert _raised(lambda: evolution_rhs(_padded(u, grid, 0.0), grid, coeffs)) == want
+    assert _raised(lambda: grid_rhs(u, grid, coeffs)) == want
+    assert _raised(lambda: evolution_rhs(padded(u, grid, np.nan), grid, coeffs)) == want
 
 
 # Well-posed points, so that a few RK4 steps from the smooth winding fields
@@ -337,7 +369,7 @@ def test_stacked_kernel_matches_two_array_reference(grid, make, seed, slices, sl
     rng = np.random.default_rng(seed)
     r, s = (np.array(f) for f in zip(*(make(grid, seed + j) for j in range(slices + 2))))
     coeffs = tuple(rng.normal(size=9))
-    got = evolution_rhs(np.stack((r[:slices], s[:slices])), grid, coeffs)
+    got = grid_rhs(np.stack((r[:slices], s[:slices])), grid, coeffs)
     for half, want in zip(got, two_array_rhs(r[:slices], s[:slices], grid, coeffs)):
         assert np.array_equal(half, want)
 
@@ -369,7 +401,7 @@ def test_dirichlet_ring_keeps_one_sided_values(grid):
     """On the ring the outward difference is exactly 0: a point on the low
     edge of axis 0 sees only its forward difference."""
     r, s = _random_fields(grid, 3)
-    lap_r, lap_s, gr2, gs2, grgs = _derivative_bundle(np.stack((r, s)), grid)
+    lap_r, lap_s, gr2, gs2, grgs = _derivative_bundle(padded(np.stack((r, s)), grid), grid)
     dx = grid.dx(0)
     if grid.n == 1:
         dp, dm = r[1] - r[0], r[-1] - r[-2]

@@ -16,10 +16,10 @@ from dgsym.fields import (Grid, LogPolarField, Trajectory, read_trajectory,
                           sample_evaluator, sample_trajectory, write_trajectory)
 from dgsym.kernels import _derivative_bundle, boundary_ring, evolution_rhs
 from dgsym.params import PARAM_NAMES, DGParams, reference_points
-from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum, convergence,
-                       evolve, heat_solution, plane_wave_solution,
+from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum,
+                       check_saved_times, convergence, evolve, heat_solution, plane_wave_solution,
                        residual, rhs_coefficients, se_gaussian, se_residual)
-from tests.conftest import Junk, heat_residual, stack_fields
+from tests.conftest import Junk, grid_rhs, heat_residual, padded, stack_fields
 
 
 def interior(arr):
@@ -140,8 +140,9 @@ def functionals(r, s, grid, bundle=None):
     """(R1, ..., R5) of Doebner and Goldin from a derivative bundle
     ``bundle(r, s, grid)``, the stencil's by default, zero on the boundary
     ring as every right-hand side is."""
-    lap_r, lap_s, gr2, gs2, grgs = (bundle(r, s, grid) if bundle
-                                    else _derivative_bundle(np.stack((r, s)), grid))
+    lap_r, lap_s, gr2, gs2, grgs = (
+        bundle(r, s, grid) if bundle
+        else _derivative_bundle(padded(np.stack((r, s)), grid), grid))
     return tuple(zero_ring(grid, R) for R in (
         lap_s + 2.0 * grgs, 2.0 * lap_r + 4.0 * gr2, gs2, 2.0 * grgs, 4.0 * gr2))
 
@@ -207,7 +208,7 @@ def test_laplacian_decomposition():
 def test_rhs_constant_field(pts):
     g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
     f = LogPolarField(g, 0.0, np.full(32, 0.5), np.full(32, 1.0))
-    rt, st = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(pts["generic"]))
+    rt, st = grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(pts["generic"]))
     assert np.max(np.abs(rt)) == 0.0 and np.max(np.abs(st)) == 0.0
 
 
@@ -216,7 +217,7 @@ def test_rhs_matches_packet_derivative(pts):
     pack = se_gaussian(float(p.nu1), b0=-0.25, k=(0.3,))
     g = Grid.make(npts=64, extent=(-3, 3))
     f = sample_evaluator(pack, g, 0.05)
-    rt, st = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
+    rt, st = grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
     rte, ste = pack.rs_t(g.coords(), 0.05)
     assert np.max(np.abs(interior(rt) - interior(rte))) < 1e-10
     assert np.max(np.abs(interior(st) - interior(ste))) < 1e-10
@@ -226,7 +227,7 @@ def test_rhs_plane_wave_infinite_subfamily(pts):
     p = pts["infsub"]
     g = Grid.make(npts=64, extent=(0, 2 * np.pi), bc="periodic")
     f = sample_evaluator(plane_wave_solution(p, (3.0,)), g, 0.0)
-    rt, st = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
+    rt, st = grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
     assert np.max(np.abs(rt)) < 1e-10
     np.testing.assert_allclose(st, 2.0 * float(p.nu1) * 9.0, atol=1e-10)
 
@@ -247,7 +248,7 @@ def test_rhs_is_functional_combination(pts, key, bc, n):
     want_r = c["nu1"] * R1 + c["nu2"] * R2
     want_s = -(c["mu1"] * R1 + c["mu2"] * R2 + c["mu3"] * R3
                + c["mu4"] * R4 + c["mu5"] * R5)
-    rhs = evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
+    rhs = grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
     for got, want in zip(rhs, (want_r, want_s)):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
@@ -255,6 +256,28 @@ def test_rhs_is_functional_combination(pts, key, bc, n):
 
 # ---------------------------------------------------------------------------
 # evolution
+
+@pytest.mark.parametrize("t0, dt, steps, save_every, message", [
+    (0.0, 1e-110, 6, 2, "not a finite positive float"),
+    (1.0, 1e-17, 6, 2, "strictly increasing"),
+    (0.0, 1e-3, 1, 1, "at least 3"),
+    (0.25, 1e-3, 7, 3, None)])
+def test_check_saved_times_refuses_what_residual_would(pts, t0, dt, steps,
+                                                       save_every, message):
+    """Before any step, check_saved_times refuses exactly the runs whose
+    trajectory residual refuses for its time stamps."""
+    p, g = pts["sym1c"], Grid.make(npts=16, extent=(-1, 1), bc="periodic")
+    f0 = LogPolarField(g, t0, 0.1 * np.cos(np.pi * g.coords()[0]), np.zeros(16))
+    traj = evolve(p, f0, steps, dt=dt, save_every=save_every)
+    if message is None:
+        check_saved_times(f0, dt, steps, save_every)
+        residual(p, traj)
+        return
+    with pytest.raises(ValueError, match=message):
+        check_saved_times(f0, dt, steps, save_every)
+    with pytest.raises(ValueError, match=message):
+        residual(p, traj)
+
 
 def test_evolve_zero_steps(pts):
     g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
@@ -388,7 +411,7 @@ def test_residual_equals_per_slice_rhs(key, n, bc):
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
     assert residual(p, traj) == _per_slice_report(
-        lambda f: evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p)), traj)
+        lambda f: grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p)), traj)
 
 
 def _per_slice_report(rhs_fn, traj):
@@ -451,11 +474,11 @@ def test_residuals_equal_per_slice_reference(g, slices, slabs, monkeypatch):
     for key in ("sym1c", "linear-se", "galsub"):
         p = reference_points(g.n)[key]
         assert residual(p, traj) == _per_slice_report(
-            lambda f: evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p)), traj)
+            lambda f: grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p)), traj)
 
     se_point = _linear_se_point(g.n, Fraction(-7, 10))
     assert se_residual(-0.7, traj) == _per_slice_report(
-        lambda f: evolution_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(se_point)),
+        lambda f: grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(se_point)),
         traj)
 
 
@@ -635,7 +658,7 @@ def _reference_evolve(p, f0, steps, dt, bc_values, save_every, rhs=None):
     from dgsym.pde import rhs_coefficients
 
     rhs = rhs or (lambda r, s, grid, coeffs:
-                  evolution_rhs(np.stack((r, s)), grid, coeffs))
+                  grid_rhs(np.stack((r, s)), grid, coeffs))
     grid, coeffs, xs = f0.grid, rhs_coefficients(p), f0.grid.coords()
     faces = []
     for axis in range(grid.n):
