@@ -259,7 +259,8 @@ def _suite_flow(args) -> list:
     dynamic = p.n in (1, 2)  # the dimensions a Grid takes
     sol = _bundled_solution(p, tag) if dynamic else None
     grid = _grid(args.grid, p.n) if dynamic else None
-    gens, window, rows = args.gen or ["P:1", "B:1", "H", "D", "C"], (0.02, 0.18), []
+    gens, window = args.gen or ["P:1", "B:1", "H", "D", "C"], (0.02, 0.18)
+    rows = []
     for gname in gens:
         name = parse_generator(gname)
         skip = {"suite": "flow", "generator": str(name), "skipped": True}
