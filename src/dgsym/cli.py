@@ -401,6 +401,19 @@ def _make_init(spec: str, grid: Grid, p: DGParams):
     return field, sol
 
 
+def _check_out_dir(out: str) -> None:
+    """Refuse, before any work, an ``--out`` that ``write_trajectory`` could
+    not make a directory of: the empty path, an existing file, or a path
+    under one."""
+    if not out:
+        raise InputError("--out must name a directory, got ''")
+    existing = os.path.abspath(out)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise InputError(f"--out {out}: {existing} exists and is not a directory")
+
+
 def cmd_simulate(args) -> list:
     p = _load_params(args.params)
     grid = _grid(args.grid, p.n, args.bc)
@@ -423,11 +436,7 @@ def cmd_simulate(args) -> list:
                          f"{args.save_every} give {slices} slice(s); the residual "
                          "needs at least 3")
     check_saved_times(field0, dt, steps, args.save_every)
-    existing = os.path.abspath(args.out)
-    while not os.path.exists(existing):
-        existing = os.path.dirname(existing)
-    if not os.path.isdir(existing):
-        raise InputError(f"--out {args.out}: {existing} exists and is not a directory")
+    _check_out_dir(args.out)
 
     bc_values = None
     if grid.bc == "dirichlet":
@@ -452,6 +461,7 @@ def cmd_simulate(args) -> list:
 
 def cmd_linearize(args) -> list:
     p = _load_params(args.params)
+    _check_out_dir(args.out)
     data = linearization_data(p)
 
     grid = _grid(args.grid, p.n)

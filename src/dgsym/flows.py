@@ -326,7 +326,10 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     ``SourceNotASolution`` when the source fails on ``t_window`` itself too
     (checked only then), else a ``ValueError`` that blames eps.  An ``eps`` whose
     source times are not finite and strictly increasing is refused, and so
-    is one that moves a sample, or its residual, out of float range.
+    is one that maps the window to source times where sampling the
+    solution raises a ``ValueError`` (outside its range of validity), and
+    one that moves a sample, or its residual, out of float range; each
+    message names the generator and eps.
     """
     name = parse_generator(name)
     times = np.linspace(t_window[0], t_window[1], 9)
@@ -340,7 +343,14 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
         raise ValueError(f"flow parameter eps={eps:g} maps the time window of {name} "
                          "to source times that are not finite and strictly increasing")
 
-    baseline = residual(p, sample_trajectory(solution, grid, src_times))
+    try:
+        source = sample_trajectory(solution, grid, src_times)
+    except ValueError as exc:
+        raise ValueError(f"{name} at eps={eps:g} maps the window [{t_window[0]:g}, "
+                         f"{t_window[1]:g}] to the source times [{src_times[0]:.3g}, "
+                         f"{src_times[-1]:.3g}], where the solution cannot be "
+                         f"sampled: {exc}") from None
+    baseline = residual(p, source)
     if not baseline.linf <= BASELINE_TOL:
         unmoved = baseline if np.array_equal(src_times, times) else residual(
             p, sample_trajectory(solution, grid, times))

@@ -133,6 +133,13 @@ class DGParams:
                 A * M4 - M1 * M3,
                 A * (A * (M2 + 2 * M5) - B * (M1 + 2 * M4)) + 2 * B * B * M3)
 
+    @cached_property
+    def system_floats(self) -> tuple:
+        """``dg_system(self)`` as floats, each coefficient rounded once;
+        computed on first use and kept with the point, so the residuals and
+        evolutions of one point convert its system once."""
+        return tuple(map(float, dg_system(self)))
+
     def to_json_dict(self) -> dict:
         d = {"n": self.n}
         d.update({name: rational_str(getattr(self, name)) for name in PARAM_NAMES})

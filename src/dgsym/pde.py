@@ -26,7 +26,7 @@ import numpy as np
 
 from .fields import Grid, LogPolarField, Trajectory, sample_trajectory
 from .kernels import boundary_ring, evolution_rhs, padded_layout
-from .params import DGParams, dg_system, predicate_report
+from .params import DGParams, predicate_report
 
 __all__ = [
     "default_dt", "evolve", "check_saved_times",
@@ -40,8 +40,9 @@ __all__ = [
 
 def rhs_coefficients(p: DGParams) -> tuple:
     """The nine coefficients of ``dg_system(p)`` as floats, each rounded once,
-    for ``kernels.evolution_rhs``."""
-    return tuple(map(float, dg_system(p)))
+    for ``kernels.evolution_rhs``: ``p.system_floats``, converted on the
+    point's first call and read back on every later one."""
+    return p.system_floats
 
 
 class EvolutionBlowup(RuntimeError):
@@ -244,42 +245,48 @@ def _time_derivative(prev, cur, nxt, h1, h2):
     return d
 
 
-def _check_times(times):
-    """Refuse time stamps a three-point time derivative cannot use."""
+def _check_times(times) -> np.ndarray:
+    """Refuse time stamps a three-point time derivative cannot use; return
+    the time steps ``times[1:] - times[:-1]`` of stamps it accepts."""
     if len(times) < 3:
         raise ValueError("residual needs at least 3 time slices")
-    h = np.diff(times)
-    if not np.all(h > 0):
+    h = times[1:] - times[:-1]
+    if not (h > 0).all():
         raise ValueError("trajectory times must be strictly increasing")
     with np.errstate(over="ignore", under="ignore"):
         scale = h[:-1] * h[1:] * (h[:-1] + h[1:])
-    if not np.all(np.isfinite(scale) & (scale > 0)):
+    if not (np.isfinite(scale) & (scale > 0)).all():
         raise ValueError("trajectory time steps too large or too small: "
                          "h1*h2*(h1+h2) of the three-point time derivative "
                          "is not a finite positive float")
+    return h
 
 
 def _norms(arr) -> tuple:
-    return float(np.max(np.abs(arr))), float(np.sqrt(np.mean(arr * arr)))
+    """max|arr| and the root mean square of arr, by the reductions that
+    ``np.max`` and ``np.mean`` wrap, called directly."""
+    return (float(np.maximum.reduce(np.abs(arr), axis=None)),
+            float(np.sqrt(np.add.reduce(arr * arr, axis=None) / arr.size)))
 
 
 def _residual_report(coeffs, traj: Trajectory) -> ResidualReport:
     """Norms of (rhs - d/dt) of the nine-coefficient system ``evolution_rhs``
     over the inner time slices 1..T-2 and the inner grid points.
 
-    The r and s stacks are copied once into a zeroed padded (2, T, *padded)
-    stack (the layout of ``kernels.padded_layout``).  ``_time_derivative`` is
-    taken in one call over its grid view, and ``evolution_rhs`` once per
+    The time steps ``h`` come from ``_check_times``, computed once.  The r
+    and s stacks are copied once into a zeroed padded (2, T, *padded)
+    stack (the layout of ``kernels.padded_layout``).  ``_time_derivative``
+    is taken in one call over its grid view, and ``evolution_rhs`` once per
     padded slab view of ``max(1, _SLAB_POINTS // points)`` inner slices,
-    the grid view of each result written over the d/dt stack.
+    the grid view of each result written over the d/dt stack.  ``coeffs``
+    is a tuple of nine floats, as ``rhs_coefficients`` gives them.
     """
     grid, times = traj.grid, traj.times
-    _check_times(times)
+    h = _check_times(times).reshape((-1,) + (1,) * grid.n)
     shape, _, on_grid = padded_layout(grid)
     w = np.zeros((2, len(times)) + shape)
     u, mid = w[on_grid], w[:, 1:-1]
     u[0], u[1] = traj.r, traj.s
-    h = np.diff(times).reshape((-1,) + (1,) * grid.n)
     res = _time_derivative(u[:, :-2], u[:, 1:-1], u[:, 2:], h[:-1], h[1:])
     step = max(1, _SLAB_POINTS // math.prod(grid.shape))
     for lo in range(0, len(times) - 2, step):

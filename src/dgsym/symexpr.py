@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import lcm
 from operator import add
 
@@ -428,7 +428,8 @@ class ScaledField:
     coefficient scale ``coeff_scale``; a rate sum that cancels is the int 0
     and zero entries are dropped, so two ScaledFields at the same scales are
     the same field iff they are equal.  :func:`lie_bracket` brackets two of
-    them without leaving the integers.
+    them without leaving the integers, reading each one's
+    :attr:`derivatives`.
     """
 
     n: int
@@ -453,6 +454,16 @@ class ScaledField:
         return ((w, a, b, powers, c) for w, comp in enumerate(self.comps)
                 for (a, b, powers), c in comp.items())
 
+    @cached_property
+    def derivatives(self) -> list:
+        """Per variable, the terms of the derivative of every component:
+        :func:`scaled_derivatives` of :meth:`terms` in every variable, at
+        rate scale ``rate_scale``.  Computed once, on first use, and kept
+        with the field, so every bracket it takes part in reads the same
+        index; the lists are shared and are not to be modified."""
+        n = self.n
+        return scaled_derivatives(self.terms(), (True,) * (n + 3), n, self.rate_scale)
+
     def field(self) -> VectorFieldSpec:
         """The field as exact expressions, each component unscaled."""
         n = self.n
@@ -466,7 +477,7 @@ def _bracket_half(out: list, xs: tuple, index: list, sign: int) -> None:
     """Accumulate sign * sum_v X^v d_v Y^w into out[w], with xs the term
     dicts of X and index the derivatives of Y per variable."""
     for xterms, dterms in zip(xs, index):
-        if not dterms:
+        if not xterms or not dterms:
             continue
         for (a1, b1, p1), c in xterms.items():
             if sign < 0:
@@ -479,12 +490,14 @@ def _bracket_half(out: list, xs: tuple, index: list, sign: int) -> None:
 
 def _bracket_scaled(X: ScaledField, Y: ScaledField) -> ScaledField:
     """[X, Y] at rate scale L and coefficient scale X.coeff_scale *
-    Y.coeff_scale * L, for X and Y at the one rate scale L."""
+    Y.coeff_scale * L, for X and Y at the one rate scale L.  The derivatives
+    are each field's :attr:`ScaledField.derivatives`, computed once per
+    field; ``_bracket_half`` reads only the variables in which the other
+    field has terms."""
     L = X.rate_scale
     out = [{} for _ in X.comps]
-    # the derivatives in the variables where the other field has terms
-    _bracket_half(out, X.comps, scaled_derivatives(Y.terms(), X.comps, X.n, L), 1)
-    _bracket_half(out, Y.comps, scaled_derivatives(X.terms(), Y.comps, X.n, L), -1)
+    _bracket_half(out, X.comps, Y.derivatives, 1)
+    _bracket_half(out, Y.comps, X.derivatives, -1)
     return ScaledField(X.n, L, X.coeff_scale * Y.coeff_scale * L,
                        tuple(_nonzero(acc) for acc in out))
 
@@ -500,9 +513,12 @@ def lie_bracket(X, Y):
     output term is divided back once.
 
     One pass over term pairs: a term c*m of X^v times a term of d/dv Y^w
-    (from :func:`scaled_derivatives` of Y) adds to component w, then the
-    same with X and Y swapped and the sign flipped.  No intermediate
-    expression is built, and every product is of Python integers.
+    (from Y's :attr:`ScaledField.derivatives`, the index of
+    :func:`scaled_derivatives` that each ScaledField computes once) adds to
+    component w, then the same with X and Y swapped and the sign flipped.
+    No intermediate expression is built, and every product is of Python
+    integers.  A field scaled once and bracketed with many others, as in a
+    commutator table, is differentiated once.
     """
     if type(X) is not type(Y):
         raise TypeError("lie_bracket needs two VectorFieldSpecs or two ScaledFields")

@@ -696,9 +696,9 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
     seven parameters, of every coefficient of X and of every exp rate in X.
     X is scaled by L (:meth:`ScaledField.of`) and differentiated by
     :func:`~dgsym.symexpr.scaled_derivatives`, once for the first
-    derivatives in every variable and once more, per variable, for the
-    second, so a second derivative has coefficient scale L^3 and a first
-    one, times one more L, too.  With the family coefficients scaled by L
+    derivatives in every variable (:attr:`ScaledField.derivatives`) and
+    once more, per variable, for the second, so a second derivative has
+    coefficient scale L^3 and a first one, times one more L, too.  With the family coefficients scaled by L
     every contribution is an integer numerator over L^4, which
     :func:`~dgsym.symexpr.unscale` divides back.
     """
@@ -718,7 +718,7 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
 
     labels, vecs, index = _determining_index(n)
     every = (True,) * (n + 3)
-    first = scaled_derivatives(scaled_X.terms(), every, n, L)
+    first = scaled_X.derivatives
     second = {}  # v -> the derivatives of first[v], each v taken once
     scaled = (L, *(scale_rational(q, L) for q in qs))
     coef = [None] * len(vecs)  # scaled family coefficients, filled on first use

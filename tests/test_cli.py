@@ -387,6 +387,20 @@ def test_verify_flow_eps_out_of_range_stays_an_input_error(capsys):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+def test_verify_flow_names_eps_that_leaves_the_solution_range(capsys):
+    """H at eps = 1 maps the window [0.02, 0.18] of the bundled sym1b
+    solution to source times before its heat kernel's focus, where sampling
+    it raises: the one error line names the generator, eps, the window, the
+    source times and the solution's own reason."""
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--class", "sym1b",
+                          "--gen", "H", "--eps", "1")
+    assert code == 2 and rows == []
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    assert err.startswith("error: H at eps=1 maps the window [0.02, 0.18] to the "
+                          "source times [-0.98, -0.82]")
+    assert err.rstrip().endswith("heat kernel valid only for t > -0.75")
+
+
 @pytest.mark.parametrize("gen, n, message", [
     ("L:1,2", 1, "out of range for n=1"), ("P:2", 1, "out of range for n=1"),
     ("P:0", 1, "out of range for n=1"), ("B:2", 1, "out of range for n=1"),
@@ -732,6 +746,33 @@ def test_simulate_refuses_before_any_step(capsys, tmp_path, monkeypatch, case):
     assert code == 2 and rows == []
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert ("h1*h2*(h1+h2)" if case == "stamps-underflow" else str(out)) in err
+    assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == "kept"
+
+
+@pytest.mark.parametrize("command", ["simulate", "linearize"])
+@pytest.mark.parametrize("case", ["empty", "existing-file"])
+def test_bad_out_is_refused_before_any_work(capsys, tmp_path, monkeypatch,
+                                            command, case):
+    """An --out that is empty or names an existing file is an input error
+    before simulate evolves or linearize runs its study: one error line
+    naming --out, and nothing is written."""
+    path = write_params(tmp_path, "sym1b.json", reference_points()["sym1b"])
+
+    def not_called(*args, **kwargs):
+        raise AssertionError("the run was started")
+
+    monkeypatch.setattr(cli, "evolve", not_called)
+    monkeypatch.setattr(cli, "convergence", not_called)
+    monkeypatch.chdir(tmp_path)
+    blocker = tmp_path / "taken"
+    blocker.write_text("kept")
+    out = "" if case == "empty" else str(blocker)
+    argv = ["simulate", "--params", path, "--grid", "32,0.2", "--steps", "4"] \
+        if command == "simulate" else ["linearize", "--params", path]
+    before = sorted(os.listdir(tmp_path))
+    code, rows, err = run(capsys, *argv, "--out", out)
+    assert code == 2 and rows == []
+    assert len(err.splitlines()) == 1 and err.startswith("error: --out ")
     assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == "kept"
 
 

@@ -42,3 +42,29 @@ def test_tracer_sees_every_rhs_call(name, rhs_calls, monkeypatch, tmp_path):
     counts = Counter(span[0] for span in tracer.spans)
     assert counts["kernels.evolution_rhs"] == rhs_calls
     assert counts["pde.evolve"] == 1
+
+
+def test_tracer_sees_every_bracket_and_residual_of_verify(monkeypatch, tmp_path):
+    """One traced verify op at seed 0 records every Lie bracket of its
+    tables, relations and determining checks, every residual of its flow
+    suites and linearizations, and every right-hand side those take; a
+    change that routes a table around ``lie_bracket`` fails here.  The
+    tracer restores the library's functions afterwards."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    wl = workloads.WORKLOADS["verify"](0, str(tmp_path))
+    inp = wl.stage(0)
+    tracer = spans.Tracer()
+    tracer.op = 0
+    tracer.install()
+    try:
+        out = wl.op(inp, tracer)
+    finally:
+        tracer.uninstall()
+    assert tracer.originals_restored()
+    wl.check(inp, out)
+    counts = Counter(span[0] for span in tracer.spans)
+    assert counts["symexpr.lie_bracket"] == 213
+    assert counts["pde.residual"] == 34
+    assert counts["kernels.evolution_rhs"] == 36

@@ -267,6 +267,25 @@ def test_bracket_of_scaled_fields_matches_reference(pair, k):
     _assert_normal_form(got.field())
 
 
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(_fields(n), _fields(n), _fields(n))))
+@settings(max_examples=60, deadline=None)
+def test_bracket_reads_a_cached_index_as_a_fresh_one(fields):
+    """A ScaledField differentiates itself once, on its first bracket, and
+    keeps the index: brackets of fields whose index is already computed
+    equal those of fresh copies, and the reference bracket divided back."""
+    X, Y, Z = fields
+    L = lcm(*(d for V in fields for d in field_denominators(V)))
+    SX, SY, SZ = (ScaledField.of(V, L) for V in fields)
+    lie_bracket(SX, SZ), lie_bracket(SZ, SY)  # both indices computed here
+    index = SX.derivatives
+    for (A, SA), (B, SB) in (((X, SX), (Y, SY)), ((Y, SY), (X, SX))):
+        got = lie_bracket(SA, SB)
+        assert got == lie_bracket(ScaledField.of(A, L), ScaledField.of(B, L))
+        assert got.field() == reference_bracket(A, B)
+    assert SX.derivatives is index
+
+
 def test_bracket_refuses_mixed_forms_and_scales():
     X, Y = _field(c(1), v("r")), _field(v("t"), c(F(1, 2)))
     with pytest.raises(TypeError):

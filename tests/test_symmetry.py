@@ -203,6 +203,28 @@ def test_bracket_matches_reference_on_basis_generators(n):
             assert lie_bracket(X, Y) == reference_bracket(X, Y), key
 
 
+def test_commutator_table_differentiates_each_field_once(monkeypatch):
+    """The n = 3 table at a Sym3 point brackets its 15 generators pairwise,
+    105 brackets, and runs the derivative rule once per field, not twice
+    per bracket."""
+    from dgsym import symexpr
+
+    calls = []
+    real = symexpr.scaled_derivatives
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(symexpr, "scaled_derivatives", counted)
+    monkeypatch.setattr(symmetry, "scaled_derivatives", counted)
+    p = reference_points(3)["sym3"]
+    rows = verify_commutator_table(p, n=3)
+    assert len(admissible_generators(p)) == 15 and len(rows) == 105
+    assert all(r.passed for r in rows)
+    assert len(calls) == 15
+
+
 def test_wrong_table_entry_fails_exactly_its_row(pts, monkeypatch):
     """[D, H] = -H in place of -2H: only the [H,D] row fails, and its detail
     names the one component where got - want is nonzero."""
