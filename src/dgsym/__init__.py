@@ -12,7 +12,7 @@ from .symmetry import (basis_generator, determining_residuals, parse_generator,
 from .fields import Grid, LogPolarField, Trajectory
 from .pde import (evolve, heat_solution, plane_wave_solution, residual,
                   se_gaussian, se_residual)
-from .flows import flow_numeric, verify_symmetry_flow
+from .flows import verify_symmetry_flow
 from .linearize import (LinearizationData, NotLinearizable, gauge_act_field,
                         heat_pair_to_dg, linearization_data, z_flow_heat,
                         z_flow_se, z_flow_se_from_zero)

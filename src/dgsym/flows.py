@@ -8,8 +8,6 @@ transforming its graph: :class:`TransformedSolution` composes the map lazily
 and is exact for every flow; a field is the flowed evaluator, sampled.
 A vertical map leaves x and t in place: the nonlinear gauge action and the
 Zheat/Zse flows of :mod:`dgsym.linearize` are such maps.
-:func:`flow_numeric` exponentiates an arbitrary vector field on an evaluator
-with an RK4 characteristic integrator and cross-validates the closed forms.
 :func:`verify_symmetry_flow` moves a solution by a closed-form flow and takes
 the order-2 verdict of :func:`dgsym.pde.convergence` on the moved solution's
 residual.
@@ -28,12 +26,10 @@ import numpy as np
 from .fields import Grid, sample_trajectory
 from .params import DGParams
 from .pde import ResidualReport, convergence, residual
-from .symexpr import VectorFieldSpec, var_names
 from .symmetry import NoClosedForm, check_indices, exp_rate_coefficients, parse_generator
 
-__all__ = ["FlowMap", "closed_flow_map", "flow_numeric",
-           "FlowReport", "verify_symmetry_flow", "SourceNotASolution",
-           "TransformedSolution"]
+__all__ = ["FlowMap", "closed_flow_map", "FlowReport", "verify_symmetry_flow",
+           "SourceNotASolution", "TransformedSolution"]
 
 
 def _identity_time(t):
@@ -169,7 +165,8 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
         if p.mu1 != 2 * p.nu2 and any(name.poly[1:]):
             raise ValueError(
                 "the Y_f flow is closed-form only in the commutative case "
-                "mu1 = 2 nu2 (z is conserved); use flow_numeric otherwise")
+                "mu1 = 2 nu2 (z is conserved); elsewhere only a constant f "
+                "has a closed-form flow")
         coeffs = [float(c) for c in name.poly]
 
         def vertical(r0, s0, xs, t):
@@ -202,76 +199,6 @@ class TransformedSolution:
         x0 = self.fmap.source_coords(xs, t)
         r0, s0 = self.source.rs(x0, t0)
         return self.fmap.vertical(r0, s0, xs, t)
-
-
-# ---------------------------------------------------------------------------
-# Numeric exponentiation of arbitrary generators.
-
-def _rk4(deriv, state, eps: float, steps: int):
-    h = eps / steps
-    for _ in range(steps):
-        k1 = deriv(state)
-        k2 = deriv([u + 0.5 * h * v for u, v in zip(state, k1)])
-        k3 = deriv([u + 0.5 * h * v for u, v in zip(state, k2)])
-        k4 = deriv([u + h * v for u, v in zip(state, k3)])
-        state = [u + (h / 6.0) * (a + 2 * b + 2 * c + d)
-                 for u, a, b, c, d in zip(state, k1, k2, k3, k4)]
-    return state
-
-
-def flow_numeric(X: VectorFieldSpec, eps: float, source, steps: int = 64):
-    """Exponentiate a generator by integrating its characteristic system.
-
-    Takes an (r, s) evaluator and returns one.  Its ``rs(xs, t)`` integrates
-    the coordinate subsystem (closed for the paper's generators: xi = xi(x, t),
-    tau = tau(t)) back by ``eps`` to the source point, evaluates ``source``
-    there and integrates the full system forward to (xs, t).  The source time
-    keeps the shape of t, a scalar or a (T, 1, ...) column.
-    """
-    if steps < 1:
-        raise ValueError("step count must be >= 1")
-    return _CharacteristicFlow(X, float(eps), source, steps)
-
-
-@dataclass(frozen=True)
-class _CharacteristicFlow:
-    X: VectorFieldSpec
-    eps: float
-    source: object
-    steps: int
-
-    def rs(self, xs, t):
-        X, n = self.X, self.X.n
-        names = var_names(n)
-        t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(t.shape, *(np.shape(x) for x in xs))
-
-        def deriv(comps, keys):
-            # the variables not in keys (r and s for the coordinate
-            # subsystem) are held at 0; the generators' xi and tau ignore them
-            def f(state):
-                values = dict.fromkeys(names, 0.0)
-                values.update(zip(keys, state))
-                ones = np.ones(np.shape(state[0]))
-                return [c.evaluate(values) * ones for c in comps]
-            return f
-
-        t0 = _rk4(deriv([X.tau], ["t"]), [t], -self.eps, self.steps)[0][()]
-        query = [np.broadcast_to(v, shape) for v in (*xs, t)]
-        back = _rk4(deriv([*X.xi, X.tau], names[:n + 1]), query, -self.eps,
-                    self.steps)
-        r0, s0 = self.source.rs(tuple(back[:n]), t0)
-        out = _rk4(deriv(X.components(), names),
-                   [*back, *(np.broadcast_to(v, shape) for v in (r0, s0))],
-                   self.eps, self.steps)
-        r, s = out[n + 1], out[n + 2]
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(s))):
-            raise OverflowError("characteristic integration left the "
-                                "representable range (r or s overflowed)")
-        if not all(np.allclose(a, b, atol=1e-8) for a, b in zip(out, query)):
-            raise RuntimeError("characteristic round trip failed to return "
-                               "to the query points; increase steps")
-        return r, s
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +252,8 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     names the generator, ``eps`` and that source window.  The refusal is
     ``SourceNotASolution`` when the source fails on ``t_window`` itself too
     (checked only then), else a ``ValueError`` that blames eps.  An ``eps`` whose
-    source times are not finite and strictly increasing is refused, and so
+    source times are not finite and strictly increasing is refused (one
+    that overflows them, or C's singular 1 + eps t <= 0, included), and so
     is one that maps the window to source times where sampling the
     solution raises a ``ValueError`` (outside its range of validity), and
     one that moves a sample, or its residual, out of float range; each
@@ -333,23 +261,26 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
     """
     name = parse_generator(name)
     times = np.linspace(t_window[0], t_window[1], 9)
+    window = f"[{t_window[0]:g}, {t_window[1]:g}]"
     try:
         fmap = closed_flow_map(name, eps, p)
-        src_times = np.sort([fmap.source_time(t) for t in times])
-        usable = np.all(np.isfinite(src_times)) and np.all(np.diff(src_times) > 0)
-    except OverflowError:
-        usable = False
-    if not usable:
-        raise ValueError(f"flow parameter eps={eps:g} maps the time window of {name} "
-                         "to source times that are not finite and strictly increasing")
+    except OverflowError:  # exp(eps) or exp(-eps) is out of float range
+        fmap = None
+    try:
+        src_times = np.sort([fmap.source_time(t) for t in times]) if fmap else [np.nan]
+    except (OverflowError, ValueError):  # C is singular where 1 + eps t <= 0
+        src_times = [np.nan]
+    if not (np.all(np.isfinite(src_times)) and np.all(np.diff(src_times) > 0)):
+        raise ValueError(f"flow parameter eps={eps:g} maps the time window {window} "
+                         f"of {name} to source times that are not finite and strictly "
+                         "increasing")
 
     try:
         source = sample_trajectory(solution, grid, src_times)
     except ValueError as exc:
-        raise ValueError(f"{name} at eps={eps:g} maps the window [{t_window[0]:g}, "
-                         f"{t_window[1]:g}] to the source times [{src_times[0]:.3g}, "
-                         f"{src_times[-1]:.3g}], where the solution cannot be "
-                         f"sampled: {exc}") from None
+        raise ValueError(f"{name} at eps={eps:g} maps the window {window} to the source "
+                         f"times [{src_times[0]:.3g}, {src_times[-1]:.3g}], where the "
+                         f"solution cannot be sampled: {exc}") from None
     baseline = residual(p, source)
     if not baseline.linf <= BASELINE_TOL:
         unmoved = baseline if np.array_equal(src_times, times) else residual(
@@ -358,8 +289,7 @@ def verify_symmetry_flow(p: DGParams, name, eps: float, solution,
             f"baseline residual {baseline.linf:.3g} is not within threshold "
             f"{BASELINE_TOL:.3g} on the source times [{src_times[0]:.3g}, "
             f"{src_times[-1]:.3g}] that {name} at eps={eps:g} maps the window "
-            f"[{t_window[0]:g}, {t_window[1]:g}] to, and {unmoved.linf:.3g} on "
-            "that window itself")
+            f"{window} to, and {unmoved.linf:.3g} on that window itself")
         if not unmoved.linf <= BASELINE_TOL:
             raise SourceNotASolution(f"{message}: the solution does not solve "
                                      "the system on this grid", unmoved.linf)

@@ -12,7 +12,7 @@ homogeneous functionals of Doebner and Goldin,
     R5 = 4 |grad r|^2,
 
 written out once, exactly, over the derivative bundle of ``kernels`` by
-``params.dg_system``; ``rhs_coefficients`` is its floats.
+``params.dg_system``; ``DGParams.system_floats`` is its floats.
 """
 
 from __future__ import annotations
@@ -34,15 +34,8 @@ __all__ = [
     "Convergence", "convergence",
     "heat_solution", "se_gaussian", "plane_wave_solution",
     "HeatGaussian", "SEPacket", "PlaneWave",
-    "ScaleSimilaritySolution", "HJSimilaritySolution", "rhs_coefficients",
+    "ScaleSimilaritySolution", "HJSimilaritySolution",
 ]
-
-
-def rhs_coefficients(p: DGParams) -> tuple:
-    """The nine coefficients of ``dg_system(p)`` as floats, each rounded once,
-    for ``kernels.evolution_rhs``: ``p.system_floats``, converted on the
-    point's first call and read back on every later one."""
-    return p.system_floats
 
 
 class EvolutionBlowup(RuntimeError):
@@ -162,7 +155,7 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
                          "reference solution")
     ring, _ = boundary_ring(grid)
     shape, padded_ring, inner = padded_layout(grid)
-    coeffs = rhs_coefficients(p)
+    coeffs = p.system_floats
     if dirichlet:
         edge = (slice(None),) + padded_ring
         pins = _ring_values(bc_values, tuple(c[ring] for c in grid.coords()),
@@ -279,7 +272,7 @@ def _residual_report(coeffs, traj: Trajectory) -> ResidualReport:
     is taken in one call over its grid view, and ``evolution_rhs`` once per
     padded slab view of ``max(1, _SLAB_POINTS // points)`` inner slices,
     the grid view of each result written over the d/dt stack.  ``coeffs``
-    is a tuple of nine floats, as ``rhs_coefficients`` gives them.
+    is a tuple of nine floats, as ``DGParams.system_floats`` gives them.
     """
     grid, times = traj.grid, traj.times
     h = _check_times(times).reshape((-1,) + (1,) * grid.n)
@@ -305,14 +298,14 @@ def residual(p: DGParams, traj: Trajectory) -> ResidualReport:
     stamps allowed); a trajectory solves the system iff both residuals vanish
     to discretization order.
     """
-    return _residual_report(rhs_coefficients(p), traj)
+    return _residual_report(p.system_floats, traj)
 
 
 def se_residual(a: float, traj: Trajectory) -> ResidualReport:
     """Residual of the free linear Schroedinger equation i psi_t = a lap psi,
     written in log-polar variables.
 
-    Its coefficients are ``rhs_coefficients`` of the family's linear point
+    Its coefficients are the ``system_floats`` of the family's linear point
     DGParams(nu1=a, mu2=a/2, mu3=-a, mu5=-a/4).
     """
     a = float(a)

@@ -384,7 +384,7 @@ def scale_rational(q, L: int) -> int:
 # residuals compute in this form, with the derivative rule and the unscaling
 # below.
 
-def scaled_derivatives(terms, wanted, n: int, L: int) -> list:
+def scaled_derivatives(terms, n: int, L: int) -> list:
     """Per variable v, the terms of d/dv of scaled terms at rate scale L,
     with one more factor L in the coefficient scale.
 
@@ -393,21 +393,20 @@ def scaled_derivatives(terms, wanted, n: int, L: int) -> list:
     v indexes ``var_names(n)``.  A term whose power k of v is > 0 gives its
     power step, the power lowered and the coefficient times k L; a term with
     an exp rate in v (v is r or s) gives its rate step, the coefficient
-    times that scaled rate.  Terms that do not depend on v are left out,
-    and so is every v whose entry in ``wanted`` is false.  Each derivative
-    is a list of tuples of the same form, one pass and no merging (a key may
-    occur twice in a component), so the rule applies to it again for a
-    second derivative.
+    times that scaled rate.  Terms that do not depend on v are left out.
+    Each derivative is a list of tuples of the same form, one pass and no
+    merging (a key may occur twice in a component), so the rule applies to
+    it again for a second derivative.
     """
     index = [[] for _ in range(n + 3)]
     ir, is_ = n + 1, n + 2
     for w, a, b, powers, d in terms:
         for v, k in enumerate(powers):
-            if k and wanted[v]:
+            if k:
                 index[v].append((w, a, b, powers[:v] + (k - 1,) + powers[v + 1:], d * k * L))
-        if a and wanted[ir]:
+        if a:
             index[ir].append((w, a, b, powers, d * a))
-        if b and wanted[is_]:
+        if b:
             index[is_].append((w, a, b, powers, d * b))
     return index
 
@@ -461,8 +460,7 @@ class ScaledField:
         rate scale ``rate_scale``.  Computed once, on first use, and kept
         with the field, so every bracket it takes part in reads the same
         index; the lists are shared and are not to be modified."""
-        n = self.n
-        return scaled_derivatives(self.terms(), (True,) * (n + 3), n, self.rate_scale)
+        return scaled_derivatives(self.terms(), self.n, self.rate_scale)
 
     def field(self) -> VectorFieldSpec:
         """The field as exact expressions, each component unscaled."""

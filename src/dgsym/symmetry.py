@@ -717,7 +717,6 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
         raise ValueError("tau must depend on t only")
 
     labels, vecs, index = _determining_index(n)
-    every = (True,) * (n + 3)
     first = scaled_X.derivatives
     second = {}  # v -> the derivatives of first[v], each v taken once
     scaled = (L, *(scale_rational(q, L) for q in qs))
@@ -729,7 +728,7 @@ def determining_residuals(p: DGParams, X: VectorFieldSpec) -> list:
             terms, pad = first[v], L  # one more L, to the second derivatives' L^3
         else:
             if v not in second:
-                second[v] = scaled_derivatives(first[v], every, n, L)
+                second[v] = scaled_derivatives(first[v], n, L)
             terms, pad = second[v][wrt[1]], 1
         for u, a, b, powers, m in terms:
             key = (a, b, powers)

@@ -317,16 +317,20 @@ def test_verify_flow_with_no_check_run_is_inapplicable(capsys):
     assert "0/0 checks passed, 1 skipped" in err
 
 
-@pytest.mark.parametrize("eps", ["1e9", "-1e9"])
-def test_verify_flow_names_eps_that_collapses_the_window(capsys, eps):
+@pytest.mark.parametrize("gen, eps", [("D", "1e9"), ("D", "-1e9"), ("C", "-20")],
+                         ids=["1e9", "-1e9", "C--20"])
+def test_verify_flow_names_eps_that_collapses_the_window(capsys, gen, eps):
     """D rescales time by exp(2 eps): at eps = 1e9 every source time is 0,
-    and at -1e9 the factor overflows."""
-    code, rows, err = run(capsys, "verify", "--suite", "flow", "--gen", "D",
+    and at -1e9 the factor overflows.  C at eps = -20 is singular where
+    1 + eps t <= 0, from t = 0.05 on.  The one error line names the
+    generator, eps and the window."""
+    code, rows, err = run(capsys, "verify", "--suite", "flow", "--gen", gen,
                           f"--eps={eps}")
     assert code == 2 and rows == []
     assert "Traceback" not in err and len(err.splitlines()) == 1
-    assert f"flow parameter eps={float(eps):g}" in err
-    assert "not finite and strictly increasing" in err
+    assert err.startswith(f"error: flow parameter eps={float(eps):g} maps the time "
+                          f"window [0.02, 0.18] of {gen} to source times that are "
+                          "not finite and strictly increasing")
 
 
 @pytest.mark.parametrize("gen", ["B:1", "P:1"])

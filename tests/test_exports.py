@@ -94,7 +94,7 @@ def run_python(script):
 
 def test_dgsym_runs_without_scipy():
     """dgsym depends on numpy only: with scipy unimportable it imports, the
-    flow suite passes and a numeric flow runs on an evaluator."""
+    flow suite passes and a closed-form flow runs on an evaluator."""
     run_python("""
 import sys
 sys.modules["scipy"] = None
@@ -102,17 +102,16 @@ import numpy as np
 import dgsym
 from dgsym import cli
 from dgsym.fields import Grid, sample_evaluator
-from dgsym.flows import flow_numeric
+from dgsym.flows import TransformedSolution, closed_flow_map
 from dgsym.params import reference_points
-from dgsym.symmetry import basis_generator
 
 class Src:
     def rs(self, xs, t):
         return 0.2 * np.sin(xs[0]) + t, 0.1 * xs[0]
 
 assert cli.main(["verify", "--suite", "flow"]) == 0
-X = basis_generator("D", reference_points()["sym1b"])
-field = sample_evaluator(flow_numeric(X, 0.2, Src()), Grid.make(npts=16), 0.1)
+moved = TransformedSolution(closed_flow_map("D", 0.2, reference_points()["sym1b"]), Src())
+field = sample_evaluator(moved, Grid.make(npts=16), 0.1)
 assert np.all(np.isfinite(field.r)) and np.all(np.isfinite(field.s))
 """)
 
@@ -132,10 +131,10 @@ assert "numpy.polynomial" not in sys.modules
 # Public names that nothing in src/dgsym or perfbench loads yet, each with
 # the reason it stays.
 UNCALLED = {
-    # planned for the infinitesimal check on the characteristic (ROADMAP
-    # item 3); tests compare the closed-form flows against them today
-    ("flows", "flow_numeric"), ("linearize", "z_flow_heat"),
-    ("linearize", "z_flow_se"),
+    # the only executable Zheat and Zse flows; test_linearize checks that
+    # they move solutions to solutions, and ROADMAP item 2 (checked rows for
+    # the linearizing algebras) is to give them a caller
+    ("linearize", "z_flow_heat"), ("linearize", "z_flow_se"),
     # the exact group law of the gauge group, stated beside gauge_act_params
     ("params", "gauge_identity"), ("params", "gauge_inverse"),
     ("params", "gauge_compose"),

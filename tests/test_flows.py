@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dgsym.fields import Grid, Trajectory, sample_evaluator, sample_trajectory
-from dgsym.flows import closed_flow_map, flow_numeric, verify_symmetry_flow
+from dgsym.flows import closed_flow_map, verify_symmetry_flow
 from dgsym.linearize import heat_pair_to_dg, linearization_data
 from dgsym.params import GaugeElement
 from dgsym.pde import (HJSimilaritySolution, ScaleSimilaritySolution,
@@ -172,7 +172,80 @@ def test_relocating_group_law_on_evaluators(pts, gen):
 
 
 # ---------------------------------------------------------------------------
-# numeric exponentiation agrees with the closed forms
+# each closed form is exp(eps X): a one-parameter group whose eps-derivative
+# at 0 is the generator X
+
+# the times the infinitesimal check samples at, t = 0 included, where B:1
+# moves no point and acts by its phase ramp alone
+GENERATOR_TIMES = [0.0, T, 0.13]
+
+
+def generator_error(X, moved, h=1e-5):
+    """max |(T_h u - T_{-h} u)/(2h) - Q| / max |Q| for u = Smooth on GRID at
+    GENERATOR_TIMES, with ``moved(eps)`` the flowed evaluator T_eps u and
+    Q = (phi, sigma) - xi u_x - tau u_t the characteristic of X at u."""
+    plus, minus, u = (sample_trajectory(f, GRID, GENERATOR_TIMES)
+                      for f in (moved(h), moved(-h), Smooth()))
+    x, t = GRID.coords()[0], u.times[:, None]
+    values = {"x1": x, "t": t, "r": u.r, "s": u.s}
+    xi, tau, phi, sigma = (np.broadcast_to(c.evaluate(values), u.r.shape)
+                           for c in X.components())
+    ux = (0.3 * np.cos(x), -0.4 * np.sin(2 * x) + 0.05)  # Smooth's derivatives
+    ut = (0.1, -0.2)
+    q = np.stack([phi - xi * ux[0] - tau * ut[0], sigma - xi * ux[1] - tau * ut[1]])
+    diff = np.stack([(plus.r - minus.r) / (2 * h), (plus.s - minus.s) / (2 * h)])
+    return np.max(np.abs(diff - q)) / np.max(np.abs(q))
+
+
+@pytest.mark.parametrize("key,gen,eps", [
+    ("finsub", "A", 0.3), ("expsub-nu2", "F", 0.2), ("generic", "E", 1.0),
+    ("generic", "R", 0.4), ("sym1b", "D", 0.2), ("sym1b", "C", 0.25),
+    ("infasub", "Yf:z^2", 0.2), ("sym1b", "H", 0.3), ("sym1b", "P:1", 0.5),
+    ("sym1b", "B:1", 0.3),
+])
+def test_closed_flow_is_the_exponential_of_its_generator(pts, key, gen, eps):
+    """The central eps-difference of the flow at 0 is the characteristic Q of
+    basis_generator(gen, p) to 1e-6 of max|Q| (the worst case, F at
+    expsub-nu2, reads about 3e-8; the error falls as h^2), and the flow is a
+    one-parameter group: T_{eps/3} T_{2 eps/3} = T_eps.  The same flow run 1 %
+    fast, whose generator is 1.01 X, reads 1e-2 and fails the first check."""
+    p = pts[key]
+    X = basis_generator(gen, p)
+    assert generator_error(X, lambda e: flow(gen, e, Smooth(), p)) < 1e-6
+    assert generator_error(X, lambda e: flow(gen, 1.01 * e, Smooth(), p)) > 1e-3
+    two = flow(gen, eps / 3, flow(gen, 2 * eps / 3, Smooth(), p), p)
+    one = flow(gen, eps, Smooth(), p)
+    assert max_diff(sample_trajectory(two, GRID, GENERATOR_TIMES),
+                    sample_trajectory(one, GRID, GENERATOR_TIMES)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# numeric checks of the closed forms away from eps = 0
+
+def stacked_rs(evaluator, x, t):
+    """(r, s) of an evaluator at points x (N,) and times t (T, 1) as one
+    (2, T, N) array."""
+    shape = (len(t), len(x))
+    return np.stack([np.broadcast_to(c, shape) for c in evaluator.rs((x,), t)])
+
+
+def flow_equation_error(X, moved, eps, h=1e-5):
+    """max |d/de T_e u - Q[T_eps u]| / max |Q| at e = eps for u = Smooth on
+    GRID at GENERATOR_TIMES: the closed flow solves the flow equation
+    dv/de = Q[v] along its path, with every derivative a central difference
+    of the evaluators (steps h)."""
+    x, t = GRID.coords()[0], np.asarray(GENERATOR_TIMES)[:, None]
+    v = moved(eps)
+    here = stacked_rs(v, x, t)
+    vx = (stacked_rs(v, x + h, t) - stacked_rs(v, x - h, t)) / (2 * h)
+    vt = (stacked_rs(v, x, t + h) - stacked_rs(v, x, t - h)) / (2 * h)
+    values = {"x1": x, "t": t, "r": here[0], "s": here[1]}
+    xi, tau, phi, sigma = (np.broadcast_to(c.evaluate(values), here[0].shape)
+                           for c in X.components())
+    q = np.stack([phi, sigma]) - xi * vx - tau * vt
+    de = (stacked_rs(moved(eps + h), x, t) - stacked_rs(moved(eps - h), x, t)) / (2 * h)
+    return np.max(np.abs(de - q)) / np.max(np.abs(q))
+
 
 @pytest.mark.parametrize("key,gen,eps", [
     ("finsub", "A", 0.3), ("expsub-nu2", "F", 0.2), ("generic", "E", 1.0),
@@ -181,30 +254,45 @@ def test_relocating_group_law_on_evaluators(pts, gen):
     ("sym1b", "B:1", 0.3),
 ])
 def test_numeric_matches_closed(pts, key, gen, eps):
-    """Both flows act on one evaluator; they agree at a scalar t and on a
-    (T, 1) time column."""
+    """Away from eps = 0 the closed flow still integrates its generator: the
+    numeric eps-derivative of T_e u at e = eps equals the characteristic Q of
+    basis_generator(gen, p) evaluated at the moved field T_eps u, whose x- and
+    t-derivatives are numeric too, to 1e-6 of max|Q|.  The same flow run 1 %
+    fast fails."""
     p = pts[key]
     X = basis_generator(gen, p)
-    fc = flow(gen, eps, Smooth(), p)
-    fn = flow_numeric(X, eps, Smooth(), steps=128)
-    assert max_diff(sampled(fc), sampled(fn)) < 1e-8
-    assert max_diff(sample_trajectory(fc, GRID, [T, 0.13]),
-                    sample_trajectory(fn, GRID, [T, 0.13])) < 1e-8
+    assert flow_equation_error(X, lambda e: flow(gen, e, Smooth(), p), eps) < 1e-6
+    assert flow_equation_error(X, lambda e: flow(gen, 1.01 * e, Smooth(), p), eps) > 1e-3
 
 
 def test_numeric_boost_vertical_part(pts):
-    """At t = 0 the boost does not move x; its phase ramp must match."""
+    """At t = 0 the boost does not move x (xi = t, tau = 0), so its flow there
+    is the pointwise ODE (r, s)' = (phi, sigma) at fixed x; RK4 on that ODE
+    matches the closed boost's phase ramp."""
     p = pts["sym1b"]
     X = basis_generator("B:1", p)
-    fc = flow("B:1", 0.3, Smooth(), p)
-    fn = flow_numeric(X, 0.3, Smooth(), steps=64)
-    assert max_diff(sampled(fc, 0.0), sampled(fn, 0.0)) < 1e-12
+    xi, tau, phi, sigma = X.components()
+    x = GRID.coords()[0]
+    u0 = sampled(Smooth(), 0.0)
 
+    def rhs(r, s):
+        values = {"x1": x, "t": 0.0, "r": r, "s": s}
+        assert not np.any(xi.evaluate(values)) and not np.any(tau.evaluate(values))
+        return (np.broadcast_to(phi.evaluate(values), x.shape),
+                np.broadcast_to(sigma.evaluate(values), x.shape))
 
-def test_numeric_step_validation(pts):
-    X = basis_generator("E", pts["generic"])
-    with pytest.raises(ValueError):
-        flow_numeric(X, 0.1, Smooth(), steps=0)
+    r, s, steps = u0.r, u0.s, 64
+    dt = 0.3 / steps
+    for _ in range(steps):
+        k1 = rhs(r, s)
+        k2 = rhs(r + dt / 2 * k1[0], s + dt / 2 * k1[1])
+        k3 = rhs(r + dt / 2 * k2[0], s + dt / 2 * k2[1])
+        k4 = rhs(r + dt * k3[0], s + dt * k3[1])
+        r = r + dt / 6 * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
+        s = s + dt / 6 * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
+    fc = sampled(flow("B:1", 0.3, Smooth(), p), 0.0)
+    assert max(np.max(np.abs(fc.r - r)), np.max(np.abs(fc.s - s))) < 1e-12
+    assert np.max(np.abs(fc.s - u0.s)) > 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -327,19 +415,6 @@ def test_translation_of_gauged_packet(pts):
     rep = verify_symmetry_flow(p, "P:1", 0.5, sol, grid, (0.02, 0.18))
     assert rep.after.l2 <= 2 * rep.baseline.l2 + 1e-12
     assert 3.0 <= rep.ratio_l2 <= 5.0
-
-
-def test_numeric_flow_overflow_guard(pts):
-    # r ~ 700 overflows the exp(eta*r + lambda*s) coefficient (eta = 13/2)
-    class Big:
-        def rs(self, xs, t):
-            r, s = Smooth().rs(xs, t)
-            return r + 700.0, s
-
-    X = basis_generator("F", pts["expsub-nu2"])
-    moved = flow_numeric(X, 1.0, Big(), steps=4)
-    with pytest.raises(OverflowError), np.errstate(over="ignore", invalid="ignore"):
-        sampled(moved, 0.0)
 
 
 @pytest.mark.parametrize("g", [GaugeElement(Fraction(2), Fraction(-1, 3)),

@@ -383,7 +383,7 @@ def test_stacked_kernel_matches_two_array_reference(grid, make, seed, slices, sl
     traj = Trajectory(grid, times, r, s)
     with mock.patch.object(pde, "_SLAB_POINTS", slab * np.prod(grid.shape)):
         got = residual(p, traj)
-    coeffs = pde.rhs_coefficients(p)
+    coeffs = p.system_floats
     assert got == _per_slice_report(lambda f: two_array_rhs(f.r, f.s, grid, coeffs), traj)
 
     # evolve from a smooth winding field, pinned on dirichlet grids

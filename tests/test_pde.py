@@ -18,7 +18,7 @@ from dgsym.kernels import _derivative_bundle, boundary_ring, evolution_rhs
 from dgsym.params import PARAM_NAMES, DGParams, reference_points
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum,
                        check_saved_times, convergence, evolve, heat_solution, plane_wave_solution,
-                       residual, rhs_coefficients, se_gaussian, se_residual)
+                       residual, se_gaussian, se_residual)
 from tests.conftest import Junk, grid_rhs, heat_residual, padded, stack_fields
 
 
@@ -208,7 +208,7 @@ def test_laplacian_decomposition():
 def test_rhs_constant_field(pts):
     g = Grid.make(npts=32, extent=(-1, 1), bc="periodic")
     f = LogPolarField(g, 0.0, np.full(32, 0.5), np.full(32, 1.0))
-    rt, st = grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(pts["generic"]))
+    rt, st = grid_rhs(np.stack((f.r, f.s)), g, pts["generic"].system_floats)
     assert np.max(np.abs(rt)) == 0.0 and np.max(np.abs(st)) == 0.0
 
 
@@ -217,7 +217,7 @@ def test_rhs_matches_packet_derivative(pts):
     pack = se_gaussian(float(p.nu1), b0=-0.25, k=(0.3,))
     g = Grid.make(npts=64, extent=(-3, 3))
     f = sample_evaluator(pack, g, 0.05)
-    rt, st = grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
+    rt, st = grid_rhs(np.stack((f.r, f.s)), g, p.system_floats)
     rte, ste = pack.rs_t(g.coords(), 0.05)
     assert np.max(np.abs(interior(rt) - interior(rte))) < 1e-10
     assert np.max(np.abs(interior(st) - interior(ste))) < 1e-10
@@ -227,7 +227,7 @@ def test_rhs_plane_wave_infinite_subfamily(pts):
     p = pts["infsub"]
     g = Grid.make(npts=64, extent=(0, 2 * np.pi), bc="periodic")
     f = sample_evaluator(plane_wave_solution(p, (3.0,)), g, 0.0)
-    rt, st = grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
+    rt, st = grid_rhs(np.stack((f.r, f.s)), g, p.system_floats)
     assert np.max(np.abs(rt)) < 1e-10
     np.testing.assert_allclose(st, 2.0 * float(p.nu1) * 9.0, atol=1e-10)
 
@@ -248,7 +248,7 @@ def test_rhs_is_functional_combination(pts, key, bc, n):
     want_r = c["nu1"] * R1 + c["nu2"] * R2
     want_s = -(c["mu1"] * R1 + c["mu2"] * R2 + c["mu3"] * R3
                + c["mu4"] * R4 + c["mu5"] * R5)
-    rhs = grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p))
+    rhs = grid_rhs(np.stack((f.r, f.s)), g, p.system_floats)
     for got, want in zip(rhs, (want_r, want_s)):
         np.testing.assert_allclose(got, want, rtol=1e-12,
                                    atol=1e-12 * np.max(np.abs(want)))
@@ -411,7 +411,7 @@ def test_residual_equals_per_slice_rhs(key, n, bc):
         g, [LogPolarField(g, t, 0.3 * rng.standard_normal(g.shape),
                           rng.standard_normal(g.shape)) for t in times])
     assert residual(p, traj) == _per_slice_report(
-        lambda f: grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p)), traj)
+        lambda f: grid_rhs(np.stack((f.r, f.s)), g, p.system_floats), traj)
 
 
 def _per_slice_report(rhs_fn, traj):
@@ -474,11 +474,11 @@ def test_residuals_equal_per_slice_reference(g, slices, slabs, monkeypatch):
     for key in ("sym1c", "linear-se", "galsub"):
         p = reference_points(g.n)[key]
         assert residual(p, traj) == _per_slice_report(
-            lambda f: grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(p)), traj)
+            lambda f: grid_rhs(np.stack((f.r, f.s)), g, p.system_floats), traj)
 
     se_point = _linear_se_point(g.n, Fraction(-7, 10))
     assert se_residual(-0.7, traj) == _per_slice_report(
-        lambda f: grid_rhs(np.stack((f.r, f.s)), g, rhs_coefficients(se_point)),
+        lambda f: grid_rhs(np.stack((f.r, f.s)), g, se_point.system_floats),
         traj)
 
 
@@ -655,11 +655,9 @@ def _reference_evolve(p, f0, steps, dt, bc_values, save_every, rhs=None):
     evaluation at each stage time (no pinning when ``bc_values`` is None);
     ``rhs(r, s, grid, coeffs) -> (r_t, s_t)`` defaults to the library
     ``evolution_rhs``."""
-    from dgsym.pde import rhs_coefficients
-
     rhs = rhs or (lambda r, s, grid, coeffs:
                   grid_rhs(np.stack((r, s)), grid, coeffs))
-    grid, coeffs, xs = f0.grid, rhs_coefficients(p), f0.grid.coords()
+    grid, coeffs, xs = f0.grid, p.system_floats, f0.grid.coords()
     faces = []
     for axis in range(grid.n):
         for end in (0, -1):

@@ -20,7 +20,6 @@ from dgsym.linearize import heat_pair_directions, linearization_data
 from dgsym.params import (DGParams, GaugeElement, classify, compute_invariants,
                           dg_system, gauge_act_params, gauge_compose,
                           make_ehr_sub, reference_points)
-from dgsym.pde import rhs_coefficients
 
 F = Fraction
 
@@ -197,8 +196,8 @@ def test_schroedinger_branch_is_the_free_equation(nu1, nu2, Lam):
 
 @given(points)
 @settings(max_examples=100, deadline=None)
-def test_rhs_coefficients_are_the_floats_of_the_system(p):
+def test_system_floats_round_each_coefficient_once(p):
     """One rounding per coefficient, a zero coefficient included: +0.0."""
-    got = np.array(rhs_coefficients(p))
+    got = np.array(p.system_floats)
     want = np.array([float(c) for c in dg_system(p)])
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
