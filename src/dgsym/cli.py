@@ -36,10 +36,11 @@ from .linearize import (NotLinearizable, gauge_act_field, heat_pair_directions,
                         heat_pair_to_dg, linearization_data, z_flow_se_from_zero)
 from .params import (DGParams, GaugeElement, canonical_gauge, classify,
                      gauge_act_params, predicate_report, rational_str,
-                     reference_points)
+                     reference_points, stability_report)
 from .pde import (EvolutionBlowup, HJSimilaritySolution, ScaleSimilaritySolution,
-                  check_saved_times, convergence, default_dt, evolve, heat_solution,
-                  plane_wave_solution, residual, se_gaussian, se_residual)
+                  check_saved_times, convergence, courant, default_dt, evolve,
+                  heat_solution, plane_wave_solution, residual, se_gaussian,
+                  se_residual)
 from .symmetry import (GeneratorNotAdmissible, NoClosedForm, basis_generator,
                        basis_names, determining_residuals, exp_rate_coefficients,
                        is_admissible, parse_generator, residuals_all_zero,
@@ -58,6 +59,10 @@ def _say(msg):
 
 class InputError(Exception):
     pass
+
+
+class Inapplicable(Exception):
+    """The command does not apply to the point (exit 3)."""
 
 
 def _load_params(path) -> DGParams:
@@ -418,7 +423,7 @@ def cmd_simulate(args) -> list:
     p = _load_params(args.params)
     grid = _grid(args.grid, p.n, args.bc)
     field0, closed_form = _make_init(args.init, grid, p)
-    dt = default_dt(grid) if args.dt is None else args.dt
+    dt = default_dt(grid, p) if args.dt is None else args.dt
     if not (np.isfinite(dt) and dt > 0):
         raise InputError(f"--dt must be finite and positive, got {dt:g}")
     if args.save_every < 1:
@@ -437,6 +442,14 @@ def cmd_simulate(args) -> list:
                          "needs at least 3")
     check_saved_times(field0, dt, steps, args.save_every)
     _check_out_dir(args.out)
+    stability, tag = stability_report(p), classify(p).tag
+    if stability.kind == "ill-posed":
+        hint = ("; dgsym linearize builds its solutions from a heat pair"
+                if tag == "Sym1b" else "")
+        raise Inapplicable(f"simulate: the {tag} point is ill-posed (rho = "
+                           f"{stability.rho:.3g}): an eigenvalue of its principal "
+                           "symbol has negative real part, so its evolution is "
+                           f"backward-parabolic{hint}")
 
     bc_values = None
     if grid.bc == "dirichlet":
@@ -452,8 +465,10 @@ def cmd_simulate(args) -> list:
     rep = residual(p, traj)
     write_trajectory(traj, args.out, params_json=p.to_json_dict(), dt=dt)
     _say(f"simulate: {steps} steps of dt={dt:.3g} written to {args.out}")
-    return [{"command": "simulate", "class": classify(p).tag, "steps": steps,
-             "dt": dt, "out": args.out, "residual": rep.to_json_dict()}]
+    return [{"command": "simulate", "class": tag, "steps": steps, "dt": dt,
+             "stability": stability.to_json_dict(),
+             "courant": courant(grid, p, dt), "out": args.out,
+             "residual": rep.to_json_dict()}]
 
 
 # ---------------------------------------------------------------------------
@@ -640,7 +655,7 @@ def main(argv=None) -> int:
             raise InputError(f"{args.command} needs --params")
         rows = handlers[args.command](args)
         sys.stdout.writelines(json.dumps(row) + "\n" for row in rows)
-    except (GeneratorNotAdmissible, NotLinearizable) as exc:
+    except (GeneratorNotAdmissible, NotLinearizable, Inapplicable) as exc:
         _say(f"inapplicable: {exc}")
         return EXIT_INAPPLICABLE
     except EvolutionBlowup as exc:

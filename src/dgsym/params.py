@@ -278,6 +278,47 @@ def compute_invariants(p: DGParams) -> GaugeInvariants:
                            Fraction(I3, A), Fraction(I4, A * D), Fraction(I5, A * D2))
 
 
+@dataclass(frozen=True)
+class Stability:
+    """The kind of the evolution problem at a point and rho, the spectral
+    radius of its principal symbol."""
+
+    kind: str
+    rho: float
+
+    def to_json_dict(self) -> dict:
+        return {"kind": self.kind, "rho": self.rho}
+
+
+def stability_report(p: DGParams) -> Stability:
+    """The kind and rho of p's principal symbol M = [[2 nu2, nu1], [-2 mu2,
+    -mu1]], the Laplacian block of ``dg_system``, read from its trace -iota2
+    and determinant 2 iota1, so both are gauge invariant.
+
+    The linear part u_t = M lap u is well-posed iff no eigenvalue of M has
+    a negative real part, that is iff iota2 <= 0 <= iota1.  The kind is
+    'ill-posed' (backward-parabolic) otherwise; 'degenerate' where iota1 =
+    iota2 = 0, M nilpotent (not zero, since nu1 != 0); 'dispersive' where
+    iota2 = 0 < iota1, eigenvalues +-i sqrt(2 iota1); and 'parabolic' in
+    the rest.  rho = (|tr| + sqrt(tr^2 - 4 det))/2 where tr^2 >= 4 det and
+    sqrt(det) where the eigenvalues are complex, from the exact discriminant.
+    """
+    D, _, _, I1, I2, *_ = p.cleared
+    iota1, iota2 = Fraction(I1, D * D), Fraction(I2, D)
+    if I1 < 0 or I2 > 0:
+        kind = "ill-posed"
+    elif I2 == 0:
+        kind = "degenerate" if I1 == 0 else "dispersive"
+    else:
+        kind = "parabolic"
+    disc = iota2 * iota2 - 8 * iota1
+    if disc >= 0:
+        rho = (abs(float(iota2)) + math.sqrt(disc)) / 2
+    else:
+        rho = math.sqrt(2 * iota1)
+    return Stability(kind, rho)
+
+
 def canonical_gauge(p: DGParams) -> GaugeElement:
     """Gauge element (nu1, mu1); gauge_act_params with it gives nu1' = 1, mu1' = 0."""
     return GaugeElement(p.nu1, p.mu1)

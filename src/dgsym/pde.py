@@ -26,10 +26,10 @@ import numpy as np
 
 from .fields import Grid, LogPolarField, Trajectory, sample_trajectory
 from .kernels import boundary_ring, evolution_rhs, padded_layout
-from .params import DGParams, predicate_report
+from .params import DGParams, predicate_report, stability_report
 
 __all__ = [
-    "default_dt", "evolve", "check_saved_times",
+    "default_dt", "courant", "evolve", "check_saved_times",
     "EvolutionBlowup", "ResidualReport", "residual", "se_residual",
     "Convergence", "convergence",
     "heat_solution", "se_gaussian", "plane_wave_solution",
@@ -45,9 +45,33 @@ class EvolutionBlowup(RuntimeError):
         self.step, self.t, self.norm = step, t, norm
 
 
-def default_dt(grid: Grid) -> float:
-    """The stability rule: the largest RK4 step, and the default, on grid."""
-    return 0.2 * min(grid.spacings) ** 2
+MAX_COURANT = 2.4  # the largest courant(grid, p, dt) evolve accepts
+
+
+def _rho_hat(p: DGParams) -> float:
+    return max(stability_report(p).rho, 1.0)
+
+
+def default_dt(grid: Grid, p: DGParams) -> float:
+    """The default RK4 step at p on grid: 0.4 h^2 / (n rho^), h the smallest
+    spacing, n the grid's dimension and rho^ = max(rho, 1), rho the spectral
+    radius of p's principal symbol M (``params.stability_report``).
+
+    Linearized about a constant state, the stencil's modes evolve by
+    u_t = -sigma M u with sigma in [0, 4n/h^2], so an RK4 step sees
+    z = -dt sigma lambda for the eigenvalues lambda of M, with |z| at most
+    ``courant(grid, p, dt)`` = 4 n rho^ dt / h^2: 1.6 at this step.  At a
+    point that is not ill-posed every z lies in the closed left half-plane,
+    where RK4's stability region holds the half-disc of radius 2.6 (Hairer
+    and Wanner, Solving ODEs II, section IV.2); ``evolve`` refuses a step
+    whose Courant number exceeds ``MAX_COURANT``, 1.5 times this step's."""
+    return 0.4 * min(grid.spacings) ** 2 / (grid.n * _rho_hat(p))
+
+
+def courant(grid: Grid, p: DGParams, dt: float) -> float:
+    """4 n rho^ dt / h^2, the largest |z| an RK4 step of dt at p sees on grid
+    (see ``default_dt``)."""
+    return 4.0 * grid.n * _rho_hat(p) * dt / min(grid.spacings) ** 2
 
 
 # A slab of k time slices takes at most this many grid points per stencil
@@ -110,8 +134,12 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
            bc_values: Callable | None = None, save_every: int = 1) -> Trajectory:
     """Method-of-lines RK4 on the evolution system, one stacked (r, s) state.
 
-    dt defaults to ``default_dt(grid)`` and may not exceed it; it must be finite
-    and positive, and ``save_every`` at least 1.  On dirichlet grids
+    dt defaults to ``default_dt(grid, p)``, and its ``courant`` number may not
+    exceed ``MAX_COURANT``, so dt at most 1.5 times the default; it must be
+    finite and positive, and ``save_every`` at least 1.  Well-posedness is
+    not checked: at an ill-posed point (``params.stability_report``) every
+    step amplifies grid-scale modes, rounding errors included, and
+    ``dgsym simulate`` refuses such a point.  On dirichlet grids
     ``bc_values(coords, t) -> (r, s)`` supplies boundary data (convergence
     studies pin it to a closed-form solution) by the ``rs(xs, t)`` protocol of
     ``sample_trajectory``: ``coords`` is the boundary ring only,
@@ -136,14 +164,15 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
     the padded arrays; ``field0`` is not written to.
     """
     grid = field0.grid
-    dt_max = default_dt(grid)
     if dt is None:
-        dt = dt_max
+        dt = default_dt(grid, p)
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt={dt!r} must be finite and positive")
-    if dt > dt_max * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:.3g} violates the stability rule "
-                         f"dt <= default_dt(grid) = {dt_max:.3g}")
+    number = courant(grid, p, dt)
+    if number > MAX_COURANT * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt:.3g} violates the stability rule: its Courant "
+                         f"number {number:.3g} exceeds {MAX_COURANT:g}, 1.5 times "
+                         f"that of default_dt(grid, p) = {default_dt(grid, p):.3g}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if save_every < 1:

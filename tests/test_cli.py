@@ -10,7 +10,7 @@ from dgsym import cli, symmetry
 from dgsym.cli import build_parser, main
 from dgsym.fields import Grid, Trajectory, read_trajectory, write_trajectory
 from dgsym.params import (PARAM_NAMES, DGParams, GaugeElement, gauge_act_params,
-                          reference_points)
+                          reference_points, stability_report)
 
 
 DEEP_PAYLOAD = "Yf:" + "(" * 400 + "z" + ")" * 400
@@ -37,6 +37,11 @@ def se_file(tmp_path):
 @pytest.fixture()
 def sym1b_file(tmp_path):
     return write_params(tmp_path, "sym1b.json", reference_points()["sym1b"])
+
+
+@pytest.fixture()
+def sym1c_file(tmp_path):
+    return write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
 
 
 def test_classify_linear_se(capsys, se_file):
@@ -480,9 +485,9 @@ def test_verify_unknown_inputs(capsys):
     assert code == 2
 
 
-def test_simulate_periodic_bump(capsys, tmp_path, sym1b_file):
+def test_simulate_periodic_bump(capsys, tmp_path, sym1c_file):
     out = str(tmp_path / "run")
-    code, rows, _ = run(capsys, "simulate", "--params", sym1b_file,
+    code, rows, _ = run(capsys, "simulate", "--params", sym1c_file,
                         "--grid", "32,0.2", "--bc", "periodic",
                         "--init", "bump:ra=0.2,sa=0.1,w=1.0",
                         "--steps", "8", "--out", out)
@@ -551,20 +556,67 @@ def test_simulate_refuses_periodic_se_packet(capsys, tmp_path, se_file):
 
 
 def test_simulate_blowup_is_a_named_check_failure(capsys, tmp_path):
-    """linear-se with every parameter scaled by 10 blows up at the default dt
-    on this grid: exit 1 with one stderr line, no traceback, nothing written."""
+    """finsub with every parameter scaled by 10, a degenerate point (its
+    principal symbol is nilpotent), blows up at t = 0.15 on this grid at the
+    default dt, and at half of it: exit 1 with one stderr line, no traceback,
+    nothing written."""
+    fin = reference_points()["finsub"]
+    p = DGParams(n=1, **{k: 10 * getattr(fin, k) for k in PARAM_NAMES})
+    path = write_params(tmp_path, "fin10.json", p)
+    out = str(tmp_path / "blown")
+    for dt, step in ((None, 24), ("0.003125", 48)):
+        flags = [] if dt is None else ["--dt", dt]
+        code, rows, err = run(capsys, "simulate", "--params", path,
+                              "--grid", "64,0.125", "--bc", "periodic", "--init",
+                              "bump", "--t-final", "0.5", *flags, "--out", out)
+        assert code == 1 and rows == []
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert err.startswith("failed: blow-up check: max|r| = ")
+        assert f"at step {step} (t=0.15)" in err
+        assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("key", ["sym1b", "sym1b-nu2", "infsub", "expsub",
+                                 "expsub-nu2", "generic"])
+def test_simulate_refuses_ill_posed_point(capsys, tmp_path, monkeypatch, key):
+    """The six backward-parabolic n = 1 reference points are refused before
+    any step: exit 3, one 'inapplicable:' line naming the kind and rho, and
+    at the Sym1b points dgsym linearize; nothing is written."""
+    p = reference_points()[key]
+    path = write_params(tmp_path, f"{key}.json", p)
+
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve was called")
+
+    monkeypatch.setattr(cli, "evolve", no_evolve)
+    out = tmp_path / "run"
+    code, rows, err = run(capsys, "simulate", "--params", path, "--grid",
+                          "256,0.0625", "--init", "bump:ra=0.2,sa=0.1,w=1.0",
+                          "--t-final", "0.5", "--save-every", "16", "--out", str(out))
+    assert code == 3 and rows == [] and not out.exists()
+    assert len(err.splitlines()) == 1 and err.startswith("inapplicable: ")
+    rho = stability_report(p).rho
+    assert "ill-posed" in err and f"rho = {rho:.3g}" in err
+    assert ("dgsym linearize" in err) == key.startswith("sym1b")
+
+
+def test_simulate_scaled_linear_se_is_stable_at_the_default_dt(capsys, tmp_path):
+    """linear-se with every parameter scaled by 10 has rho = 10: the default
+    dt shrinks with it, and the run reaches t = 0.1 with every step saved and
+    a residual of 5e-3, where 0.2 dx^2 blew up at step 7."""
     se = reference_points()["linear-se"]
     p = DGParams(n=1, **{k: 10 * getattr(se, k) for k in PARAM_NAMES})
     path = write_params(tmp_path, "se10.json", p)
-    out = str(tmp_path / "blown")
-    code, rows, err = run(capsys, "simulate", "--params", path,
-                          "--grid", "64,0.125", "--bc", "periodic",
-                          "--init", "bump", "--t-final", "0.5", "--out", out)
-    assert code == 1 and rows == []
-    assert "Traceback" not in err and len(err.splitlines()) == 1
-    assert err.startswith("failed: blow-up check: max|r| = ")
-    assert "at step 7 (t=" in err
-    assert not os.path.exists(out)
+    out = str(tmp_path / "run")
+    code, rows, _ = run(capsys, "simulate", "--params", path, "--grid", "64,0.125",
+                        "--bc", "periodic", "--init", "bump", "--t-final", "0.1",
+                        "--out", out)
+    assert code == 0
+    assert rows[0]["stability"] == {"kind": "dispersive", "rho": 10.0}
+    assert rows[0]["courant"] == pytest.approx(1.6)
+    traj = read_trajectory(out)
+    assert traj.times[-1] >= 0.1 and np.max(np.abs(traj.r)) < 0.5
+    assert rows[0]["residual"]["linf"] < 1e-2
 
 
 @pytest.mark.parametrize("init", ["bump:ra=nan", "bump:ra=1e6"])
@@ -661,10 +713,10 @@ def test_gauge_failed_write_removes_what_it_wrote(capsys, tmp_path):
 @pytest.mark.parametrize("key, damage", [
     ("times", lambda m: m["times"].__setitem__(1, None)),
     ("grid", lambda m: m.pop("grid"))], ids=["null-time", "no-grid"])
-def test_gauge_traj_bad_manifest_is_input_error(capsys, tmp_path, sym1b_file,
+def test_gauge_traj_bad_manifest_is_input_error(capsys, tmp_path, sym1c_file,
                                                 key, damage):
     simdir = tmp_path / "sim"
-    assert main(["simulate", "--params", sym1b_file, "--grid", "32,0.2",
+    assert main(["simulate", "--params", sym1c_file, "--grid", "32,0.2",
                  "--bc", "periodic", "--init", "bump", "--steps", "4",
                  "--out", str(simdir)]) == 0
     capsys.readouterr()
@@ -672,7 +724,7 @@ def test_gauge_traj_bad_manifest_is_input_error(capsys, tmp_path, sym1b_file,
     manifest = json.loads(mpath.read_text())
     damage(manifest)
     mpath.write_text(json.dumps(manifest))
-    code, rows, err = run(capsys, "gauge", "--params", sym1b_file,
+    code, rows, err = run(capsys, "gauge", "--params", sym1c_file,
                           "--lambda", "2", "--traj", str(simdir),
                           "--traj-out", str(tmp_path / "out"))
     assert code == 2 and rows == []
@@ -928,15 +980,15 @@ def test_simulate_refuses_init_file_with_empty_path(capsys, tmp_path, monkeypatc
     assert err.startswith("error: --init file: needs a trajectory directory")
 
 
-def test_simulate_continues_from_a_trajectory_directory(capsys, tmp_path, sym1b_file):
+def test_simulate_continues_from_a_trajectory_directory(capsys, tmp_path, sym1c_file):
     """A run started with --init file:DIR begins at the last slice of DIR,
     bit for bit and at its time stamp, and a gauge --traj output, whose
     manifest records the gauged point, starts a run as well."""
     grid = ["--grid", "32,0.2", "--bc", "periodic"]
     first, second = tmp_path / "r1", tmp_path / "r2"
-    assert run(capsys, "simulate", "--params", sym1b_file, *grid, "--init", "bump",
+    assert run(capsys, "simulate", "--params", sym1c_file, *grid, "--init", "bump",
                "--steps", "4", "--out", str(first))[0] == 0
-    code, rows, _ = run(capsys, "simulate", "--params", sym1b_file, *grid,
+    code, rows, _ = run(capsys, "simulate", "--params", sym1c_file, *grid,
                         "--init", f"file:{first}", "--steps", "4",
                         "--out", str(second))
     assert code == 0 and len(rows) == 1
@@ -945,7 +997,7 @@ def test_simulate_continues_from_a_trajectory_directory(capsys, tmp_path, sym1b_
     assert np.array_equal(start.r, last.r) and np.array_equal(start.s, last.s)
 
     gauged, image = tmp_path / "r1-g", str(tmp_path / "image.json")
-    assert run(capsys, "gauge", "--params", sym1b_file, "--lambda", "2", "--gamma",
+    assert run(capsys, "gauge", "--params", sym1c_file, "--lambda", "2", "--gamma",
                "1", "--out", image, "--traj", str(first),
                "--traj-out", str(gauged))[0] == 0
     code, rows, _ = run(capsys, "simulate", "--params", image, *grid,
@@ -1100,12 +1152,12 @@ def test_gauge_takes_negative_rationals_as_separate_arguments(capsys, tmp_path):
     assert (split[0]["Lambda"], split[0]["gamma"]) == ("-1/2", "-2/3")
 
 
-def test_gauge_transforms_trajectory(capsys, tmp_path, sym1b_file):
+def test_gauge_transforms_trajectory(capsys, tmp_path, sym1c_file):
     simdir = str(tmp_path / "sim")
-    run(capsys, "simulate", "--params", sym1b_file, "--grid", "32,0.2",
+    run(capsys, "simulate", "--params", sym1c_file, "--grid", "32,0.2",
         "--bc", "periodic", "--init", "bump", "--steps", "4", "--out", simdir)
     outdir = str(tmp_path / "sim-g")
-    code, rows, _ = run(capsys, "gauge", "--params", sym1b_file,
+    code, rows, _ = run(capsys, "gauge", "--params", sym1c_file,
                         "--lambda", "2", "--gamma", "1",
                         "--traj", simdir, "--traj-out", outdir)
     assert code == 0
@@ -1116,16 +1168,16 @@ def test_gauge_transforms_trajectory(capsys, tmp_path, sym1b_file):
 
 
 @pytest.mark.parametrize("damage", ["missing", "malformed"])
-def test_gauge_traj_bad_stack_is_input_error(capsys, tmp_path, sym1b_file, damage):
+def test_gauge_traj_bad_stack_is_input_error(capsys, tmp_path, sym1c_file, damage):
     simdir = tmp_path / "sim"
-    run(capsys, "simulate", "--params", sym1b_file, "--grid", "32,0.2",
+    run(capsys, "simulate", "--params", sym1c_file, "--grid", "32,0.2",
         "--bc", "periodic", "--init", "bump", "--steps", "4", "--out", str(simdir))
     assert not list(simdir.glob("*.csv"))
     if damage == "missing":
         (simdir / "s.npy").unlink()
     else:
         (simdir / "s.npy").write_bytes(b"not an array")
-    code, rows, err = run(capsys, "gauge", "--params", sym1b_file,
+    code, rows, err = run(capsys, "gauge", "--params", sym1c_file,
                           "--lambda", "2", "--traj", str(simdir),
                           "--traj-out", str(tmp_path / "out"))
     assert code == 2
@@ -1137,23 +1189,23 @@ def test_gauge_traj_bad_stack_is_input_error(capsys, tmp_path, sym1b_file, damag
 @pytest.mark.parametrize("flags", [["--lambda", "1e-400"], ["--lambda", "1e400"],
                                    ["--lambda", "2", "--gamma", "1e400"]],
                          ids=["lambda-1e-400", "lambda-1e400", "gamma-1e400"])
-def test_gauge_traj_refuses_gauge_without_float_value(capsys, tmp_path, sym1b_file,
+def test_gauge_traj_refuses_gauge_without_float_value(capsys, tmp_path, sym1c_file,
                                                       flags):
     """A Lambda whose float is 0.0 (it would erase the phase) or a Lambda or
     gamma past the float range cannot act on a trajectory: exit 2, one error
     line and nothing written.  The exact gauge on the parameters alone still
     runs."""
     simdir = str(tmp_path / "sim")
-    assert main(["simulate", "--params", sym1b_file, "--grid", "16,0.5",
+    assert main(["simulate", "--params", sym1c_file, "--grid", "16,0.5",
                  "--steps", "3", "--out", simdir]) == 0
     capsys.readouterr()
-    code, rows, err = run(capsys, "gauge", "--params", sym1b_file, *flags,
+    code, rows, err = run(capsys, "gauge", "--params", sym1c_file, *flags,
                           "--traj", simdir)
     assert code == 2 and rows == []
     assert err.startswith("error: ") and len(err.splitlines()) == 1
     assert "Traceback" not in err
     assert not os.path.exists(simdir + "-gauged")
-    code, rows, _ = run(capsys, "gauge", "--params", sym1b_file, *flags)
+    code, rows, _ = run(capsys, "gauge", "--params", sym1c_file, *flags)
     assert code == 0 and len(rows) == 1
 
 
@@ -1398,7 +1450,7 @@ def test_cli_contract_on_drawn_arguments(capsys, tmp_path, monkeypatch):
     for case, (text, _) in MALFORMED_PARAMS.items():
         (tmp_path / f"{case}.json").write_text(text)
     (tmp_path / "plain").write_text("a regular file")
-    assert main(["simulate", "--params", "sym1b.json", "--grid", "16,0.5",
+    assert main(["simulate", "--params", "sym1c.json", "--grid", "16,0.5",
                  "--steps", "3", "--out", "traj"]) == 0
 
     @st.composite

@@ -21,7 +21,7 @@ from dgsym import pde
 from dgsym.fields import Grid, LogPolarField, Trajectory, sample_evaluator
 from dgsym.kernels import _derivative_bundle, evolution_rhs, padded_layout
 from dgsym.params import reference_points
-from dgsym.pde import evolve, residual
+from dgsym.pde import default_dt, evolve, residual
 
 from tests.conftest import grid_rhs, padded
 from test_pde import (_assert_same_trajectory, _per_slice_report, _recording,
@@ -389,7 +389,7 @@ def test_stacked_kernel_matches_two_array_reference(grid, make, seed, slices, sl
     # evolve from a smooth winding field, pinned on dirichlet grids
     f0 = LogPolarField(grid, 0.25, *_winding_fields(grid, seed))
     bc, calls = _recording(HeldRing(f0)) if grid.bc == "dirichlet" else (None, [])
-    dt = 0.2 * min(grid.spacings) ** 2
+    dt = default_dt(grid, p)
     traj = evolve(p, f0, steps, bc_values=bc, save_every=save_every)
     _assert_same_trajectory(traj, _reference_evolve(
         p, f0, steps, dt, bc and _replaying(calls, grid), save_every,
@@ -449,7 +449,7 @@ def test_evolve_matches_reference_stencil_1d_periodic(pts):
     # two windings of the phase across the seam
     f0 = LogPolarField(grid, 0.0, 0.2 * np.cos(np.pi * x / 4),
                        np.pi * x / 2 + 0.1 * np.sin(np.pi * x / 4))
-    dt = 0.2 * grid.dx() ** 2
+    dt = default_dt(grid, p)
     traj = evolve(p, f0, 12, save_every=4)
     _assert_same_trajectory(traj, _reference_evolve(
         p, f0, 12, dt, None, save_every=4, rhs=ref_rhs))
@@ -461,7 +461,7 @@ def test_evolve_matches_reference_stencil_2d_dirichlet():
     p, sol = _gauged_packet_sum(2)
     grid = Grid(n=2, npts=17, bounds=((-4.0, 4.0), (-3.0, 3.0)))
     f0 = sample_evaluator(sol, grid, 0.0)
-    dt = 0.2 * min(grid.spacings) ** 2
+    dt = default_dt(grid, p)
     bc, calls = _recording(sol)
     traj = evolve(p, f0, 8, bc_values=bc, save_every=3)
     _assert_same_trajectory(traj, _reference_evolve(
@@ -476,7 +476,7 @@ def test_evolve_matches_reference_stencil_2d_periodic():
     # of axis 1
     f0 = LogPolarField(grid, 0.0, 0.2 * np.cos(np.pi * x / 4) * np.cos(np.pi * y / 2),
                        np.pi * x / 2 + np.pi * y / 2 + 0.1 * np.sin(np.pi * x / 4))
-    dt = 0.2 * min(grid.spacings) ** 2
+    dt = default_dt(grid, p)
     traj = evolve(p, f0, 12, save_every=4)
     _assert_same_trajectory(traj, _reference_evolve(
         p, f0, 12, dt, None, save_every=4, rhs=ref_rhs))

@@ -15,9 +15,11 @@ from dgsym import pde
 from dgsym.fields import (Grid, LogPolarField, Trajectory, read_trajectory,
                           sample_evaluator, sample_trajectory, write_trajectory)
 from dgsym.kernels import _derivative_bundle, boundary_ring, evolution_rhs
-from dgsym.params import PARAM_NAMES, DGParams, reference_points
+from dgsym.params import PARAM_NAMES, DGParams, reference_points, stability_report
 from dgsym.pde import (EvolutionBlowup, ResidualReport, SEPacketSum,
-                       check_saved_times, convergence, evolve, heat_solution, plane_wave_solution,
+                       check_saved_times, convergence, courant, default_dt, evolve,
+                       heat_solution,
+                       plane_wave_solution,
                        residual, se_gaussian, se_residual)
 from tests.conftest import Junk, grid_rhs, heat_residual, padded, stack_fields
 
@@ -353,7 +355,9 @@ def test_evolve_periodic_plane_wave(pts):
     g = Grid.make(npts=48, extent=(0, 2 * np.pi), bc="periodic")
     pw = plane_wave_solution(p, (2.0,))
     f0 = sample_evaluator(pw, g, 0.0)
-    traj = evolve(p, f0, steps=40)
+    # infsub is ill-posed, so rounding grows with the horizon: 40 steps of
+    # 0.2 dx^2 keep it fixed
+    traj = evolve(p, f0, steps=40, dt=0.2 * g.dx() ** 2)
     fin = traj[-1]
     rex, sex = pw.rs(g.coords(), fin.t)
     assert np.max(np.abs(fin.r - rex)) < 1e-8
@@ -629,6 +633,65 @@ def test_evolve_diffusive_point_self_consistent():
 
 
 # ---------------------------------------------------------------------------
+# the step rule: default_dt from the stability interval of M
+
+def _rk4_factor(z):
+    return 1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24
+
+
+def test_rk4_is_stable_on_the_left_half_disc_of_max_courant():
+    """|R(z)| <= 1 for the RK4 factor R on the closed left half-disc of
+    radius MAX_COURANT, where every z of a step at a well-posed point lies;
+    on the imaginary axis past 2 sqrt(2) it is not."""
+    radius, angle = np.meshgrid(np.linspace(0, pde.MAX_COURANT, 241),
+                                np.linspace(np.pi / 2, 3 * np.pi / 2, 361))
+    assert np.max(np.abs(_rk4_factor(radius * np.exp(1j * angle)))) <= 1 + 1e-12
+    assert abs(_rk4_factor(2.9j)) > 1
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("key", ["linear-se", "sym1c", "galsub", "finsub", "sym1b"])
+def test_default_dt_scales_with_rho(key, n):
+    """default_dt = 0.4 h^2 / (n max(rho, 1)), Courant number 1.6; evolve
+    takes 1.5 times it and refuses a step past that."""
+    p = reference_points(n)[key]
+    grid = Grid(n=n, npts=16, bounds=((-2.0, 2.0),) + ((-1.0, 1.0),) * (n - 1),
+                bc="periodic")
+    h, rho = min(grid.spacings), max(stability_report(p).rho, 1.0)
+    dt = default_dt(grid, p)
+    assert dt == pytest.approx(0.4 * h * h / (n * rho), rel=1e-15)
+    assert courant(grid, p, dt) == pytest.approx(1.6, rel=1e-15)
+    f0 = LogPolarField(grid, 0.0, np.zeros(grid.shape), np.zeros(grid.shape))
+    assert len(evolve(p, f0, 1, dt=1.5 * dt)) == 2
+    with pytest.raises(ValueError, match="violates the stability rule"):
+        evolve(p, f0, 1, dt=1.5 * dt * (1 + 1e-9))
+
+
+def _bump_final(p, npts, scale=1):
+    """(r, s) at t = 0.05 of a bump on a periodic grid over [-8, 8], after
+    ``scale`` times the steps of the default rule."""
+    grid = Grid.make(n=1, npts=npts, extent=(-8.0, 8.0), bc="periodic")
+    profile = np.exp(-grid.coords()[0] ** 2)
+    f0 = LogPolarField(grid, 0.0, 0.2 * profile, 0.1 * profile)
+    steps = scale * int(np.ceil(0.05 / default_dt(grid, p)))
+    fin = evolve(p, f0, steps, dt=0.05 / steps, save_every=steps)[-1]
+    return np.stack((fin.r, fin.s))
+
+
+@pytest.mark.parametrize("key", [k for k, p in reference_points().items()
+                                 if stability_report(p).kind != "ill-posed"])
+def test_default_dt_adds_no_error_the_grid_sees(key):
+    """At each well-posed n = 1 point the default step's state at t = 0.05
+    lies within 1e-2 of the 256 vs 512 point difference from a run with a
+    10 times smaller step: the time error is far below the space error."""
+    p = reference_points()[key]
+    fine = _bump_final(p, 256, scale=10)
+    time_error = np.max(np.abs(_bump_final(p, 256) - fine))
+    space_error = np.max(np.abs(_bump_final(p, 512)[:, ::2] - fine))
+    assert time_error <= 1e-2 * space_error
+
+
+# ---------------------------------------------------------------------------
 # dirichlet boundary contract: bc_values sees the ring only, once per time
 
 def _ring_mask(grid):
@@ -786,7 +849,7 @@ def test_evolve_pins_ring_once_per_stage_time(make, n, npts):
     f0 = sample_evaluator(sol, grid, 0.0)
     # sym1b is backward-parabolic: few enough steps that its grid-scale
     # modes stay far below the blow-up bound
-    steps, dt = 8, 0.2 * min(grid.spacings) ** 2
+    steps, dt = 8, default_dt(grid, p)
 
     for limit in (pde._SLAB_POINTS, 7 * size, 2 * size):
         bc, calls = _recording(sol)
@@ -819,7 +882,7 @@ def test_evolve_broadcasts_scalar_boundary_values(n):
         return 0.1 + t, -0.2
 
     traj = evolve(p, f0, 6, bc_values=scalars, save_every=2)
-    dt = 0.2 * min(grid.spacings) ** 2
+    dt = default_dt(grid, p)
     _assert_same_trajectory(traj, _reference_evolve(p, f0, 6, dt, scalars,
                                                     save_every=2))
     mask = _ring_mask(grid)

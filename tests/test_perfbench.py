@@ -20,7 +20,7 @@ def test_workload_op_passes_its_check(name, monkeypatch, tmp_path):
     wl.check(inp, wl.op(inp))
 
 
-@pytest.mark.parametrize("name, rhs_calls", [("simulate", 260), ("evolve", 131)])
+@pytest.mark.parametrize("name, rhs_calls", [("simulate", 130), ("evolve", 131)])
 def test_tracer_sees_every_rhs_call(name, rhs_calls, monkeypatch, tmp_path):
     """The benchmark's tracer, installed around one op, records a span for
     every right-hand side the op evaluates and for its one evolve, and
@@ -42,6 +42,19 @@ def test_tracer_sees_every_rhs_call(name, rhs_calls, monkeypatch, tmp_path):
     counts = Counter(span[0] for span in tracer.spans)
     assert counts["kernels.evolution_rhs"] == rhs_calls
     assert counts["pde.evolve"] == 1
+
+
+def test_simulate_workload_draws_every_point_simulate_takes(monkeypatch):
+    """The simulate workload's WELL_POSED list is exactly the n = 1 reference
+    points that stability_report does not call ill-posed, the points that
+    dgsym simulate evolves."""
+    from dgsym.params import reference_points, stability_report
+
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    assert sorted(workloads.WELL_POSED) == sorted(
+        key for key, p in reference_points(1).items()
+        if stability_report(p).kind != "ill-posed")
 
 
 def test_tracer_sees_every_bracket_and_residual_of_verify(monkeypatch, tmp_path):

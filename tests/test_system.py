@@ -12,6 +12,7 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from dgsym import pde
 from dgsym.linearize import heat_pair_directions, linearization_data
 from dgsym.params import (DGParams, GaugeElement, classify, compute_invariants,
                           dg_system, gauge_act_params, gauge_compose,
-                          make_ehr_sub, reference_points)
+                          make_ehr_sub, reference_points, stability_report)
 
 F = Fraction
 
@@ -138,6 +139,39 @@ def test_laplacian_block_at_the_reference_points():
             (a1, a2), (b1, b2) = laplacian_block(p)
             inv = compute_invariants(p)
             assert (a1 * b2 - a2 * b1, a1 + b2) == (2 * inv.iota1, -inv.iota2), key
+
+
+@given(gauges, points)
+@settings(max_examples=100, deadline=None)
+def test_stability_is_gauge_invariant_and_reads_the_eigenvalues(g, p):
+    """Kind and rho come from iota1 and iota2 alone, so a gauge image has
+    the same ones; rho is numpy's largest |eigenvalue| of
+    M, and the point is ill-posed iff an eigenvalue has negative real part.
+    At a double eigenvalue numpy's error is of order sqrt(eps) |M|."""
+    rep = stability_report(p)
+    moved = stability_report(gauge_act_params(g, p))
+    assert moved.kind == rep.kind
+    assert abs(moved.rho - rep.rho) <= 1e-12 * max(rep.rho, 1.0)
+    M = np.array(laplacian_block(p), dtype=float)
+    eig, tol = np.linalg.eigvals(M), 1e-7 * np.max(np.abs(M))
+    assert rep.rho == pytest.approx(np.max(np.abs(eig)), rel=1e-7, abs=tol)
+    assert (rep.kind == "ill-posed") == (np.min(eig.real) < -tol)
+
+
+def test_stability_at_the_reference_points():
+    """Six reference points are ill-posed (backward-parabolic); M is
+    nilpotent, rho = 0, at the four degenerate ones."""
+    kinds = {"linear-se": "dispersive", "sym1c": "dispersive",
+             "sym1c-nu2": "dispersive", "galsub": "parabolic",
+             "finsub": "degenerate", "sym3": "degenerate",
+             "sym3-nu2": "degenerate", "infasub": "degenerate",
+             "sym1b": "ill-posed", "sym1b-nu2": "ill-posed", "infsub": "ill-posed",
+             "expsub": "ill-posed", "expsub-nu2": "ill-posed", "generic": "ill-posed"}
+    for n in (1, 2):
+        pts = reference_points(n)
+        assert {key: stability_report(p).kind for key, p in pts.items()} == kinds
+        for key, p in pts.items():
+            assert (stability_report(p).rho == 0) == (kinds[key] == "degenerate"), key
 
 
 def heat_direction(k):
