@@ -14,7 +14,6 @@ from .pde import (evolve, heat_solution, plane_wave_solution, residual,
                   se_gaussian, se_residual)
 from .flows import verify_symmetry_flow
 from .linearize import (LinearizationData, NotLinearizable, gauge_act_field,
-                        heat_pair_to_dg, linearization_data, z_flow_heat,
-                        z_flow_se, z_flow_se_from_zero)
+                        heat_pair_to_dg, linearization_data, z_flow_se_from_zero)
 
 __version__ = "0.1.0"

@@ -6,8 +6,8 @@ Each flow is a :class:`FlowMap`: a source time, source coordinates and a
 vertical action on (r, s).  A flow acts on an (r, s) evaluator only, by
 transforming its graph: :class:`TransformedSolution` composes the map lazily
 and is exact for every flow; a field is the flowed evaluator, sampled.
-A vertical map leaves x and t in place: the nonlinear gauge action and the
-Zheat/Zse flows of :mod:`dgsym.linearize` are such maps.
+A vertical map leaves x and t in place: the nonlinear gauge action of
+:mod:`dgsym.linearize` is one.
 :func:`verify_symmetry_flow` moves a solution by a closed-form flow and takes
 the order-2 verdict of :func:`dgsym.pde.convergence` on the moved solution's
 residual.
@@ -180,10 +180,8 @@ def closed_flow_map(name, eps: float, p: DGParams) -> FlowMap:
 
     if kind in ("Zheat", "Zse"):
         raise NoClosedForm(
-            f"no closed-form flow map for {kind}: its flow is built from a "
-            "solution of the linear equation; "
-            "call dgsym.linearize.z_flow_heat(phi_plus, phi_minus, ...) or "
-            "z_flow_se(Psi, ...)")
+            f"no closed-form flow map for {kind}: its flow carries a solution "
+            "of the linear equation, which a generator name does not give")
     raise ValueError(f"no closed-form flow for generator kind {kind!r}")
 
 

@@ -7,22 +7,11 @@ solutions; for iota1 > 0 the nonlinear gauge N_(Lambda, gamma) with
 Lambda = sqrt(2 iota1)/|nu1|, gamma = -2 nu2/nu1 connects the family to the
 free linear Schroedinger equation with coefficient nu1*Lambda.
 
-The gauge action on wavefunctions and the one-parameter flows of the
-infinite generators are vertical :class:`dgsym.flows.FlowMap` s composed
-with (r, s) evaluators; the gauge also maps a Trajectory's stacks at once.
-The flows are integrated in coordinates where they are linear in the flow
-parameter:
-
-    heat branch:  e^(r + |lam| w) and e^(r - |lam| w) advance linearly,
-                  w = (2 nu2/nu1) r + s;
-    SE branch:    the complex quantity e^r e^(i chi) advances linearly,
-                  chi = w/Lambda - arg Psi.
-
-In these coordinates the square-root/arcsine branch of the printed solutions
-is automatically the one continuous in the flow parameter; the flow aborts if
-a logarithm argument reaches zero.
-Started from psi = 0, the heat-branch flow is ``heat_pair_to_dg`` on both
-kernels scaled by 2 |lam| eps, so it needs no entry point of its own.
+The gauge action on wavefunctions is a vertical :class:`dgsym.flows.FlowMap`
+composed with (r, s) evaluators; it also maps a Trajectory's stacks at once.
+``z_flow_se_from_zero`` is the flow of the Schroedinger-branch generator
+started from psi = 0: the gauge image of Psi up to constant modulus and
+phase shifts.
 """
 
 from __future__ import annotations
@@ -41,7 +30,7 @@ from .pde import HeatGaussian
 __all__ = [
     "NotLinearizable", "LinearizationData", "linearization_data",
     "gauge_act_field", "heat_pair_directions", "heat_pair_to_dg", "HeatPairSolution",
-    "z_flow_heat", "z_flow_se", "z_flow_se_from_zero",
+    "z_flow_se_from_zero",
 ]
 
 
@@ -191,70 +180,8 @@ def heat_pair_to_dg(phi_plus: HeatGaussian, phi_minus: HeatGaussian,
     return HeatPairSolution(phi_plus, phi_minus, data)
 
 
-def _heat_flow_rs(r0, s0, P, M, eps, p: DGParams, al: float):
-    """Advance (r0, s0) by the heat-branch flow; P = phi+, M = phi- values."""
-    nu_ratio = float(p.nu2) / float(p.nu1)
-    w0 = 2.0 * nu_ratio * np.asarray(r0) + np.asarray(s0)
-    A = np.exp(r0 + al * w0) + 2.0 * al * np.asarray(M) * eps
-    B = np.exp(r0 - al * w0) + 2.0 * al * np.asarray(P) * eps
-    if np.any(A <= 0) or np.any(B <= 0):
-        raise ValueError("flow parameter drove a logarithm argument to <= 0; "
-                         "no continuous branch exists")
-    r = 0.5 * np.log(A * B)
-    w = np.log(A / B) / (2.0 * al)
-    return r, w - 2.0 * nu_ratio * r
-
-
-def z_flow_heat(phi_plus, phi_minus, eps: float, psi0, p: DGParams):
-    """One-parameter flow of the heat-pair generator applied to an (r, s)
-    solution evaluator psi0."""
-    data = linearization_data(p)
-    _require_heat_pair(phi_plus, phi_minus, data)
-    al = data.abs_lambda
-
-    def vertical(r0, s0, xs, t):
-        P = phi_plus.value(xs, t)
-        M = phi_minus.value(xs, t)
-        return _heat_flow_rs(r0, s0, P, M, eps, p, al)
-
-    return TransformedSolution(FlowMap(vertical=vertical), psi0)
-
-
 # ---------------------------------------------------------------------------
 # Schroedinger branch.
-
-def _se_flow_rs(r0, s0, mlog, theta, eps, p: DGParams, Lam: float):
-    """Advance (r0, s0): e^r e^(i chi) moves on a straight line in C."""
-    nu_ratio = float(p.nu2) / float(p.nu1)
-    w0 = 2.0 * nu_ratio * np.asarray(r0) + np.asarray(s0)
-    chi0 = w0 / Lam - np.asarray(theta)
-    G0 = np.exp(r0) * np.exp(1j * chi0)
-    G = G0 + 2j * np.exp(mlog) * eps / Lam
-    mag = np.abs(G)
-    if np.any(mag <= 0):
-        raise ValueError("flow reached psi = 0; no continuous branch exists")
-    # straight line not through 0: principal arg of G/G0 is the continuous branch
-    chi = chi0 + np.angle(G / G0)
-    r = np.log(mag)
-    w = Lam * (chi + np.asarray(theta))
-    return r, w - 2.0 * nu_ratio * r
-
-
-def z_flow_se(Psi, eps: float, psi0, p: DGParams):
-    """Flow of the Schroedinger-branch generator built from a nowhere-zero
-    solution Psi of i Psi_t = nu1 Lambda lap Psi, applied to an (r, s)
-    solution evaluator psi0."""
-    data = linearization_data(p)
-    if data.branch != "imaginary":
-        raise NotLinearizable("this flow applies to the iota1 > 0 branch only")
-    Lam = data.LambdaCap
-
-    def vertical(r0, s0, xs, t):
-        mlog, theta = (np.asarray(v) for v in Psi.rs(xs, t))
-        return _se_flow_rs(r0, s0, mlog, theta, eps, p, Lam)
-
-    return TransformedSolution(FlowMap(vertical=vertical), psi0)
-
 
 def z_flow_se_from_zero(Psi, eps: float, p: DGParams):
     """Flow started from the trivial solution: gauge of Psi up to constant

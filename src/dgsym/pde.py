@@ -120,14 +120,47 @@ def _trajectory_buffers(t0, dt, steps, save_every, shape):
     return times, saved
 
 
-def check_saved_times(field0: LogPolarField, dt: float, steps: int,
-                      save_every: int = 1):
-    """Refuse, before any step, a run of ``evolve`` from ``field0`` whose saved
-    time stamps ``residual`` would refuse, or whose trajectory is too large
-    to hold in memory.  It allocates the trajectory's stack, to size it, but
-    writes only the time stamps."""
-    _check_times(_trajectory_buffers(field0.t, dt, steps, save_every,
-                                     field0.grid.shape)[0])
+def _preflight(p: DGParams, field0: LogPolarField, dt: float | None, steps: int,
+               save_every: int):
+    """``evolve``'s refusals before any step: a dt that is not finite and
+    positive or whose ``courant`` number exceeds ``MAX_COURANT``, steps < 0,
+    save_every < 1, a ``field0`` that is not finite or has max|r| >
+    ``BLOWUP``, and a trajectory too large to index or to hold in memory.
+    Returns dt, ``default_dt(grid, p)`` for None, and the ``(times, saved)``
+    buffers of ``_trajectory_buffers``."""
+    grid = field0.grid
+    if dt is None:
+        dt = default_dt(grid, p)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt={dt!r} must be finite and positive")
+    number = courant(grid, p, dt)
+    if number > MAX_COURANT * (1.0 + 1e-12):
+        raise ValueError(f"dt={dt:.3g} violates the stability rule: its Courant "
+                         f"number {number:.3g} exceeds {MAX_COURANT:g}, 1.5 times "
+                         f"that of default_dt(grid, p) = {default_dt(grid, p):.3g}")
+    if steps < 0:
+        raise ValueError("steps must be >= 0")
+    if save_every < 1:
+        raise ValueError(f"save_every={save_every!r} must be >= 1")
+    norm = float(np.max(np.abs(field0.r)))
+    if not (math.isfinite(norm) and norm <= BLOWUP and np.all(np.isfinite(field0.s))):
+        raise ValueError(f"initial field must be finite with max|r| <= {BLOWUP:g} "
+                         f"(the blow-up bound); it has max|r| = {norm:.3g}")
+    return (dt, *_trajectory_buffers(field0.t, dt, steps, save_every, grid.shape))
+
+
+def check_saved_times(p: DGParams, field0: LogPolarField, dt: float | None,
+                      steps: int, save_every: int = 1):
+    """Refuse, before any step, a run of ``evolve`` at p from ``field0`` that
+    evolve refuses, or whose saved time stamps ``residual`` would refuse:
+    fewer than three of them, or steps its three-point time derivative
+    cannot use.  It allocates the trajectory's stack, to size it, but writes
+    only the time stamps."""
+    dt, times, _ = _preflight(p, field0, dt, steps, save_every)
+    if len(times) < 3:
+        raise ValueError(f"{steps} step(s) of dt={dt:.3g} saved every {save_every} "
+                         f"give {len(times)} slice(s); the residual needs at least 3")
+    _check_times(times)
 
 
 def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = None,
@@ -164,20 +197,7 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
     the padded arrays; ``field0`` is not written to.
     """
     grid = field0.grid
-    if dt is None:
-        dt = default_dt(grid, p)
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt={dt!r} must be finite and positive")
-    number = courant(grid, p, dt)
-    if number > MAX_COURANT * (1.0 + 1e-12):
-        raise ValueError(f"dt={dt:.3g} violates the stability rule: its Courant "
-                         f"number {number:.3g} exceeds {MAX_COURANT:g}, 1.5 times "
-                         f"that of default_dt(grid, p) = {default_dt(grid, p):.3g}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if save_every < 1:
-        raise ValueError(f"save_every={save_every!r} must be >= 1")
-
+    dt, times, saved = _preflight(p, field0, dt, steps, save_every)
     dirichlet = grid.bc == "dirichlet"
     if dirichlet and bc_values is None:
         raise ValueError("dirichlet evolution needs bc_values pinned to a "
@@ -195,12 +215,6 @@ def evolve(p: DGParams, field0: LogPolarField, steps: int, dt: float | None = No
             u[edge] = next(pins)
         return u
 
-    norm = float(np.max(np.abs(field0.r)))
-    if not (math.isfinite(norm) and norm <= BLOWUP and np.all(np.isfinite(field0.s))):
-        raise ValueError(f"initial field must be finite with max|r| <= {BLOWUP:g} "
-                         f"(the blow-up bound); it has max|r| = {norm:.3g}")
-
-    times, saved = _trajectory_buffers(field0.t, dt, steps, save_every, grid.shape)
     saved[0, 0], saved[1, 0], row = field0.r, field0.s, 1
     u, stage = np.zeros((2,) + shape), np.empty((2,) + shape)
     u[inner] = saved[:, 0]
@@ -420,17 +434,16 @@ def _sum_sq(xs, center, shift):
 class HeatGaussian:
     """Positive solution of d_t phi + sign * D lap phi = 0.
 
-    direction='forward' means d_t phi + D lap phi = 0 (a Gaussian sharpening
-    toward its focus time, valid for t < focus_time); 'backward' means
-    d_t phi - D lap phi = 0 (spreading, valid for t > focus_time).  An offset
-    keeps the solution bounded away from zero.
+    direction='forward' means d_t phi + D lap phi = 0 (a Gaussian about the
+    origin sharpening toward its focus time, valid for t < focus_time);
+    'backward' means d_t phi - D lap phi = 0 (spreading, valid for
+    t > focus_time).  An offset keeps the solution bounded away from zero.
     """
 
     D: float
     direction: str
     n: int = 1
     amplitude: float = 1.0
-    center: tuple | None = None
     focus_time: float = 1.0
     offset: float = 0.0
 
@@ -453,18 +466,18 @@ class HeatGaussian:
         if self.amplitude == 0:
             return self.offset + np.zeros_like(np.asarray(xs[0], dtype=float))
         tau = self._tau(t)
-        q = _sum_sq(xs, self.center, None)
+        q = _sum_sq(xs, None, None)
         return self.offset + self.amplitude * tau ** (-self.n / 2.0) \
             * np.exp(-q / (4.0 * self.D * tau))
 
 
-def heat_solution(D, direction, n=1, amplitude=1.0, center=None,
-                  focus_time=None, offset=0.0) -> HeatGaussian:
+def heat_solution(D, direction, n=1, amplitude=1.0, focus_time=None,
+                  offset=0.0) -> HeatGaussian:
     if focus_time is None:
         focus_time = 1.0 if direction == "forward" else -0.25
     return HeatGaussian(D=float(D), direction=direction, n=n,
-                        amplitude=float(amplitude), center=center,
-                        focus_time=float(focus_time), offset=float(offset))
+                        amplitude=float(amplitude), focus_time=float(focus_time),
+                        offset=float(offset))
 
 
 @dataclass(frozen=True)
@@ -568,16 +581,15 @@ class SEPacketSum:
 
 @dataclass(frozen=True)
 class PlaneWave:
-    """r = r0, s = k.x - omega t; solves the system when omega = mu3 |k|^2."""
+    """r = 0, s = k.x - omega t; solves the system when omega = mu3 |k|^2."""
 
     k: tuple
     omega: float
-    r0: float = 0.0
 
     def rs(self, xs, t):
         k = np.asarray(self.k, dtype=float)
         s = sum(kj * np.asarray(x) for kj, x in zip(k, xs)) - self.omega * t
-        return np.full_like(np.asarray(s, dtype=float), self.r0), s
+        return np.zeros_like(np.asarray(s, dtype=float)), s
 
 
 def plane_wave_solution(p: DGParams, k) -> PlaneWave:

@@ -375,8 +375,8 @@ def basis_generator(name, p: DGParams) -> VectorFieldSpec:
         return infsub_poly_generator(p, name.poly)
     if kind in ("Zheat", "Zse"):
         raise NoClosedForm(
-            f"{kind} has no exact coefficients in this expression class; "
-            "use the flow entry points in dgsym.linearize")
+            f"{kind} has no exact coefficients in this expression class: they "
+            "carry a solution of the linear equation")
     raise ValueError(f"unknown generator kind {kind!r}")
 
 

@@ -544,6 +544,27 @@ def test_simulate_rejects_bad_step_or_save_interval(capsys, tmp_path, se_file, f
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("key, flags", [
+    ("sym1c", ["--grid", "64,0.125", "--init", "bump:ra=0.2,sa=0.1,w=1.0",
+               "--t-final", "0.1", "--save-every", "4"]),
+    ("linear-se", ["--grid", "32,0.25", "--bc", "dirichlet", "--init", "se-packet:k=1",
+                   "--t-final", "0.05"])], ids=["periodic-bump", "dirichlet-packet"])
+def test_simulate_row_reports_mass_drift_and_max_abs_r(capsys, tmp_path, key, flags):
+    """mass_drift is the largest |m_k/m_0 - 1| over the saved slices, m the
+    sum of e^(2r) times the cell volume, and max_abs_r the largest |r|, both
+    as recomputed from the trajectory written."""
+    path = write_params(tmp_path, f"{key}.json", reference_points()[key])
+    out = tmp_path / "run"
+    code, rows, _ = run(capsys, "simulate", "--params", path, *flags, "--out", str(out))
+    assert code == 0
+    traj = read_trajectory(out)
+    cell = float(np.prod(traj.grid.spacings))
+    mass = np.array([np.sum(np.exp(2.0 * f.r)) * cell for f in traj.fields])
+    drift = float(np.max(np.abs(mass / mass[0] - 1.0)))
+    assert drift > 0 and rows[0]["mass_drift"] == pytest.approx(drift, rel=1e-9)
+    assert rows[0]["max_abs_r"] == max(float(np.max(np.abs(f.r))) for f in traj.fields)
+
+
 def test_simulate_refuses_periodic_se_packet(capsys, tmp_path, se_file):
     out = str(tmp_path / "se")
     code, _, err = run(capsys, "simulate", "--params", se_file,
@@ -778,13 +799,18 @@ def test_simulate_refuses_step_count_too_large(capsys, tmp_path, se_file, flags)
     assert "too large" in err
 
 
-@pytest.mark.parametrize("case", ["stamps-underflow", "out-is-a-file", "out-under-a-file"])
+@pytest.mark.parametrize("case", ["stamps-underflow", "out-is-a-file", "out-under-a-file",
+                                  "unstable-dt-sym1b", "unstable-dt-sym1c",
+                                  "r-past-blowup-sym1b", "r-past-blowup-sym1c"])
 def test_simulate_refuses_before_any_step(capsys, tmp_path, monkeypatch, case):
     """A run whose saved time stamps the residual would refuse (dt = 1e-110
-    underflows h1*h2*(h1+h2)), or whose --out names an existing file or a
-    path under one, is an input error before evolve is called, and nothing
-    is written."""
-    path = write_params(tmp_path, "sym1c.json", reference_points()["sym1c"])
+    underflows h1*h2*(h1+h2)), whose --out names an existing file or a path
+    under one, whose dt exceeds the stability rule or whose initial max|r|
+    is past the blow-up bound is an input error before evolve is called,
+    and nothing is written.  At sym1b, an ill-posed point simulate refuses
+    (exit 3), an input error is still reported first."""
+    key = "sym1b" if case.endswith("sym1b") else "sym1c"
+    path = write_params(tmp_path, f"{key}.json", reference_points()[key])
 
     def no_evolve(*args, **kwargs):
         raise AssertionError("evolve was called")
@@ -792,16 +818,20 @@ def test_simulate_refuses_before_any_step(capsys, tmp_path, monkeypatch, case):
     monkeypatch.setattr(cli, "evolve", no_evolve)
     blocker = tmp_path / "o"
     blocker.write_text("kept")
-    out = {"stamps-underflow": tmp_path / "run", "out-is-a-file": blocker,
-           "out-under-a-file": blocker / "run"}[case]
-    steps = ["--dt", "1e-110", "--steps", "100000"] if case == "stamps-underflow" \
-        else ["--steps", "10"]
+    out = {"out-is-a-file": blocker, "out-under-a-file": blocker / "run"}.get(
+        case, tmp_path / "run")
+    flags, named = {
+        "stamps-underflow": (["--dt", "1e-110", "--steps", "100000"], "h1*h2*(h1+h2)"),
+        "unstable-dt": (["--dt", "0.05", "--t-final", "0.5"], "Courant number"),
+        "r-past-blowup": (["--grid", "32,0.2", "--init", "bump:ra=1e6", "--steps", "4"],
+                          "max|r| = 1e+06"),
+    }.get(case.removesuffix("-" + key), (["--steps", "10"], str(out)))
     before = sorted(os.listdir(tmp_path))
-    code, rows, err = run(capsys, "simulate", "--params", path, "--grid", "64,0.125",
-                          *steps, "--out", str(out))
+    code, rows, err = run(capsys, "simulate", "--params", path, *flags,
+                          "--out", str(out))
     assert code == 2 and rows == []
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
-    assert ("h1*h2*(h1+h2)" if case == "stamps-underflow" else str(out)) in err
+    assert named in err
     assert sorted(os.listdir(tmp_path)) == before and blocker.read_text() == "kept"
 
 

@@ -134,9 +134,9 @@ def test_yf_flow_conserves_z(pts):
 
 @pytest.mark.parametrize("gen, key", [("Zheat", "sym1b"), ("Zse", "sym1c")])
 def test_flow_closed_refuses_infinite_generators(pts, gen, key):
-    """Zheat and Zse flows need a linear-side solution; closed_flow_map
-    refuses them and names the two functions that take it."""
-    with pytest.raises(ValueError, match="z_flow_heat.*z_flow_se"):
+    """Zheat and Zse flows carry a linear-side solution, which a generator
+    name does not give: closed_flow_map refuses them and says so."""
+    with pytest.raises(ValueError, match=f"{gen}: .*solution of the linear equation"):
         closed_flow_map(gen, 0.2, pts[key])
 
 

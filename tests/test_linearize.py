@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dgsym.cli import _bundled_solution
 from dgsym.fields import Grid, sample_evaluator, sample_trajectory
-from dgsym.linearize import (NotLinearizable, gauge_act_field, heat_pair_to_dg,
-                             linearization_data, z_flow_heat, z_flow_se,
-                             z_flow_se_from_zero)
+from dgsym.kernels import boundary_ring
+from dgsym.linearize import (NotLinearizable, gauge_act_field, heat_pair_directions,
+                             heat_pair_to_dg, linearization_data, z_flow_se_from_zero)
 from dgsym.params import (GaugeElement, gauge_act_params, gauge_compose,
                           make_ehr_sub, reference_points)
-from dgsym.pde import (HJSimilaritySolution, ScaleSimilaritySolution,
-                       convergence, heat_solution, residual, se_gaussian,
+from dgsym.pde import (HJSimilaritySolution, ResidualReport, ScaleSimilaritySolution,
+                       _norms, convergence, heat_solution, residual, se_gaussian,
                        se_residual)
+from tests.conftest import grid_rhs
 
 F = Fraction
 
@@ -212,97 +214,15 @@ def test_heat_pair_nu2_zero_special_form(pts):
     np.testing.assert_allclose(s, np.log(M / P) / (2 * al), atol=1e-14)
 
 
-def test_z_flow_heat_identity_and_derivative(pts):
-    p = pts["sym1b"]
-    fp, fm = make_pair(p)
-    g = Grid.make(npts=32, extent=(-2, 2))
-    src = Profile(lambda x: 0.2 * np.sin(x), lambda x: 0.1 * np.cos(x))
-    f0 = sample_evaluator(src, g, 0.05)
-
-    def flowed(eps):
-        return sample_evaluator(z_flow_heat(fp, fm, eps, src, p), g, f0.t)
-
-    out0 = flowed(0.0)
-    np.testing.assert_allclose(out0.r, f0.r, atol=1e-14)
-    np.testing.assert_allclose(out0.s, f0.s, atol=1e-14)
-
-    # d/de e^{2 r(e)} at e=0 equals 2 e^{r} |lam| (P e^{|lam| w} + M e^{-|lam| w})
-    data = linearization_data(p)
-    al = data.abs_lambda
-    h = 1e-6
-    plus, minus = flowed(h), flowed(-h)
-    druck = (np.exp(2 * plus.r) - np.exp(2 * minus.r)) / (2 * h)
-    xs = g.coords()
-    P, M = fp.value(xs, f0.t), fm.value(xs, f0.t)
-    w = (2 * float(p.nu2) / float(p.nu1)) * f0.r + f0.s
-    want = 2 * np.exp(f0.r) * al * (P * np.exp(al * w) + M * np.exp(-al * w))
-    np.testing.assert_allclose(druck, want, rtol=1e-6)
-
-
-def test_z_flow_heat_from_constant_solution(pts):
-    """Flowing the constant solution produces genuinely new solutions."""
-    p = pts["sym1b"]
-    fp, fm = make_pair(p)
-
-    class One:
-        def rs(self, xs, t):
-            z = np.zeros_like(np.asarray(xs[0], dtype=float))
-            return z, z
-
-    moved = z_flow_heat(fp, fm, 0.7, One(), p)
-    assert refinement(p, moved).passed
-
-
-def test_z_flow_heat_zero_limit_matches_rescaled_pair(pts):
-    """Started from psi = 0 (r so low that e^r is 0.0, s = 0; nu2 = 0 at
-    sym1b), the flow is the heat pair map on both kernels scaled by
-    2 |lam| eps; at eps = 0 it stays at psi = 0, which has no logarithm."""
-    p = pts["sym1b"]
-    fp, fm = make_pair(p)
-    eps = 0.5
-    zero = Profile(lambda x: np.full_like(x, -1000.0), np.zeros_like)
-    data = linearization_data(p)
-    c = 2 * data.abs_lambda * eps
-    g = Grid.make(npts=32, extent=(-2, 2))
-    xs = g.coords()
-    r1, s1 = z_flow_heat(fp, fm, eps, zero, p).rs(xs, 0.1)
-    scaled_p = heat_solution(data.diffusion, "forward", amplitude=c * 0.8,
-                             focus_time=1.0, offset=c * 0.5)
-    scaled_m = heat_solution(data.diffusion, "backward", amplitude=c * 0.6,
-                             focus_time=-0.3, offset=c * 0.4)
-    r2, s2 = heat_pair_to_dg(scaled_p, scaled_m, p).rs(xs, 0.1)
-    np.testing.assert_allclose(r1, r2, atol=1e-13)
-    np.testing.assert_allclose(s1, s2, atol=1e-13)
-    with pytest.raises(ValueError, match="logarithm argument"):
-        z_flow_heat(fp, fm, 0.0, zero, p).rs(xs, 0.1)
-
-
-def test_z_flow_heat_branch_failure(pts):
-    p = pts["sym1b"]
-    fp, fm = make_pair(p)
-    g = Grid.make(npts=32, extent=(-2, 2))
-    zero = Profile(np.zeros_like, np.zeros_like)
-    with pytest.raises(ValueError, match="logarithm argument"):
-        sample_evaluator(z_flow_heat(fp, fm, -5.0, zero, p), g, 0.05)
-
-
 # ---------------------------------------------------------------------------
 # Schroedinger branch
 
-def test_z_flow_se_identity_and_errors(pts):
-    p = pts["sym1c"]
-    data = linearization_data(p)
-    psi = se_gaussian(data.se_coefficient, b0=-0.3)
-    g = Grid.make(npts=32, extent=(-2, 2))
-    src = Profile(lambda x: 0.1 * np.sin(x), lambda x: 0.2 * np.cos(x))
-    f0 = sample_evaluator(src, g, 0.05)
-    out0 = sample_evaluator(z_flow_se(psi, 0.0, src, p), g, 0.05)
-    np.testing.assert_allclose(out0.r, f0.r, atol=1e-12)
-    np.testing.assert_allclose(out0.s, f0.s, atol=1e-12)
+def test_z_flow_se_from_zero_refusals(pts):
+    psi = se_gaussian(linearization_data(pts["sym1c"]).se_coefficient, b0=-0.3)
+    with pytest.raises(ValueError, match="eps > 0"):
+        z_flow_se_from_zero(psi, -0.5, pts["sym1c"])
     with pytest.raises(NotLinearizable):
-        z_flow_se(psi, 0.1, src, pts["sym1b"])
-    with pytest.raises(ValueError):
-        z_flow_se_from_zero(psi, -0.5, p)
+        z_flow_se_from_zero(psi, 0.5, pts["sym1b"])
 
 
 def test_z_flow_se_zero_limit_solves(pts):
@@ -311,16 +231,6 @@ def test_z_flow_se_zero_limit_solves(pts):
     psi = se_gaussian(data.se_coefficient, b0=-0.3, k=(0.4,))
     sol = z_flow_se_from_zero(psi, 0.5, p)
     assert refinement(p, sol).passed
-
-
-def test_z_flow_se_moves_solutions_to_solutions(pts):
-    p = pts["sym1c"]
-    data = linearization_data(p)
-    psi = se_gaussian(data.se_coefficient, b0=-0.3)
-    base = z_flow_se_from_zero(se_gaussian(data.se_coefficient, b0=-0.22,
-                                           center=(0.4,)), 0.5, p)
-    moved = z_flow_se(psi, 0.35, base, p)
-    assert refinement(p, moved).passed
 
 
 def test_se_round_trip_gauge(pts):
@@ -338,6 +248,127 @@ def test_se_round_trip_gauge(pts):
     back = sample_evaluator(gauge_act_field(data.gauge_from_linear(), se_side), g1, 0.1)
     np.testing.assert_allclose(back.r, f0.r, atol=1e-14)
     np.testing.assert_allclose(back.s, f0.s, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# the linearizing generators through their characteristic
+
+def characteristic_residual(p, Q):
+    """``residual_of`` for ``convergence``: Q_t - F'[u] Q on a sampled
+    solution u, over the inner time slices and grid points, where F is the
+    right-hand side at p and ``Q(r, s, xs, t)`` the characteristic of a
+    vertical generator.  X is a symmetry iff this vanishes on solutions
+    (Olver 1986, sections 2.3 and 5.1).  F is quadratic in the jets, so
+    F'[u] Q = (F(u + Q) - F(u - Q))/2 exactly, both terms from the one
+    stencil; Q_t is the central difference of the uniform stamps."""
+    coeffs = p.system_floats
+
+    def residual_of(traj):
+        grid, times = traj.grid, traj.times
+        col = times.reshape((-1,) + (1,) * grid.n)
+        q = np.stack(Q(traj.r, traj.s, grid.coords(), col))
+        u = np.stack((traj.r, traj.s))
+        lin = 0.5 * (grid_rhs(u + q, grid, coeffs) - grid_rhs(u - q, grid, coeffs))
+        q_t = (q[:, 2:] - q[:, :-2]) / (col[2:] - col[:-2])
+        res = (q_t - lin[:, 1:-1])[(slice(None), slice(None)) + boundary_ring(grid)[1]]
+        return ResidualReport(*_norms(res[0]), *_norms(res[1]))
+
+    return residual_of
+
+
+def zheat(p, P, M):
+    """Zheat's characteristic from a heat pair (P, M) = (phi+, phi-): with
+    w = (2 nu2/nu1) r + s, a = M e^(-r - |lam| w) and b = P e^(-r + |lam| w),
+    Q_r = |lam| (a + b) and Q_s = (a - b) - (2 nu2/nu1) Q_r."""
+    al, ratio = linearization_data(p).abs_lambda, 2 * float(p.nu2) / float(p.nu1)
+
+    def Q(r, s, xs, t):
+        w = ratio * r + s
+        a = M.value(xs, t) * np.exp(-r - al * w)
+        b = P.value(xs, t) * np.exp(-r + al * w)
+        q_r = al * (a + b)
+        return q_r, (a - b) - ratio * q_r
+
+    return Q
+
+
+def zse(p, Psi):
+    """Zse's characteristic from a nowhere-zero solution Psi = e^(m + i theta)
+    of i Psi_t = nu1 Lambda lap Psi: with chi = w/Lambda - theta and
+    z = (2i/Lambda) e^(m - r - i chi), Q_r = Re z and
+    Q_s = Lambda Im z - (2 nu2/nu1) Q_r."""
+    L, ratio = linearization_data(p).LambdaCap, 2 * float(p.nu2) / float(p.nu1)
+
+    def Q(r, s, xs, t):
+        m, theta = Psi.rs(xs, t)
+        z = (2j / L) * np.exp(m - r - 1j * ((ratio * r + s) / L - theta))
+        return z.real, L * z.imag - ratio * z.real
+
+    return Q
+
+
+def second_pair(p, wrong_direction=False):
+    """A heat pair (phi+, phi-) at p besides the bundled one: amplitudes 0.5
+    and 0.7, offsets 0.3 and 0.2, a forward kernel focused at t = 1.2 and a
+    backward one at -0.5.  ``wrong_direction`` gives phi+ the direction of
+    phi-."""
+    D = linearization_data(p).diffusion
+    plus, minus = heat_pair_directions(p)
+
+    def kernel(direction, amplitude, offset):
+        focus = 1.2 if direction == "forward" else -0.5
+        return heat_solution(D, direction, n=p.n, amplitude=amplitude,
+                             focus_time=focus, offset=offset)
+
+    return kernel(minus if wrong_direction else plus, 0.5, 0.3), kernel(minus, 0.7, 0.2)
+
+
+def second_packet(p, sign=1):
+    """A packet besides the bundled one, of p's Schroedinger coefficient
+    times ``sign``: b0 = -0.22, centred at 0.4 on every axis."""
+    return se_gaussian(sign * linearization_data(p).se_coefficient, n=p.n,
+                       b0=-0.22, center=(0.4,) * p.n)
+
+
+def characteristic_study(p, Q, residual_point=None):
+    """The order-2 verdict on Q along the bundled solution at p, with the
+    residual of ``residual_point`` (p by default): 65 -> 129 points on
+    [-4, 4] at n = 1, 33 -> 65 per axis at n = 2, 9 -> 17 stamps on
+    [0.02, 0.18]."""
+    grid = Grid.make(n=p.n, npts=65 if p.n == 1 else 33, extent=(-4.0, 4.0))
+    return convergence(characteristic_residual(residual_point or p, Q),
+                       _bundled_solution(p), grid, np.linspace(0.02, 0.18, 9))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("key", ["sym1b", "sym1b-nu2", "sym1c", "sym1c-nu2", "linear-se"])
+def test_linearizing_generator_characteristic_is_a_symmetry(key, n):
+    """Zheat at the Sym1b points and Zse at the Sym1c ones: Q_t = F'[u] Q on
+    the bundled solution at order 2 (ratios 3.44-4.02), well above the
+    rounding floor, so Q is no zero field."""
+    p = reference_points(n)[key]
+    Q = (zheat(p, *second_pair(p)) if key.startswith("sym1b")
+         else zse(p, second_packet(p)))
+    study = characteristic_study(p, Q)
+    assert study.passed and study.fine.l2 > 1e6 * study.floor, study.ratio_l2
+
+
+@pytest.mark.parametrize("case", ["zse-wrong-sign", "zheat-wrong-direction",
+                                  "zse-mu3", "zheat-mu3"])
+def test_characteristic_check_fails_on_a_non_symmetry(pts, case):
+    """Controls that are no symmetry read a ratio near 1: Zse from a packet
+    of the wrong-sign coefficient (0.96), Zheat from a pair whose phi+ runs
+    the wrong way (1.00), and each generator against the residual of its
+    point with mu3 moved by 1/10 (1.06 at sym1c, 1.28 at sym1b)."""
+    generator, control = case.split("-", 1)
+    p = pts["sym1c" if generator == "zse" else "sym1b"]
+    residual_point = p.replace(mu3=p.mu3 + F(1, 10)) if control == "mu3" else p
+    if generator == "zse":
+        Q = zse(p, second_packet(p, sign=-1 if control == "wrong-sign" else 1))
+    else:
+        Q = zheat(p, *second_pair(p, wrong_direction=control == "wrong-direction"))
+    study = characteristic_study(p, Q, residual_point)
+    assert not study.passed and study.ratio_l2 < 1.5, study.ratio_l2
 
 
 # ---------------------------------------------------------------------------

@@ -272,13 +272,32 @@ def test_check_saved_times_refuses_what_residual_would(pts, t0, dt, steps,
     f0 = LogPolarField(g, t0, 0.1 * np.cos(np.pi * g.coords()[0]), np.zeros(16))
     traj = evolve(p, f0, steps, dt=dt, save_every=save_every)
     if message is None:
-        check_saved_times(f0, dt, steps, save_every)
+        check_saved_times(p, f0, dt, steps, save_every)
         residual(p, traj)
         return
     with pytest.raises(ValueError, match=message):
-        check_saved_times(f0, dt, steps, save_every)
+        check_saved_times(p, f0, dt, steps, save_every)
     with pytest.raises(ValueError, match=message):
         residual(p, traj)
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"steps": -1}, "steps must be >= 0"),
+    ({"dt": 0.0}, "dt=0.0 must be finite and positive"),
+    ({"dt": 0.05}, "Courant number"),
+    ({"save_every": 0}, "save_every=0 must be >= 1"),
+    ({"r0": 1e6}, re.escape("max|r| <= 100"))],
+    ids=["negative-steps", "zero-dt", "unstable-dt", "save-every-0", "r-past-blowup"])
+def test_check_saved_times_refuses_what_evolve_would(pts, change, message):
+    """evolve and check_saved_times refuse each input evolve cannot run
+    with the same message, before any step."""
+    run = {"dt": None, "steps": 6, "save_every": 2, "r0": 0.1, **change}
+    p, g = pts["sym1c"], Grid.make(npts=16, extent=(-1, 1), bc="periodic")
+    f0 = LogPolarField(g, 0.0, run["r0"] * np.cos(np.pi * g.coords()[0]), np.zeros(16))
+    with pytest.raises(ValueError, match=message):
+        evolve(p, f0, run["steps"], dt=run["dt"], save_every=run["save_every"])
+    with pytest.raises(ValueError, match=message):
+        check_saved_times(p, f0, run["dt"], run["steps"], run["save_every"])
 
 
 def test_evolve_zero_steps(pts):

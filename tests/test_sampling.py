@@ -7,7 +7,7 @@ import pytest
 from dgsym.fields import Grid, sample_trajectory
 from dgsym.flows import TransformedSolution, closed_flow_map
 from dgsym.linearize import (gauge_act_field, heat_pair_to_dg, linearization_data,
-                             z_flow_heat, z_flow_se, z_flow_se_from_zero)
+                             z_flow_se_from_zero)
 from dgsym.params import reference_points
 from dgsym.pde import (HJSimilaritySolution, ScaleSimilaritySolution, SEPacketSum,
                        heat_solution, plane_wave_solution, se_gaussian)
@@ -39,7 +39,6 @@ def evaluators(n):
     heat_pair = heat_pair_to_dg(plus, minus, sym1b)
     Psi = se_gaussian(linearization_data(sym1c).se_coefficient, n=n, b0=-0.3,
                       center=center, k=k)
-    se_side = z_flow_se_from_zero(Psi, 0.5, sym1c)
     out = {
         "SEPacket": pack,
         "SEPacketSum": packs,
@@ -47,9 +46,7 @@ def evaluators(n):
         "PlaneWave": plane_wave_solution(sym1c, k),
         "ScaleSimilaritySolution": ScaleSimilaritySolution(pts["sym3"]),
         "HJSimilaritySolution": HJSimilaritySolution(pts["infasub"]),
-        "z_flow_heat": z_flow_heat(plus, minus, 0.3, heat_pair, sym1b),
-        "z_flow_se": z_flow_se(Psi, 0.3, se_side, sym1c),
-        "z_flow_se_from_zero": se_side,
+        "z_flow_se_from_zero": z_flow_se_from_zero(Psi, 0.5, sym1c),
         "gauge": gauge_act_field((2.0, -0.5), packs),
     }
     flows = FLOWS + [("L:1,2", "sym3-nu2")] if n == 2 else FLOWS
